@@ -334,7 +334,9 @@ TEST(OspBehaviour, NamesEncodeOptions) {
 // Every sync model runs the tiny workload to completion and its final
 // global parameters + full RunResult are hashed and compared against
 // goldens captured from main *before* the KV-core refactor (the file in
-// tests/golden/). Each case runs under 1-, 2-, and 8-thread pools, so the
+// tests/golden/). Two more cases, BSP and OSP on two epochs of the ResNet50
+// proxy, pin the conv stack, captured before the conv kernels were
+// rewritten. Each case runs under 1-, 2-, and 8-thread pools, so the
 // suite simultaneously pins thread-count invariance and the KV port's
 // flow-for-flow equivalence: any change to a wire byte count, an event
 // ordering, or a float operation shows up as a hash mismatch.
@@ -403,6 +405,7 @@ struct GoldenCase {
   std::string tag;
   std::function<std::unique_ptr<runtime::SyncModel>()> make;
   runtime::EngineConfig cfg;
+  runtime::WorkloadSpec (*workload)() = models::tiny_mlp;
 };
 
 runtime::EngineConfig golden_cfg(std::size_t num_ps = 1) {
@@ -482,6 +485,20 @@ std::vector<GoldenCase> golden_cases() {
                      return std::make_unique<core::OspSync>(opt);
                    },
                    golden_cfg(/*num_ps=*/2)});
+  // Conv2d, MaxPool2d and ReLU-after-conv numerics, which the tiny MLP never
+  // reaches: two epochs of the ResNet50/CIFAR10 proxy under BSP and OSP.
+  runtime::EngineConfig conv_cfg = golden_cfg();
+  conv_cfg.max_epochs = 2;
+  cases.push_back({"bsp_resnet50",
+                   [] { return std::make_unique<sync::BspSync>(); }, conv_cfg,
+                   models::resnet50_cifar10});
+  cases.push_back({"osp_fixed50_resnet50",
+                   [] {
+                     core::OspOptions opt;
+                     opt.fixed_budget_fraction = 0.5;
+                     return std::make_unique<core::OspSync>(opt);
+                   },
+                   conv_cfg, models::resnet50_cifar10});
   return cases;
 }
 
@@ -493,7 +510,7 @@ struct GoldenHashes {
 GoldenHashes run_golden_case(const GoldenCase& c, std::size_t threads) {
   util::ThreadPool pool(threads);
   util::ThreadPool::ScopedGlobal guard(pool);
-  const runtime::WorkloadSpec spec = models::tiny_mlp();
+  const runtime::WorkloadSpec spec = c.workload();
   auto sync = c.make();
   runtime::Engine engine(spec, c.cfg, *sync);
   const runtime::RunResult result = engine.run();
