@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark): tensor kernels on the hot path of
 // the proxy-model training — matmul orientations (square, skewed, and
-// tile-boundary shapes), conv via im2col, softmax, and the rank-2 helpers.
+// tile-boundary shapes), implicit-GEMM conv, softmax, and the rank-2 helpers.
 //
 // Besides the console table, the run writes bench_out/BENCH_micro_tensor.json
 // (override the path with OSP_BENCH_JSON): one record per benchmark with
@@ -116,8 +116,8 @@ BENCHMARK(BM_MatmulSkewed)
     ->Args({512, 512, 1})     // single column (matrix-vector)
     ->Args({127, 129, 65});   // tile-boundary ±1 tails
 
-// Conv-shape cases: one batched Conv2d forward/backward on the proxy-CNN
-// geometries (3x3, pad 1, CIFAR-scale feature maps).
+// Conv-shape cases: one batched Conv2d forward/backward on each conv layer
+// of the ResNet50/CIFAR10 proxy (3x3, pad 1, batch 64).
 // Args: batch, in_c, out_c, side.
 double conv_flops(std::size_t batch, const Conv2dGeom& g, std::size_t out_c) {
   return 2.0 * static_cast<double>(batch) * g.patches() * g.patch_len() *
@@ -139,9 +139,10 @@ void BM_ConvForward(benchmark::State& state) {
   set_flops(state, conv_flops(batch, conv.geometry(), out_c));
 }
 BENCHMARK(BM_ConvForward)
-    ->Args({16, 3, 16, 32})
-    ->Args({16, 16, 32, 32})
-    ->Args({16, 32, 32, 16});
+    ->Args({64, 3, 10, 8})
+    ->Args({64, 10, 14, 8})
+    ->Args({64, 14, 18, 4})
+    ->Args({64, 18, 18, 4});
 
 void BM_ConvBackward(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));
@@ -157,26 +158,14 @@ void BM_ConvBackward(benchmark::State& state) {
     Tensor dx = conv.backward(grad);
     benchmark::DoNotOptimize(dx.raw());
   }
-  // backward ~= 2x forward GEMM work (dW and dx) plus col2im.
+  // backward ~= 2x forward GEMM work (dW and dX) plus the dX scatter.
   set_flops(state, 2.0 * conv_flops(batch, conv.geometry(), out_c));
 }
 BENCHMARK(BM_ConvBackward)
-    ->Args({16, 16, 32, 32})
-    ->Args({16, 32, 32, 16});
-
-void BM_Im2col(benchmark::State& state) {
-  const auto side = static_cast<std::size_t>(state.range(0));
-  Conv2dGeom g{16, side, side, 3, 1, 1};
-  osp::util::Rng rng(7);
-  std::vector<float> image(16 * side * side);
-  for (float& v : image) v = static_cast<float>(rng.normal());
-  Tensor cols({g.patches(), g.patch_len()});
-  for (auto _ : state) {
-    osp::tensor::im2col(image, g, cols);
-    benchmark::DoNotOptimize(cols.raw());
-  }
-}
-BENCHMARK(BM_Im2col)->Arg(8)->Arg(16)->Arg(32);
+    ->Args({64, 3, 10, 8})
+    ->Args({64, 10, 14, 8})
+    ->Args({64, 14, 18, 4})
+    ->Args({64, 18, 18, 4});
 
 void BM_SoftmaxRows(benchmark::State& state) {
   const auto cols = static_cast<std::size_t>(state.range(0));

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "util/check.hpp"
+#include "util/simd.hpp"
 
 namespace osp::nn {
 
@@ -10,19 +11,16 @@ using tensor::Tensor;
 
 Tensor ReLU::forward(const Tensor& input, bool /*train*/) {
   input_ = input;
-  Tensor out = input;
-  for (float& v : out.data()) v = v > 0.0f ? v : 0.0f;
+  Tensor out(input.shape());
+  util::simd::kernels().relu(input.raw(), out.raw(), out.numel());
   return out;
 }
 
 Tensor ReLU::backward(const Tensor& grad_out) {
   OSP_CHECK(grad_out.numel() == input_.numel(), "ReLU grad size mismatch");
-  Tensor dx = grad_out;
-  auto in = input_.data();
-  auto d = dx.data();
-  for (std::size_t i = 0; i < d.size(); ++i) {
-    if (in[i] <= 0.0f) d[i] = 0.0f;
-  }
+  Tensor dx(grad_out.shape());
+  util::simd::kernels().relu_grad(input_.raw(), grad_out.raw(), dx.raw(),
+                                  dx.numel());
   return dx;
 }
 

@@ -1,15 +1,13 @@
 #include "nn/conv2d.hpp"
 
-#include <algorithm>
 #include <limits>
 
+#include "tensor/conv.hpp"
 #include "tensor/init.hpp"
 #include "util/check.hpp"
-#include "util/thread_pool.hpp"
 
 namespace osp::nn {
 
-using tensor::Conv2dGeom;
 using tensor::Tensor;
 
 Conv2d::Conv2d(std::string name, std::size_t in_channels,
@@ -27,98 +25,33 @@ Conv2d::Conv2d(std::string name, std::size_t in_channels,
   tensor::he_normal(weight_, geom_.patch_len(), rng);
 }
 
-void Conv2d::ensure_scratch(std::size_t batch) {
-  const std::size_t rows = batch * geom_.patches();
-  if (cols_all_.rank() == 2 && cols_all_.dim(0) == rows) return;
-  cols_all_ = Tensor({rows, geom_.patch_len()});
-  g_all_ = Tensor({rows, out_channels_});
-  dcols_all_ = Tensor({rows, geom_.patch_len()});
-}
-
-Tensor Conv2d::forward(const Tensor& input, bool /*train*/) {
+Tensor Conv2d::forward(const Tensor& input, bool train) {
   OSP_CHECK(input.rank() == 4, "Conv2d expects NCHW input");
   OSP_CHECK(input.dim(1) == geom_.in_channels && input.dim(2) == geom_.in_h &&
                 input.dim(3) == geom_.in_w,
             "Conv2d input geometry mismatch");
   const std::size_t batch = input.dim(0);
-  const std::size_t oh = geom_.out_h(), ow = geom_.out_w();
-  const std::size_t patches = geom_.patches();
-  const std::size_t plen = geom_.patch_len();
-  const std::size_t img = geom_.in_channels * geom_.in_h * geom_.in_w;
-
-  batch_ = batch;
-  ensure_scratch(batch);
-  Tensor out({batch, out_channels_, oh, ow});
-
-  // Expand the whole batch (samples in parallel, disjoint row blocks)…
-  const auto in_data = input.data();
-  float* cols = cols_all_.raw();
-  util::ThreadPool::global().parallel_for(
-      batch,
-      [&](std::size_t b0, std::size_t b1) {
-        for (std::size_t b = b0; b < b1; ++b) {
-          tensor::im2col_rows(in_data.subspan(b * img, img), geom_,
-                              cols + b * patches * plen);
-        }
-      },
-      1);
-  // …then one batched GEMM; the NCHW transpose + bias live in its store
-  // epilogue, so there is no separate pass over the output.
-  tensor::conv_forward_gemm(cols_all_, weight_, bias_.data(), batch, patches,
-                            out);
+  Tensor out({batch, out_channels_, geom_.out_h(), geom_.out_w()});
+  tensor::conv2d_forward(input.raw(), weight_.raw(), bias_.raw(), geom_,
+                         out_channels_, batch, out.raw());
+  if (train) input_ = input;
   return out;
 }
 
 Tensor Conv2d::backward(const Tensor& grad_out) {
-  const std::size_t batch = batch_;
-  const std::size_t oh = geom_.out_h(), ow = geom_.out_w();
-  OSP_CHECK(batch > 0, "Conv2d backward before forward");
+  OSP_CHECK(input_.rank() == 4, "Conv2d backward before a training forward");
+  const std::size_t batch = input_.dim(0);
   OSP_CHECK(grad_out.rank() == 4 && grad_out.dim(0) == batch &&
-                grad_out.dim(1) == out_channels_ && grad_out.dim(2) == oh &&
-                grad_out.dim(3) == ow,
+                grad_out.dim(1) == out_channels_ &&
+                grad_out.dim(2) == geom_.out_h() &&
+                grad_out.dim(3) == geom_.out_w(),
             "Conv2d grad shape mismatch");
-  const std::size_t patches = geom_.patches();
-  const std::size_t plen = geom_.patch_len();
-  const std::size_t img = geom_.in_channels * geom_.in_h * geom_.in_w;
-  Tensor dx({batch, geom_.in_channels, geom_.in_h, geom_.in_w});
-
-  // grad_out is NCHW ([out_c, patches] per sample); flip each sample into
-  // its [patches, out_c] row block of the batched gradient matrix.
-  const float* pg_all = grad_out.raw();
-  float* pgm_all = g_all_.raw();
-  util::ThreadPool::global().parallel_for(
-      batch,
-      [&](std::size_t b0, std::size_t b1) {
-        for (std::size_t b = b0; b < b1; ++b) {
-          const float* pg = pg_all + b * out_channels_ * patches;
-          float* pgm = pgm_all + b * patches * out_channels_;
-          for (std::size_t oc = 0; oc < out_channels_; ++oc) {
-            for (std::size_t p = 0; p < patches; ++p) {
-              pgm[p * out_channels_ + oc] = pg[oc * patches + p];
-            }
-          }
-        }
-      },
-      1);
-  // dW += Σ_b g_bᵀ · cols_b, one fresh product per sample added in batch
-  // order — the same float grouping as the per-sample implementation, so
-  // training trajectories are bit-identical to it.
-  tensor::matmul_tn_blocked_acc(g_all_, cols_all_, batch, wgrad_);
-  // db += per-channel sums over every (sample, patch) row.
-  tensor::sum_rows(g_all_, bgrad_.data());
-  // dcols = g_all · W : [batch*patches, out_c]·[out_c, plen]
-  tensor::matmul(g_all_, weight_, dcols_all_);
-  const float* dcols = dcols_all_.raw();
-  auto dx_data = dx.data();
-  util::ThreadPool::global().parallel_for(
-      batch,
-      [&](std::size_t b0, std::size_t b1) {
-        for (std::size_t b = b0; b < b1; ++b) {
-          tensor::col2im_rows(dcols + b * patches * plen, geom_,
-                              dx_data.subspan(b * img, img));
-        }
-      },
-      1);
+  tensor::conv2d_backward_weight(grad_out.raw(), input_.raw(), geom_,
+                                 out_channels_, batch, wgrad_.raw(),
+                                 bgrad_.raw());
+  Tensor dx(input_.shape());
+  tensor::conv2d_backward_data(grad_out.raw(), weight_.raw(), geom_,
+                               out_channels_, batch, dx.raw());
   return dx;
 }
 

@@ -1,4 +1,5 @@
-// 2-D convolution over NCHW tensors via im2col + matmul.
+// 2-D convolution over NCHW tensors via the implicit-GEMM kernels in
+// tensor/conv.hpp.
 #pragma once
 
 #include "nn/layer.hpp"
@@ -21,23 +22,13 @@ class Conv2d : public Layer {
   [[nodiscard]] std::size_t out_channels() const { return out_channels_; }
 
  private:
-  /// (Re)sizes the batched scratch matrices when the batch size changes;
-  /// steady-state iterations reuse them without allocating.
-  void ensure_scratch(std::size_t batch);
-
   tensor::Conv2dGeom geom_;
   std::size_t out_channels_;
   tensor::Tensor weight_;  // [out_c, C*k*k]
   tensor::Tensor bias_;    // [out_c]
   tensor::Tensor wgrad_;
   tensor::Tensor bgrad_;
-  std::size_t batch_ = 0;  // batch of the last forward (for backward checks)
-  // Persistent batched scratch: every sample's rows back-to-back, so the
-  // whole batch runs through ONE GEMM per pass instead of `batch` small
-  // ones, and no per-sample Tensors are allocated on the hot path.
-  tensor::Tensor cols_all_;   // im2col rows        [batch*patches, C*k*k]
-  tensor::Tensor g_all_;      // grad as matrix     [batch*patches, out_c]
-  tensor::Tensor dcols_all_;  // col gradient       [batch*patches, C*k*k]
+  tensor::Tensor input_;  // last training-forward input, for dW
 };
 
 class MaxPool2d : public Layer {

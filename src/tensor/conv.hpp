@@ -1,0 +1,51 @@
+// Implicit-GEMM 2-D convolution kernels over NCHW tensors.
+//
+// Each sample b is its own small GEMM. With X̂_b the [C·k·k, oh·ow] patch
+// matrix of sample b (row q = (ch, ky, kx), column p = (oy, ox)):
+//
+//   forward:  out_b  = W · X̂_b + bias          lanes over patches, NCHW out
+//   dX:       D_b    = Wᵀ · G_b                scattered into dx_b as spans
+//   dW:       wgrad += G_b · X̂_bᵀ             fresh per sample, batch order
+//   db:       bgrad[oc] += G[b, oc, p]         ascending (b, p) per channel
+//
+// No patch matrix is kept for the batch. Each sample is copied into a zero
+// frame of the padding width, where every patch row is a plain copy;
+// forward packs X̂_b from it and dW packs X̂_bᵀ, one sample at a time, and
+// dX scatters into a framed gradient the same way.
+//
+// Numerical contract: every output element is one accumulator that starts
+// at 0 and adds its products in ascending reduction order (q for forward,
+// oc for dX, p for dW), mul-then-add, never fused; the bias is added after
+// the last product. dX pixels receive their terms in ascending (oy, ox)
+// order and dW adds each sample's product in batch order. That is the
+// float grouping of the im2col + GEMM + col2im pipeline these kernels
+// replaced (im2col/col2im in ops.hpp remain as the tests' reference), so
+// results are bit-identical to it at any thread count and in every
+// util::simd tier. See DESIGN.md, "Convolution kernels".
+#pragma once
+
+#include <cstddef>
+
+#include "tensor/ops.hpp"
+
+namespace osp::tensor {
+
+/// out[batch, out_c, oh, ow] = conv(x[batch, C, H, W], weight) + bias, with
+/// `weight` [out_c, C·k·k] row-major and `bias` [out_c].
+void conv2d_forward(const float* x, const float* weight, const float* bias,
+                    const Conv2dGeom& g, std::size_t out_c, std::size_t batch,
+                    float* out);
+
+/// dx[batch, C, H, W] = input gradient of grad_out[batch, out_c, oh, ow].
+void conv2d_backward_data(const float* grad_out, const float* weight,
+                          const Conv2dGeom& g, std::size_t out_c,
+                          std::size_t batch, float* dx);
+
+/// wgrad[out_c, C·k·k] += G_b · X̂_bᵀ for b = 0, 1, … in order, each
+/// product formed from a fresh accumulator, and
+/// bgrad[oc] += grad_out[b, oc, p] in ascending (b, p) order.
+void conv2d_backward_weight(const float* grad_out, const float* x,
+                            const Conv2dGeom& g, std::size_t out_c,
+                            std::size_t batch, float* wgrad, float* bgrad);
+
+}  // namespace osp::tensor

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "util/check.hpp"
+#include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -50,11 +51,12 @@ enum class Trans { N, T };
 // ---------------------------------------------------------------------------
 // Micro-kernel: rank-kl update of one kMR×kNR accumulator tile from packed
 // panels. `ap` is kl×kMR (column of A strips), `bp` is kl×kNR, `acc` is the
-// row-major kMR×kNR tile. Dispatched at runtime: on AVX2 hardware each tile
-// row is one 8-lane vector. Both variants perform the identical sequence of
-// IEEE mul-then-add per element (lanes are independent j columns; k stays
-// serial, and FMA is deliberately NOT used because fusing would change
-// rounding), so results are bit-identical across the dispatch.
+// row-major kMR×kNR tile. Picked per call from util::simd::active_tier(): on
+// the AVX2 tiers and up each tile row is one 8-lane vector. Both variants
+// perform the identical sequence of IEEE mul-then-add per element (lanes are
+// independent j columns; k stays serial, and FMA is deliberately NOT used
+// because fusing would change rounding), so results are bit-identical
+// across the dispatch.
 // ---------------------------------------------------------------------------
 
 void micro_kernel_portable(const float* __restrict ap,
@@ -99,14 +101,14 @@ __attribute__((target("avx2"))) void micro_kernel_avx2(
 using MicroKernelFn = void (*)(const float* __restrict, const float* __restrict,
                                std::size_t, float* __restrict);
 
-MicroKernelFn pick_micro_kernel() {
+MicroKernelFn active_micro_kernel() {
 #ifdef OSP_GEMM_X86_DISPATCH
-  if (__builtin_cpu_supports("avx2")) return micro_kernel_avx2;
+  if (util::simd::active_tier() >= util::simd::Tier::kAvx2) {
+    return micro_kernel_avx2;
+  }
 #endif
   return micro_kernel_portable;
 }
-
-const MicroKernelFn g_micro_kernel = pick_micro_kernel();
 
 inline float a_elem(const float* a, std::size_t lda, Trans t, std::size_t i,
                     std::size_t p) {
@@ -118,53 +120,26 @@ inline float b_elem(const float* b, std::size_t ldb, Trans t, std::size_t p,
   return t == Trans::N ? b[p * ldb + j] : b[j * ldb + p];
 }
 
-/// Plain row-major output: C[i*ldc + j].
-struct RowMajorOut {
-  float* c;
-  std::size_t ldc;
-  float load(std::size_t i, std::size_t j) const { return c[i * ldc + j]; }
-  void store(std::size_t i, std::size_t j, float v) const {
-    c[i * ldc + j] = v;
-  }
-};
-
-/// Conv-forward epilogue: GEMM rows are (sample, patch) pairs and columns
-/// are output channels; the store scatters into NCHW layout with the bias
-/// fused in. Only valid for single-kc-panel runs (the driver is called with
-/// kc_max == k), so load() is never needed.
-struct ConvScatterOut {
-  float* out;
-  const float* bias;
-  std::size_t patches;
-  std::size_t out_c;
-  float load(std::size_t, std::size_t) const { return 0.0f; }
-  void store(std::size_t i, std::size_t j, float v) const {
-    const std::size_t b = i / patches;
-    const std::size_t p = i % patches;
-    out[(b * out_c + j) * patches + p] = v + bias[j];
-  }
-};
-
-template <class Epi>
+/// C[m,n] (row-major, ldc) = A·B, or += when `accumulate`.
 void gemm_blocked(std::size_t m, std::size_t n, std::size_t k, const float* a,
                   std::size_t lda, Trans ta, const float* b, std::size_t ldb,
-                  Trans tb, bool accumulate, std::size_t kc_max,
-                  const Epi& epi) {
+                  Trans tb, bool accumulate, float* c, std::size_t ldc) {
   if (m == 0 || n == 0) return;
   if (k == 0) {
     if (!accumulate) {
       for (std::size_t i = 0; i < m; ++i) {
-        for (std::size_t j = 0; j < n; ++j) epi.store(i, j, 0.0f);
+        for (std::size_t j = 0; j < n; ++j) c[i * ldc + j] = 0.0f;
       }
     }
     return;
   }
+  const MicroKernelFn micro_kernel = active_micro_kernel();
   thread_local std::vector<float> bpack;
   for (std::size_t jc = 0; jc < n; jc += kNC) {
     const std::size_t ncl = std::min(kNC, n - jc);
     const std::size_t npanels = (ncl + kNR - 1) / kNR;
-    for (std::size_t pc = 0; pc < k; pc += kc_max) {
-      const std::size_t kl = std::min(kc_max, k - pc);
+    for (std::size_t pc = 0; pc < k; pc += kKC) {
+      const std::size_t kl = std::min(kKC, k - pc);
       const bool first_panel = pc == 0;
       // Pack B once per (jc, pc) block; every M strip reuses it.
       bpack.resize(npanels * kl * kNR);
@@ -209,15 +184,15 @@ void gemm_blocked(std::size_t m, std::size_t n, std::size_t k, const float* a,
                   for (std::size_t ii = 0; ii < kMR; ++ii) {
                     for (std::size_t jj = 0; jj < kNR; ++jj) {
                       acc[ii * kNR + jj] = (ii < mr && jj < nr)
-                                               ? epi.load(i0 + ii, j0 + jj)
+                                               ? c[(i0 + ii) * ldc + j0 + jj]
                                                : 0.0f;
                     }
                   }
                 }
-                g_micro_kernel(ap, bpack_data + jp * kl * kNR, kl, acc);
+                micro_kernel(ap, bpack_data + jp * kl * kNR, kl, acc);
                 for (std::size_t ii = 0; ii < mr; ++ii) {
                   for (std::size_t jj = 0; jj < nr; ++jj) {
-                    epi.store(i0 + ii, j0 + jj, acc[ii * kNR + jj]);
+                    c[(i0 + ii) * ldc + j0 + jj] = acc[ii * kNR + jj];
                   }
                 }
               }
@@ -291,7 +266,7 @@ void matmul(const Tensor& a, const Tensor& b, Tensor& c) {
     return;
   }
   gemm_blocked(m, n, k, a.raw(), k, Trans::N, b.raw(), n, Trans::N,
-               /*accumulate=*/false, kKC, RowMajorOut{c.raw(), n});
+               /*accumulate=*/false, c.raw(), n);
 }
 
 void matmul_tn(const Tensor& a, const Tensor& b, Tensor& c) {
@@ -307,7 +282,7 @@ void matmul_tn(const Tensor& a, const Tensor& b, Tensor& c) {
   }
   // C[k,n] = Aᵀ·B: the packed A accessor reads A transposed.
   gemm_blocked(k, n, m, a.raw(), k, Trans::T, b.raw(), n, Trans::N,
-               /*accumulate=*/false, kKC, RowMajorOut{c.raw(), n});
+               /*accumulate=*/false, c.raw(), n);
 }
 
 void matmul_tn_acc(const Tensor& a, const Tensor& b, Tensor& c) {
@@ -322,35 +297,7 @@ void matmul_tn_acc(const Tensor& a, const Tensor& b, Tensor& c) {
     return;
   }
   gemm_blocked(k, n, m, a.raw(), k, Trans::T, b.raw(), n, Trans::N,
-               /*accumulate=*/true, kKC, RowMajorOut{c.raw(), n});
-}
-
-void matmul_tn_blocked_acc(const Tensor& a, const Tensor& b,
-                           std::size_t blocks, Tensor& c) {
-  check_matrix(a, "a");
-  check_matrix(b, "b");
-  OSP_CHECK(blocks > 0, "matmul_tn_blocked_acc needs blocks > 0");
-  const std::size_t m_all = a.dim(0), k = a.dim(1), n = b.dim(1);
-  OSP_CHECK(b.dim(0) == m_all, "matmul_tn_blocked_acc outer mismatch");
-  OSP_CHECK(m_all % blocks == 0, "matmul_tn_blocked_acc uneven blocks");
-  OSP_CHECK(c.rank() == 2 && c.dim(0) == k && c.dim(1) == n,
-            "matmul_tn_blocked_acc output shape mismatch");
-  const std::size_t rows = m_all / blocks;
-  static thread_local std::vector<float> scratch;
-  scratch.resize(k * n);
-  float* wg = scratch.data();
-  float* pc = c.raw();
-  for (std::size_t blk = 0; blk < blocks; ++blk) {
-    const float* pa = a.raw() + blk * rows * k;
-    const float* pb = b.raw() + blk * rows * n;
-    if (rows * n * k < kSmallGemmElems) {
-      matmul_tn_small(rows, k, n, pa, pb, wg, /*accumulate=*/false);
-    } else {
-      gemm_blocked(k, n, rows, pa, k, Trans::T, pb, n, Trans::N,
-                   /*accumulate=*/false, kKC, RowMajorOut{wg, n});
-    }
-    for (std::size_t i = 0; i < k * n; ++i) pc[i] += wg[i];
-  }
+               /*accumulate=*/true, c.raw(), n);
 }
 
 void matmul_nt(const Tensor& a, const Tensor& b, Tensor& c) {
@@ -367,27 +314,7 @@ void matmul_nt(const Tensor& a, const Tensor& b, Tensor& c) {
   // C[m,n] = A·Bᵀ: the packed B accessor reads B transposed, turning the
   // unvectorizable dot-product loop into the shared panel kernel.
   gemm_blocked(m, n, k, a.raw(), k, Trans::N, b.raw(), k, Trans::T,
-               /*accumulate=*/false, kKC, RowMajorOut{c.raw(), n});
-}
-
-void conv_forward_gemm(const Tensor& cols_all, const Tensor& weight,
-                       std::span<const float> bias, std::size_t batch,
-                       std::size_t patches, Tensor& out_nchw) {
-  check_matrix(cols_all, "cols_all");
-  check_matrix(weight, "weight");
-  const std::size_t m = cols_all.dim(0), k = cols_all.dim(1);
-  const std::size_t out_c = weight.dim(0);
-  OSP_CHECK(weight.dim(1) == k, "conv_forward_gemm patch length mismatch");
-  OSP_CHECK(m == batch * patches, "conv_forward_gemm row count mismatch");
-  OSP_CHECK(bias.size() == out_c, "conv_forward_gemm bias size mismatch");
-  OSP_CHECK(out_nchw.numel() == batch * out_c * patches,
-            "conv_forward_gemm output size mismatch");
-  OSP_CHECK(patches > 0, "conv_forward_gemm needs patches > 0");
-  // kc_max = k forces a single kc panel so the scatter epilogue (which
-  // cannot reload partial sums from the NCHW layout) sees final values.
-  gemm_blocked(m, out_c, k, cols_all.raw(), k, Trans::N, weight.raw(), k,
-               Trans::T, /*accumulate=*/false, std::max<std::size_t>(k, 1),
-               ConvScatterOut{out_nchw.raw(), bias.data(), patches, out_c});
+               /*accumulate=*/false, c.raw(), n);
 }
 
 void add_bias_rows(Tensor& x, std::span<const float> bias) {
@@ -496,16 +423,10 @@ void im2col(std::span<const float> image, const Conv2dGeom& g, Tensor& cols) {
   OSP_CHECK(cols.rank() == 2 && cols.dim(0) == oh * ow &&
                 cols.dim(1) == g.patch_len(),
             "im2col output shape mismatch");
-  im2col_rows(image, g, cols.raw());
-}
-
-void im2col_rows(std::span<const float> image, const Conv2dGeom& g,
-                 float* cols) {
-  const std::size_t oh = g.out_h(), ow = g.out_w();
   const std::size_t plen = g.patch_len();
   for (std::size_t oy = 0; oy < oh; ++oy) {
     for (std::size_t ox = 0; ox < ow; ++ox) {
-      float* patch = cols + (oy * ow + ox) * plen;
+      float* patch = cols.raw() + (oy * ow + ox) * plen;
       std::size_t idx = 0;
       for (std::size_t ch = 0; ch < g.in_channels; ++ch) {
         const float* chan = image.data() + ch * g.in_h * g.in_w;
@@ -537,16 +458,10 @@ void col2im(const Tensor& cols, const Conv2dGeom& g, std::span<float> image) {
   OSP_CHECK(cols.rank() == 2 && cols.dim(0) == oh * ow &&
                 cols.dim(1) == g.patch_len(),
             "col2im input shape mismatch");
-  col2im_rows(cols.raw(), g, image);
-}
-
-void col2im_rows(const float* cols, const Conv2dGeom& g,
-                 std::span<float> image) {
-  const std::size_t oh = g.out_h(), ow = g.out_w();
   const std::size_t plen = g.patch_len();
   for (std::size_t oy = 0; oy < oh; ++oy) {
     for (std::size_t ox = 0; ox < ow; ++ox) {
-      const float* patch = cols + (oy * ow + ox) * plen;
+      const float* patch = cols.raw() + (oy * ow + ox) * plen;
       std::size_t idx = 0;
       for (std::size_t ch = 0; ch < g.in_channels; ++ch) {
         float* chan = image.data() + ch * g.in_h * g.in_w;

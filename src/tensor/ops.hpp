@@ -1,5 +1,6 @@
 // Tensor kernels: cache-blocked register-tiled matmul, transpose variants,
-// elementwise ops, row softmax, and im2col/col2im for convolution.
+// elementwise ops, row softmax, and the im2col/col2im reference that the
+// convolution kernels (conv.hpp) are tested against.
 //
 // Matmul comes in the three orientations backprop needs:
 //   matmul:    C = A·B        (forward)
@@ -30,15 +31,6 @@ void matmul_nt(const Tensor& a, const Tensor& b, Tensor& c);
 /// C += Aᵀ·B (accumulating matmul_tn; the GEMM adds straight into the
 /// destination instead of materializing a temporary).
 void matmul_tn_acc(const Tensor& a, const Tensor& b, Tensor& c);
-
-/// Block-wise accumulating Aᵀ·B: A and B are `blocks` stacked row blocks
-/// ([blocks*rows, k] and [blocks*rows, n]); for each block
-/// C += A_blockᵀ·B_block. Each block's product is materialized with a
-/// fresh accumulator and then added to C — the exact float grouping of a
-/// per-sample loop. Conv2d's weight gradient uses this so the batched
-/// implementation stays bit-identical to the per-sample one it replaced.
-void matmul_tn_blocked_acc(const Tensor& a, const Tensor& b,
-                           std::size_t blocks, Tensor& c);
 
 /// out[r] = in[r] + bias for every row of a rank-2 tensor (in place).
 void add_bias_rows(Tensor& x, std::span<const float> bias);
@@ -84,30 +76,13 @@ struct Conv2dGeom {
 };
 
 /// Expand one image (C,H,W flat span) into the im2col matrix
-/// [patches, patch_len]. Out-of-bounds (padding) reads as 0.
+/// [patches, patch_len]. Out-of-bounds (padding) reads as 0. Reference
+/// only: Conv2d runs the implicit-GEMM kernels in conv.hpp, which tests
+/// check bit for bit against this im2col/col2im formulation.
 void im2col(std::span<const float> image, const Conv2dGeom& g, Tensor& cols);
 
-/// im2col writing into a raw row block (one sample's [patches, patch_len]
-/// slice of a batched scratch matrix). No shape checks; callers guarantee
-/// `cols` has room for patches()*patch_len() floats.
-void im2col_rows(std::span<const float> image, const Conv2dGeom& g,
-                 float* cols);
-
-/// Scatter-add the column matrix back into an image gradient (+=).
+/// Scatter-add the column matrix back into an image gradient (+=), patch
+/// rows in ascending order. Reference only, like im2col.
 void col2im(const Tensor& cols, const Conv2dGeom& g, std::span<float> image);
-
-/// col2im from a raw row block (one sample's slice of a batched matrix).
-void col2im_rows(const float* cols, const Conv2dGeom& g,
-                 std::span<float> image);
-
-/// Batched conv-forward GEMM with fused epilogue. `cols_all` holds every
-/// sample's im2col rows back-to-back ([batch*patches, patch_len]), `weight`
-/// is [out_c, patch_len]. Computes cols·weightᵀ and scatters the result
-/// into `out_nchw` ([batch, out_c, oh, ow]) with `bias` added — the NCHW
-/// transpose+bias pass lives inside the GEMM's store epilogue instead of a
-/// separate sweep over the output.
-void conv_forward_gemm(const Tensor& cols_all, const Tensor& weight,
-                       std::span<const float> bias, std::size_t batch,
-                       std::size_t patches, Tensor& out_nchw);
 
 }  // namespace osp::tensor

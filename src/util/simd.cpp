@@ -215,6 +215,15 @@ void unpack_bits_scalar(const std::uint8_t* bits, std::uint8_t* bytes,
   }
 }
 
+void relu_scalar(const float* x, float* y, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) y[i] = x[i] > 0.0f ? x[i] : 0.0f;
+}
+
+void relu_grad_scalar(const float* x, const float* g, float* d,
+                      std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) d[i] = x[i] <= 0.0f ? 0.0f : g[i];
+}
+
 constexpr Kernels kScalarKernels = {
     axpy_scalar,          scale_scalar,    add_scalar,
     add_copy2_scalar,     sub_scalar,      dot_scalar,
@@ -222,6 +231,7 @@ constexpr Kernels kScalarKernels = {
     max_abs_scalar,       quantize_dequantize_scalar,
     abs_into_scalar,      count_gt_scalar, threshold_zero_scalar,
     mask_zero_scalar,     pack_bits_scalar, unpack_bits_scalar,
+    relu_scalar,          relu_grad_scalar,
 };
 
 #ifdef OSP_SIMD_X86
@@ -597,6 +607,31 @@ __attribute__((target("avx2"))) void unpack_bits_avx2(const std::uint8_t* bits,
   if (i < n) unpack_bits_scalar(bits + i / 8, bytes + i, n - i);
 }
 
+__attribute__((target("avx2"))) void relu_avx2(const float* x, float* y,
+                                               std::size_t n) {
+  const __m256 zero = _mm256_setzero_ps();
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 v = _mm256_loadu_ps(x + i);
+    _mm256_storeu_ps(y + i,
+                     _mm256_and_ps(v, _mm256_cmp_ps(v, zero, _CMP_GT_OQ)));
+  }
+  for (; i < n; ++i) y[i] = x[i] > 0.0f ? x[i] : 0.0f;
+}
+
+__attribute__((target("avx2"))) void relu_grad_avx2(const float* x,
+                                                    const float* g, float* d,
+                                                    std::size_t n) {
+  const __m256 zero = _mm256_setzero_ps();
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 kill =
+        _mm256_cmp_ps(_mm256_loadu_ps(x + i), zero, _CMP_LE_OQ);
+    _mm256_storeu_ps(d + i, _mm256_andnot_ps(kill, _mm256_loadu_ps(g + i)));
+  }
+  for (; i < n; ++i) d[i] = x[i] <= 0.0f ? 0.0f : g[i];
+}
+
 // ---------------------------------------------------------------------------
 // AVX-512 tier (F+BW+DQ+VL). Same contracts at twice the width; the
 // reductions keep the single 8-double-lane accumulator, so the tree is
@@ -869,6 +904,33 @@ __attribute__((target(OSP_T512))) void unpack_bits_avx512(
   if (i < n) unpack_bits_scalar(bits + i / 8, bytes + i, n - i);
 }
 
+__attribute__((target(OSP_T512))) void relu_avx512(const float* x, float* y,
+                                                   std::size_t n) {
+  const __m512 zero = _mm512_setzero_ps();
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __m512 v = _mm512_loadu_ps(x + i);
+    _mm512_storeu_ps(
+        y + i, _mm512_maskz_mov_ps(_mm512_cmp_ps_mask(v, zero, _CMP_GT_OQ), v));
+  }
+  for (; i < n; ++i) y[i] = x[i] > 0.0f ? x[i] : 0.0f;
+}
+
+__attribute__((target(OSP_T512))) void relu_grad_avx512(const float* x,
+                                                        const float* g,
+                                                        float* d,
+                                                        std::size_t n) {
+  const __m512 zero = _mm512_setzero_ps();
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    // Not-less-or-equal, unordered: true for x > 0 and for NaN.
+    const __mmask16 keep =
+        _mm512_cmp_ps_mask(_mm512_loadu_ps(x + i), zero, _CMP_NLE_UQ);
+    _mm512_storeu_ps(d + i, _mm512_maskz_mov_ps(keep, _mm512_loadu_ps(g + i)));
+  }
+  for (; i < n; ++i) d[i] = x[i] <= 0.0f ? 0.0f : g[i];
+}
+
 #undef OSP_T512
 #undef OSP_REDUCE_TAIL
 #undef OSP_REDUCE_TAIL_512
@@ -880,6 +942,7 @@ constexpr Kernels kAvx2Kernels = {
     max_abs_avx2,       quantize_dequantize_avx2,
     abs_into_avx2,      count_gt_avx2, threshold_zero_avx2,
     mask_zero_avx2,     pack_bits_avx2, unpack_bits_avx2,
+    relu_avx2,          relu_grad_avx2,
 };
 
 // The FMA tier shares every elementwise/codec kernel with AVX2 (a fused
@@ -891,6 +954,7 @@ constexpr Kernels kAvx2FmaKernels = {
     max_abs_avx2,       quantize_dequantize_avx2,
     abs_into_avx2,      count_gt_avx2, threshold_zero_avx2,
     mask_zero_avx2,     pack_bits_avx2, unpack_bits_avx2,
+    relu_avx2,          relu_grad_avx2,
 };
 
 constexpr Kernels kAvx512Kernels = {
@@ -900,6 +964,7 @@ constexpr Kernels kAvx512Kernels = {
     max_abs_avx512,       quantize_dequantize_avx512,
     abs_into_avx512,      count_gt_avx512, threshold_zero_avx512,
     mask_zero_avx512,     pack_bits_avx512, unpack_bits_avx512,
+    relu_avx512,          relu_grad_avx512,
 };
 
 #endif  // OSP_SIMD_X86

@@ -1,8 +1,9 @@
-// Runtime SIMD dispatch for the gradient wire-path kernels.
+// Runtime SIMD dispatch for the gradient wire-path kernels and ReLU. The
+// GEMM micro-kernel (tensor/ops.cpp) and the conv kernels (tensor/conv.cpp)
+// pick their own tier-specific code from active_tier() as well.
 //
 // Four tiers — scalar, AVX2, AVX2+FMA, AVX-512 — selected once at startup
-// via __builtin_cpu_supports (the same mechanism as the GEMM micro-kernel
-// in src/tensor/ops.cpp), overridable with the OSP_SIMD_TIER environment
+// via __builtin_cpu_supports, overridable with the OSP_SIMD_TIER environment
 // variable ("scalar" | "avx2" | "avx2fma" | "avx512", clamped to what the
 // CPU supports) and force-able from tests via force_tier().
 //
@@ -101,6 +102,12 @@ struct Kernels {
   /// bits -> bytes[i] in {0, 1}.
   void (*unpack_bits)(const std::uint8_t* bits, std::uint8_t* bytes,
                       std::size_t n);
+
+  // -- ReLU (selects only, so exact): branch-free forward and backward --
+  /// y[i] = x[i] > 0 ? x[i] : +0; −0, NaN and −inf all give +0.
+  void (*relu)(const float* x, float* y, std::size_t n);
+  /// d[i] = x[i] <= 0 ? +0 : g[i]; a NaN x passes g[i] through.
+  void (*relu_grad)(const float* x, const float* g, float* d, std::size_t n);
 };
 
 /// Kernel table for an explicit tier (cross-tier bit-identity tests).

@@ -34,6 +34,10 @@ void TaskState::run() {
   const bool was_in_task = t_in_tracked_task;
   t_in_tracked_task = true;
   fn();
+  // Drop the captures before joiners can see `done`: a callable that owns
+  // the object holding this task's handle (the engine's math jobs do) would
+  // otherwise keep that object, and this state, alive forever.
+  fn = nullptr;
   t_in_tracked_task = was_in_task;
   if (tracked != nullptr) {
     tracked->fetch_sub(1, std::memory_order_relaxed);

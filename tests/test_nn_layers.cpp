@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 
 #include "nn/activations.hpp"
 #include "nn/attention.hpp"
@@ -16,6 +17,7 @@
 #include "nn/sequential.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 
 namespace osp::nn {
 namespace {
@@ -155,6 +157,40 @@ TEST(ReluLayer, ZeroesNegatives) {
   EXPECT_FLOAT_EQ(out[2], 2.0f);
 }
 
+TEST(ReluLayer, SeedRulesInEverySimdTier) {
+  // The branch-free kernels keep the seed's rules bit for bit in every
+  // tier: forward maps x > 0 to x and everything else (-0, NaN, -inf) to
+  // +0; backward zeroes the gradient where x <= 0 and passes it through
+  // where x is NaN. 77 elements cover full vectors and a scalar tail.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::vector<float> xs = {-0.0f, 0.0f,    nan,     -nan, inf,
+                           -inf,  1e-45f, -1e-45f, 2.5f, -3.0f};
+  util::Rng rng(4);
+  while (xs.size() < 77) xs.push_back(static_cast<float>(rng.normal()));
+  const Tensor x({7, 11}, xs);
+  const Tensor g = random_input({7, 11}, rng);
+  Tensor want_y({7, 11}), want_dx({7, 11});
+  for (std::size_t i = 0; i < x.numel(); ++i) {
+    want_y[i] = x[i] > 0.0f ? x[i] : 0.0f;
+    want_dx[i] = x[i] <= 0.0f ? 0.0f : g[i];
+  }
+  using util::simd::Tier;
+  for (Tier t : {Tier::kScalar, Tier::kAvx2, Tier::kAvx2Fma, Tier::kAvx512}) {
+    if (t > util::simd::hardware_tier()) continue;
+    util::simd::ScopedTier forced(t);
+    ReLU layer("relu");
+    const Tensor y = layer.forward(x, true);
+    const Tensor dx = layer.backward(g);
+    EXPECT_EQ(std::memcmp(y.raw(), want_y.raw(), y.numel() * sizeof(float)),
+              0)
+        << "forward, " << util::simd::tier_name(t);
+    EXPECT_EQ(
+        std::memcmp(dx.raw(), want_dx.raw(), dx.numel() * sizeof(float)), 0)
+        << "backward, " << util::simd::tier_name(t);
+  }
+}
+
 TEST(TanhLayer, Gradients) {
   util::Rng rng(5);
   Tanh layer("tanh");
@@ -187,7 +223,7 @@ TEST(Conv2dLayer, OutputShape) {
 }
 
 TEST(Conv2dLayer, ForwardMatchesDirectConvolution) {
-  // The im2col+GEMM pipeline against a direct 7-loop convolution.
+  // The implicit-GEMM kernels against a direct 7-loop convolution.
   util::Rng rng(91);
   const std::size_t B = 2, C = 3, H = 6, W = 5, OC = 4, K = 3;
   const std::size_t stride = 1, pad = 1;
@@ -232,9 +268,9 @@ TEST(Conv2dLayer, ForwardMatchesDirectConvolution) {
 }
 
 TEST(Conv2dLayer, BatchedMatchesPerSampleBitwise) {
-  // The batched scratch layout must change nothing: a batch-3 pass and
-  // three batch-1 passes over the same layer produce byte-identical
-  // outputs and accumulated gradients.
+  // Batching must change nothing: a batch-3 pass and three batch-1 passes
+  // over the same layer produce byte-identical outputs and accumulated
+  // gradients.
   util::Rng rng(92);
   const std::size_t B = 3, C = 2, H = 7, W = 7, OC = 5;
   const Tensor x = random_input({B, C, H, W}, rng);

@@ -1,15 +1,22 @@
 // Tensor library tests: shapes, access, matmul orientations against naive
-// references, im2col/col2im adjointness, softmax, and initializers.
+// references, im2col/col2im adjointness, the implicit-GEMM conv kernels
+// against the im2col reference in every SIMD tier, softmax, and
+// initializers.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <span>
+#include <string>
+#include <vector>
 
+#include "tensor/conv.hpp"
 #include "tensor/init.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 
 namespace osp::tensor {
@@ -186,30 +193,6 @@ TEST(Ops, MatmulTnAccAccumulatesIntoC) {
   for (std::size_t i = 0; i < acc.numel(); ++i) {
     EXPECT_NEAR(acc[i], fresh[i] + 1.5f, 1e-5f);
   }
-}
-
-TEST(Ops, MatmulTnBlockedAccMatchesPerSampleGrouping) {
-  // The batched call must reproduce the per-sample loop exactly: each
-  // block's product from a fresh accumulator, added to C in block order.
-  util::Rng rng(62);
-  const std::size_t blocks = 3, rows = 40, k = 6, n = 9;
-  const Tensor a = random_matrix(blocks * rows, k, rng);
-  const Tensor b = random_matrix(blocks * rows, n, rng);
-  Tensor batched({k, n}, 0.25f);
-  matmul_tn_blocked_acc(a, b, blocks, batched);
-
-  Tensor expected({k, n}, 0.25f);
-  for (std::size_t blk = 0; blk < blocks; ++blk) {
-    Tensor ab({rows, k}), bb({rows, n});
-    std::memcpy(ab.raw(), a.raw() + blk * rows * k, rows * k * sizeof(float));
-    std::memcpy(bb.raw(), b.raw() + blk * rows * n, rows * n * sizeof(float));
-    Tensor wg({k, n});
-    matmul_tn(ab, bb, wg);
-    for (std::size_t i = 0; i < wg.numel(); ++i) expected.raw()[i] += wg[i];
-  }
-  EXPECT_EQ(std::memcmp(batched.raw(), expected.raw(),
-                        batched.numel() * sizeof(float)),
-            0);
 }
 
 TEST(Ops, KernelsBitIdenticalAcrossThreadCounts) {
@@ -404,6 +387,179 @@ TEST(Ops, Col2imIsAdjointOfIm2col) {
 
   EXPECT_NEAR(lhs, rhs, 1e-3);
 }
+
+// ---- Implicit-GEMM conv kernels (conv.hpp) -------------------------------
+//
+// The reference is the pipeline the kernels replaced, spelled out over the
+// im2col matrix: one accumulator per output starting at 0 with ascending
+// reduction index and the bias last; col2im adds each pixel's terms in
+// ascending (oy, ox); dW sums each sample fresh and adds it in batch order.
+// The kernels must reproduce it bit for bit in every SIMD tier and at any
+// thread count.
+
+struct ConvCase {
+  const char* name;
+  Conv2dGeom g;
+  std::size_t out_c;
+  std::size_t batch;
+};
+
+struct ConvData {
+  std::vector<float> x, w, bias, gout;
+};
+
+struct ConvResult {
+  std::vector<float> out, dx, wgrad, bgrad;
+};
+
+std::vector<float> conv_values(std::size_t n, util::Rng& rng) {
+  std::vector<float> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    // Every 7th value is -0: signed zeros must be summed in order too.
+    v[i] = i % 7 == 3 ? -0.0f : static_cast<float>(rng.normal());
+  }
+  return v;
+}
+
+ConvData conv_data(const ConvCase& c, util::Rng& rng) {
+  const Conv2dGeom& g = c.g;
+  ConvData d;
+  d.x = conv_values(c.batch * g.in_channels * g.in_h * g.in_w, rng);
+  d.w = conv_values(c.out_c * g.patch_len(), rng);
+  d.bias = conv_values(c.out_c, rng);
+  d.gout = conv_values(c.batch * c.out_c * g.patches(), rng);
+  return d;
+}
+
+/// Output buffers; the gradients start nonzero because the kernels add.
+ConvResult conv_buffers(const ConvCase& c) {
+  const Conv2dGeom& g = c.g;
+  ConvResult r;
+  r.out.assign(c.batch * c.out_c * g.patches(), 0.0f);
+  r.dx.assign(c.batch * g.in_channels * g.in_h * g.in_w, 0.0f);
+  r.wgrad.assign(c.out_c * g.patch_len(), 0.5f);
+  r.bgrad.assign(c.out_c, -0.25f);
+  return r;
+}
+
+ConvResult reference_conv(const ConvCase& c, const ConvData& d) {
+  const Conv2dGeom& g = c.g;
+  const std::size_t patches = g.patches(), plen = g.patch_len();
+  const std::size_t img = g.in_channels * g.in_h * g.in_w;
+  ConvResult r = conv_buffers(c);
+  Tensor cols({patches, plen}), dcols({patches, plen});
+  std::vector<float> wg(c.out_c * plen);
+  for (std::size_t b = 0; b < c.batch; ++b) {
+    im2col(std::span<const float>(d.x).subspan(b * img, img), g, cols);
+    const float* gb = d.gout.data() + b * c.out_c * patches;
+    for (std::size_t oc = 0; oc < c.out_c; ++oc) {
+      for (std::size_t p = 0; p < patches; ++p) {
+        float acc = 0.0f;
+        for (std::size_t q = 0; q < plen; ++q) {
+          acc += cols.at(p, q) * d.w[oc * plen + q];
+        }
+        r.out[(b * c.out_c + oc) * patches + p] = acc + d.bias[oc];
+      }
+    }
+    for (std::size_t p = 0; p < patches; ++p) {
+      for (std::size_t q = 0; q < plen; ++q) {
+        float acc = 0.0f;
+        for (std::size_t oc = 0; oc < c.out_c; ++oc) {
+          acc += gb[oc * patches + p] * d.w[oc * plen + q];
+        }
+        dcols.at(p, q) = acc;
+      }
+    }
+    col2im(dcols, g, std::span<float>(r.dx).subspan(b * img, img));
+    for (std::size_t oc = 0; oc < c.out_c; ++oc) {
+      for (std::size_t q = 0; q < plen; ++q) {
+        float acc = 0.0f;
+        for (std::size_t p = 0; p < patches; ++p) {
+          acc += gb[oc * patches + p] * cols.at(p, q);
+        }
+        wg[oc * plen + q] = acc;
+      }
+    }
+    for (std::size_t i = 0; i < wg.size(); ++i) r.wgrad[i] += wg[i];
+  }
+  for (std::size_t b = 0; b < c.batch; ++b) {
+    for (std::size_t p = 0; p < patches; ++p) {
+      for (std::size_t oc = 0; oc < c.out_c; ++oc) {
+        r.bgrad[oc] += d.gout[(b * c.out_c + oc) * patches + p];
+      }
+    }
+  }
+  return r;
+}
+
+ConvResult run_conv_kernels(const ConvCase& c, const ConvData& d) {
+  ConvResult r = conv_buffers(c);
+  conv2d_forward(d.x.data(), d.w.data(), d.bias.data(), c.g, c.out_c,
+                 c.batch, r.out.data());
+  conv2d_backward_data(d.gout.data(), d.w.data(), c.g, c.out_c, c.batch,
+                       r.dx.data());
+  conv2d_backward_weight(d.gout.data(), d.x.data(), c.g, c.out_c, c.batch,
+                         r.wgrad.data(), r.bgrad.data());
+  return r;
+}
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/// Scalar plus every tier the CPU supports.
+std::vector<util::simd::Tier> testable_tiers() {
+  using util::simd::Tier;
+  std::vector<Tier> tiers{Tier::kScalar};
+  for (Tier t : {Tier::kAvx2, Tier::kAvx2Fma, Tier::kAvx512}) {
+    if (t <= util::simd::hardware_tier()) tiers.push_back(t);
+  }
+  return tiers;
+}
+
+class ConvKernels : public ::testing::TestWithParam<ConvCase> {};
+
+TEST_P(ConvKernels, BitIdenticalToIm2colReference) {
+  const ConvCase& c = GetParam();
+  util::Rng rng(7001);
+  const ConvData data = conv_data(c, rng);
+  const ConvResult want = reference_conv(c, data);
+  for (const util::simd::Tier t : testable_tiers()) {
+    util::simd::ScopedTier forced(t);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+      util::ThreadPool pool(threads);
+      util::ThreadPool::ScopedGlobal guard(pool);
+      const ConvResult got = run_conv_kernels(c, data);
+      const std::string at = std::string(util::simd::tier_name(t)) +
+                             " tier, " + std::to_string(threads) + " threads";
+      EXPECT_TRUE(same_bits(got.out, want.out)) << "forward, " << at;
+      EXPECT_TRUE(same_bits(got.dx, want.dx)) << "input gradient, " << at;
+      EXPECT_TRUE(same_bits(got.wgrad, want.wgrad))
+          << "weight gradient, " << at;
+      EXPECT_TRUE(same_bits(got.bgrad, want.bgrad)) << "bias gradient, " << at;
+    }
+  }
+}
+
+// Geometry fields: {in_channels, in_h, in_w, kernel, stride, pad}. Patch
+// counts (oh·ow) of 64, 30, 15, 20, 54, 12, 16, 25 and 1024 cover full and
+// partial 8- and 16-lane strips; out_c of 3..19 covers full and short row
+// tiles.
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, ConvKernels,
+    ::testing::Values(ConvCase{"Proxy3x3Same", {3, 8, 8, 3, 1, 1}, 10, 4},
+                      ConvCase{"K1Stride2", {4, 9, 11, 1, 2, 0}, 5, 2},
+                      ConvCase{"K2Stride2", {3, 10, 7, 2, 2, 0}, 17, 2},
+                      ConvCase{"K5Stride2", {2, 13, 11, 5, 2, 0}, 9, 2},
+                      ConvCase{"NonSquarePad2", {2, 6, 9, 5, 1, 2}, 19, 2},
+                      ConvCase{"K3Stride2Pad1", {5, 7, 6, 3, 2, 1}, 12, 3},
+                      ConvCase{"Batch1", {18, 4, 4, 3, 1, 1}, 18, 1},
+                      ConvCase{"PadBeyondKernel", {2, 3, 3, 1, 1, 1}, 3, 2},
+                      ConvCase{"LargeImage", {2, 32, 32, 3, 1, 1}, 16, 1}),
+    [](const ::testing::TestParamInfo<ConvCase>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(Init, XavierBounds) {
   util::Rng rng(3);

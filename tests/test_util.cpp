@@ -677,6 +677,19 @@ TEST(ThreadPoolTasks, SaturatedTasksRunParallelForInline) {
   for (TaskHandle& h : blockers) h.join();
 }
 
+TEST(ThreadPoolTasks, FinishedTaskReleasesItsCallable) {
+  // Whatever a task captured is released once it has run, whether a pool
+  // worker ran it or join() stole it. The engine's math jobs hold their own
+  // task's handle, so a callable kept past its run would leak every job.
+  ThreadPool pool(2);
+  for (int i = 0; i < 16; ++i) {
+    auto payload = std::make_shared<int>(i);
+    TaskHandle h = pool.submit_task([payload] { (void)*payload; });
+    h.join();
+    EXPECT_EQ(payload.use_count(), 1) << "task " << i;
+  }
+}
+
 TEST(ThreadPoolTasks, ManyTasksAllComplete) {
   ThreadPool pool(3);
   std::atomic<int> count{0};
