@@ -4,7 +4,7 @@
 // paper reports, and writes a CSV next to the binary (bench_out/) for
 // plotting. Epoch counts and the repetition seed can be overridden through
 // environment variables so a quick smoke pass is possible:
-//   OSP_BENCH_EPOCHS=4 ./build/bench/bench_fig6a_throughput
+//   OSP_BENCH_EPOCHS=4 ./build/bench/bench_fig6_metrics
 #pragma once
 
 #include <chrono>

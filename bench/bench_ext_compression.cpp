@@ -9,7 +9,7 @@
 // of dropping them, so its accuracy tracks BSP at compression-class BST.
 #include "bench_common.hpp"
 
-#include "sync/compression.hpp"
+#include "sync/kv_bsp.hpp"
 #include "sync/sync_switch.hpp"
 
 int main() {
@@ -23,17 +23,21 @@ int main() {
   std::vector<std::pair<std::string,
                         std::unique_ptr<runtime::SyncModel>>> schemes;
   schemes.emplace_back("BSP", std::make_unique<sync::BspSync>());
-  schemes.emplace_back("TopK 10%", std::make_unique<sync::CompressedBspSync>(
-                                       sync::CompressionMode::TopK, 0.10));
-  schemes.emplace_back("TopK 5%", std::make_unique<sync::CompressedBspSync>(
-                                      sync::CompressionMode::TopK, 0.05));
-  schemes.emplace_back("TopK 5% +EF",
-                       std::make_unique<sync::CompressedBspSync>(
-                           sync::CompressionMode::TopK, 0.05, 99, true));
-  schemes.emplace_back("RandomK 10%",
-                       std::make_unique<sync::CompressedBspSync>(
-                           sync::CompressionMode::RandomK, 0.10));
-  schemes.emplace_back("Q8-BSP", std::make_unique<sync::QuantizedBspSync>());
+  auto kv_bsp = [](const sync::KvBspOptions& opt) {
+    return std::make_unique<sync::KvBspSync>(opt);
+  };
+  using kv::CompressionMode;
+  schemes.emplace_back(
+      "TopK 10%", kv_bsp(sync::compressed_bsp(CompressionMode::TopK, 0.10)));
+  schemes.emplace_back(
+      "TopK 5%", kv_bsp(sync::compressed_bsp(CompressionMode::TopK, 0.05)));
+  schemes.emplace_back(
+      "TopK 5% +EF",
+      kv_bsp(sync::compressed_bsp(CompressionMode::TopK, 0.05, 99, true)));
+  schemes.emplace_back(
+      "RandomK 10%",
+      kv_bsp(sync::compressed_bsp(CompressionMode::RandomK, 0.10)));
+  schemes.emplace_back("Q8-BSP", kv_bsp(sync::quantized_bsp()));
   schemes.emplace_back("SyncSwitch 30%",
                        std::make_unique<sync::SyncSwitchSync>(0.3));
   schemes.emplace_back("OSP", std::make_unique<core::OspSync>());

@@ -13,7 +13,7 @@
 #include "bench_common.hpp"
 
 #include "data/synthetic_image.hpp"
-#include "sync/sharded_bsp.hpp"
+#include "sync/kv_bsp.hpp"
 #include "util/check.hpp"
 
 namespace {
@@ -90,7 +90,9 @@ int main() {
     auto cfg = bench::paper_config(16, epochs);
     cfg.cluster.num_ps = ps;
     ps_jobs.push_back(bench::make_job(
-        spec, [] { return std::make_unique<sync::ShardedBspSync>(); }, cfg));
+        spec,
+        [] { return std::make_unique<sync::KvBspSync>(sync::sharded_bsp()); },
+        cfg));
     ps_jobs.push_back(bench::make_job(
         spec, [] { return std::make_unique<core::OspSync>(); }, cfg,
         osp_umax));

@@ -14,7 +14,6 @@
 #include "bench_common.hpp"
 
 #include "sync/kv_bsp.hpp"
-#include "sync/sharded_bsp.hpp"
 
 int main() {
   using namespace osp;
@@ -29,8 +28,10 @@ int main() {
     std::function<std::unique_ptr<runtime::SyncModel>()> make;
   };
   std::vector<Row> rows;
-  rows.push_back({"ShardedBSP",
-                  [] { return std::make_unique<sync::ShardedBspSync>(); }});
+  rows.push_back({"ShardedBSP", [] {
+                    return std::make_unique<sync::KvBspSync>(
+                        sync::sharded_bsp());
+                  }});
   rows.push_back({"KvBSP", [] {
                     return std::make_unique<sync::KvBspSync>(
                         sync::KvBspOptions{});

@@ -3,9 +3,8 @@
 //
 // These are the raw kernels — sparsification and symmetric int8
 // quantization — that the composable filter stages (kv/filter.hpp) wrap.
-// They live below src/sync so both the KV pipeline and the legacy
-// sync-model entry points (sync/compression.hpp keeps aliases) can share
-// one implementation.
+// They live below src/sync so the KV pipeline and every caller share one
+// implementation.
 #pragma once
 
 #include <cstdint>

@@ -2,17 +2,46 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <memory>
 #include <numeric>
 
 #include "runtime/engine.hpp"
 #include "util/check.hpp"
 #include "util/serde.hpp"
+#include "util/simd.hpp"
 #include "util/vec_math.hpp"
 
 namespace osp::sync {
 
+KvBspOptions sharded_bsp() {
+  KvBspOptions o;
+  o.profile = KvBspProfile::kSharded;
+  return o;
+}
+
+KvBspOptions compressed_bsp(kv::CompressionMode mode, double keep_fraction,
+                            std::uint64_t seed, bool error_feedback) {
+  KvBspOptions o;
+  o.profile = KvBspProfile::kTopK;
+  o.topk_mode = mode;
+  o.topk_keep_fraction = keep_fraction;
+  o.topk_seed = seed;
+  o.error_feedback = error_feedback;
+  return o;
+}
+
+KvBspOptions quantized_bsp() {
+  KvBspOptions o;
+  o.profile = KvBspProfile::kQ8;
+  o.quantize_int8 = true;
+  return o;
+}
+
 KvBspSync::KvBspSync(KvBspOptions options) : options_(options) {
+  const double keep = options_.topk_keep_fraction;
+  OSP_CHECK(options_.profile != KvBspProfile::kQ8 || options_.quantize_int8,
+            "the Q8 profile needs the int8 stage");
   // Stage order is the composition contract: key addressing first, then
   // the block-level GIB projection, then element-level top-k over the
   // survivors, then the int8 value transform (quantizer composes after
@@ -24,203 +53,318 @@ KvBspSync::KvBspSync(KvBspOptions options) : options_(options) {
     gib_ = static_cast<kv::GibFilter*>(&pipeline_.add(
         std::make_unique<kv::GibFilter>(options_.gib_attach_bitmap)));
   }
-  if (options_.topk_keep_fraction > 0.0 &&
-      options_.topk_keep_fraction < 1.0) {
-    topk_ = static_cast<kv::TopKFilter*>(
-        &pipeline_.add(std::make_unique<kv::TopKFilter>(
-            kv::CompressionMode::TopK, options_.topk_keep_fraction,
-            options_.topk_seed)));
+  if (options_.profile == KvBspProfile::kTopK || (keep > 0.0 && keep < 1.0)) {
+    // The selection RNG lives in the filter and is constructed once here:
+    // re-attaching must not rewind the stream. The filter rejects a keep
+    // fraction outside (0, 1].
+    pipeline_.add(std::make_unique<kv::TopKFilter>(options_.topk_mode, keep,
+                                                   options_.topk_seed));
   }
   if (options_.quantize_int8) {
     pipeline_.add(std::make_unique<kv::QuantizeInt8Filter>());
   }
+  OSP_CHECK(!per_ps() || (pipeline_.size() == 0 && !options_.error_feedback),
+            "per-PS shards push by reference: no filters, no error feedback");
 }
 
 std::string KvBspSync::name() const {
-  return pipeline_.size() == 0 ? "KvBSP" : "KvBSP[" + pipeline_.name() + "]";
+  std::string n;
+  switch (options_.profile) {
+    case KvBspProfile::kSharded:
+      return "BSP(x" +
+             std::to_string(std::max<std::size_t>(1, shards_.size())) + "PS)";
+    case KvBspProfile::kQ8:
+      n = "Q8-BSP";
+      break;
+    case KvBspProfile::kTopK: {
+      // %g keeps the exact fraction ("12.5%"), not a truncated integer.
+      char pct[32];
+      std::snprintf(pct, sizeof(pct), "%g",
+                    options_.topk_keep_fraction * 100.0);
+      n = options_.topk_mode == kv::CompressionMode::TopK ? "TopK" : "RandomK";
+      n += "(" + std::string(pct) + "%)";
+      break;
+    }
+    case KvBspProfile::kKv:
+      n = pipeline_.size() == 0 ? "KvBSP" : "KvBSP[" + pipeline_.name() + "]";
+      break;
+  }
+  return options_.error_feedback ? n + "+EF" : n;
 }
 
 void KvBspSync::attach(runtime::Engine& eng) {
   SyncModel::attach(eng);
   tx_.bind(eng);
-  {
-    std::vector<std::size_t> offsets;
-    std::vector<std::size_t> numels;
-    for (const auto& b : eng.blocks()) {
-      offsets.push_back(b.offset);
-      numels.push_back(b.numel);
+  const std::size_t n = eng.num_workers();
+  const std::size_t nb = eng.num_blocks();
+  const std::size_t numel = eng.global_params().size();
+  std::vector<std::size_t> offsets;
+  std::vector<std::size_t> numels;
+  std::vector<double> proxy_bytes;  // a block at its own fp32 size
+  for (const auto& b : eng.blocks()) {
+    offsets.push_back(b.offset);
+    numels.push_back(b.numel);
+    proxy_bytes.push_back(4.0 * static_cast<double>(b.numel));
+  }
+  store_.init(offsets, numels);
+  const bool real_scale = options_.profile == KvBspProfile::kSharded ||
+                          options_.profile == KvBspProfile::kQ8;
+  const std::size_t num_ps = eng.cluster().num_ps();
+  kv::Partition part;
+  std::vector<double> dense;
+  if (per_ps()) {
+    part = kv::byte_balanced_partition(eng.all_block_bytes(), num_ps);
+    dense = kv::partition_bytes(eng.all_block_bytes(), part);
+  } else {
+    // One logical shard (primary host 0) spanning every PS host; the
+    // ring-successor rule picks the backup.
+    part.num_shards = num_ps;
+    part.owner.assign(nb, 0);
+    dense = {real_scale ? eng.model_bytes()
+                        : 4.0 * static_cast<double>(numel)};
+  }
+  // Catch-up prices a key at the profile's byte scale.
+  replica_.init(part, real_scale ? eng.all_block_bytes() : proxy_bytes);
+  shards_.assign(dense.size(), Shard{});
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    Shard& sh = shards_[s];
+    sh.mask.assign(nb, false);
+    for (std::size_t b = 0; b < nb; ++b) {
+      if (part.owner[b] != s) continue;
+      sh.keys.push_back(static_cast<kv::Key>(b));
+      sh.mask[b] = true;
     }
-    store_.init(offsets, numels);
+    sh.dense_bytes = dense[s];
+    sh.serving = sh.resp_host = s;
+    sh.pushed.assign(n, 0);
+    sh.resp_pending.assign(n, 0);
   }
   if (gib_ != nullptr) {
     std::vector<kv::GibFilter::Block> blocks;
-    for (const auto& b : eng.blocks()) {
-      // Self-consistent proxy scale: a block costs its own fp32 bytes.
-      blocks.push_back({b.offset, b.numel, 4.0 * (double)b.numel});
+    for (std::size_t b = 0; b < nb; ++b) {
+      blocks.push_back({offsets[b], numels[b], proxy_bytes[b]});
     }
     gib_->set_blocks(std::move(blocks));
-    gib_keep_.assign(eng.num_blocks(), 1);  // round 1: everything travels
+    gib_keep_.assign(nb, 1);  // round 1: everything travels
     gib_->set_selection(gib_keep_);
   }
-  inbox_.assign(eng.num_workers(), kv::KvMessage{});
-  for (kv::KvMessage& m : inbox_) {
-    m.values.assign(eng.global_params().size(), 0.0f);
+  inbox_.assign(n, kv::KvMessage{});
+  if (!per_ps()) {
+    for (kv::KvMessage& m : inbox_) m.values.assign(numel, 0.0f);
   }
-  arrived_ = 0;
-  tel_rounds_ = 0;
+  residual_.assign(options_.error_feedback ? n : 0,
+                   std::vector<float>(numel, 0.0f));
+  agg_.assign(numel, 0.0f);
   tel_push_bytes_ = 0.0;
   last_round_push_bytes_ = 0.0;
-  {
-    // One logical shard (primary host 0) spanning every PS host; the
-    // ring-successor rule picks the backup. Catch-up prices a key at its
-    // fp32 bytes — the model's one self-consistent byte scale.
-    kv::Partition part;
-    part.num_shards = eng.cluster().num_ps();
-    part.owner.assign(eng.num_blocks(), 0);
-    std::vector<double> key_bytes;
-    for (const auto& b : eng.blocks()) {
-      key_bytes.push_back(4.0 * static_cast<double>(b.numel));
-    }
-    replica_.init(part, key_bytes);
-  }
-  serving_ = 0;
-  epoch_ = 0;
-  pushed_.assign(eng.num_workers(), 0);
-  arrived_bits_.assign(eng.num_workers(), 0);
-  resp_pending_.assign(eng.num_workers(), 0);
-  resp_outstanding_ = 0;
-  resp_host_ = 0;
 }
 
 void KvBspSync::on_gradient_ready(std::size_t worker) {
-  runtime::Engine& e = eng();
-  auto grad = e.worker_gradient(worker);
-  kv::KvMessage& m = inbox_[worker];
-  m.begin(kv::Op::kPush, static_cast<std::uint32_t>(worker), tel_rounds_ + 1,
-          store_.key_range());
-  util::copy(grad, m.values);
-  m.dense_numel = grad.size();
-  m.dense_value_bytes = m.value_bytes =
-      4.0 * static_cast<double>(grad.size());
-  pipeline_.encode(m);
-  tel_push_bytes_ += m.wire_bytes();
-  pushed_[worker] = 1;
-  resp_pending_[worker] = 1;
-  push_message(worker);
+  if (!per_ps()) encode_push(worker);
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    shards_[s].pushed[worker] = 1;
+    shards_[s].resp_pending[worker] = 1;
+    push(worker, s);
+  }
 }
 
-void KvBspSync::push_message(std::size_t worker) {
-  const std::size_t host = serving_;
-  // Whole chain down: the push stays recorded in pushed_ and is issued
+void KvBspSync::encode_push(std::size_t worker) {
+  auto grad = eng().worker_gradient(worker);
+  kv::KvMessage& m = inbox_[worker];
+  m.begin(kv::Op::kPush, static_cast<std::uint32_t>(worker),
+          shards_[0].rounds + 1, store_.key_range());
+  if (options_.error_feedback) {
+    // Fold the previously untransmitted mass back in, writing
+    // grad + residual to both the transmit buffer and the residual in one
+    // pass (the residual copy is what sub() consumes below).
+    std::vector<float>& res = residual_[worker];
+    util::simd::kernels().add_copy2(grad.data(), res.data(), m.values.data(),
+                                    res.data(), grad.size());
+  } else {
+    util::copy(grad, m.values);
+  }
+  m.dense_numel = grad.size();
+  m.dense_value_bytes = m.value_bytes = shards_[0].dense_bytes;
+  pipeline_.encode(m);
+  if (options_.error_feedback) {
+    // residual = (grad + residual) − transmitted.
+    util::sub(residual_[worker], m.values, residual_[worker]);
+  }
+}
+
+void KvBspSync::push(std::size_t worker, std::size_t shard) {
+  Shard& sh = shards_[shard];
+  kv::KvMessage& m = inbox_[worker];
+  if (per_ps()) {
+    // The push addresses the shard's key list; the gradient stays in the
+    // worker's buffer (the PS reads it at aggregate time), so the message
+    // carries accounting + addressing only.
+    m.begin(kv::Op::kPush, static_cast<std::uint32_t>(worker), sh.rounds + 1,
+            {});
+    m.keys = sh.keys;
+    m.set_accounting(sh.dense_bytes);
+  }
+  tel_push_bytes_ += m.wire_bytes();
+  const std::size_t host = sh.serving;
+  // Whole chain down: the push stays recorded in `pushed` and is issued
   // when a restart repoints the shard.
   if (host == kv::ReplicaTable::npos) return;
   // The epoch fences deliveries against a failover: a flow addressed to a
   // host that lost the shard in the meantime is void on arrival.
-  const std::uint64_t epoch = epoch_;
-  tx_.push(worker, host, inbox_[worker], /*owned=*/false,
-           [this, worker, epoch] { on_push_arrived(worker, epoch); });
+  const std::uint64_t epoch = sh.epoch;
+  tx_.push(worker, host, m, /*owned=*/false,
+           [this, shard, epoch] { on_push_arrived(shard, epoch); });
 }
 
-void KvBspSync::on_push_arrived(std::size_t worker, std::uint64_t epoch) {
-  if (epoch != epoch_) return;  // landed at a deposed host
-  arrived_bits_[worker] = 1;
-  ++arrived_;
-  if (arrived_ == eng().num_workers()) {
-    arrived_ = 0;
-    aggregate_and_broadcast();
-  }
+void KvBspSync::on_push_arrived(std::size_t shard, std::uint64_t epoch) {
+  Shard& sh = shards_[shard];
+  if (epoch != sh.epoch) return;  // landed at a deposed host
+  if (++sh.arrived < eng().num_workers()) return;
+  sh.arrived = 0;
+  aggregate(shard);
 }
 
-void KvBspSync::aggregate_and_broadcast() {
+void KvBspSync::aggregate(std::size_t shard) {
   runtime::Engine& e = eng();
+  Shard& sh = shards_[shard];
   const std::size_t n = e.num_workers();
-  agg_.assign(e.global_params().size(), 0.0f);
-  const float scale = 1.0f / static_cast<float>(n);
-  for (std::size_t w = 0; w < n; ++w) {
+  if (!per_ps()) {
     // Symmetry rule: in-memory delivery kept the dense receiver view, so
     // decode is a structural no-op — the PS trains on what a decode of
     // the serialized compact form would reproduce.
-    pipeline_.decode(inbox_[w]);
-    util::axpy(scale, inbox_[w].values, agg_);
+    for (kv::KvMessage& m : inbox_) pipeline_.decode(m);
   }
-  e.apply_global_step(agg_);
-  store_.bump_all();
-  for (std::size_t b = 0; b < e.num_blocks(); ++b) {
-    const auto k = static_cast<kv::Key>(b);
+  // Mean of the pushed gradients over the shard's blocks (shards own
+  // disjoint blocks, so they aggregate independently).
+  const float scale = 1.0f / static_cast<float>(n);
+  for (const kv::Key k : sh.keys) {
+    const auto& info = e.blocks()[k];
+    auto dst = std::span<float>(agg_).subspan(info.offset, info.numel);
+    util::fill(dst, 0.0f);
+    for (std::size_t w = 0; w < n; ++w) {
+      const std::span<const float> src =
+          per_ps() ? e.worker_gradient(w)
+                   : std::span<const float>(inbox_[w].values);
+      util::axpy(scale, src.subspan(info.offset, info.numel), dst);
+    }
+  }
+  e.apply_global_step_blocks(agg_, sh.mask);
+  for (const kv::Key k : sh.keys) {
+    store_.bump(k);
     // Async replication trails the apply by one update per segment.
     replica_.note_update(k, store_.version(k));
   }
-  std::fill(pushed_.begin(), pushed_.end(), std::uint8_t{0});
-  std::fill(arrived_bits_.begin(), arrived_bits_.end(), std::uint8_t{0});
+  std::fill(sh.pushed.begin(), sh.pushed.end(), std::uint8_t{0});
+  ++sh.rounds;
   update_gib_selection();
-  auto& rec = record_full_round(++tel_rounds_, n);
+  // Per-PS shards of one logical round share a telemetry record; every
+  // push of the round was sent before its first shard closed.
+  auto& rec = record_full_round(sh.rounds, n);
   rec.important_bytes = tel_push_bytes_;
   rec.replica_lag = replica_.lag(store_);
-  last_round_push_bytes_ = tel_push_bytes_;
-  tel_push_bytes_ = 0.0;
-  resp_outstanding_ = 1;
-  broadcast();
+  if (std::all_of(shards_.begin(), shards_.end(), [&](const Shard& x) {
+        return x.rounds == sh.rounds;
+      })) {
+    last_round_push_bytes_ = tel_push_bytes_;
+    tel_push_bytes_ = 0.0;
+  }
+  switch (options_.profile) {
+    case KvBspProfile::kTopK: {
+      // The response carries only the touched entries (union support).
+      std::size_t support = 0;
+      for (float v : agg_) support += v != 0.0f ? 1 : 0;
+      sh.resp_bytes =
+          std::min(e.model_bytes(), static_cast<double>(support) * 8.0);
+      break;
+    }
+    case KvBspProfile::kQ8:
+      sh.resp_bytes = sh.dense_bytes / 4.0 + 4.0;
+      break;
+    default:
+      sh.resp_bytes = sh.dense_bytes;
+  }
+  sh.resp_outstanding = 1;
+  broadcast(shard);
 }
 
-void KvBspSync::broadcast() {
+void KvBspSync::broadcast(std::size_t shard) {
   runtime::Engine& e = eng();
-  const std::size_t host = serving_;
+  Shard& sh = shards_[shard];
+  const std::size_t host = sh.serving;
   if (host == kv::ReplicaTable::npos) return;  // re-driven at repoint
-  resp_host_ = host;
-  // Dense broadcast of the refreshed model (proxy scale).
-  const double bytes = 4.0 * static_cast<double>(e.global_params().size());
+  sh.resp_host = host;
+  const double bytes = sh.resp_bytes;
+  const double apply =
+      options_.profile == KvBspProfile::kTopK ? bytes : sh.dense_bytes;
   e.ps_submit(
-      e.ps_apply_delay(bytes, 3.0),
-      [this, bytes, host] {
-        runtime::Engine& en = eng();
-        resp_outstanding_ = 0;
+      e.ps_apply_delay(apply, 3.0),
+      [this, shard, host, bytes] {
+        Shard& s = shards_[shard];
+        s.resp_outstanding = 0;
         kv::KvMessage resp;
         resp.begin(kv::Op::kPullResponse, static_cast<std::uint32_t>(host),
-                   tel_rounds_, store_.key_range());
+                   s.rounds, {});
+        resp.keys = s.keys;
         store_.stamp_versions(resp);
         resp.set_accounting(bytes);
-        for (std::size_t w = 0; w < en.num_workers(); ++w) {
-          if (resp_pending_[w] == 0) continue;
-          tx_.respond(w, host, resp, /*owned=*/false, [this, w] {
-            runtime::Engine& e2 = eng();
-            // Duplicate delivery after a failover re-broadcast: the first
-            // copy already installed the (identical, version-stamped)
-            // model.
-            if (resp_pending_[w] == 0) return;
-            resp_pending_[w] = 0;
-            util::copy(e2.global_params(), e2.worker_params(w));
-            e2.finish_sync(w);
-          });
+        for (std::size_t w = 0; w < s.resp_pending.size(); ++w) {
+          if (s.resp_pending[w] == 0) continue;
+          tx_.respond(w, host, resp, /*owned=*/false,
+                      [this, shard, w] { deliver(shard, w); });
         }
       },
       host);
 }
 
+void KvBspSync::deliver(std::size_t shard, std::size_t worker) {
+  runtime::Engine& e = eng();
+  Shard& sh = shards_[shard];
+  // Duplicate delivery after a failover re-broadcast: the first copy
+  // already installed these (identical, version-stamped) blocks.
+  if (sh.resp_pending[worker] == 0) return;
+  sh.resp_pending[worker] = 0;
+  for (const kv::Key k : sh.keys) {
+    const auto& info = e.blocks()[k];
+    util::copy(e.global_params().subspan(info.offset, info.numel),
+               e.worker_params(worker).subspan(info.offset, info.numel));
+  }
+  if (std::none_of(shards_.begin(), shards_.end(), [&](const Shard& x) {
+        return x.resp_pending[worker] != 0;
+      })) {
+    e.finish_sync(worker);
+  }
+}
+
 void KvBspSync::on_ps_crashed(std::size_t ps) {
   replica_.set_alive(ps, false);
-  if (serving_ == ps) repoint();
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    if (shards_[s].serving == ps) repoint(s);
+  }
 }
 
 void KvBspSync::on_ps_restarted(std::size_t ps) {
   replica_.set_alive(ps, true);
-  if (replica_.serving(0) != serving_) repoint();
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    if (replica_.serving(s) != shards_[s].serving) repoint(s);
+  }
 }
 
-void KvBspSync::repoint() {
+void KvBspSync::repoint(std::size_t shard) {
   runtime::Engine& e = eng();
-  const std::size_t target = replica_.serving(0);
-  if (target == serving_) return;
-  serving_ = target;
-  ++epoch_;  // arrivals addressed to the deposed host are void
+  Shard& sh = shards_[shard];
+  const std::size_t target = replica_.serving(shard);
+  if (target == sh.serving) return;
+  sh.serving = target;
+  ++sh.epoch;  // arrivals addressed to the deposed host are void
   if (target == kv::ReplicaTable::npos) return;  // wait for a restart
   // Version-predicate catch-up: ship exactly the segments whose tail
   // update had not reached the replica, and charge the new host's queue.
-  const double shipped = replica_.catch_up(0, store_);
+  const double shipped = replica_.catch_up(shard, store_);
   e.record_ps_promotion(shipped);
   {
-    runtime::SyncTelemetry& prec = e.telemetry_round(tel_rounds_ + 1);
-    ++prec.promotions;
-    prec.catch_up_bytes += shipped;
+    runtime::SyncTelemetry& rec = e.telemetry_round(sh.rounds + 1);
+    ++rec.promotions;
+    rec.catch_up_bytes += shipped;
   }
   if (shipped > 0.0) {
     e.ps_submit(e.ps_apply_delay(shipped, 1.0), [] {}, target);
@@ -228,18 +372,16 @@ void KvBspSync::repoint() {
   // An aggregated round whose broadcast died with the old host's queue is
   // re-broadcast from the new host — never re-applied (the store versions
   // were already bumped by the one aggregation).
-  if (resp_outstanding_ != 0 && !e.ps_alive(resp_host_)) broadcast();
+  if (sh.resp_outstanding != 0 && !e.ps_alive(sh.resp_host)) {
+    broadcast(shard);
+  }
   // Whatever the old host had collected for the open round is gone:
-  // workers that already pushed re-send their encoded inbox message to
-  // the new host (in-flight flows to the old host are fenced by the
-  // epoch bump). The re-send is real traffic, so it is re-charged.
-  arrived_ = 0;
-  std::fill(arrived_bits_.begin(), arrived_bits_.end(), std::uint8_t{0});
+  // workers that already pushed re-send to the new host (in-flight flows
+  // to the old host are fenced by the epoch bump). The re-send is real
+  // traffic, so it is re-charged.
+  sh.arrived = 0;
   for (std::size_t w = 0; w < e.num_workers(); ++w) {
-    if (pushed_[w] != 0) {
-      tel_push_bytes_ += inbox_[w].wire_bytes();
-      push_message(w);
-    }
+    if (sh.pushed[w] != 0) push(w, shard);
   }
 }
 
@@ -279,20 +421,41 @@ void KvBspSync::update_gib_selection() {
 }
 
 void KvBspSync::save_state(util::serde::Writer& w) const {
-  w.u8(2);  // KvBSP state version (2: PS replication)
-  w.u64(arrived_);
-  pipeline_.save_state(w);
+  w.u8(3);  // KvBSP state version (3: one KV-core BSP for every profile)
+  w.u64(shards_.size());
+  for (const Shard& sh : shards_) {
+    w.u64(sh.rounds);
+    w.u64(sh.arrived);
+    w.u64(sh.serving);
+    w.u64(sh.epoch);
+  }
+  pipeline_.save_state(w);  // RNG streams, key caches
   w.bytes(gib_keep_);
-  w.u64(serving_);
-  w.u64(epoch_);
+  // Error-feedback residuals are true training state: losing them changes
+  // every later encode. Without error feedback there are none.
+  w.u64(residual_.size());
+  for (const auto& res : residual_) w.f32_vec(res);
   replica_.save_state(w);
   store_.save_state(w);
 }
 
 void KvBspSync::load_state(util::serde::Reader& r) {
   const std::uint8_t version = r.u8();
-  OSP_CHECK(version == 2, "unsupported KvBSP state version");
-  arrived_ = static_cast<std::size_t>(r.u64());
+  OSP_CHECK(version == 3, "unsupported KvBSP state version");
+  OSP_CHECK(r.u64() == shards_.size(),
+            "KvBSP checkpoint shard count mismatch");
+  for (Shard& sh : shards_) {
+    sh.rounds = r.u64();
+    sh.arrived = static_cast<std::size_t>(r.u64());
+    sh.serving = static_cast<std::size_t>(r.u64());
+    sh.epoch = r.u64();
+    // In-flight round bookkeeping is empty by construction at the drain
+    // barrier the snapshot was taken at.
+    std::fill(sh.pushed.begin(), sh.pushed.end(), std::uint8_t{0});
+    std::fill(sh.resp_pending.begin(), sh.resp_pending.end(),
+              std::uint8_t{0});
+    sh.resp_outstanding = 0;
+  }
   pipeline_.load_state(r);
   gib_keep_ = r.bytes();
   if (gib_ != nullptr) {
@@ -300,18 +463,18 @@ void KvBspSync::load_state(util::serde::Reader& r) {
               "KvBSP checkpoint GIB selection size mismatch");
     gib_->set_selection(gib_keep_);
   }
-  serving_ = static_cast<std::size_t>(r.u64());
-  epoch_ = r.u64();
+  OSP_CHECK(r.u64() == residual_.size(),
+            "KvBSP checkpoint residual count mismatch");
+  // Read straight into the attached residual buffers (f32_into validates
+  // the stored length against each buffer's size).
+  for (auto& res : residual_) r.f32_into(res);
   replica_.load_state(r);
   store_.load_state(r);
-  // In-flight round bookkeeping is empty by construction at the drain
-  // barrier the snapshot was taken at.
-  std::fill(pushed_.begin(), pushed_.end(), std::uint8_t{0});
-  std::fill(arrived_bits_.begin(), arrived_bits_.end(), std::uint8_t{0});
-  std::fill(resp_pending_.begin(), resp_pending_.end(), std::uint8_t{0});
-  resp_outstanding_ = 0;
 }
 
-bool KvBspSync::drained() const { return arrived_ == 0; }
+bool KvBspSync::drained() const {
+  return std::all_of(shards_.begin(), shards_.end(),
+                     [](const Shard& sh) { return sh.arrived == 0; });
+}
 
 }  // namespace osp::sync

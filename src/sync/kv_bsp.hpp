@@ -1,28 +1,52 @@
-// BSP on the KV core with a *configurable* filter pipeline — the
-// demonstrator for composed message filters (key-cache, GIB significance
-// filtering, top-k sparsification, int8 quantization stacked in one
-// pipeline).
+// BSP on the KV core — the one synchronous aggregate-then-update PS loop
+// behind every KV-core BSP variant: plain KvBSP with a composable filter
+// pipeline, BSP sharded over several PSes (§6.1), the Top-K/Random-K
+// sparsified baselines (§2.2.2, §7) and 8-bit quantized BSP.
 //
-// Unlike the ported legacy models (compression.hpp keeps the historical
-// wire formulas for bit-identity), KvBspSync uses one self-consistent
-// byte scale throughout: the proxy payload's own fp32 size (4 bytes per
-// element, per-block 4*numel for the GIB stage). That makes the composed
-// accounting directly comparable across pipeline configurations — the
-// EXPERIMENTS.md wire-bytes table and the composed-telemetry test in
-// tests/test_sync.cpp are built on this model.
+// Per round, every worker pushes its gradient to each shard's serving
+// host; a shard aggregates (mean) once all N pieces have arrived, steps
+// its blocks, bumps their store versions and broadcasts them as a
+// version-stamped pull response. A worker resumes when every shard's
+// response has landed. The key space runs in one of two layouts:
+//  * one logical shard holding every key (primary host 0, ring-successor
+//    backup): pushes are the worker's full gradient, encoded in place
+//    through the filter pipeline (key-cache ∘ GIB ∘ top-k ∘ int8), and
+//    the PS trains on each message's decoded receiver view;
+//  * one byte-balanced shard per PS (BytePS-style, kv/partition.hpp):
+//    pushes address the shard's key list and the gradient stays
+//    by-reference in the worker's buffer. Filters do not apply here.
 //
-// Per round: every worker pushes its full gradient through the pipeline
-// (GIB selection recomputed each aggregate from per-block gradient
-// magnitude), the PS decodes each message (symmetry rule: in-memory
-// delivery keeps the dense receiver view), averages, steps, bumps the
-// store versions and broadcasts. Telemetry `important_bytes` is the sum
-// of the round's encoded push wire bytes — exactly what the transport
-// charged.
+// PS replication (kv/replication.hpp): each shard is primary on one host
+// with a ring-successor backup. On a healthy run the replica table is
+// pure bookkeeping. When the serving host crashes the shard is repointed
+// at the first alive host in its chain: the version-predicate catch-up
+// ships the stale segments onto the new host's queue, workers re-push
+// what the dead host was collecting (stale arrivals are fenced by a
+// per-shard epoch), and an aggregated round whose broadcast died with the
+// queue is re-broadcast, never re-applied. A restart fails back the same
+// way.
+//
+// The accounting profile fixes the byte scale each baseline has always
+// charged, which the sync goldens pin:
+//
+//   profile  | layout | push scale   | response bytes        | PS apply
+//   ---------+--------+--------------+-----------------------+----------
+//   kKv      | one    | 4 B/element  | dense                 | dense
+//   kSharded | per-PS | block bytes  | dense (of the shard)  | dense
+//   kTopK    | one    | 4 B/element  | min(model, 8·support) | response
+//   kQ8      | one    | model_bytes  | dense/4 + 4           | dense
+//
+// "4 B/element" is the proxy payload's own fp32 size, the self-consistent
+// scale that makes composed-filter accounting comparable (EXPERIMENTS.md
+// wire-bytes table); the other scales are the real model's. Telemetry
+// `important_bytes` is the round's summed push wire bytes — exactly what
+// the transport charged.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "kv/compress.hpp"
 #include "kv/filter.hpp"
 #include "kv/message.hpp"
 #include "kv/replication.hpp"
@@ -32,7 +56,12 @@
 
 namespace osp::sync {
 
+enum class KvBspProfile { kKv, kSharded, kTopK, kQ8 };
+
 struct KvBspOptions {
+  /// Which baseline's byte accounting, shard layout and name to use (see
+  /// the table above).
+  KvBspProfile profile = KvBspProfile::kKv;
   /// Fraction of total block bytes the GIB stage keeps (by descending
   /// per-block mean |aggregate|; round 1 keeps everything). Outside
   /// (0, 1) the stage is omitted.
@@ -40,15 +69,31 @@ struct KvBspOptions {
   /// Charge the serialized GIB bitmap (4 + ceil(B/8) bytes) per message.
   bool gib_attach_bitmap = true;
   /// Top-k keep fraction over the (post-GIB) dense payload. Outside
-  /// (0, 1) the stage is omitted.
+  /// (0, 1) the stage is omitted, except under kTopK, which always runs
+  /// it and accepts (0, 1].
   double topk_keep_fraction = -1.0;
+  kv::CompressionMode topk_mode = kv::CompressionMode::TopK;
   std::uint64_t topk_seed = 4242;
+  /// Per-worker residual memory (DGC-style): what the pipeline did not
+  /// transmit is added back into the next gradient before encoding.
+  bool error_feedback = false;
   /// Append the int8 quantization stage.
   bool quantize_int8 = false;
   /// Prepend the key-cache stage (first push pays the key list, repeats
   /// pay an 8-byte signature).
   bool key_cache = false;
 };
+
+/// BSP sharded across every PS: "BSP(xP PS)".
+[[nodiscard]] KvBspOptions sharded_bsp();
+/// Top-K / Random-K sparsified BSP: "TopK(25%)", "RandomK(10%)+EF". The
+/// dropped gradients are lost unless `error_feedback` is on.
+[[nodiscard]] KvBspOptions compressed_bsp(kv::CompressionMode mode,
+                                          double keep_fraction,
+                                          std::uint64_t seed = 99,
+                                          bool error_feedback = false);
+/// 8-bit quantized BSP: "Q8-BSP".
+[[nodiscard]] KvBspOptions quantized_bsp();
 
 class KvBspSync : public runtime::SyncModel {
  public:
@@ -63,62 +108,64 @@ class KvBspSync : public runtime::SyncModel {
   void load_state(util::serde::Reader& r) override;
   [[nodiscard]] bool drained() const override;
 
-  /// Introspection for tests: the composed pipeline and the last round's
-  /// summed push wire bytes (what telemetry records).
-  [[nodiscard]] const kv::FilterPipeline& pipeline() const {
-    return pipeline_;
-  }
-  [[nodiscard]] kv::TopKFilter* topk() const { return topk_; }
-  [[nodiscard]] kv::GibFilter* gib() const { return gib_; }
+  /// Introspection for tests: the last round's summed push wire bytes
+  /// (what telemetry records) and the host serving shard `shard`.
   [[nodiscard]] double last_round_push_bytes() const {
     return last_round_push_bytes_;
   }
-  /// The last encoded push of worker w (accounting inspection).
-  [[nodiscard]] const kv::KvMessage& inbox(std::size_t w) const {
-    return inbox_[w];
+  [[nodiscard]] std::size_t serving_host(std::size_t shard = 0) const {
+    return shards_.at(shard).serving;
   }
-  /// Introspection for tests: host currently serving the (single) shard.
-  [[nodiscard]] std::size_t serving_host() const { return serving_; }
-  [[nodiscard]] const kv::ReplicaTable& replicas() const { return replica_; }
 
  private:
-  /// Send worker w's (already encoded) inbox message to the serving host.
-  void push_message(std::size_t worker);
-  void on_push_arrived(std::size_t worker, std::uint64_t epoch);
-  void aggregate_and_broadcast();
-  /// Schedule the model broadcast on the serving host.
-  void broadcast();
-  /// Serving host changed (crash or restart): catch the new host up and
-  /// re-drive whatever the old host still owed.
-  void repoint();
+  struct Shard {
+    std::vector<kv::Key> keys;  // owned keys (= block ids), ascending
+    std::vector<bool> mask;     // the same keys as a block mask
+    double dense_bytes = 0.0;   // unfiltered push size
+    std::uint64_t rounds = 0;   // closed rounds
+    std::size_t arrived = 0;    // pushes counted this round
+    std::vector<std::uint8_t> pushed;        // per worker, this round
+    std::vector<std::uint8_t> resp_pending;  // per worker
+    std::uint8_t resp_outstanding = 0;       // aggregated, not broadcast
+    double resp_bytes = 0.0;                 // that broadcast's size
+    // ---- failover state (identity / zero on a healthy run) ----
+    std::size_t serving = 0;    // host serving the shard
+    std::uint64_t epoch = 0;    // fences stale arrivals
+    std::size_t resp_host = 0;  // host the broadcast queued on
+  };
+
+  [[nodiscard]] bool per_ps() const {
+    return options_.profile == KvBspProfile::kSharded;
+  }
+  /// Fill worker w's inbox with its gradient and run the pipeline.
+  void encode_push(std::size_t worker);
+  /// Send worker w's push for `shard` to the shard's serving host.
+  void push(std::size_t worker, std::size_t shard);
+  void on_push_arrived(std::size_t shard, std::uint64_t epoch);
+  void aggregate(std::size_t shard);
+  /// Schedule the shard's response broadcast on its serving host.
+  void broadcast(std::size_t shard);
+  void deliver(std::size_t shard, std::size_t worker);
+  /// Serving host of `shard` changed (crash or restart): catch the new
+  /// host up and re-drive whatever the old host still owed.
+  void repoint(std::size_t shard);
   /// Recompute the GIB keep mask from per-block mean |agg| under the
   /// byte budget (descending importance, always >= 1 block).
   void update_gib_selection();
 
   KvBspOptions options_;
   kv::FilterPipeline pipeline_;
-  kv::TopKFilter* topk_ = nullptr;   // owned by pipeline_
-  kv::GibFilter* gib_ = nullptr;     // owned by pipeline_
+  kv::GibFilter* gib_ = nullptr;  // owned by pipeline_
   std::vector<std::uint8_t> gib_keep_;
   kv::Transport tx_;
   kv::KvStore store_;
   kv::ReplicaTable replica_;
-  std::vector<kv::KvMessage> inbox_;
-  std::size_t arrived_ = 0;
+  std::vector<Shard> shards_;
+  std::vector<kv::KvMessage> inbox_;          // per worker, reused
+  std::vector<std::vector<float>> residual_;  // per worker, error feedback
   std::vector<float> agg_;
-  std::uint64_t tel_rounds_ = 0;
   double tel_push_bytes_ = 0.0;
   double last_round_push_bytes_ = 0.0;
-  // ---- failover state (identity / all-zero on a healthy run). The model
-  // is one logical shard spanning the cluster's PS hosts: primary on host
-  // 0, ring-successor backup. ----
-  std::size_t serving_ = 0;                 // host serving the shard
-  std::uint64_t epoch_ = 0;                 // fences stale arrivals
-  std::vector<std::uint8_t> pushed_;        // per worker, this round
-  std::vector<std::uint8_t> arrived_bits_;  // per worker, this round
-  std::vector<std::uint8_t> resp_pending_;  // per worker
-  std::uint8_t resp_outstanding_ = 0;       // aggregated, not broadcast
-  std::size_t resp_host_ = 0;               // host the broadcast queued on
 };
 
 }  // namespace osp::sync

@@ -32,9 +32,8 @@
 #include "runtime/engine.hpp"
 #include "sync/asp.hpp"
 #include "sync/bsp.hpp"
-#include "sync/compression.hpp"
+#include "sync/kv_bsp.hpp"
 #include "sync/r2sp.hpp"
-#include "sync/sharded_bsp.hpp"
 #include "sync/ssp.hpp"
 #include "util/check.hpp"
 #include "util/serde.hpp"
@@ -338,8 +337,8 @@ TEST(ResumeEquivalence, ShardedBsp) {
   runtime::EngineConfig cfg = golden_config();
   cfg.cluster.num_ps = 2;
   expect_resume_equivalent(
-      [] { return std::make_unique<sync::ShardedBspSync>(); }, cfg,
-      "sharded_bsp");
+      [] { return std::make_unique<sync::KvBspSync>(sync::sharded_bsp()); },
+      cfg, "sharded_bsp");
 }
 
 TEST(ResumeEquivalence, OspDefault) {
@@ -374,9 +373,9 @@ TEST(ResumeEquivalence, OspEmaLgp) {
 TEST(ResumeEquivalence, CompressedBspWithErrorFeedback) {
   expect_resume_equivalent(
       [] {
-        return std::make_unique<sync::CompressedBspSync>(
-            sync::CompressionMode::TopK, 0.25, /*seed=*/99,
-            /*error_feedback=*/true);
+        return std::make_unique<sync::KvBspSync>(
+            sync::compressed_bsp(kv::CompressionMode::TopK, 0.25, /*seed=*/99,
+                                 /*error_feedback=*/true));
       },
       golden_config(), "compressed_ef");
 }
@@ -434,7 +433,7 @@ TEST(CheckpointTransparency, BarrierModelsReachIdenticalParams) {
   // (timing metrics legitimately differ — the drain holds fast workers).
   const SyncFactory factories[] = {
       [] { return std::make_unique<sync::BspSync>(); },
-      [] { return std::make_unique<sync::ShardedBspSync>(); },
+      [] { return std::make_unique<sync::KvBspSync>(sync::sharded_bsp()); },
   };
   for (const SyncFactory& make : factories) {
     const RunOutput plain = run_model(make, golden_config());

@@ -21,7 +21,7 @@
 #include "models/zoo.hpp"
 #include "runtime/engine.hpp"
 #include "sync/bsp.hpp"
-#include "sync/compression.hpp"
+#include "sync/kv_bsp.hpp"
 #include "util/thread_pool.hpp"
 
 namespace osp {
@@ -55,9 +55,9 @@ SyncFactory osp_factory() {
 
 SyncFactory compressed_ef_factory() {
   return [] {
-    return std::make_unique<sync::CompressedBspSync>(
-        sync::CompressionMode::TopK, 0.25, /*seed=*/99,
-        /*error_feedback=*/true);
+    return std::make_unique<sync::KvBspSync>(
+        sync::compressed_bsp(kv::CompressionMode::TopK, 0.25, /*seed=*/99,
+                             /*error_feedback=*/true));
   };
 }
 

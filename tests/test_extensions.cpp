@@ -8,9 +8,9 @@
 #include "models/zoo.hpp"
 #include "runtime/engine.hpp"
 #include "sync/bsp.hpp"
-#include "sync/compression.hpp"
+#include "kv/compress.hpp"
 #include "kv/partition.hpp"
-#include "sync/sharded_bsp.hpp"
+#include "sync/kv_bsp.hpp"
 #include "sync/sync_switch.hpp"
 #include "util/check.hpp"
 
@@ -86,7 +86,7 @@ TEST(SyncSwitch, RejectsBadFraction) {
 TEST(Quantization, RoundTripBoundedError) {
   std::vector<float> g = {0.5f, -1.0f, 0.25f, 0.8f};
   std::vector<float> original = g;
-  const float scale = sync::quantize_dequantize_int8(g);
+  const float scale = kv::quantize_dequantize_int8(g);
   EXPECT_GT(scale, 0.0f);
   for (std::size_t i = 0; i < g.size(); ++i) {
     EXPECT_NEAR(g[i], original[i], scale / 2.0f + 1e-7f);
@@ -95,13 +95,13 @@ TEST(Quantization, RoundTripBoundedError) {
 
 TEST(Quantization, ZeroVectorUnchanged) {
   std::vector<float> g(8, 0.0f);
-  EXPECT_FLOAT_EQ(sync::quantize_dequantize_int8(g), 0.0f);
+  EXPECT_FLOAT_EQ(kv::quantize_dequantize_int8(g), 0.0f);
   for (float v : g) EXPECT_FLOAT_EQ(v, 0.0f);
 }
 
 TEST(Quantization, MaxValueExactlyRepresentable) {
   std::vector<float> g = {2.54f, -1.0f};
-  sync::quantize_dequantize_int8(g);
+  kv::quantize_dequantize_int8(g);
   EXPECT_NEAR(g[0], 2.54f, 1e-6f);  // max maps to ±127 exactly
 }
 
@@ -109,7 +109,7 @@ TEST(Quantization, Q8BspReducesBstKeepsAccuracy) {
   const auto spec = models::resnet50_cifar10();
   const auto cfg = ext_config(8, 8);
   sync::BspSync bsp;
-  sync::QuantizedBspSync q8;
+  sync::KvBspSync q8(sync::quantized_bsp());
   runtime::Engine e1(spec, cfg, bsp);
   const auto rb = e1.run();
   runtime::Engine e2(spec, cfg, q8);
@@ -125,8 +125,9 @@ TEST(ErrorFeedback, RecoversTopKAccuracy) {
   // the dropped mass eventually ships and accuracy recovers.
   const auto spec = models::resnet50_cifar10();
   const auto cfg = ext_config(8, 10);
-  sync::CompressedBspSync plain(sync::CompressionMode::TopK, 0.05);
-  sync::CompressedBspSync ef(sync::CompressionMode::TopK, 0.05, 99, true);
+  sync::KvBspSync plain(sync::compressed_bsp(kv::CompressionMode::TopK, 0.05));
+  sync::KvBspSync ef(
+      sync::compressed_bsp(kv::CompressionMode::TopK, 0.05, 99, true));
   runtime::Engine e1(spec, cfg, plain);
   const auto rp = e1.run();
   runtime::Engine e2(spec, cfg, ef);
@@ -169,7 +170,7 @@ TEST(Sharding, RejectsZeroShards) {
 TEST(ShardedBsp, SinglePsMatchesPlainBspSamples) {
   const auto spec = models::tiny_mlp();
   const auto cfg = ext_config(2, 2);
-  sync::ShardedBspSync sharded;
+  sync::KvBspSync sharded(sync::sharded_bsp());
   runtime::Engine engine(spec, cfg, sharded);
   const auto r = engine.run();
   EXPECT_EQ(sharded.name(), "BSP(x1PS)");
@@ -182,8 +183,8 @@ TEST(ShardedBsp, TwoPsFasterThanOne) {
   auto cfg1 = ext_config(8, 3);
   auto cfg2 = cfg1;
   cfg2.cluster.num_ps = 2;
-  sync::ShardedBspSync one;
-  sync::ShardedBspSync two;
+  sync::KvBspSync one(sync::sharded_bsp());
+  sync::KvBspSync two(sync::sharded_bsp());
   runtime::Engine e1(spec, cfg1, one);
   const auto r1 = e1.run();
   runtime::Engine e2(spec, cfg2, two);
@@ -198,7 +199,7 @@ TEST(ShardedBsp, MatchesBspNumerics) {
   const auto spec = models::tiny_mlp();
   const auto cfg = ext_config(2, 3);
   sync::BspSync plain;
-  sync::ShardedBspSync sharded;
+  sync::KvBspSync sharded(sync::sharded_bsp());
   runtime::Engine e1(spec, cfg, plain);
   const auto r1 = e1.run();
   runtime::Engine e2(spec, cfg, sharded);
@@ -207,6 +208,26 @@ TEST(ShardedBsp, MatchesBspNumerics) {
   for (std::size_t i = 0; i < r1.curve.size(); ++i) {
     EXPECT_NEAR(r1.curve[i].metric, r2.curve[i].metric, 1e-9);
   }
+}
+
+TEST(ShardedBsp, RejectsFiltersAndUnbuiltProfiles) {
+  // Per-PS shards push by reference, so no filter stage or residual can
+  // apply; the KV-core BSP refuses such configurations up front.
+  sync::KvBspOptions filtered = sync::sharded_bsp();
+  filtered.quantize_int8 = true;
+  EXPECT_THROW(sync::KvBspSync{filtered}, util::CheckError);
+  sync::KvBspOptions ef = sync::sharded_bsp();
+  ef.error_feedback = true;
+  EXPECT_THROW(sync::KvBspSync{ef}, util::CheckError);
+  sync::KvBspOptions q8 = sync::quantized_bsp();
+  q8.quantize_int8 = false;
+  EXPECT_THROW(sync::KvBspSync{q8}, util::CheckError);
+  EXPECT_THROW(
+      sync::KvBspSync{sync::compressed_bsp(kv::CompressionMode::TopK, 0.0)},
+      util::CheckError);
+  EXPECT_THROW(
+      sync::KvBspSync{sync::compressed_bsp(kv::CompressionMode::TopK, 1.5)},
+      util::CheckError);
 }
 
 // ------------------------------------------------------------ multi-PS OSP

@@ -17,7 +17,6 @@
 #include "runtime/engine.hpp"
 #include "sync/bsp.hpp"
 #include "sync/kv_bsp.hpp"
-#include "sync/sharded_bsp.hpp"
 #include "util/check.hpp"
 #include "util/serde.hpp"
 
@@ -224,7 +223,7 @@ std::size_t total_promotions(const runtime::RunResult& r) {
 TEST(PsFailover, ShardedBspCrashMidRoundPromotesBackup) {
   runtime::EngineConfig cfg = chaos_config(/*num_ps=*/2);
   cfg.faults.crash_ps(0.3, /*ps=*/0);  // permanent
-  sync::ShardedBspSync sync;
+  sync::KvBspSync sync(sync::sharded_bsp());
   const runtime::RunResult r = run_with(sync, cfg);
   EXPECT_LT(r.total_time_s, 59.0) << "run did not converge (deadlock?)";
   EXPECT_EQ(r.faults.ps_crashes, 1u);
@@ -240,18 +239,30 @@ TEST(PsFailover, ShardedBspCrashMidRoundPromotesBackup) {
 }
 
 TEST(PsFailover, KvBspCrashThenRestartFailsBack) {
-  runtime::EngineConfig cfg = chaos_config(/*num_ps=*/2);
-  cfg.faults.crash_ps(0.3, /*ps=*/0, /*restart_after=*/0.3);
-  sync::KvBspSync sync{sync::KvBspOptions{}};
-  const runtime::RunResult r = run_with(sync, cfg);
-  EXPECT_LT(r.total_time_s, 59.0);
-  EXPECT_EQ(r.faults.ps_crashes, 1u);
-  EXPECT_EQ(r.faults.ps_restarts, 1u);
-  // Promotion onto the backup at the crash, failback at the restart.
-  EXPECT_GE(r.faults.ps_promotions, 2u);
-  EXPECT_EQ(sync.serving_host(), 0u) << "failback to the restarted primary";
-  EXPECT_DOUBLE_EQ(r.total_samples, 1536.0);
-  EXPECT_TRUE(std::isfinite(r.final_loss));
+  // Every one-shard configuration of the KV-core BSP shares the failover
+  // path: the compression baselines survive the crash like plain KvBSP.
+  const sync::KvBspOptions configs[] = {
+      sync::KvBspOptions{},
+      sync::compressed_bsp(kv::CompressionMode::TopK, 0.25, /*seed=*/99,
+                           /*error_feedback=*/true),
+      sync::compressed_bsp(kv::CompressionMode::RandomK, 0.25),
+      sync::quantized_bsp(),
+  };
+  for (const sync::KvBspOptions& opt : configs) {
+    sync::KvBspSync sync(opt);
+    SCOPED_TRACE(sync.name());
+    runtime::EngineConfig cfg = chaos_config(/*num_ps=*/2);
+    cfg.faults.crash_ps(0.3, /*ps=*/0, /*restart_after=*/0.3);
+    const runtime::RunResult r = run_with(sync, cfg);
+    EXPECT_LT(r.total_time_s, 59.0);
+    EXPECT_EQ(r.faults.ps_crashes, 1u);
+    EXPECT_EQ(r.faults.ps_restarts, 1u);
+    // Promotion onto the backup at the crash, failback at the restart.
+    EXPECT_GE(r.faults.ps_promotions, 2u);
+    EXPECT_EQ(sync.serving_host(), 0u) << "failback to the restarted primary";
+    EXPECT_DOUBLE_EQ(r.total_samples, 1536.0);
+    EXPECT_TRUE(std::isfinite(r.final_loss));
+  }
 }
 
 TEST(PsFailover, OspCrashMidRsPromotesAndDegradesToAllImportant) {
@@ -322,7 +333,7 @@ TEST(PsFailover, EmptyScheduleReportsNoReplicationActivity) {
   // promotions, no catch-up traffic, no PS fault counts.
   runtime::EngineConfig cfg = chaos_config(/*num_ps=*/2);
   cfg.max_virtual_time_s = 0.0;
-  sync::ShardedBspSync sync;
+  sync::KvBspSync sync(sync::sharded_bsp());
   const runtime::RunResult r = run_with(sync, cfg);
   EXPECT_FALSE(r.faults.any());
   EXPECT_EQ(r.faults.ps_crashes, 0u);

@@ -13,7 +13,8 @@
 #include <vector>
 
 #include "core/gib.hpp"
-#include "sync/compression.hpp"
+#include "kv/compress.hpp"
+#include "sync/kv_bsp.hpp"
 #include "util/rng.hpp"
 #include "util/serde.hpp"
 #include "util/simd.hpp"
@@ -280,7 +281,7 @@ TEST(GibRoundTrip, OddBitCountsAcrossTiers) {
 }
 
 TEST(SparsifyCrossTier, TopKAndRandomKMatchScalar) {
-  using osp::sync::CompressionMode;
+  using osp::kv::CompressionMode;
   for (std::size_t n : {9u, 64u, 257u, 1000u}) {
     for (CompressionMode mode :
          {CompressionMode::TopK, CompressionMode::RandomK}) {
@@ -296,14 +297,14 @@ TEST(SparsifyCrossTier, TopKAndRandomKMatchScalar) {
       {
         simd::ScopedTier forced(Tier::kScalar);
         Rng rng(5);
-        want_kept = osp::sync::sparsify(want, mode, 0.25, rng);
+        want_kept = osp::kv::sparsify(want, mode, 0.25, rng);
       }
       for (Tier t : testable_tiers()) {
         simd::ScopedTier forced(t);
         std::vector<float> got = base;
         Rng rng(5);
-        osp::sync::SparsifyScratch scratch;
-        const std::size_t kept = osp::sync::sparsify(
+        osp::kv::SparsifyScratch scratch;
+        const std::size_t kept = osp::kv::sparsify(
             std::span<float>(got), mode, 0.25, rng, scratch);
         EXPECT_EQ(kept, want_kept) << simd::tier_name(t) << " n=" << n;
         EXPECT_EQ(std::memcmp(got.data(), want.data(), n * sizeof(float)), 0)
@@ -339,14 +340,16 @@ TEST(SerdeF32Into, ReadsIntoPresizedSpanAndValidatesLength) {
 }
 
 TEST(CompressedName, ExactKeepPercentages) {
-  using osp::sync::CompressedBspSync;
-  using osp::sync::CompressionMode;
-  EXPECT_EQ(CompressedBspSync(CompressionMode::TopK, 0.125).name(),
+  using osp::kv::CompressionMode;
+  using osp::sync::compressed_bsp;
+  using osp::sync::KvBspSync;
+  EXPECT_EQ(KvBspSync(compressed_bsp(CompressionMode::TopK, 0.125)).name(),
             "TopK(12.5%)");
-  EXPECT_EQ(CompressedBspSync(CompressionMode::TopK, 0.01).name(),
+  EXPECT_EQ(KvBspSync(compressed_bsp(CompressionMode::TopK, 0.01)).name(),
             "TopK(1%)");
-  EXPECT_EQ(CompressedBspSync(CompressionMode::RandomK, 0.25, 1, true).name(),
-            "RandomK(25%)+EF");
+  EXPECT_EQ(
+      KvBspSync(compressed_bsp(CompressionMode::RandomK, 0.25, 1, true)).name(),
+      "RandomK(25%)+EF");
 }
 
 }  // namespace

@@ -21,16 +21,15 @@
 #include <vector>
 
 #include "core/osp_sync.hpp"
+#include "kv/compress.hpp"
 #include "models/zoo.hpp"
 #include "runtime/engine.hpp"
 #include "sync/asp.hpp"
 #include "sync/bsp.hpp"
 #include "sync/casp.hpp"
-#include "sync/compression.hpp"
 #include "sync/dssp.hpp"
 #include "sync/kv_bsp.hpp"
 #include "sync/r2sp.hpp"
-#include "sync/sharded_bsp.hpp"
 #include "sync/ssp.hpp"
 #include "sync/sync_switch.hpp"
 #include "util/check.hpp"
@@ -141,8 +140,8 @@ TEST(R2spBehaviour, SerialVariantIsSlower) {
 TEST(Compression, SparsifyTopKKeepsLargest) {
   std::vector<float> g = {0.1f, -5.0f, 0.2f, 3.0f, -0.05f};
   util::Rng rng(1);
-  const std::size_t kept = sync::sparsify(g, sync::CompressionMode::TopK,
-                                          0.4, rng);
+  const std::size_t kept = kv::sparsify(g, kv::CompressionMode::TopK, 0.4,
+                                        rng);
   EXPECT_EQ(kept, 2u);
   EXPECT_FLOAT_EQ(g[1], -5.0f);
   EXPECT_FLOAT_EQ(g[3], 3.0f);
@@ -154,8 +153,8 @@ TEST(Compression, SparsifyTopKKeepsLargest) {
 TEST(Compression, SparsifyTopKTiesDeterministic) {
   std::vector<float> g = {1.0f, 1.0f, 1.0f, 1.0f};
   util::Rng rng(1);
-  const std::size_t kept = sync::sparsify(g, sync::CompressionMode::TopK,
-                                          0.5, rng);
+  const std::size_t kept = kv::sparsify(g, kv::CompressionMode::TopK, 0.5,
+                                        rng);
   EXPECT_EQ(kept, 2u);
   EXPECT_FLOAT_EQ(g[0], 1.0f);  // index order fills tie slots
   EXPECT_FLOAT_EQ(g[1], 1.0f);
@@ -165,8 +164,8 @@ TEST(Compression, SparsifyTopKTiesDeterministic) {
 TEST(Compression, SparsifyRandomKCount) {
   std::vector<float> g(100, 1.0f);
   util::Rng rng(2);
-  const std::size_t kept = sync::sparsify(g, sync::CompressionMode::RandomK,
-                                          0.3, rng);
+  const std::size_t kept = kv::sparsify(g, kv::CompressionMode::RandomK,
+                                        0.3, rng);
   EXPECT_EQ(kept, 30u);
   std::size_t nonzero = 0;
   for (float v : g) nonzero += v != 0.0f ? 1 : 0;
@@ -176,7 +175,7 @@ TEST(Compression, SparsifyRandomKCount) {
 TEST(Compression, KeepAllIsIdentity) {
   std::vector<float> g = {1.0f, 2.0f};
   util::Rng rng(3);
-  EXPECT_EQ(sync::sparsify(g, sync::CompressionMode::TopK, 1.0, rng), 2u);
+  EXPECT_EQ(kv::sparsify(g, kv::CompressionMode::TopK, 1.0, rng), 2u);
   EXPECT_FLOAT_EQ(g[0], 1.0f);
 }
 
@@ -184,7 +183,7 @@ TEST(Compression, TopKBspReducesBstVersusBsp) {
   const auto spec = models::resnet50_cifar10();
   const auto cfg = sync_config(8, 2, 0.0);
   sync::BspSync bsp;
-  sync::CompressedBspSync topk(sync::CompressionMode::TopK, 0.1);
+  sync::KvBspSync topk(sync::compressed_bsp(kv::CompressionMode::TopK, 0.1));
   const auto rb = run_model(bsp, cfg, spec);
   const auto rt = run_model(topk, cfg, spec);
   EXPECT_LT(rt.mean_bst_s, rb.mean_bst_s * 0.5);
@@ -196,7 +195,7 @@ TEST(Compression, TopKLosesAccuracyVersusBsp) {
   const auto spec = models::resnet50_cifar10();
   const auto cfg = sync_config(8, 8, 0.0);
   sync::BspSync bsp;
-  sync::CompressedBspSync topk(sync::CompressionMode::TopK, 0.05);
+  sync::KvBspSync topk(sync::compressed_bsp(kv::CompressionMode::TopK, 0.05));
   const auto rb = run_model(bsp, cfg, spec);
   const auto rt = run_model(topk, cfg, spec);
   EXPECT_LT(rt.best_metric, rb.best_metric);
@@ -419,7 +418,7 @@ runtime::EngineConfig golden_cfg(std::size_t num_ps = 1) {
 }
 
 std::vector<GoldenCase> golden_cases() {
-  using sync::CompressionMode;
+  using kv::CompressionMode;
   std::vector<GoldenCase> cases;
   cases.push_back({"bsp",
                    [] { return std::make_unique<sync::BspSync>(); },
@@ -443,23 +442,30 @@ std::vector<GoldenCase> golden_cases() {
                    [] { return std::make_unique<sync::SyncSwitchSync>(0.3); },
                    golden_cfg()});
   cases.push_back({"sharded_bsp_2ps",
-                   [] { return std::make_unique<sync::ShardedBspSync>(); },
+                   [] {
+                     return std::make_unique<sync::KvBspSync>(
+                         sync::sharded_bsp());
+                   },
                    golden_cfg(/*num_ps=*/2)});
   cases.push_back({"topk_ef",
                    [] {
-                     return std::make_unique<sync::CompressedBspSync>(
-                         CompressionMode::TopK, 0.25, /*seed=*/99,
-                         /*error_feedback=*/true);
+                     return std::make_unique<sync::KvBspSync>(
+                         sync::compressed_bsp(CompressionMode::TopK, 0.25,
+                                              /*seed=*/99,
+                                              /*error_feedback=*/true));
                    },
                    golden_cfg()});
   cases.push_back({"randomk",
                    [] {
-                     return std::make_unique<sync::CompressedBspSync>(
-                         CompressionMode::RandomK, 0.25);
+                     return std::make_unique<sync::KvBspSync>(
+                         sync::compressed_bsp(CompressionMode::RandomK, 0.25));
                    },
                    golden_cfg()});
   cases.push_back({"q8",
-                   [] { return std::make_unique<sync::QuantizedBspSync>(); },
+                   [] {
+                     return std::make_unique<sync::KvBspSync>(
+                         sync::quantized_bsp());
+                   },
                    golden_cfg()});
   cases.push_back({"osp",
                    [] { return std::make_unique<core::OspSync>(); },
