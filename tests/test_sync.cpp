@@ -505,6 +505,18 @@ std::vector<GoldenCase> golden_cases() {
                      return std::make_unique<core::OspSync>(opt);
                    },
                    conv_cfg, models::resnet50_cifar10});
+  // Embedding, SelfAttention, LayerNorm and SpanHead numerics: two epochs
+  // of the BERTbase/SQuAD proxy under the same pair.
+  cases.push_back({"bsp_bertbase",
+                   [] { return std::make_unique<sync::BspSync>(); }, conv_cfg,
+                   models::bertbase_squad});
+  cases.push_back({"osp_fixed50_bertbase",
+                   [] {
+                     core::OspOptions opt;
+                     opt.fixed_budget_fraction = 0.5;
+                     return std::make_unique<core::OspSync>(opt);
+                   },
+                   conv_cfg, models::bertbase_squad});
   return cases;
 }
 
