@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark): tensor kernels on the hot path of
-// the proxy-model training — matmul orientations (square, skewed, and
-// tile-boundary shapes), implicit-GEMM conv, softmax, and the rank-2 helpers.
+// the proxy-model training — matmul orientations (square, skewed, and the
+// shapes the workloads run), implicit-GEMM conv, SelfAttention, softmax,
+// and the rank-2 helpers.
 //
 // Besides the console table, the run writes bench_out/BENCH_micro_tensor.json
 // (override the path with OSP_BENCH_JSON): one record per benchmark with
@@ -18,6 +19,7 @@
 
 #include "bench_json.hpp"
 #include "core/gib.hpp"
+#include "nn/attention.hpp"
 #include "nn/conv2d.hpp"
 #include "tensor/init.hpp"
 #include "tensor/ops.hpp"
@@ -114,7 +116,108 @@ BENCHMARK(BM_MatmulSkewed)
     ->Args({64, 64, 1024})    // wide output
     ->Args({1, 512, 512})     // single row (vector-matrix)
     ->Args({512, 512, 1})     // single column (matrix-vector)
-    ->Args({127, 129, 65});   // tile-boundary ±1 tails
+    ->Args({127, 129, 65});   // odd strips and row tiles
+
+// The matmuls the workloads run, as (m, k, n) of C[m,n] = A·B in each
+// orientation: the MLP head (64×72×64, 64×48×10), TinyMLP (16×48×32,
+// 16×16×4) and attention (192×24×24 projections, 16×24×16 per-sequence
+// products). matmul_tn reads A stored [k, m]; matmul_nt reads B stored
+// [n, k].
+void workload_shapes(benchmark::internal::Benchmark* b) {
+  for (const auto& s : std::vector<std::vector<std::int64_t>>{
+           {64, 72, 64},
+           {64, 48, 10},
+           {16, 48, 32},
+           {16, 16, 4},
+           {192, 24, 24},
+           {16, 24, 16}}) {
+    b->Args(s);
+  }
+}
+
+enum class Orientation { kNN, kTN, kNT };
+
+void run_workload_matmul(benchmark::State& state, Orientation o) {
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const auto k = static_cast<std::size_t>(state.range(1));
+  const auto n = static_cast<std::size_t>(state.range(2));
+  const Tensor a = o == Orientation::kTN ? random_matrix(k, m, 13)
+                                         : random_matrix(m, k, 13);
+  const Tensor b = o == Orientation::kNT ? random_matrix(n, k, 14)
+                                         : random_matrix(k, n, 14);
+  Tensor c({m, n});
+  for (auto _ : state) {
+    switch (o) {
+      case Orientation::kNN:
+        osp::tensor::matmul(a, b, c);
+        break;
+      case Orientation::kTN:
+        osp::tensor::matmul_tn(a, b, c);
+        break;
+      case Orientation::kNT:
+        osp::tensor::matmul_nt(a, b, c);
+        break;
+    }
+    benchmark::DoNotOptimize(c.raw());
+  }
+  set_flops(state, 2.0 * static_cast<double>(m) * k * n);
+}
+
+void BM_WorkloadMatmul(benchmark::State& state) {
+  run_workload_matmul(state, Orientation::kNN);
+}
+void BM_WorkloadMatmulTn(benchmark::State& state) {
+  run_workload_matmul(state, Orientation::kTN);
+}
+void BM_WorkloadMatmulNt(benchmark::State& state) {
+  run_workload_matmul(state, Orientation::kNT);
+}
+BENCHMARK(BM_WorkloadMatmul)->Apply(workload_shapes);
+BENCHMARK(BM_WorkloadMatmulTn)->Apply(workload_shapes);
+BENCHMARK(BM_WorkloadMatmulNt)->Apply(workload_shapes);
+
+// One SelfAttention layer of the BERTbase proxy. Args: batch, seq_len, dim.
+// Forward FLOPs: four [B·L, D]·[D, D] projections plus, per sequence,
+// Q·Kᵀ and A·V; backward does about twice that.
+double attention_flops(std::size_t batch, std::size_t seq, std::size_t dim) {
+  const double rows = static_cast<double>(batch) * seq;
+  return 2.0 * rows * dim * (4.0 * dim + 2.0 * seq);
+}
+
+void BM_SelfAttentionForward(benchmark::State& state) {
+  const auto batch = static_cast<std::size_t>(state.range(0));
+  const auto seq = static_cast<std::size_t>(state.range(1));
+  const auto dim = static_cast<std::size_t>(state.range(2));
+  osp::util::Rng rng(51);
+  osp::nn::SelfAttention attn("bench", dim, rng);
+  const Tensor input = random_nchw(1, batch, seq, dim, 52).reshaped(
+      {batch, seq, dim});
+  for (auto _ : state) {
+    Tensor out = attn.forward(input, /*train=*/true);
+    benchmark::DoNotOptimize(out.raw());
+  }
+  set_flops(state, attention_flops(batch, seq, dim));
+}
+BENCHMARK(BM_SelfAttentionForward)->Args({12, 16, 24});
+
+void BM_SelfAttentionBackward(benchmark::State& state) {
+  const auto batch = static_cast<std::size_t>(state.range(0));
+  const auto seq = static_cast<std::size_t>(state.range(1));
+  const auto dim = static_cast<std::size_t>(state.range(2));
+  osp::util::Rng rng(61);
+  osp::nn::SelfAttention attn("bench", dim, rng);
+  const Tensor input = random_nchw(1, batch, seq, dim, 62).reshaped(
+      {batch, seq, dim});
+  const Tensor grad = random_nchw(1, batch, seq, dim, 63).reshaped(
+      {batch, seq, dim});
+  (void)attn.forward(input, /*train=*/true);
+  for (auto _ : state) {
+    Tensor dx = attn.backward(grad);
+    benchmark::DoNotOptimize(dx.raw());
+  }
+  set_flops(state, 2.0 * attention_flops(batch, seq, dim));
+}
+BENCHMARK(BM_SelfAttentionBackward)->Args({12, 16, 24});
 
 // Conv-shape cases: one batched Conv2d forward/backward on each conv layer
 // of the ResNet50/CIFAR10 proxy (3x3, pad 1, batch 64).

@@ -1,7 +1,9 @@
 #include "nn/attention.hpp"
 
+#include <algorithm>
 #include <cmath>
 
+#include "tensor/gemm.hpp"
 #include "tensor/init.hpp"
 #include "tensor/ops.hpp"
 #include "util/check.hpp"
@@ -30,20 +32,10 @@ SelfAttention::SelfAttention(std::string name, std::size_t dim,
 }
 
 namespace {
-/// Copy rows [b*L, (b+1)*L) of a [B*L, D] matrix into out [L, D].
-void slice_rows(const Tensor& m, std::size_t row0, std::size_t rows,
-                Tensor& out) {
-  const std::size_t cols = m.dim(1);
-  const float* src = m.raw() + row0 * cols;
-  float* dst = out.raw();
-  for (std::size_t i = 0; i < rows * cols; ++i) dst[i] = src[i];
-}
-
-void add_rows(Tensor& m, std::size_t row0, const Tensor& delta) {
-  const std::size_t cols = m.dim(1);
-  float* dst = m.raw() + row0 * cols;
-  const float* src = delta.raw();
-  for (std::size_t i = 0; i < delta.numel(); ++i) dst[i] += src[i];
+/// Gives `t` the shape `shape`, reallocating only when it changes. The
+/// contents are left for the caller to overwrite.
+void fit(Tensor& t, tensor::Shape shape) {
+  if (t.shape() != shape) t = Tensor(std::move(shape));
 }
 }  // namespace
 
@@ -52,116 +44,94 @@ Tensor SelfAttention::forward(const Tensor& input, bool /*train*/) {
             "SelfAttention expects [B, L, D]");
   batch_ = input.dim(0);
   seq_ = input.dim(1);
-  const std::size_t n = batch_ * seq_;
+  const std::size_t n = batch_ * seq_, L = seq_, D = dim_;
 
-  xf_ = input.reshaped({n, dim_});
-  q_ = Tensor({n, dim_});
-  k_ = Tensor({n, dim_});
-  v_ = Tensor({n, dim_});
+  fit(xf_, {n, D});
+  std::copy(input.data().begin(), input.data().end(), xf_.raw());
+  for (Tensor* t : {&q_, &k_, &v_, &h_}) fit(*t, {n, D});
   tensor::matmul_nt(xf_, wq_, q_);
   tensor::matmul_nt(xf_, wk_, k_);
   tensor::matmul_nt(xf_, wv_, v_);
 
-  h_ = Tensor({n, dim_});
-  attn_.assign(batch_, Tensor({seq_, seq_}));
-  const float inv_sqrt_d = 1.0f / std::sqrt(static_cast<float>(dim_));
-
-  Tensor qb({seq_, dim_}), kb({seq_, dim_}), vb({seq_, dim_});
-  Tensor scores({seq_, seq_}), hb({seq_, dim_});
-  for (std::size_t b = 0; b < batch_; ++b) {
-    const std::size_t r0 = b * seq_;
-    slice_rows(q_, r0, seq_, qb);
-    slice_rows(k_, r0, seq_, kb);
-    slice_rows(v_, r0, seq_, vb);
-    tensor::matmul_nt(qb, kb, scores);  // [L, L]
-    for (float& s : scores.data()) s *= inv_sqrt_d;
-    tensor::softmax_rows(scores, attn_[b]);
-    tensor::matmul(attn_[b], vb, hb);   // [L, D]
-    float* dst = h_.raw() + r0 * dim_;
-    const float* src = hb.raw();
-    for (std::size_t i = 0; i < seq_ * dim_; ++i) dst[i] = src[i];
+  // S_b = Q_b·K_bᵀ: K_bᵀ is columns [r0, r0 + L) of Kᵀ.
+  fit(kvt_, {D, n});
+  tensor::transpose(k_, kvt_);
+  fit(attn_, {n, L});
+  for (std::size_t r0 = 0; r0 < n; r0 += L) {
+    tensor::gemm({L, L, D, q_.raw() + r0 * D, D, 1, kvt_.raw() + r0, n,
+                  attn_.raw() + r0 * L, L});
+  }
+  const float inv_sqrt_d = 1.0f / std::sqrt(static_cast<float>(D));
+  for (float& s : attn_.data()) s *= inv_sqrt_d;
+  tensor::softmax_rows(attn_, attn_);
+  // H_b = A_b·V_b.
+  for (std::size_t r0 = 0; r0 < n; r0 += L) {
+    tensor::gemm({L, D, L, attn_.raw() + r0 * L, L, 1, v_.raw() + r0 * D, D,
+                  h_.raw() + r0 * D, D});
   }
 
-  Tensor y({n, dim_});
-  tensor::matmul_nt(h_, wo_, y);  // output projection
-  // Residual connection.
-  const float* px = xf_.raw();
-  float* py = y.raw();
-  for (std::size_t i = 0; i < y.numel(); ++i) py[i] += px[i];
-  return y.reshaped({batch_, seq_, dim_});
+  // Y = X + H·Woᵀ: the residual is the accumulate epilogue's C.
+  Tensor y = input;
+  y.reshape({n, D});
+  tensor::matmul_nt(h_, wo_, y, /*accumulate=*/true);
+  y.reshape({batch_, seq_, D});
+  return y;
 }
 
 Tensor SelfAttention::backward(const Tensor& grad_out) {
   OSP_CHECK(grad_out.rank() == 3 && grad_out.dim(0) == batch_ &&
                 grad_out.dim(1) == seq_ && grad_out.dim(2) == dim_,
             "SelfAttention grad mismatch");
-  const std::size_t n = batch_ * seq_;
-  const Tensor gy = grad_out.reshaped({n, dim_});
+  const std::size_t n = batch_ * seq_, L = seq_, D = dim_;
+  // dx starts as gy, the residual path; it is read as gy until the
+  // projections below accumulate into it.
+  Tensor dx = grad_out;
+  dx.reshape({n, D});
 
-  // Y = H·Woᵀ + X  →  dH = gy·Wo ; dWo += gyᵀ·H ; dX += gy (residual).
-  Tensor dh({n, dim_});
-  tensor::matmul(gy, wo_, dh);
-  Tensor wo_delta({dim_, dim_});
-  tensor::matmul_tn(gy, h_, wo_delta);
-  for (std::size_t i = 0; i < wo_delta.numel(); ++i) wo_g_[i] += wo_delta[i];
+  // Y = H·Woᵀ + X  →  dH = gy·Wo ; dWo += gyᵀ·H.
+  for (Tensor* t : {&dh_, &dq_, &dk_, &dv_}) fit(*t, {n, D});
+  tensor::matmul(dx, wo_, dh_);
+  tensor::matmul_tn(dx, h_, wo_g_, /*accumulate=*/true);
 
-  Tensor dq({n, dim_}), dk({n, dim_}), dv({n, dim_});
-  const float inv_sqrt_d = 1.0f / std::sqrt(static_cast<float>(dim_));
-
-  Tensor dhb({seq_, dim_}), vb({seq_, dim_}), qb({seq_, dim_}),
-      kb({seq_, dim_});
-  Tensor da({seq_, seq_}), ds({seq_, seq_});
-  Tensor dqb({seq_, dim_}), dkb({seq_, dim_}), dvb({seq_, dim_});
-  for (std::size_t b = 0; b < batch_; ++b) {
-    const std::size_t r0 = b * seq_;
-    slice_rows(dh, r0, seq_, dhb);
-    slice_rows(v_, r0, seq_, vb);
-    slice_rows(q_, r0, seq_, qb);
-    slice_rows(k_, r0, seq_, kb);
-    const Tensor& a = attn_[b];
+  fit(kvt_, {D, n});
+  tensor::transpose(v_, kvt_);
+  fit(ds_, {L, L});
+  const float inv_sqrt_d = 1.0f / std::sqrt(static_cast<float>(D));
+  for (std::size_t r0 = 0; r0 < n; r0 += L) {
+    const float* a = attn_.raw() + r0 * L;
     // H_b = A·V_b → dA = dH_b·V_bᵀ ; dV_b = Aᵀ·dH_b.
-    tensor::matmul_nt(dhb, vb, da);
-    tensor::matmul_tn(a, dhb, dvb);
-    // Softmax backward per row: ds_ij = a_ij (da_ij − Σ_k da_ik a_ik).
-    for (std::size_t i = 0; i < seq_; ++i) {
-      const float* arow = a.raw() + i * seq_;
-      const float* darow = da.raw() + i * seq_;
+    tensor::gemm({L, L, D, dh_.raw() + r0 * D, D, 1, kvt_.raw() + r0, n,
+                  ds_.raw(), L});
+    tensor::gemm({L, D, L, a, 1, L, dh_.raw() + r0 * D, D, dv_.raw() + r0 * D,
+                  D});
+    // Softmax backward per row, in place over dA:
+    // ds_ij = a_ij (da_ij − Σ_k da_ik a_ik).
+    for (std::size_t i = 0; i < L; ++i) {
+      const float* arow = a + i * L;
+      float* row = ds_.raw() + i * L;
       float dot = 0.0f;
-      for (std::size_t j = 0; j < seq_; ++j) dot += darow[j] * arow[j];
-      float* dsrow = ds.raw() + i * seq_;
-      for (std::size_t j = 0; j < seq_; ++j) {
-        dsrow[j] = arow[j] * (darow[j] - dot) * inv_sqrt_d;
+      for (std::size_t j = 0; j < L; ++j) dot += row[j] * arow[j];
+      for (std::size_t j = 0; j < L; ++j) {
+        row[j] = arow[j] * (row[j] - dot) * inv_sqrt_d;
       }
     }
     // S = Q·Kᵀ (scaled) → dQ_b = dS·K_b ; dK_b = dSᵀ·Q_b.
-    tensor::matmul(ds, kb, dqb);
-    tensor::matmul_tn(ds, qb, dkb);
-    add_rows(dq, r0, dqb);
-    add_rows(dk, r0, dkb);
-    add_rows(dv, r0, dvb);
+    tensor::gemm({L, D, L, ds_.raw(), L, 1, k_.raw() + r0 * D, D,
+                  dq_.raw() + r0 * D, D});
+    tensor::gemm({L, D, L, ds_.raw(), 1, L, q_.raw() + r0 * D, D,
+                  dk_.raw() + r0 * D, D});
   }
 
   // Projections: Q = X·Wqᵀ → dX += dQ·Wq ; dWq += dQᵀ·X (same for K, V).
-  Tensor dx = gy;  // residual path
-  Tensor tmp({n, dim_});
-  Tensor wdelta({dim_, dim_});
+  tensor::matmul(dq_, wq_, dx, /*accumulate=*/true);
+  tensor::matmul_tn(dq_, xf_, wq_g_, /*accumulate=*/true);
+  tensor::matmul(dk_, wk_, dx, /*accumulate=*/true);
+  tensor::matmul_tn(dk_, xf_, wk_g_, /*accumulate=*/true);
+  tensor::matmul(dv_, wv_, dx, /*accumulate=*/true);
+  tensor::matmul_tn(dv_, xf_, wv_g_, /*accumulate=*/true);
 
-  tensor::matmul(dq, wq_, tmp);
-  for (std::size_t i = 0; i < tmp.numel(); ++i) dx[i] += tmp[i];
-  tensor::matmul_tn(dq, xf_, wdelta);
-  for (std::size_t i = 0; i < wdelta.numel(); ++i) wq_g_[i] += wdelta[i];
-
-  tensor::matmul(dk, wk_, tmp);
-  for (std::size_t i = 0; i < tmp.numel(); ++i) dx[i] += tmp[i];
-  tensor::matmul_tn(dk, xf_, wdelta);
-  for (std::size_t i = 0; i < wdelta.numel(); ++i) wk_g_[i] += wdelta[i];
-
-  tensor::matmul(dv, wv_, tmp);
-  for (std::size_t i = 0; i < tmp.numel(); ++i) dx[i] += tmp[i];
-  tensor::matmul_tn(dv, xf_, wdelta);
-  for (std::size_t i = 0; i < wdelta.numel(); ++i) wv_g_[i] += wdelta[i];
-
-  return dx.reshaped({batch_, seq_, dim_});
+  dx.reshape({batch_, seq_, D});
+  return dx;
 }
 
 std::vector<ParamRef> SelfAttention::params() {

@@ -37,9 +37,7 @@ Tensor Linear::backward(const Tensor& grad_out) {
             "Linear grad shape mismatch");
   OSP_CHECK(grad_out.dim(0) == input_.dim(0), "batch mismatch in backward");
   // dW += gᵀ·x : [out,B]·[B,in] = [out,in]
-  Tensor wg({out_, in_});
-  tensor::matmul_tn(grad_out, input_, wg);
-  for (std::size_t i = 0; i < wg.numel(); ++i) wgrad_[i] += wg[i];
+  tensor::matmul_tn(grad_out, input_, wgrad_, /*accumulate=*/true);
   if (has_bias_) tensor::sum_rows(grad_out, bgrad_.data());
   // dx = g·W : [B,out]·[out,in] = [B,in]
   Tensor dx({grad_out.dim(0), in_});

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "tensor/gemm.hpp"
 #include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 
@@ -14,160 +15,6 @@
 namespace osp::tensor {
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// Panel GEMM shared by all three passes: C[m,n] = epilogue(Σ_p A[i,p]·B[p,j])
-// with A[i,p] = a[i·a_rs + p·a_cs] broadcast per row and B row-major [k,n].
-// The strided A reads W, Wᵀ and G_b in place. Every element is one
-// accumulator that starts at 0 and adds its k products in ascending p,
-// mul-then-add; the tiers differ only in how many j lanes one instruction
-// covers, so they are bit-identical.
-// ---------------------------------------------------------------------------
-
-enum class Epilogue {
-  kStore,       // C = acc
-  kAddBias,     // C = acc + bias[i]
-  kAccumulate,  // C = C + acc
-};
-
-struct Panel {
-  std::size_t m = 0, n = 0, k = 0;
-  const float* a = nullptr;
-  std::size_t a_rs = 0, a_cs = 0;
-  const float* b = nullptr;
-  std::size_t ldb = 0;
-  float* c = nullptr;
-  std::size_t ldc = 0;
-  const float* bias = nullptr;  // kAddBias only
-  Epilogue epi = Epilogue::kStore;
-};
-
-void panel_scalar(const Panel& pn) {
-  thread_local std::vector<float> row;
-  row.resize(pn.n);
-  float* acc = row.data();
-  for (std::size_t i = 0; i < pn.m; ++i) {
-    std::fill(acc, acc + pn.n, 0.0f);
-    const float* ai = pn.a + i * pn.a_rs;
-    for (std::size_t p = 0; p < pn.k; ++p) {
-      const float av = ai[p * pn.a_cs];
-      const float* bp = pn.b + p * pn.ldb;
-      for (std::size_t j = 0; j < pn.n; ++j) acc[j] += av * bp[j];
-    }
-    float* ci = pn.c + i * pn.ldc;
-    if (pn.epi == Epilogue::kAddBias) {
-      const float bv = pn.bias[i];
-      for (std::size_t j = 0; j < pn.n; ++j) ci[j] = acc[j] + bv;
-    } else if (pn.epi == Epilogue::kAccumulate) {
-      for (std::size_t j = 0; j < pn.n; ++j) ci[j] += acc[j];
-    } else {
-      std::copy(acc, acc + pn.n, ci);
-    }
-  }
-}
-
-#ifdef OSP_CONV_X86
-
-// Register tiles are up to kMaxRows rows × one vector of j lanes. With the
-// multiply and the add issued separately, four or more independent rows
-// hide the add latency.
-constexpr std::size_t kMaxRows = 8;
-
-using TileFn = void (*)(const Panel&, std::size_t i0, std::size_t j0,
-                        std::size_t lanes);
-
-template <int kRows>
-__attribute__((target("avx2"))) void tile_avx2(const Panel& pn,
-                                               std::size_t i0, std::size_t j0,
-                                               std::size_t lanes) {
-  const __m256i mask =
-      _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(lanes)),
-                         _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-  __m256 acc[kRows];
-#pragma GCC unroll 8
-  for (int r = 0; r < kRows; ++r) acc[r] = _mm256_setzero_ps();
-  const float* ap = pn.a + i0 * pn.a_rs;
-  const float* bp = pn.b + j0;
-  for (std::size_t p = 0; p < pn.k; ++p, ap += pn.a_cs, bp += pn.ldb) {
-    const __m256 bv = _mm256_maskload_ps(bp, mask);
-#pragma GCC unroll 8
-    for (int r = 0; r < kRows; ++r) {
-      const __m256 av = _mm256_broadcast_ss(ap + r * pn.a_rs);
-      acc[r] = _mm256_add_ps(acc[r], _mm256_mul_ps(av, bv));
-    }
-  }
-#pragma GCC unroll 8
-  for (int r = 0; r < kRows; ++r) {
-    float* cr = pn.c + (i0 + r) * pn.ldc + j0;
-    __m256 v = acc[r];
-    if (pn.epi == Epilogue::kAddBias) {
-      v = _mm256_add_ps(v, _mm256_broadcast_ss(pn.bias + i0 + r));
-    } else if (pn.epi == Epilogue::kAccumulate) {
-      v = _mm256_add_ps(_mm256_maskload_ps(cr, mask), v);
-    }
-    _mm256_maskstore_ps(cr, mask, v);
-  }
-}
-
-template <int kRows>
-__attribute__((target("avx512f"))) void tile_avx512(const Panel& pn,
-                                                   std::size_t i0,
-                                                   std::size_t j0,
-                                                   std::size_t lanes) {
-  const auto mask = static_cast<__mmask16>((1u << lanes) - 1u);
-  __m512 acc[kRows];
-#pragma GCC unroll 8
-  for (int r = 0; r < kRows; ++r) acc[r] = _mm512_setzero_ps();
-  const float* ap = pn.a + i0 * pn.a_rs;
-  const float* bp = pn.b + j0;
-  for (std::size_t p = 0; p < pn.k; ++p, ap += pn.a_cs, bp += pn.ldb) {
-    const __m512 bv = _mm512_maskz_loadu_ps(mask, bp);
-#pragma GCC unroll 8
-    for (int r = 0; r < kRows; ++r) {
-      const __m512 av = _mm512_set1_ps(ap[r * pn.a_rs]);
-      acc[r] = _mm512_add_ps(acc[r], _mm512_mul_ps(av, bv));
-    }
-  }
-#pragma GCC unroll 8
-  for (int r = 0; r < kRows; ++r) {
-    float* cr = pn.c + (i0 + r) * pn.ldc + j0;
-    __m512 v = acc[r];
-    if (pn.epi == Epilogue::kAddBias) {
-      v = _mm512_add_ps(v, _mm512_set1_ps(pn.bias[i0 + r]));
-    } else if (pn.epi == Epilogue::kAccumulate) {
-      v = _mm512_add_ps(_mm512_maskz_loadu_ps(mask, cr), v);
-    }
-    _mm512_mask_storeu_ps(cr, mask, v);
-  }
-}
-
-constexpr TileFn kAvx2Tiles[kMaxRows + 1] = {
-    nullptr,      tile_avx2<1>, tile_avx2<2>, tile_avx2<3>, tile_avx2<4>,
-    tile_avx2<5>, tile_avx2<6>, tile_avx2<7>, tile_avx2<8>};
-constexpr TileFn kAvx512Tiles[kMaxRows + 1] = {
-    nullptr,        tile_avx512<1>, tile_avx512<2>,
-    tile_avx512<3>, tile_avx512<4>, tile_avx512<5>,
-    tile_avx512<6>, tile_avx512<7>, tile_avx512<8>};
-
-/// Strips of `width` lanes; within a strip, ⌈m/8⌉ near-equal row tiles (a
-/// 10-row panel runs as 5+5, not 8+2).
-void run_tiles(const Panel& pn, std::size_t width, const TileFn* tiles) {
-  const std::size_t row_tiles = (pn.m + kMaxRows - 1) / kMaxRows;
-  for (std::size_t j0 = 0; j0 < pn.n; j0 += width) {
-    const std::size_t lanes = std::min(width, pn.n - j0);
-    std::size_t i0 = 0;
-    for (std::size_t t = row_tiles; t > 0; --t) {
-      const std::size_t rows = (pn.m - i0 + t - 1) / t;
-      tiles[rows](pn, i0, j0, lanes);
-      i0 += rows;
-    }
-  }
-}
-
-void panel_avx2(const Panel& pn) { run_tiles(pn, 8, kAvx2Tiles); }
-void panel_avx512(const Panel& pn) { run_tiles(pn, 16, kAvx512Tiles); }
-
-#endif  // OSP_CONV_X86
 
 // ---------------------------------------------------------------------------
 // Packing and scatter kernels. copy: dst[r·dst_ld + i] = src[r·src_ld + i]
@@ -275,21 +122,17 @@ __attribute__((target("avx512f"))) void scatter_taps_avx512(
 #endif  // OSP_CONV_X86
 
 struct Kernels {
-  void (*panel)(const Panel&);
   BlockFn copy;
   ScatterFn scatter;
 };
 
-/// The active util::simd tier's kernels. The avx2fma tier runs the AVX2
-/// ones: a fused multiply-add would round differently.
+/// The active util::simd tier's packing kernels (the avx2fma tier moves
+/// data like avx2).
 const Kernels& active_kernels() {
-  static constexpr Kernels kScalar{panel_scalar, copy_block_scalar,
-                                   scatter_taps_scalar};
+  static constexpr Kernels kScalar{copy_block_scalar, scatter_taps_scalar};
 #ifdef OSP_CONV_X86
-  static constexpr Kernels kAvx2{panel_avx2, copy_block_avx2,
-                                 scatter_taps_scalar};
-  static constexpr Kernels kAvx512{panel_avx512, copy_block_avx512,
-                                   scatter_taps_avx512};
+  static constexpr Kernels kAvx2{copy_block_avx2, scatter_taps_scalar};
+  static constexpr Kernels kAvx512{copy_block_avx512, scatter_taps_avx512};
   switch (util::simd::active_tier()) {
     case util::simd::Tier::kAvx512:
       return kAvx512;
@@ -418,9 +261,9 @@ void conv2d_forward(const float* x, const float* weight, const float* bias,
         for (std::size_t b = b0; b < b1; ++b) {
           frame_image(x + b * img, g, f, 0, g.in_channels, k, xf.data());
           pack_patches(xf.data(), g, f, k, xhat.data());
-          k.panel({out_c, patches, plen, weight, plen, 1, xhat.data(),
-                   patches, out + b * out_c * patches, patches, bias,
-                   Epilogue::kAddBias});
+          gemm({out_c, patches, plen, weight, plen, 1, xhat.data(), patches,
+                out + b * out_c * patches, patches, bias,
+                Epilogue::kAddBias});
         }
       },
       1);
@@ -442,9 +285,9 @@ void conv2d_backward_data(const float* grad_out, const float* weight,
         for (std::size_t b = b0; b < b1; ++b) {
           // D_b = Wᵀ·G_b: A = Wᵀ read in place (row stride 1, column
           // stride plen), B = G_b straight from grad_out.
-          k.panel({plen, patches, out_c, weight, 1, plen,
-                   grad_out + b * out_c * patches, patches, d.data(), patches,
-                   nullptr, Epilogue::kStore});
+          gemm({plen, patches, out_c, weight, 1, plen,
+                grad_out + b * out_c * patches, patches, d.data(), patches,
+                nullptr, Epilogue::kStore});
           std::fill(dxf.begin(), dxf.end(), 0.0f);
           scatter_patches(d.data(), g, f, k, dxf.data());
           for (std::size_t ch = 0; ch < g.in_channels; ++ch) {
@@ -488,9 +331,9 @@ void conv2d_backward_weight(const float* grad_out, const float* x,
         for (std::size_t b = 0; b < batch; ++b) {
           frame_image(x + b * img, g, f, c0, c1, k, xf.data());
           pack_patches_t(xf.data(), g, f, c1 - c0, k, xt.data());
-          k.panel({out_c, cols, patches, grad_out + b * out_c * patches,
-                   patches, 1, xt.data(), cols, wgrad + c0 * taps, plen,
-                   nullptr, Epilogue::kAccumulate});
+          gemm({out_c, cols, patches, grad_out + b * out_c * patches,
+                patches, 1, xt.data(), cols, wgrad + c0 * taps, plen, nullptr,
+                Epilogue::kAccumulate});
         }
       },
       (64 + taps - 1) / taps);

@@ -13,15 +13,16 @@
 // forward packs X̂_b from it and dW packs X̂_bᵀ, one sample at a time, and
 // dX scatters into a framed gradient the same way.
 //
-// Numerical contract: every output element is one accumulator that starts
-// at 0 and adds its products in ascending reduction order (q for forward,
-// oc for dX, p for dW), mul-then-add, never fused; the bias is added after
-// the last product. dX pixels receive their terms in ascending (oy, ox)
+// Each per-sample product is one call of the panel GEMM (gemm.hpp), so
+// every output element is one accumulator that starts at 0 and adds its
+// products in ascending reduction order (q for forward, oc for dX, p for
+// dW), mul-then-add, never fused; the bias is added after the last
+// product. dX pixels receive their terms in ascending (oy, ox)
 // order and dW adds each sample's product in batch order. That is the
 // float grouping of the im2col + GEMM + col2im pipeline these kernels
 // replaced (im2col/col2im in ops.hpp remain as the tests' reference), so
 // results are bit-identical to it at any thread count and in every
-// util::simd tier. See DESIGN.md, "Convolution kernels".
+// util::simd tier. See DESIGN.md, "Panel GEMM".
 #pragma once
 
 #include <cstddef>

@@ -1,16 +1,19 @@
-// Tensor kernels: cache-blocked register-tiled matmul, transpose variants,
-// elementwise ops, row softmax, and the im2col/col2im reference that the
-// convolution kernels (conv.hpp) are tested against.
+// Tensor kernels: the three matmul orientations, elementwise ops, row
+// softmax, and the im2col/col2im reference that the convolution kernels
+// (conv.hpp) are tested against.
 //
 // Matmul comes in the three orientations backprop needs:
 //   matmul:    C = A·B        (forward)
-//   matmul_tn: C = Aᵀ·B       (weight gradient; _acc accumulates into C)
+//   matmul_tn: C = Aᵀ·B       (weight gradient)
 //   matmul_nt: C = A·Bᵀ       (input gradient)
-// All orientations route through one shared packed GEMM kernel
-// (MC/KC/NC blocking, kMR×kNR register tile) parallelized over output-row
-// strips via the global ThreadPool. Each C element is accumulated by a
-// single accumulator in ascending-k order, so results are bit-identical
-// across thread counts and blocking parameters.
+// Each is one call of the panel GEMM (gemm.hpp) with its rows split across
+// the global ThreadPool: matmul_tn reads A transposed through strides and
+// matmul_nt packs Bᵀ into per-thread scratch. Every C element is one
+// accumulator that starts at 0 and adds A[i,p]·B[p,j] in ascending p, so
+// results are bit-identical to the straight triple loop in every
+// util::simd tier and at every thread count. With `accumulate` the fresh
+// product is added to C afterwards (C + Σ_p …), the float order of
+// computing it into a temporary and adding that.
 #pragma once
 
 #include <span>
@@ -19,18 +22,17 @@
 
 namespace osp::tensor {
 
-/// C[m,n] = A[m,k] · B[k,n].
-void matmul(const Tensor& a, const Tensor& b, Tensor& c);
+/// A is [m,k], B is [k,n], C = A·B is [m,n] (C += A·B with `accumulate`).
+void matmul(const Tensor& a, const Tensor& b, Tensor& c,
+            bool accumulate = false);
 
-/// C[k_a_cols,n] = Aᵀ[k,m]ᵀ… precisely: A is [m,k], B is [m,n], C = Aᵀ·B is [k,n].
-void matmul_tn(const Tensor& a, const Tensor& b, Tensor& c);
+/// A is [m,k], B is [m,n], C = Aᵀ·B is [k,n] (C += Aᵀ·B with `accumulate`).
+void matmul_tn(const Tensor& a, const Tensor& b, Tensor& c,
+               bool accumulate = false);
 
-/// A is [m,k], B is [n,k], C = A·Bᵀ is [m,n].
-void matmul_nt(const Tensor& a, const Tensor& b, Tensor& c);
-
-/// C += Aᵀ·B (accumulating matmul_tn; the GEMM adds straight into the
-/// destination instead of materializing a temporary).
-void matmul_tn_acc(const Tensor& a, const Tensor& b, Tensor& c);
+/// A is [m,k], B is [n,k], C = A·Bᵀ is [m,n] (C += A·Bᵀ with `accumulate`).
+void matmul_nt(const Tensor& a, const Tensor& b, Tensor& c,
+               bool accumulate = false);
 
 /// out[r] = in[r] + bias for every row of a rank-2 tensor (in place).
 void add_bias_rows(Tensor& x, std::span<const float> bias);

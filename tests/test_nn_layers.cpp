@@ -18,6 +18,7 @@
 #include "util/check.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
+#include "util/thread_pool.hpp"
 
 namespace osp::nn {
 namespace {
@@ -470,6 +471,55 @@ TEST(SelfAttentionLayer, PreservesShape) {
   SelfAttention layer("attn", 8, rng);
   const Tensor in = random_input({3, 5, 8}, rng);
   EXPECT_EQ(layer.forward(in, false).shape(), in.shape());
+}
+
+TEST(SelfAttentionLayer, BitIdenticalAcrossTiersAndThreads) {
+  // Outputs and every gradient are byte-equal in every SIMD tier and at 1
+  // and 3 threads. A smaller batch first makes the layer resize its
+  // buffers; the second step runs at the BERTbase proxy's shape [12, 16, 24]
+  // and accumulates into the first step's weight gradients.
+  util::Rng rng(20);
+  const Tensor small_in = random_input({3, 5, 24}, rng);
+  const Tensor small_g = random_input({3, 5, 24}, rng);
+  const Tensor in = random_input({12, 16, 24}, rng);
+  const Tensor g = random_input({12, 16, 24}, rng);
+  const auto run = [&] {
+    util::Rng init(21);
+    SelfAttention layer("attn", 24, init);
+    (void)layer.forward(small_in, true);
+    (void)layer.backward(small_g);
+    std::vector<Tensor> out{layer.forward(in, true)};
+    out.push_back(layer.backward(g));
+    for (const ParamRef& p : layer.params()) out.push_back(*p.grad);
+    return out;
+  };
+  using util::simd::Tier;
+  std::vector<Tensor> want;
+  {
+    util::simd::ScopedTier forced(Tier::kScalar);
+    util::ThreadPool solo(1);
+    util::ThreadPool::ScopedGlobal guard(solo);
+    want = run();
+  }
+  for (Tier t : {Tier::kScalar, Tier::kAvx2, Tier::kAvx2Fma, Tier::kAvx512}) {
+    if (t > util::simd::hardware_tier()) continue;
+    util::simd::ScopedTier forced(t);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+      util::ThreadPool pool(threads);
+      util::ThreadPool::ScopedGlobal guard(pool);
+      const std::vector<Tensor> got = run();
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].shape(), want[i].shape());
+        EXPECT_EQ(std::memcmp(got[i].raw(), want[i].raw(),
+                              got[i].numel() * sizeof(float)),
+                  0)
+            << "tensor " << i << " (output, input gradient, dWq, dWk, dWv, "
+            << "dWo), " << util::simd::tier_name(t) << ", " << threads
+            << " threads";
+      }
+    }
+  }
 }
 
 TEST(Sequential, ChainsAndEnumeratesParams) {

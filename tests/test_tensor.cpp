@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -94,7 +95,37 @@ TEST(Tensor, ShapeHelpers) {
   EXPECT_EQ(shape_to_string({2, 3}), "[2, 3]");
 }
 
-// Naive reference matmul for verification.
+/// Scalar plus every tier the CPU supports.
+std::vector<util::simd::Tier> testable_tiers() {
+  using util::simd::Tier;
+  std::vector<Tier> tiers{Tier::kScalar};
+  for (Tier t : {Tier::kAvx2, Tier::kAvx2Fma, Tier::kAvx512}) {
+    if (t <= util::simd::hardware_tier()) tiers.push_back(t);
+  }
+  return tiers;
+}
+
+/// Calls fn(label) once per testable tier at 1 and at 3 threads.
+template <typename Fn>
+void for_each_tier_and_pool(const Fn& fn) {
+  for (const util::simd::Tier t : testable_tiers()) {
+    util::simd::ScopedTier forced(t);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+      util::ThreadPool pool(threads);
+      util::ThreadPool::ScopedGlobal guard(pool);
+      fn(std::string(util::simd::tier_name(t)) + " tier, " +
+         std::to_string(threads) + " threads");
+    }
+  }
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.raw(), b.raw(), a.numel() * sizeof(float)) == 0;
+}
+
+// The matmul contract: one accumulator per element, starting at 0 and
+// adding A[i,p]·B[p,j] in ascending p.
 Tensor ref_matmul(const Tensor& a, const Tensor& b) {
   const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
   Tensor c({m, n});
@@ -108,10 +139,53 @@ Tensor ref_matmul(const Tensor& a, const Tensor& b) {
   return c;
 }
 
+/// C + fresh, the float order of the accumulating matmuls.
+Tensor ref_accumulate(const Tensor& c, const Tensor& fresh) {
+  Tensor out = c;
+  for (std::size_t i = 0; i < out.numel(); ++i) out[i] += fresh[i];
+  return out;
+}
+
 Tensor random_matrix(std::size_t r, std::size_t c, util::Rng& rng) {
   Tensor t({r, c});
   for (float& v : t.data()) v = static_cast<float>(rng.normal());
   return t;
+}
+
+Tensor transposed(const Tensor& a) {
+  Tensor t({a.dim(1), a.dim(0)});
+  transpose(a, t);
+  return t;
+}
+
+enum class Orientation { kNN, kTN, kNT };
+
+/// Checks one orientation bit for bit against ref_matmul, storing into a
+/// C filled with garbage and accumulating into a random C.
+void expect_matmul_exact(Orientation o, const Tensor& a, const Tensor& b,
+                         util::Rng& rng) {
+  const Tensor ref = ref_matmul(o == Orientation::kTN ? transposed(a) : a,
+                                o == Orientation::kNT ? transposed(b) : b);
+  const Tensor c0 = random_matrix(ref.dim(0), ref.dim(1), rng);
+  const Tensor ref_acc = ref_accumulate(c0, ref);
+  const auto mm = [&](Tensor& c, bool accumulate) {
+    switch (o) {
+      case Orientation::kNN:
+        return matmul(a, b, c, accumulate);
+      case Orientation::kTN:
+        return matmul_tn(a, b, c, accumulate);
+      case Orientation::kNT:
+        return matmul_nt(a, b, c, accumulate);
+    }
+  };
+  for_each_tier_and_pool([&](const std::string& at) {
+    Tensor c(ref.shape(), 7.0f);
+    mm(c, false);
+    EXPECT_TRUE(same_bits(c, ref)) << at;
+    Tensor acc = c0;
+    mm(acc, true);
+    EXPECT_TRUE(same_bits(acc, ref_acc)) << "accumulate, " << at;
+  });
 }
 
 class MatmulSizes : public ::testing::TestWithParam<
@@ -122,42 +196,23 @@ TEST_P(MatmulSizes, MatchesNaiveReference) {
   util::Rng rng(m * 1000 + k * 100 + n);
   const Tensor a = random_matrix(m, k, rng);
   const Tensor b = random_matrix(k, n, rng);
-  Tensor c({m, n});
-  matmul(a, b, c);
-  const Tensor ref = ref_matmul(a, b);
-  for (std::size_t i = 0; i < c.numel(); ++i) {
-    EXPECT_NEAR(c[i], ref[i], 1e-4f) << "at " << i;
-  }
+  expect_matmul_exact(Orientation::kNN, a, b, rng);
 }
 
 TEST_P(MatmulSizes, TnMatchesTransposedReference) {
   auto [m, k, n] = GetParam();
   util::Rng rng(42 + m + k + n);
-  const Tensor a = random_matrix(m, k, rng);  // will be used transposed
-  const Tensor b = random_matrix(m, n, rng);
-  Tensor c({k, n});
-  matmul_tn(a, b, c);
-  Tensor at({k, m});
-  transpose(a, at);
-  const Tensor ref = ref_matmul(at, b);
-  for (std::size_t i = 0; i < c.numel(); ++i) {
-    EXPECT_NEAR(c[i], ref[i], 1e-4f);
-  }
+  const Tensor a = random_matrix(k, m, rng);  // used transposed
+  const Tensor b = random_matrix(k, n, rng);
+  expect_matmul_exact(Orientation::kTN, a, b, rng);
 }
 
 TEST_P(MatmulSizes, NtMatchesTransposedReference) {
   auto [m, k, n] = GetParam();
   util::Rng rng(77 + m * k * n);
   const Tensor a = random_matrix(m, k, rng);
-  const Tensor b = random_matrix(n, k, rng);
-  Tensor c({m, n});
-  matmul_nt(a, b, c);
-  Tensor bt({k, n});
-  transpose(b, bt);
-  const Tensor ref = ref_matmul(a, bt);
-  for (std::size_t i = 0; i < c.numel(); ++i) {
-    EXPECT_NEAR(c[i], ref[i], 1e-4f);
-  }
+  const Tensor b = random_matrix(n, k, rng);  // used transposed
+  expect_matmul_exact(Orientation::kNT, a, b, rng);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -168,10 +223,8 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(64, 48, 32),
                       std::make_tuple(128, 70, 5)));
 
-// Shapes chosen to stress the blocked kernel's edges: degenerate rows and
-// columns, primes, register-tile boundaries ±1 (the tile is 4×8), and a k
-// that crosses the 512-wide kc panel so the accumulator round-trips
-// through C.
+// Long reductions, primes, and shapes large enough to split across the
+// pool.
 INSTANTIATE_TEST_SUITE_P(
     AwkwardShapes, MatmulSizes,
     ::testing::Values(std::make_tuple(1, 257, 1), std::make_tuple(257, 1, 9),
@@ -182,17 +235,72 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(127, 129, 65),
                       std::make_tuple(31, 520, 17)));
 
-TEST(Ops, MatmulTnAccAccumulatesIntoC) {
-  util::Rng rng(61);
-  const Tensor a = random_matrix(30, 7, rng);
-  const Tensor b = random_matrix(30, 11, rng);
-  Tensor fresh({7, 11});
-  matmul_tn(a, b, fresh);
-  Tensor acc({7, 11}, 1.5f);
-  matmul_tn_acc(a, b, acc);
-  for (std::size_t i = 0; i < acc.numel(); ++i) {
-    EXPECT_NEAR(acc[i], fresh[i] + 1.5f, 1e-5f);
+// Every (m, k, n) of these: n around the 8- and 16-lane strips, m around
+// the 8-row tiles (10 rows run as 5+5) up to the attention projections'
+// 192, and an empty, a single and the attention width's reduction.
+INSTANTIATE_TEST_SUITE_P(
+    EdgeShapes, MatmulSizes,
+    ::testing::Combine(
+        ::testing::ValuesIn(std::vector<std::size_t>{1, 7, 8, 9, 10, 192}),
+        ::testing::ValuesIn(std::vector<std::size_t>{0, 1, 24}),
+        ::testing::ValuesIn(
+            std::vector<std::size_t>{1, 15, 16, 17, 24, 31, 32, 33})));
+
+/// Bit equality, except that any NaN matches any NaN: which operand's
+/// payload an IEEE add of two NaNs returns is left to the hardware and the
+/// compiler, and is not part of the matmul contract.
+bool same_bits_or_both_nan(const Tensor& a, const Tensor& b) {
+  if (a.shape() != b.shape()) return false;
+  for (std::size_t i = 0; i < a.numel(); ++i) {
+    if (std::isnan(a[i]) && std::isnan(b[i])) continue;
+    if (std::memcmp(a.raw() + i, b.raw() + i, sizeof(float)) != 0) {
+      return false;
+    }
   }
+  return true;
+}
+
+TEST(Ops, MatmulSpecialValuesMatchReference) {
+  // Row 0 of every operand is -0 (sums of ±0 products must come out +0, as
+  // the reference's do), row 1 is subnormal (subnormal products and sums),
+  // and ±Inf, NaN, -0 and tiny values are sprinkled over the rest.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> specials = {inf,  -0.0f, nan,    1e-20f,
+                                       -inf, 1e-45f, -2e-21f};
+  util::Rng rng(909);
+  const auto matrix = [&](std::size_t r, std::size_t c) {
+    Tensor t = random_matrix(r, c, rng);
+    for (std::size_t j = 0; j < c; ++j) {
+      t.at(0, j) = -0.0f;
+      t.at(1, j) *= 1e-39f;
+    }
+    for (std::size_t i = 2 * c; i < t.numel(); i += 13) {
+      t[i] = specials[(i / 13) % specials.size()];
+    }
+    return t;
+  };
+  const std::size_t m = 9, k = 24, n = 17;
+  const Tensor a = matrix(m, k), b = matrix(k, n);
+  const Tensor at = matrix(k, m), bt = matrix(n, k);
+  const Tensor want = ref_matmul(a, b);
+  const Tensor want_tn = ref_matmul(transposed(at), b);
+  const Tensor want_nt = ref_matmul(a, transposed(bt));
+  std::size_t finite = 0, nans = 0;
+  for (float v : want.data()) (std::isfinite(v) ? finite : nans) += 1;
+  ASSERT_GT(finite, 0u);
+  ASSERT_GT(nans, 0u);
+  for_each_tier_and_pool([&](const std::string& label) {
+    Tensor c({m, n}), c_tn({m, n}), c_nt({m, n});
+    matmul(a, b, c);
+    matmul_tn(at, b, c_tn);
+    matmul_nt(a, bt, c_nt);
+    EXPECT_TRUE(same_bits_or_both_nan(c, want)) << "matmul, " << label;
+    EXPECT_TRUE(same_bits_or_both_nan(c_tn, want_tn))
+        << "matmul_tn, " << label;
+    EXPECT_TRUE(same_bits_or_both_nan(c_nt, want_nt))
+        << "matmul_nt, " << label;
+  });
 }
 
 TEST(Ops, KernelsBitIdenticalAcrossThreadCounts) {
@@ -508,16 +616,6 @@ bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
-/// Scalar plus every tier the CPU supports.
-std::vector<util::simd::Tier> testable_tiers() {
-  using util::simd::Tier;
-  std::vector<Tier> tiers{Tier::kScalar};
-  for (Tier t : {Tier::kAvx2, Tier::kAvx2Fma, Tier::kAvx512}) {
-    if (t <= util::simd::hardware_tier()) tiers.push_back(t);
-  }
-  return tiers;
-}
-
 class ConvKernels : public ::testing::TestWithParam<ConvCase> {};
 
 TEST_P(ConvKernels, BitIdenticalToIm2colReference) {
@@ -525,21 +623,13 @@ TEST_P(ConvKernels, BitIdenticalToIm2colReference) {
   util::Rng rng(7001);
   const ConvData data = conv_data(c, rng);
   const ConvResult want = reference_conv(c, data);
-  for (const util::simd::Tier t : testable_tiers()) {
-    util::simd::ScopedTier forced(t);
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
-      util::ThreadPool pool(threads);
-      util::ThreadPool::ScopedGlobal guard(pool);
-      const ConvResult got = run_conv_kernels(c, data);
-      const std::string at = std::string(util::simd::tier_name(t)) +
-                             " tier, " + std::to_string(threads) + " threads";
-      EXPECT_TRUE(same_bits(got.out, want.out)) << "forward, " << at;
-      EXPECT_TRUE(same_bits(got.dx, want.dx)) << "input gradient, " << at;
-      EXPECT_TRUE(same_bits(got.wgrad, want.wgrad))
-          << "weight gradient, " << at;
-      EXPECT_TRUE(same_bits(got.bgrad, want.bgrad)) << "bias gradient, " << at;
-    }
-  }
+  for_each_tier_and_pool([&](const std::string& at) {
+    const ConvResult got = run_conv_kernels(c, data);
+    EXPECT_TRUE(same_bits(got.out, want.out)) << "forward, " << at;
+    EXPECT_TRUE(same_bits(got.dx, want.dx)) << "input gradient, " << at;
+    EXPECT_TRUE(same_bits(got.wgrad, want.wgrad)) << "weight gradient, " << at;
+    EXPECT_TRUE(same_bits(got.bgrad, want.bgrad)) << "bias gradient, " << at;
+  });
 }
 
 // Geometry fields: {in_channels, in_h, in_w, kernel, stride, pad}. Patch
