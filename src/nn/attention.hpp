@@ -31,7 +31,7 @@ class SelfAttention : public Layer {
   tensor::Tensor xf_;             // [B*L, D]
   tensor::Tensor q_, k_, v_, h_;  // [B*L, D]
   tensor::Tensor attn_;           // [B*L, L]: softmax rows, batch by batch
-  // Backward scratch.
+  // Scratch.
   tensor::Tensor kvt_;            // [D, B*L]: Kᵀ in forward, Vᵀ in backward
   tensor::Tensor dh_, dq_, dk_, dv_;  // [B*L, D]
   tensor::Tensor ds_;             // [L, L]
