@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark): the engine's batch-parallel worker
 // math pipeline — full proxy-CNN training runs at 32 workers, measured
-// with the async pipeline (FP+BP jobs overlapped on the thread pool) and
-// against the serial reference path (OSP_ASYNC_MATH semantics).
+// with the async pipeline (FP+BP and eval jobs overlapped on the thread
+// pool) and against the serial reference path (OSP_ASYNC_MATH semantics).
 //
 // Besides the console table, the run writes
 // bench_out/BENCH_micro_engine.json (override with OSP_BENCH_JSON): one
@@ -43,7 +43,9 @@ runtime::EngineConfig engine_config(bool async) {
   cfg.max_epochs = 1;  // resnet50 proxy @ 32 workers: 1 batch/epoch/worker
   cfg.seed = 42;
   cfg.straggler_jitter = 0.1;
-  cfg.eval_max_examples = 64;  // cap the (serial, identical-cost) evals
+  // Cap the evals: the async run overlaps them with training on the pool,
+  // the serial run does them inline on the event loop.
+  cfg.eval_max_examples = 64;
   cfg.async_worker_math = async;
   return cfg;
 }

@@ -3,13 +3,25 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <numeric>
 
-#include "nn/metrics.hpp"
 #include "util/check.hpp"
 #include "util/vec_math.hpp"
 
 namespace osp::runtime {
+
+namespace {
+
+/// Teardown join: wait for the task and drop anything it threw. Nothing
+/// reads a torn-down task's outputs, and a failure the run could report
+/// has already been rethrown by run()'s own joins.
+void join_quietly(util::TaskHandle& handle) {
+  try {
+    handle.join();
+  } catch (...) {
+  }
+}
+
+}  // namespace
 
 Engine::Engine(const WorkloadSpec& spec, const EngineConfig& config,
                SyncModel& sync)
@@ -31,10 +43,9 @@ Engine::Engine(const WorkloadSpec& spec, const EngineConfig& config,
   compute_model_.node = cluster_cfg.node;
   compute_model_.straggler_jitter = config.straggler_jitter;
 
-  // Proxy model + flat view. scratch_model_ is the dedicated *evaluation*
-  // replica (and block-layout authority); worker math runs on replicas_,
-  // a pool of identically-built models, so in-flight FP+BP jobs can
-  // overlap each other and any concurrent evaluation.
+  // Proxy model + flat view. scratch_model_ is the block-layout authority
+  // and the serial path's eval model; worker math and async evals run on
+  // replicas_, a pool of identically-built models, so they can overlap.
   scratch_model_ = spec.build_model(config.seed);
   flat_ = std::make_unique<nn::FlatModel>(scratch_model_);
   replicas_ = std::make_unique<ReplicaPool>(spec.build_model, config.seed);
@@ -91,17 +102,21 @@ Engine::Engine(const WorkloadSpec& spec, const EngineConfig& config,
 }
 
 Engine::~Engine() {
-  // Join every math job the run left in flight (crash-abandoned jobs, and
-  // pending compute cut short by a virtual-time cap or a checkpoint halt)
-  // before the replicas and loaders they reference are destroyed. Joining
-  // steals still-queued jobs, and cancelled ones no-op, so this is cheap.
+  // Join every job the run left in flight (crash-abandoned math jobs,
+  // pending compute cut short by a virtual-time cap or a checkpoint halt,
+  // an eval whose run threw) before the replicas and loaders they
+  // reference are destroyed. Joining steals still-queued jobs, and
+  // cancelled ones no-op, so this is cheap.
   for (WorkerState& ws : workers_) {
     if (ws.job == nullptr) continue;
     ws.job->cancelled.store(true, std::memory_order_relaxed);
-    ws.job->handle.join();
+    join_quietly(ws.job->handle);
   }
   for (const std::shared_ptr<MathJob>& job : abandoned_jobs_) {
-    job->handle.join();
+    join_quietly(job->handle);
+  }
+  if (eval_job_ != nullptr) {
+    for (util::TaskHandle& h : eval_job_->handles) join_quietly(h);
   }
 }
 
@@ -322,6 +337,7 @@ RunResult Engine::run() {
     release_parked();
   }
   if (!halted_) maybe_evaluate(/*force=*/true);
+  join_evals();
 
   // Close out downtime of workers still crashed at run end.
   for (std::size_t w = 0; w < workers_.size(); ++w) {
@@ -884,6 +900,8 @@ bool Engine::maybe_checkpoint_now() {
 }
 
 void Engine::take_checkpoint() {
+  // The checkpoint carries the curve: land the in-flight eval first.
+  join_evals();
   ++checkpoints_taken_;
   last_checkpoint_ =
       std::make_shared<const RunCheckpoint>(make_checkpoint());
@@ -925,6 +943,7 @@ void Engine::release_parked() {
 }
 
 RunCheckpoint Engine::make_checkpoint() const {
+  OSP_CHECK(eval_job_ == nullptr, "checkpoint with an eval in flight");
   RunCheckpoint c;
   c.workload_name = spec_->name;
   c.sync_name = sync_->name();
@@ -1088,40 +1107,69 @@ void Engine::maybe_evaluate(bool force) {
 }
 
 void Engine::evaluate_now() {
+  // At most one eval is in flight; the previous one started an eval stride
+  // ago, so this join rarely waits.
+  join_evals();
   // Evaluate the *global* (PS) parameters — the model a practitioner would
   // checkpoint.
-  flat_->scatter_params(global_params_);
   const data::Dataset& ds = *spec_->eval;
   std::size_t limit = ds.size();
   if (config_.eval_max_examples > 0) {
     limit = std::min(limit, config_.eval_max_examples);
   }
-  const std::size_t bs = spec_->batch_size;
+  const std::size_t batches = limit / spec_->batch_size;
+  OSP_CHECK(batches > 0, "eval set smaller than one batch");
+  auto job = std::make_shared<EvalJob>();
+  job->dataset = &ds;
+  job->batch_size = spec_->batch_size;
+  job->is_qa = spec_->is_qa;
+  job->time_s = sim_.now();
+  job->samples = samples_processed_;
+  job->metric.assign(batches, 0.0);
+  job->loss.assign(batches, 0.0);
+  eval_job_ = job;
+  if (!async_math_) {
+    // Serial path: no pool to overlap with, so evaluate global_params_ in
+    // place on scratch_model_ (no snapshot copy) and record at once.
+    evaluate_batches(scratch_model_, *flat_, global_params_, *job, 0,
+                     batches);
+    join_evals();
+    return;
+  }
+  // Async path: nothing reads the result before the next join point, so
+  // evaluate a snapshot on the replicas, one contiguous batch range per
+  // pool thread.
+  job->params = global_params_;
+  const std::size_t ranges = std::min(batches, pool_->size());
+  job->handles.reserve(ranges);
+  for (std::size_t r = 0; r < ranges; ++r) {
+    const std::size_t begin = r * batches / ranges;
+    const std::size_t end = (r + 1) * batches / ranges;
+    job->handles.push_back(pool_->submit_task(
+        [this, job, begin, end] { replicas_->evaluate(*job, begin, end); }));
+  }
+}
+
+void Engine::join_evals() {
+  if (eval_job_ == nullptr) return;
+  // Join every range before letting go of the job: if one threw, ~Engine
+  // still finds the rest and joins them before the replicas die.
+  for (util::TaskHandle& h : eval_job_->handles) h.join();
+  const std::shared_ptr<EvalJob> job = std::move(eval_job_);
+  // Sum in batch order: the float order of a serial loop over the batches,
+  // whichever threads computed the slots.
   double metric_sum = 0.0;
   double loss_sum = 0.0;
-  std::size_t batches = 0;
-  std::vector<std::size_t> idx(bs);
-  for (std::size_t start = 0; start + bs <= limit; start += bs) {
-    std::iota(idx.begin(), idx.end(), start);
-    const data::Batch batch = ds.make_batch(idx);
-    const tensor::Tensor logits =
-        scratch_model_.forward(batch.inputs, false);
-    if (spec_->is_qa) {
-      metric_sum += nn::batch_span_f1(logits, batch.starts, batch.ends);
-      loss_sum +=
-          nn::span_cross_entropy(logits, batch.starts, batch.ends).loss;
-    } else {
-      metric_sum += nn::top1_accuracy(logits, batch.labels);
-      loss_sum += nn::softmax_cross_entropy(logits, batch.labels).loss;
-    }
-    ++batches;
+  for (std::size_t i = 0; i < job->metric.size(); ++i) {
+    metric_sum += job->metric[i];
+    loss_sum += job->loss[i];
   }
-  OSP_CHECK(batches > 0, "eval set smaller than one batch");
+  const auto batches = static_cast<double>(job->metric.size());
   EvalPoint point;
-  point.time_s = sim_.now();
-  point.samples = samples_processed_;
-  point.metric = metric_sum / static_cast<double>(batches);
-  point.loss = loss_sum / static_cast<double>(batches);
+  point.time_s = job->time_s;
+  point.samples = job->samples;
+  point.metric = metric_sum / batches;
+  point.loss = loss_sum / batches;
   metrics_.record_eval(point);
 }
 

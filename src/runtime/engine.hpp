@@ -81,10 +81,12 @@ struct EngineConfig {
   bool balance_batch_to_speed = false;
   /// Overlap workers' real FP+BP in wall-clock: each iteration's math is
   /// enqueued on the thread pool at compute start and joined at the
-  /// virtual-time completion event (see runtime/worker_math.hpp). Results
-  /// are bit-identical either way and at any OSP_NUM_THREADS; disable to
-  /// get the serial reference path (or set OSP_ASYNC_MATH=0, which
-  /// overrides this flag for A/B timing without code changes).
+  /// virtual-time completion event (see runtime/worker_math.hpp); evals of
+  /// the global model run on the pool too, joined at the next eval,
+  /// checkpoint or run end. Results are bit-identical either way and at
+  /// any OSP_NUM_THREADS; disable to get the serial reference path (or set
+  /// OSP_ASYNC_MATH=0, which overrides this flag for A/B timing without
+  /// code changes).
   bool async_worker_math = true;
   /// Deterministic fault scenario executed during the run (empty = none).
   sim::FaultSchedule faults;
@@ -256,11 +258,12 @@ class Engine {
     return telemetry_;
   }
 
-  /// True when this run overlaps worker math on the thread pool (config
-  /// flag and OSP_ASYNC_MATH resolved); the serial path otherwise.
+  /// True when this run overlaps worker math and evals on the thread pool
+  /// (config flag and OSP_ASYNC_MATH resolved); the serial path otherwise.
   [[nodiscard]] bool async_math() const { return async_math_; }
-  /// Model replicas the math pipeline has materialized (1 on the serial
-  /// path; up to pool-threads + 1 under fan-out). Observability/tests.
+  /// Model replicas the pool has materialized for worker math and, on the
+  /// async path, evaluation ranges (1 on the serial path; up to
+  /// pool-threads + 1 under fan-out). Observability/tests.
   [[nodiscard]] std::size_t math_replicas() const {
     return replicas_->replicas_built();
   }
@@ -309,7 +312,12 @@ class Engine {
   void cancel_math_job(std::size_t w);
   void schedule_compute_completion(std::size_t w, double end_time);
   void maybe_evaluate(bool force);
+  /// Evaluate the global parameters as of now. Async path: snapshot them
+  /// into an EvalJob split across the pool by batch ranges, recorded at the
+  /// next join_evals(). Serial path: evaluate in place and record at once.
   void evaluate_now();
+  /// Join the in-flight evaluation, if any, and record its curve point.
+  void join_evals();
   void complete_epoch(std::size_t w);
   /// Install the fault schedule. `resume_time >= 0` means we are resuming
   /// a checkpoint taken at that virtual time: already-executed events are
@@ -343,10 +351,9 @@ class Engine {
   std::unique_ptr<sim::Cluster> cluster_;
   sim::ComputeModel compute_model_;
 
-  // Dedicated evaluation replica: evaluate_now scatters the global params
-  // into this model, so it must never be shared with in-flight math jobs
-  // (those run on replicas_). flat_ also serves as the block-layout
-  // authority for the sync-facing accessors.
+  // Block-layout authority for the sync-facing accessors (flat_), and the
+  // serial path's eval model: evaluate_now scatters the global params into
+  // it in place. Worker math and async evals run on replicas_ instead.
   nn::Sequential scratch_model_;
   std::unique_ptr<nn::FlatModel> flat_;
   // Replica pool + pool handle for the async worker-math pipeline. The
@@ -358,6 +365,8 @@ class Engine {
   // Crash-abandoned jobs still owed a join before teardown (pruned of
   // already-finished handles opportunistically).
   std::vector<std::shared_ptr<MathJob>> abandoned_jobs_;
+  // The evaluation in flight on the pool (async path; at most one).
+  std::shared_ptr<EvalJob> eval_job_;
   std::vector<double> block_bytes_;
 
   std::vector<float> global_params_;

@@ -1,9 +1,35 @@
 #include "runtime/worker_math.hpp"
 
+#include <numeric>
+
 #include "nn/loss.hpp"
+#include "nn/metrics.hpp"
 #include "util/check.hpp"
 
 namespace osp::runtime {
+
+void evaluate_batches(nn::Sequential& model, nn::FlatModel& flat,
+                      std::span<const float> params, EvalJob& job,
+                      std::size_t begin, std::size_t end) {
+  OSP_CHECK(job.dataset != nullptr, "eval job has no dataset");
+  OSP_CHECK(end <= job.metric.size() && end <= job.loss.size(),
+            "eval batch range out of bounds");
+  flat.scatter_params(params);
+  std::vector<std::size_t> idx(job.batch_size);
+  for (std::size_t i = begin; i < end; ++i) {
+    std::iota(idx.begin(), idx.end(), i * job.batch_size);
+    const data::Batch batch = job.dataset->make_batch(idx);
+    const tensor::Tensor logits = model.forward(batch.inputs, false);
+    if (job.is_qa) {
+      job.metric[i] = nn::batch_span_f1(logits, batch.starts, batch.ends);
+      job.loss[i] =
+          nn::span_cross_entropy(logits, batch.starts, batch.ends).loss;
+    } else {
+      job.metric[i] = nn::top1_accuracy(logits, batch.labels);
+      job.loss[i] = nn::softmax_cross_entropy(logits, batch.labels).loss;
+    }
+  }
+}
 
 ReplicaPool::ReplicaPool(std::function<nn::Sequential(std::uint64_t)> build,
                          std::uint64_t seed)
@@ -59,6 +85,13 @@ void ReplicaPool::execute(MathJob& job) {
   job.loss = loss.loss;
   job.samples = batch.size();
 
+  release(std::move(r));
+}
+
+void ReplicaPool::evaluate(EvalJob& job, std::size_t begin,
+                           std::size_t end) {
+  std::unique_ptr<Replica> r = acquire();
+  evaluate_batches(r->model, *r->flat, job.params, job, begin, end);
   release(std::move(r));
 }
 

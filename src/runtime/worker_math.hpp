@@ -21,6 +21,11 @@
 // no-op; if it is mid-flight it finishes writing its own buffers, which
 // nobody reads. The engine joins abandoned jobs before destroying the
 // replicas and loaders they reference.
+//
+// Evaluation of the global model is a pure job too (EvalJob): no sync
+// model reads an eval result, so the engine evaluates a snapshot of the
+// global parameters on the replicas, split by batch ranges, and records
+// the point when it joins the job (see Engine::evaluate_now).
 #pragma once
 
 #include <atomic>
@@ -28,8 +33,10 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
+#include "data/dataset.hpp"
 #include "data/loader.hpp"
 #include "nn/registry.hpp"
 #include "nn/sequential.hpp"
@@ -63,6 +70,39 @@ struct MathJob {
   util::TaskHandle handle;
 };
 
+/// One evaluation of the global model over eval batches [0, n): batch i is
+/// examples [i·batch_size, (i+1)·batch_size) of the eval set. Inputs are
+/// frozen at the trigger; each batch's result goes into its own slot, so
+/// ranges of batches can run on different threads, and the engine sums the
+/// slots in batch order after joining every handle.
+struct EvalJob {
+  // ---- inputs (immutable once submitted) ----
+  const data::Dataset* dataset = nullptr;
+  std::size_t batch_size = 0;
+  bool is_qa = false;
+  /// Snapshot of the global parameters. Empty on the serial path, which
+  /// evaluates the live vector in place.
+  std::vector<float> params;
+  /// Virtual time and samples processed at the trigger (the curve point's
+  /// stamps).
+  double time_s = 0.0;
+  double samples = 0.0;
+
+  // ---- outputs: one slot per batch (valid after every handle joined) ----
+  std::vector<double> metric;
+  std::vector<double> loss;
+
+  // ---- control: one handle per batch range (none on the serial path) ----
+  std::vector<util::TaskHandle> handles;
+};
+
+/// Evaluate batches [begin, end) of `job` on `model` (flat view `flat`)
+/// with parameters `params`: scatter once, then per batch make_batch,
+/// forward(train=false), metric and loss into that batch's slots.
+void evaluate_batches(nn::Sequential& model, nn::FlatModel& flat,
+                      std::span<const float> params, EvalJob& job,
+                      std::size_t begin, std::size_t end);
+
 /// A pool of (Sequential, FlatModel) replicas for concurrent FP+BP.
 /// Replicas are built lazily on first demand, so a serial run pays for
 /// exactly one and an N-thread run for at most N+1 (the +1 covers a
@@ -82,6 +122,10 @@ class ReplicaPool {
   /// scatter the snapshot, forward/backward, gather the gradient. Honors
   /// job.cancelled (checked once, up front).
   void execute(MathJob& job);
+
+  /// Evaluate batches [begin, end) of `job` against its parameter snapshot
+  /// on a free replica.
+  void evaluate(EvalJob& job, std::size_t begin, std::size_t end);
 
   /// Replicas built so far (observability: 1 on the serial path, up to
   /// pool-threads + 1 under full fan-out).

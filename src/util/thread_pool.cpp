@@ -33,7 +33,15 @@ void TaskState::run() {
   }
   const bool was_in_task = t_in_tracked_task;
   t_in_tracked_task = true;
-  fn();
+  // A throwing task must still finish: escaping a pool worker would
+  // terminate the process, and escaping a stolen join would leave the task
+  // running forever (joiners hang, the in-flight count never drops). The
+  // exception is handed to every join instead.
+  try {
+    fn();
+  } catch (...) {
+    error = std::current_exception();
+  }
   // Drop the captures before joiners can see `done`: a callable that owns
   // the object holding this task's handle (the engine's math jobs do) would
   // otherwise keep that object, and this state, alive forever.
@@ -65,6 +73,7 @@ void TaskHandle::join() {
   state_->run();
   std::unique_lock lock(state_->mu);
   state_->done_cv.wait(lock, [&] { return state_->done; });
+  if (state_->error) std::rethrow_exception(state_->error);
 }
 
 ThreadPool::ThreadPool(std::size_t num_threads) {

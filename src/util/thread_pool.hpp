@@ -30,6 +30,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -76,12 +77,14 @@ struct TaskState {
   std::function<void()> fn;
   std::atomic<std::size_t>* tracked = nullptr;  // pool's in-flight counter
   std::atomic<int> status{kQueued};
+  std::exception_ptr error;  // what fn threw; published by `done`
 
   std::mutex mu;
   std::condition_variable done_cv;
   bool done = false;  // guarded by mu
 
   /// Claim and execute (at most once); marks done and notifies joiners.
+  /// Never throws: an exception from fn is stored in `error`.
   void run();
 };
 
@@ -101,7 +104,8 @@ class TaskHandle {
 
   /// Block until the task has run. If it is still sitting in the queue the
   /// calling thread claims and runs it inline (work stealing) — the join
-  /// latency is then the task's own runtime, not the queue depth.
+  /// latency is then the task's own runtime, not the queue depth. If the
+  /// task threw, every join rethrows its exception.
   void join();
 
  private:

@@ -10,18 +10,26 @@
 //     execute under *different* thread counts.
 // A stress scenario combines checkpoint parking and crash/restart cycles
 // so jobs are abandoned mid-flight while the drain barrier is active.
+// Evaluation runs on the pool too (batch ranges over a parameter snapshot,
+// recorded at the next join point), so the curve is held to the same
+// contract with evals overlapping in-flight math and checkpoints.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/osp_sync.hpp"
+#include "data/dataset.hpp"
 #include "models/zoo.hpp"
 #include "runtime/engine.hpp"
 #include "sync/bsp.hpp"
 #include "sync/kv_bsp.hpp"
+#include "util/check.hpp"
 #include "util/thread_pool.hpp"
 
 namespace osp {
@@ -35,6 +43,18 @@ runtime::EngineConfig golden_config() {
   cfg.max_epochs = 3;  // tiny_mlp: 8 batches/epoch/worker -> 24 iterations
   cfg.seed = 42;
   cfg.straggler_jitter = 0.1;
+  return cfg;
+}
+
+/// Frequent evals over 7 batches (tiny_mlp evaluates 16-example batches):
+/// a stride of three worker iterations' samples keeps an eval in flight
+/// beside the math jobs almost all the time, and 7 batches split unevenly
+/// over a 2-thread pool and into fewer ranges than an 8-thread pool has
+/// threads.
+runtime::EngineConfig eval_config() {
+  runtime::EngineConfig cfg = golden_config();
+  cfg.eval_every_samples = 48;
+  cfg.eval_max_examples = 7 * 16;
   return cfg;
 }
 
@@ -160,6 +180,15 @@ TEST(AsyncMathBitIdentity, CompressedBspWithErrorFeedback) {
                                 "compressed_ef");
 }
 
+// ---- evals on the pool, overlapping in-flight math ----
+
+TEST(AsyncMathBitIdentity, FrequentEvals) {
+  const RunOutput probe = run_with_threads(osp_factory(), eval_config(), 1);
+  EXPECT_GT(probe.result.curve.size(), 20u);  // the evals really ran
+  expect_thread_count_invariant(osp_factory(), eval_config(), "osp_eval");
+  expect_thread_count_invariant(bsp_factory(), eval_config(), "bsp_eval");
+}
+
 // ---- faulted runs: crashes cancel in-flight jobs ----
 
 runtime::EngineConfig faulted_config() {
@@ -187,41 +216,48 @@ TEST(AsyncMathBitIdentity, ResumeAcrossThreadCounts) {
   // the first checkpoint, under 2 threads. C: resumes B's file under 1
   // thread. A ≡ C proves the checkpoint file carries no trace of the
   // execution schedule — the remainder of a run is bit-identical no matter
-  // which thread count produced the snapshot or consumes it.
+  // which thread count produced the snapshot or consumes it. Under
+  // eval_config the eval stride (3 worker iterations' samples) is below the
+  // checkpoint cadence (5 iterations per worker), so every drain fires with
+  // an eval still on the pool, which take_checkpoint must land first.
   const std::string path = ::testing::TempDir() + "osp_async_resume.bin";
+  for (const bool evals : {false, true}) {
+    SCOPED_TRACE(evals ? "frequent evals" : "default evals");
+    runtime::EngineConfig cfg = evals ? eval_config() : golden_config();
+    cfg.checkpoint.every_iters = 5;
+    const RunOutput a = run_with_threads(osp_factory(), cfg, 8);
+    EXPECT_EQ(a.result.checkpoints_taken, 4u);
 
-  runtime::EngineConfig cfg_a = golden_config();
-  cfg_a.checkpoint.every_iters = 5;
-  const RunOutput a = run_with_threads(osp_factory(), cfg_a, 8);
-  EXPECT_EQ(a.result.checkpoints_taken, 4u);
+    runtime::EngineConfig cfg_b = cfg;
+    cfg_b.checkpoint.path = path;
+    cfg_b.checkpoint.halt_after_checkpoint = true;
+    const RunOutput b = run_with_threads(osp_factory(), cfg_b, 2);
+    ASSERT_TRUE(b.result.halted_at_checkpoint);
 
-  runtime::EngineConfig cfg_b = golden_config();
-  cfg_b.checkpoint.every_iters = 5;
-  cfg_b.checkpoint.path = path;
-  cfg_b.checkpoint.halt_after_checkpoint = true;
-  const RunOutput b = run_with_threads(osp_factory(), cfg_b, 2);
-  ASSERT_TRUE(b.result.halted_at_checkpoint);
+    runtime::EngineConfig cfg_c = cfg;
+    cfg_c.checkpoint.resume_from = path;
+    const RunOutput c = run_with_threads(osp_factory(), cfg_c, 1);
 
-  runtime::EngineConfig cfg_c = golden_config();
-  cfg_c.checkpoint.every_iters = 5;
-  cfg_c.checkpoint.resume_from = path;
-  const RunOutput c = run_with_threads(osp_factory(), cfg_c, 1);
-
-  expect_same_result(a.result, c.result);
-  ASSERT_EQ(a.params.size(), c.params.size());
-  EXPECT_EQ(a.params, c.params) << "resumed params diverged";
-  std::remove(path.c_str());
+    expect_same_result(a.result, c.result);
+    ASSERT_EQ(a.params.size(), c.params.size());
+    EXPECT_EQ(a.params, c.params) << "resumed params diverged";
+    std::remove(path.c_str());
+  }
 }
 
 // ---- async vs. serial reference path ----
 
 TEST(AsyncMathBitIdentity, AsyncMatchesSerialReference) {
-  runtime::EngineConfig serial_cfg = golden_config();
-  serial_cfg.async_worker_math = false;
-  const RunOutput serial = run_with_threads(osp_factory(), serial_cfg, 4);
-  const RunOutput async = run_with_threads(osp_factory(), golden_config(), 4);
-  expect_same_result(serial.result, async.result);
-  EXPECT_EQ(serial.params, async.params);
+  for (const bool evals : {false, true}) {
+    SCOPED_TRACE(evals ? "frequent evals" : "default evals");
+    const runtime::EngineConfig cfg = evals ? eval_config() : golden_config();
+    runtime::EngineConfig serial_cfg = cfg;
+    serial_cfg.async_worker_math = false;
+    const RunOutput serial = run_with_threads(osp_factory(), serial_cfg, 4);
+    const RunOutput async = run_with_threads(osp_factory(), cfg, 4);
+    expect_same_result(serial.result, async.result);
+    EXPECT_EQ(serial.params, async.params);
+  }
 }
 
 // ---- stress: parking + crashes with jobs in flight ----
@@ -267,11 +303,13 @@ TEST(AsyncMathPipeline, SerialFallbackOnSingleThreadPool) {
 }
 
 TEST(AsyncMathPipeline, ReplicaPoolBoundedByThreads) {
+  // Eval ranges share the replicas with the math jobs; the bound holds
+  // with both in flight.
   util::ThreadPool pool(4);
   util::ThreadPool::ScopedGlobal guard(pool);
   const runtime::WorkloadSpec spec = models::tiny_mlp();
   sync::BspSync sync;
-  runtime::EngineConfig cfg = golden_config();
+  runtime::EngineConfig cfg = eval_config();
   cfg.max_epochs = 1;
   runtime::Engine engine(spec, cfg, sync);
   EXPECT_TRUE(engine.async_math());
@@ -289,6 +327,46 @@ TEST(AsyncMathPipeline, ConfigFlagDisablesOverlap) {
   cfg.async_worker_math = false;
   runtime::Engine engine(spec, cfg, sync);
   EXPECT_FALSE(engine.async_math());
+}
+
+/// Eval set whose examples past `fail_from` cannot be materialized.
+class FailingEvalSet : public data::Dataset {
+ public:
+  FailingEvalSet(std::shared_ptr<const data::Dataset> inner,
+                 std::size_t fail_from)
+      : inner_(std::move(inner)), fail_from_(fail_from) {}
+
+  [[nodiscard]] std::size_t size() const override { return inner_->size(); }
+
+  [[nodiscard]] data::Batch make_batch(
+      std::span<const std::size_t> indices) const override {
+    for (const std::size_t i : indices) {
+      OSP_CHECK(i < fail_from_, "eval example unavailable");
+    }
+    return inner_->make_batch(indices);
+  }
+
+ private:
+  std::shared_ptr<const data::Dataset> inner_;
+  std::size_t fail_from_;
+};
+
+TEST(AsyncMathPipeline, EvalFailureThrowsFromRun) {
+  // An OSP_CHECK inside an eval range on a pool thread must surface as an
+  // exception from Engine::run (and the engine must still tear down
+  // cleanly), not terminate the process.
+  for (const bool async : {true, false}) {
+    SCOPED_TRACE(async ? "async" : "serial");
+    util::ThreadPool pool(4);
+    util::ThreadPool::ScopedGlobal guard(pool);
+    runtime::WorkloadSpec spec = models::tiny_mlp();
+    spec.eval = std::make_shared<FailingEvalSet>(spec.eval, 5 * 16);
+    sync::BspSync sync;
+    runtime::EngineConfig cfg = eval_config();
+    cfg.async_worker_math = async;
+    runtime::Engine engine(spec, cfg, sync);
+    EXPECT_THROW((void)engine.run(), util::CheckError);
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <numeric>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -688,6 +689,40 @@ TEST(ThreadPoolTasks, FinishedTaskReleasesItsCallable) {
     h.join();
     EXPECT_EQ(payload.use_count(), 1) << "task " << i;
   }
+}
+
+TEST(ThreadPoolTasks, JoinRethrowsTaskException) {
+  // A throwing task still finishes: the worker survives, the in-flight
+  // count drops, and every join (not only the first) rethrows.
+  ThreadPool pool(1);
+  TaskHandle ran_on_worker =
+      pool.submit_task([] { throw std::runtime_error("worker"); });
+  pool.wait_idle();  // the pool worker ran it
+  EXPECT_TRUE(ran_on_worker.ready());
+  EXPECT_THROW(ran_on_worker.join(), std::runtime_error);
+  EXPECT_THROW(ran_on_worker.join(), std::runtime_error);
+  EXPECT_EQ(pool.tasks_in_flight(), 0u);
+
+  // Occupy the only worker so the join steals the throwing task.
+  std::atomic<bool> release{false};
+  pool.submit([&release] {
+    while (!release.load()) std::this_thread::yield();
+  });
+  TaskHandle stolen =
+      pool.submit_task([] { throw std::runtime_error("stolen"); });
+  EXPECT_THROW(stolen.join(), std::runtime_error);
+  EXPECT_TRUE(stolen.ready());
+  EXPECT_FALSE(ThreadPool::in_task());
+  EXPECT_THROW(stolen.join(), std::runtime_error);
+  EXPECT_EQ(pool.tasks_in_flight(), 0u);
+  release.store(true);
+  pool.wait_idle();
+
+  // The worker thread is still alive and serving tasks.
+  std::atomic<int> ran{0};
+  TaskHandle after = pool.submit_task([&ran] { ran.fetch_add(1); });
+  after.join();
+  EXPECT_EQ(ran.load(), 1);
 }
 
 TEST(ThreadPoolTasks, ManyTasksAllComplete) {
