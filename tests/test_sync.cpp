@@ -438,6 +438,20 @@ std::vector<GoldenCase> golden_cases() {
   cases.push_back({"casp",
                    [] { return std::make_unique<sync::CaspSync>(); },
                    golden_cfg()});
+  // The staleness bound never binds on the homogeneous config (asp, ssp2
+  // and dssp share one parameter hash); one 4x-slow worker makes each
+  // release rule shape the trajectory.
+  runtime::EngineConfig hetero_cfg = golden_cfg();
+  hetero_cfg.cluster.speed_factors = {1.0, 1.0, 1.0, 0.25};
+  cases.push_back({"asp_hetero",
+                   [] { return std::make_unique<sync::AspSync>(); },
+                   hetero_cfg});
+  cases.push_back({"ssp2_hetero",
+                   [] { return std::make_unique<sync::SspSync>(2); },
+                   hetero_cfg});
+  cases.push_back({"dssp_hetero",
+                   [] { return std::make_unique<sync::DsspSync>(1, 3); },
+                   hetero_cfg});
   cases.push_back({"sync_switch",
                    [] { return std::make_unique<sync::SyncSwitchSync>(0.3); },
                    golden_cfg()});
