@@ -21,10 +21,9 @@
 #include "models/zoo.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/telemetry.hpp"
-#include "sync/asp.hpp"
+#include "sync/async.hpp"
 #include "sync/bsp.hpp"
 #include "sync/r2sp.hpp"
-#include "sync/ssp.hpp"
 #include "util/parallel.hpp"
 #include "util/table.hpp"
 
@@ -72,7 +71,7 @@ struct NamedSync {
 /// The paper's comparison set in its presentation order (§5.1.3).
 inline std::vector<NamedSync> paper_baselines() {
   return {
-      {"ASP", [] { return std::make_unique<sync::AspSync>(); }},
+      {"ASP", [] { return std::make_unique<sync::AsyncSync>(); }},
       {"BSP", [] { return std::make_unique<sync::BspSync>(); }},
       {"R2SP", [] { return std::make_unique<sync::R2spSync>(); }},
       {"OSP", [] { return std::make_unique<core::OspSync>(); }},

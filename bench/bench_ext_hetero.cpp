@@ -7,8 +7,8 @@
 // variant are included for completeness.
 #include "bench_common.hpp"
 
+#include "sync/async.hpp"
 #include "sync/casp.hpp"
-#include "sync/dssp.hpp"
 
 int main() {
   using namespace osp;
@@ -25,9 +25,11 @@ int main() {
     std::vector<std::pair<std::string,
                           std::unique_ptr<runtime::SyncModel>>> syncs;
     syncs.emplace_back("BSP", std::make_unique<sync::BspSync>());
-    syncs.emplace_back("ASP", std::make_unique<sync::AspSync>());
-    syncs.emplace_back("SSP(s=3)", std::make_unique<sync::SspSync>(3));
-    syncs.emplace_back("DSSP(1..5)", std::make_unique<sync::DsspSync>(1, 5));
+    syncs.emplace_back("ASP", std::make_unique<sync::AsyncSync>());
+    syncs.emplace_back("SSP(s=3)",
+                       std::make_unique<sync::AsyncSync>(sync::ssp(3)));
+    syncs.emplace_back("DSSP(1..5)",
+                       std::make_unique<sync::AsyncSync>(sync::dssp(1, 5)));
     syncs.emplace_back("CASP", std::make_unique<sync::CaspSync>());
     syncs.emplace_back("R2SP", std::make_unique<sync::R2spSync>());
     syncs.emplace_back("OSP", std::make_unique<core::OspSync>());

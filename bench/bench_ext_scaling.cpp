@@ -59,7 +59,7 @@ int main() {
     jobs.push_back(bench::make_job(
         wspec, [] { return std::make_unique<sync::BspSync>(); }, cfg));
     jobs.push_back(bench::make_job(
-        wspec, [] { return std::make_unique<sync::AspSync>(); }, cfg));
+        wspec, [] { return std::make_unique<sync::AsyncSync>(); }, cfg));
     jobs.push_back(bench::make_job(
         wspec, [] { return std::make_unique<core::OspSync>(); }, cfg,
         osp_umax));

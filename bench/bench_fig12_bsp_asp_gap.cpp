@@ -19,7 +19,7 @@ int main() {
                                      bench::env_size("OSP_BENCH_EPOCHS", 6));
       cfg.straggler_jitter = jitter;
       sync::BspSync bsp;
-      sync::AspSync asp;
+      sync::AsyncSync asp;
       const auto rb = bench::run_one(spec, bsp, cfg);
       const auto ra = bench::run_one(spec, asp, cfg);
       const double tb = rb.mean_bct_s + rb.mean_bst_s;

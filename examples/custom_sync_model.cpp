@@ -14,7 +14,6 @@
 #include "models/zoo.hpp"
 #include "runtime/engine.hpp"
 #include "sync/bsp.hpp"
-#include "sync/transfer.hpp"
 #include "util/vec_math.hpp"
 
 namespace {
@@ -52,8 +51,8 @@ class LocalSgdSync : public runtime::SyncModel {
       return;
     }
     // Synchronization round: push the whole model for averaging.
-    sync::transfer(e, e.cluster().route_to_ps(worker), e.model_bytes(),
-                   [this] { on_push_arrived(); });
+    e.worker_transfer(worker, e.cluster().route_to_ps(worker),
+                      e.model_bytes(), [this] { on_push_arrived(); });
   }
 
  private:
@@ -71,13 +70,13 @@ class LocalSgdSync : public runtime::SyncModel {
     e.ps_submit(e.ps_apply_delay(e.model_bytes(), 3.0), [this] {
       runtime::Engine& en = eng();
       for (std::size_t w = 0; w < en.num_workers(); ++w) {
-        sync::transfer(en, en.cluster().route_from_ps(w), en.model_bytes(),
-                       [this, w] {
-                         runtime::Engine& e2 = eng();
-                         util::copy(e2.global_params(),
-                                    e2.worker_params(w));
-                         e2.finish_sync(w);
-                       });
+        en.worker_transfer(w, en.cluster().route_from_ps(w),
+                           en.model_bytes(), [this, w] {
+                             runtime::Engine& e2 = eng();
+                             util::copy(e2.global_params(),
+                                        e2.worker_params(w));
+                             e2.finish_sync(w);
+                           });
       }
     });
   }

@@ -13,9 +13,8 @@
 #include "core/osp_sync.hpp"
 #include "models/zoo.hpp"
 #include "runtime/engine.hpp"
-#include "sync/asp.hpp"
+#include "sync/async.hpp"
 #include "sync/bsp.hpp"
-#include "sync/ssp.hpp"
 
 int main(int argc, char** argv) {
   using namespace osp;
@@ -36,8 +35,8 @@ int main(int argc, char** argv) {
 
   std::vector<std::unique_ptr<runtime::SyncModel>> syncs;
   syncs.push_back(std::make_unique<sync::BspSync>());
-  syncs.push_back(std::make_unique<sync::AspSync>());
-  syncs.push_back(std::make_unique<sync::SspSync>(3));
+  syncs.push_back(std::make_unique<sync::AsyncSync>());
+  syncs.push_back(std::make_unique<sync::AsyncSync>(sync::ssp(3)));
   syncs.push_back(std::make_unique<core::OspSync>());
 
   double bsp_throughput = 0.0;

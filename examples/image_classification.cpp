@@ -14,10 +14,9 @@
 #include "core/osp_sync.hpp"
 #include "models/zoo.hpp"
 #include "runtime/engine.hpp"
-#include "sync/asp.hpp"
+#include "sync/async.hpp"
 #include "sync/bsp.hpp"
 #include "sync/r2sp.hpp"
-#include "sync/ssp.hpp"
 
 namespace {
 
@@ -32,9 +31,9 @@ osp::runtime::WorkloadSpec pick_workload(const std::string& name) {
 std::unique_ptr<osp::runtime::SyncModel> pick_sync(const std::string& name) {
   using namespace osp;
   if (name == "bsp") return std::make_unique<sync::BspSync>();
-  if (name == "asp") return std::make_unique<sync::AspSync>();
+  if (name == "asp") return std::make_unique<sync::AsyncSync>();
   if (name == "r2sp") return std::make_unique<sync::R2spSync>();
-  if (name == "ssp") return std::make_unique<sync::SspSync>(3);
+  if (name == "ssp") return std::make_unique<sync::AsyncSync>(sync::ssp(3));
   return std::make_unique<core::OspSync>();
 }
 

@@ -11,7 +11,7 @@
 #include "core/osp_sync.hpp"
 #include "models/zoo.hpp"
 #include "runtime/engine.hpp"
-#include "sync/asp.hpp"
+#include "sync/async.hpp"
 #include "sync/bsp.hpp"
 
 int main(int argc, char** argv) {
@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
 
   std::vector<std::unique_ptr<runtime::SyncModel>> syncs;
   syncs.push_back(std::make_unique<core::OspSync>());
-  syncs.push_back(std::make_unique<sync::AspSync>());
+  syncs.push_back(std::make_unique<sync::AsyncSync>());
   syncs.push_back(std::make_unique<sync::BspSync>());
 
   for (auto& sync : syncs) {

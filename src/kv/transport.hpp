@@ -16,9 +16,9 @@
 //    to `worker`, passes the fault layer (delay/drop injection) and is
 //    cancelled if the worker crashes mid-transfer, so the payload is not
 //    delivered posthumously.
-//  * owned = false — plain flow (the old sync/transfer.hpp helper):
-//    survives worker crashes; used by barrier models whose PS-side
-//    bookkeeping tolerates late arrivals.
+//  * owned = false — a plain network flow (or engine loopback), started
+//    inline in send(): survives worker crashes; used by barrier models
+//    whose PS-side bookkeeping tolerates late arrivals.
 #pragma once
 
 #include <cstddef>

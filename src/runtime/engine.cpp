@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "util/check.hpp"
 #include "util/vec_math.hpp"
@@ -176,8 +177,10 @@ std::size_t Engine::worker_epoch(std::size_t w) const {
 }
 
 std::size_t Engine::min_worker_iteration() const {
-  std::size_t m = workers_[0].iteration;
-  for (const WorkerState& ws : workers_) m = std::min(m, ws.iteration);
+  std::size_t m = std::numeric_limits<std::size_t>::max();
+  for (const WorkerState& ws : workers_) {
+    if (!ws.crashed) m = std::min(m, ws.iteration);
+  }
   return m;
 }
 
@@ -521,6 +524,8 @@ void Engine::on_compute_done(std::size_t w, double charged_time) {
 void Engine::finish_sync(std::size_t w) {
   WorkerState& ws = workers_[w];
   if (ws.crashed) return;  // stale callback; the restart path owns `w`
+  OSP_CHECK(!ws.compute_pending,
+            "sync model released a worker that is already computing");
   metrics_.record_bst(sim_.now() - ws.grad_ready_time);
   if (config_.record_trace) {
     // OSP reports kRs here — its blocking stage — so RS is distinguishable

@@ -156,6 +156,9 @@ class Engine {
   [[nodiscard]] std::span<float> worker_params(std::size_t w);
   [[nodiscard]] std::size_t worker_iteration(std::size_t w) const;
   [[nodiscard]] std::size_t worker_epoch(std::size_t w) const;
+  /// Lowest completed-iteration count over the alive workers: a crashed
+  /// worker cannot progress, so staleness bounds must not wait on it.
+  /// SIZE_MAX when every worker is crashed.
   [[nodiscard]] std::size_t min_worker_iteration() const;
   [[nodiscard]] std::size_t batches_per_epoch() const;
   /// Worker w's batch size (== spec().batch_size unless
@@ -187,6 +190,8 @@ class Engine {
 
   /// Called by the sync model when worker `w` may start its next iteration.
   /// Ignored for a crashed worker (the restart path owns its lifecycle).
+  /// Throws util::CheckError if `w` is computing: a model released it
+  /// twice, e.g. with a callback left over from before a crash.
   void finish_sync(std::size_t w);
 
   // ---- fault injection ----
@@ -200,10 +205,11 @@ class Engine {
     return workers_.at(w).done;
   }
 
-  /// Start a worker-owned transfer: like sync::transfer, but the flow is
-  /// registered to `owner` and cancelled if the owner crashes (the
-  /// completion callback then never fires). No-op when the owner is
-  /// already crashed. Handles the empty-route (co-located PS) loopback.
+  /// Move `bytes` along `route` on behalf of worker `owner` and call `done`
+  /// on arrival. The flow is registered to `owner` and cancelled if the
+  /// owner crashes (the completion callback then never fires). No-op when
+  /// the owner is already crashed. An empty route is a co-located-PS
+  /// loopback, completed through the event queue.
   void worker_transfer(std::size_t owner, std::vector<sim::LinkId> route,
                        double bytes, std::function<void()> done);
 

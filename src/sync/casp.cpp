@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <map>
 
-#include "sync/transfer.hpp"
+#include "runtime/engine.hpp"
 #include "util/check.hpp"
 #include "util/serde.hpp"
 #include "util/vec_math.hpp"
@@ -28,69 +28,84 @@ void CaspSync::attach(runtime::Engine& eng) {
     for (std::size_t w : members) group_of_[w] = groups_.size();
     groups_.push_back(std::move(members));
   }
-  arrived_.assign(groups_.size(), 0);
+  pushed_.assign(eng.num_workers(), false);
   agg_.assign(eng.global_params().size(), 0.0f);
   tel_rounds_ = 0;
 }
 
 void CaspSync::on_gradient_ready(std::size_t worker) {
   runtime::Engine& e = eng();
-  const std::size_t group = group_of_[worker];
-  transfer(e, e.cluster().route_to_ps(worker), e.model_bytes(),
-           [this, group] { on_push_arrived(group); });
+  e.worker_transfer(worker, e.cluster().route_to_ps(worker), e.model_bytes(),
+                    [this, worker] {
+                      pushed_[worker] = true;
+                      maybe_aggregate(group_of_[worker]);
+                    });
 }
 
-void CaspSync::on_push_arrived(std::size_t group) {
-  if (++arrived_[group] < groups_[group].size()) return;
-  arrived_[group] = 0;
-  group_aggregate(group);
+void CaspSync::on_worker_crashed(std::size_t worker) {
+  // The worker redoes its batch after a restart, so a push it already
+  // landed is withdrawn, and its group stops waiting for it.
+  pushed_[worker] = false;
+  maybe_aggregate(group_of_[worker]);
 }
 
-void CaspSync::group_aggregate(std::size_t group) {
+void CaspSync::maybe_aggregate(std::size_t group) {
   runtime::Engine& e = eng();
-  const auto& members = groups_[group];
-  // Mean over the group's gradients, applied ASP-style with the group's
-  // share of the cluster so per-sample step sizes stay calibrated.
+  std::vector<std::size_t> contributors;
+  for (std::size_t w : groups_[group]) {
+    if (pushed_[w]) {
+      contributors.push_back(w);
+    } else if (e.worker_alive(w) && !e.worker_done(w)) {
+      return;  // a member that will still push
+    }
+  }
+  if (contributors.empty()) return;
+  for (std::size_t w : contributors) pushed_[w] = false;
+  // Mean over the contributors' gradients, applied ASP-style with their
+  // share of the cluster so per-sample step sizes stay calibrated. Only a
+  // crashed member or one a restart left an iteration behind makes the
+  // contributors fewer than the group.
   agg_.assign(e.global_params().size(), 0.0f);
-  const float scale = 1.0f / static_cast<float>(members.size());
-  for (std::size_t w : members) {
+  const float scale = 1.0f / static_cast<float>(contributors.size());
+  for (std::size_t w : contributors) {
     util::axpy(scale, e.worker_gradient(w), agg_);
   }
-  e.apply_global_step(agg_, static_cast<double>(members.size()) /
+  e.apply_global_step(agg_, static_cast<double>(contributors.size()) /
                                 static_cast<double>(e.num_workers()));
-  record_full_round(++tel_rounds_, members.size());
-  e.ps_submit(e.ps_apply_delay(e.model_bytes(), 3.0), [this, group] {
+  record_full_round(++tel_rounds_, contributors.size());
+  e.ps_submit(e.ps_apply_delay(e.model_bytes(), 3.0), [this, contributors] {
     runtime::Engine& en = eng();
-    for (std::size_t w : groups_[group]) {
-      transfer(en, en.cluster().route_from_ps(w), en.model_bytes(),
-               [this, w] {
-                 runtime::Engine& e2 = eng();
-                 util::copy(e2.global_params(), e2.worker_params(w));
-                 e2.finish_sync(w);
-               });
+    for (std::size_t w : contributors) {
+      en.worker_transfer(w, en.cluster().route_from_ps(w), en.model_bytes(),
+                         [this, w] {
+                           runtime::Engine& e2 = eng();
+                           util::copy(e2.global_params(),
+                                      e2.worker_params(w));
+                           e2.finish_sync(w);
+                         });
     }
   });
 }
 
 void CaspSync::save_state(util::serde::Writer& w) const {
-  w.u8(1);  // CASP state version
+  w.u8(2);  // CASP state version
   w.u64(groups_.size());
-  w.size_vec(arrived_);
+  w.bool_vec(pushed_);
 }
 
 void CaspSync::load_state(util::serde::Reader& r) {
   const std::uint8_t version = r.u8();
-  OSP_CHECK(version == 1, "unsupported CASP state version");
+  OSP_CHECK(version == 2, "unsupported CASP state version");
   OSP_CHECK(r.u64() == groups_.size(),
             "CASP checkpoint group count mismatch");
-  arrived_ = r.size_vec();
-  OSP_CHECK(arrived_.size() == groups_.size(),
-            "CASP checkpoint arrival vector mismatch");
+  pushed_ = r.bool_vec();
+  OSP_CHECK(pushed_.size() == eng().num_workers(),
+            "CASP checkpoint worker count mismatch");
 }
 
 bool CaspSync::drained() const {
-  return std::all_of(arrived_.begin(), arrived_.end(),
-                     [](std::size_t v) { return v == 0; });
+  return std::none_of(pushed_.begin(), pushed_.end(),
+                      [](bool b) { return b; });
 }
 
 }  // namespace osp::sync

@@ -10,6 +10,11 @@
 // Grouping here is by the cluster's speed_factors (k-means would be
 // overkill for the evaluation's two-speed scenarios): workers with equal
 // speed factors share a group.
+//
+// A group's barrier waits only for members that can still push. A crashed
+// member's landed push is withdrawn (it redoes the batch after a restart)
+// and the group closes without it; a member that finished its epochs is
+// not waited for either, so one a restart left a batch behind can finish.
 #pragma once
 
 #include <cstddef>
@@ -27,6 +32,7 @@ class CaspSync : public runtime::SyncModel {
   [[nodiscard]] std::string name() const override;
   void attach(runtime::Engine& eng) override;
   void on_gradient_ready(std::size_t worker) override;
+  void on_worker_crashed(std::size_t worker) override;
 
   [[nodiscard]] std::size_t num_groups() const { return groups_.size(); }
 
@@ -35,12 +41,11 @@ class CaspSync : public runtime::SyncModel {
   [[nodiscard]] bool drained() const override;
 
  private:
-  void on_push_arrived(std::size_t group);
-  void group_aggregate(std::size_t group);
+  void maybe_aggregate(std::size_t group);
 
   std::vector<std::vector<std::size_t>> groups_;  // group -> workers
   std::vector<std::size_t> group_of_;             // worker -> group
-  std::vector<std::size_t> arrived_;              // per group
+  std::vector<bool> pushed_;  // per worker: push landed this group round
   std::vector<float> agg_;
   std::uint64_t tel_rounds_ = 0;  // group barriers closed (telemetry)
 };

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "sync/transfer.hpp"
+#include "runtime/engine.hpp"
 #include "util/serde.hpp"
 #include "util/vec_math.hpp"
 
@@ -22,16 +22,25 @@ void R2spSync::on_gradient_ready(std::size_t worker) {
 }
 
 void R2spSync::try_serve() {
-  if (serving_ || !ready_[token_]) return;
+  if (serving_) return;
+  // A worker that finished its epochs never pushes again; pass its turn
+  // on. Only a restarted worker, which redid a batch, can still be behind.
+  runtime::Engine& e = eng();
+  for (std::size_t i = 0; i < ready_.size() && e.worker_done(token_); ++i) {
+    token_ = (token_ + 1) % ready_.size();
+  }
+  if (!ready_[token_]) return;
   serving_ = true;
   ready_[token_] = false;
   const std::size_t w = token_;
-  runtime::Engine& e = eng();
-  transfer(e, e.cluster().route_to_ps(w), e.model_bytes(), [this, w] {
+  const std::uint64_t slot = ++slot_;
+  e.worker_transfer(w, e.cluster().route_to_ps(w), e.model_bytes(),
+                    [this, w, slot] {
     runtime::Engine& en = eng();
     en.apply_global_step(en.worker_gradient(w), en.worker_weight(w));
     record_full_round(++tel_rounds_, 1);
-    en.ps_submit(en.ps_apply_delay(en.model_bytes(), 3.0), [this, w] {
+    en.ps_submit(en.ps_apply_delay(en.model_bytes(), 3.0), [this, w, slot] {
+      if (slot != slot_) return;  // the worker crashed; its slot was freed
       runtime::Engine& e2 = eng();
       if (overlap_pull_) {
         // Idealized duplex pipeline: the next push may start while this
@@ -45,6 +54,17 @@ void R2spSync::try_serve() {
       }
     });
   });
+}
+
+void R2spSync::on_worker_crashed(std::size_t worker) {
+  // The crash cancelled the worker's owned push or pull, and it redoes the
+  // batch after its restart. A push still waiting for its turn is gone; a
+  // slot in service is freed, voiding a PS update still queued for it, so
+  // the redone push is served in its place.
+  ready_[worker] = false;
+  if (!serving_ || token_ != worker) return;
+  serving_ = false;
+  ++slot_;
 }
 
 void R2spSync::save_state(util::serde::Writer& w) const {
@@ -71,17 +91,18 @@ bool R2spSync::drained() const {
 
 void R2spSync::deliver(std::size_t worker) {
   runtime::Engine& e = eng();
-  transfer(e, e.cluster().route_from_ps(worker), e.model_bytes(),
-           [this, worker] {
-             runtime::Engine& en = eng();
-             util::copy(en.global_params(), en.worker_params(worker));
-             en.finish_sync(worker);
-             if (!overlap_pull_) {
-               serving_ = false;
-               token_ = (token_ + 1) % en.num_workers();
-               try_serve();
-             }
-           });
+  e.worker_transfer(worker, e.cluster().route_from_ps(worker),
+                    e.model_bytes(), [this, worker] {
+                      runtime::Engine& en = eng();
+                      util::copy(en.global_params(),
+                                 en.worker_params(worker));
+                      en.finish_sync(worker);
+                      if (!overlap_pull_) {
+                        serving_ = false;
+                        token_ = (token_ + 1) % en.num_workers();
+                        try_serve();
+                      }
+                    });
 }
 
 }  // namespace osp::sync

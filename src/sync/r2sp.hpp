@@ -24,6 +24,7 @@ class R2spSync : public runtime::SyncModel {
   }
   void attach(runtime::Engine& eng) override;
   void on_gradient_ready(std::size_t worker) override;
+  void on_worker_crashed(std::size_t worker) override;
   void save_state(util::serde::Writer& w) const override;
   void load_state(util::serde::Reader& r) override;
   [[nodiscard]] bool drained() const override;
@@ -36,6 +37,7 @@ class R2spSync : public runtime::SyncModel {
   std::vector<bool> ready_;
   std::size_t token_ = 0;   // whose turn it is
   bool serving_ = false;    // the PS is busy with a worker's slot
+  std::uint64_t slot_ = 0;  // slots started; a crash voids the current one
   std::uint64_t tel_rounds_ = 0;  // served slots (telemetry)
 };
 

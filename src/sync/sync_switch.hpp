@@ -8,7 +8,7 @@
 #pragma once
 
 #include "runtime/sync_model.hpp"
-#include "sync/asp.hpp"
+#include "sync/async.hpp"
 #include "sync/bsp.hpp"
 
 namespace osp::sync {
@@ -34,7 +34,7 @@ class SyncSwitchSync : public runtime::SyncModel {
   std::size_t switch_epoch_ = 0;
   bool switched_ = false;
   BspSync bsp_;
-  AspSync asp_;
+  AsyncSync asp_;
 };
 
 }  // namespace osp::sync

@@ -126,8 +126,7 @@ struct Kernels {
   ScatterFn scatter;
 };
 
-/// The active util::simd tier's packing kernels (the avx2fma tier moves
-/// data like avx2).
+/// The active util::simd tier's packing kernels.
 const Kernels& active_kernels() {
   static constexpr Kernels kScalar{copy_block_scalar, scatter_taps_scalar};
 #ifdef OSP_CONV_X86
@@ -136,7 +135,6 @@ const Kernels& active_kernels() {
   switch (util::simd::active_tier()) {
     case util::simd::Tier::kAvx512:
       return kAvx512;
-    case util::simd::Tier::kAvx2Fma:
     case util::simd::Tier::kAvx2:
       return kAvx2;
     case util::simd::Tier::kScalar:

@@ -148,13 +148,10 @@ void run_tiles(const Panel& pn, std::size_t width, const TileFn* tiles) {
 void gemm(const Panel& pn) {
   if (pn.m == 0 || pn.n == 0) return;
 #ifdef OSP_GEMM_X86
-  // The avx2fma tier runs the AVX2 tiles: a fused multiply-add would
-  // round differently.
   switch (util::simd::active_tier()) {
     case util::simd::Tier::kAvx512:
       run_tiles(pn, 16, kAvx512Tiles);
       return;
-    case util::simd::Tier::kAvx2Fma:
     case util::simd::Tier::kAvx2:
       run_tiles(pn, 8, kAvx2Tiles);
       return;

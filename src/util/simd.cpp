@@ -328,24 +328,6 @@ __attribute__((target("avx2"))) double dot_avx2(const float* a, const float* b,
   OSP_REDUCE_TAIL(static_cast<double>(a[i]) * static_cast<double>(b[i]));
 }
 
-__attribute__((target("avx2,fma"))) double dot_fma(const float* a,
-                                                   const float* b,
-                                                   std::size_t n) {
-  __m256d lo = _mm256_setzero_pd(), hi = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 va = _mm256_loadu_ps(a + i);
-    const __m256 vb = _mm256_loadu_ps(b + i);
-    // double(a)*double(b) is exact (24-bit mantissas, 53-bit double), so
-    // the fused multiply-add rounds identically to mul-then-add.
-    lo = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm256_castps256_ps128(va)),
-                         _mm256_cvtps_pd(_mm256_castps256_ps128(vb)), lo);
-    hi = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm256_extractf128_ps(va, 1)),
-                         _mm256_cvtps_pd(_mm256_extractf128_ps(vb, 1)), hi);
-  }
-  OSP_REDUCE_TAIL(static_cast<double>(a[i]) * static_cast<double>(b[i]));
-}
-
 __attribute__((target("avx2"))) double abs_prod_sum_avx2(const float* a,
                                                          const float* b,
                                                          std::size_t n) {
@@ -363,26 +345,6 @@ __attribute__((target("avx2"))) double abs_prod_sum_avx2(const float* a,
                       _mm256_cvtps_pd(_mm256_extractf128_ps(vb, 1)));
     lo = _mm256_add_pd(lo, _mm256_andnot_pd(dsign, plo));
     hi = _mm256_add_pd(hi, _mm256_andnot_pd(dsign, phi));
-  }
-  OSP_REDUCE_TAIL(
-      std::abs(static_cast<double>(a[i]) * static_cast<double>(b[i])));
-}
-
-__attribute__((target("avx2,fma"))) double abs_prod_sum_fma(const float* a,
-                                                            const float* b,
-                                                            std::size_t n) {
-  // |a*b| == |a| * |b| exactly (both products are exact in double), so the
-  // abs can move onto the float inputs and the multiply-add can fuse.
-  const __m256 fsign = _mm256_set1_ps(-0.0f);
-  __m256d lo = _mm256_setzero_pd(), hi = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 va = _mm256_andnot_ps(fsign, _mm256_loadu_ps(a + i));
-    const __m256 vb = _mm256_andnot_ps(fsign, _mm256_loadu_ps(b + i));
-    lo = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm256_castps256_ps128(va)),
-                         _mm256_cvtps_pd(_mm256_castps256_ps128(vb)), lo);
-    hi = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm256_extractf128_ps(va, 1)),
-                         _mm256_cvtps_pd(_mm256_extractf128_ps(vb, 1)), hi);
   }
   OSP_REDUCE_TAIL(
       std::abs(static_cast<double>(a[i]) * static_cast<double>(b[i])));
@@ -410,20 +372,6 @@ __attribute__((target("avx2"))) double l2sq_avx2(const float* x,
     const __m256d vhi = _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1));
     lo = _mm256_add_pd(lo, _mm256_mul_pd(vlo, vlo));
     hi = _mm256_add_pd(hi, _mm256_mul_pd(vhi, vhi));
-  }
-  OSP_REDUCE_TAIL(static_cast<double>(x[i]) * static_cast<double>(x[i]));
-}
-
-__attribute__((target("avx2,fma"))) double l2sq_fma(const float* x,
-                                                    std::size_t n) {
-  __m256d lo = _mm256_setzero_pd(), hi = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 v = _mm256_loadu_ps(x + i);
-    const __m256d vlo = _mm256_cvtps_pd(_mm256_castps256_ps128(v));
-    const __m256d vhi = _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1));
-    lo = _mm256_fmadd_pd(vlo, vlo, lo);
-    hi = _mm256_fmadd_pd(vhi, vhi, hi);
   }
   OSP_REDUCE_TAIL(static_cast<double>(x[i]) * static_cast<double>(x[i]));
 }
@@ -945,18 +893,6 @@ constexpr Kernels kAvx2Kernels = {
     relu_avx2,          relu_grad_avx2,
 };
 
-// The FMA tier shares every elementwise/codec kernel with AVX2 (a fused
-// float op would change rounding); only the double reductions fuse.
-constexpr Kernels kAvx2FmaKernels = {
-    axpy_avx2,          scale_avx2,    add_avx2,
-    add_copy2_avx2,     sub_avx2,      dot_fma,
-    abs_prod_sum_fma,   l1_avx2,       l2sq_fma,
-    max_abs_avx2,       quantize_dequantize_avx2,
-    abs_into_avx2,      count_gt_avx2, threshold_zero_avx2,
-    mask_zero_avx2,     pack_bits_avx2, unpack_bits_avx2,
-    relu_avx2,          relu_grad_avx2,
-};
-
 constexpr Kernels kAvx512Kernels = {
     axpy_avx512,          scale_avx512,    add_avx512,
     add_copy2_avx512,     sub_avx512,      dot_avx512,
@@ -977,9 +913,7 @@ Tier detect_hardware_tier() {
       __builtin_cpu_supports("avx512vl")) {
     return Tier::kAvx512;
   }
-  if (__builtin_cpu_supports("avx2")) {
-    return __builtin_cpu_supports("fma") ? Tier::kAvx2Fma : Tier::kAvx2;
-  }
+  if (__builtin_cpu_supports("avx2")) return Tier::kAvx2;
 #endif
   return Tier::kScalar;
 }
@@ -1004,8 +938,6 @@ const char* tier_name(Tier t) {
       return "scalar";
     case Tier::kAvx2:
       return "avx2";
-    case Tier::kAvx2Fma:
-      return "avx2fma";
     case Tier::kAvx512:
       return "avx512";
   }
@@ -1015,7 +947,6 @@ const char* tier_name(Tier t) {
 std::optional<Tier> parse_tier(std::string_view name) {
   if (name == "scalar") return Tier::kScalar;
   if (name == "avx2") return Tier::kAvx2;
-  if (name == "avx2fma" || name == "fma") return Tier::kAvx2Fma;
   if (name == "avx512") return Tier::kAvx512;
   return std::nullopt;
 }
@@ -1042,8 +973,6 @@ const Kernels& kernels(Tier t) {
   switch (clamp_to_hardware(t)) {
     case Tier::kAvx512:
       return kAvx512Kernels;
-    case Tier::kAvx2Fma:
-      return kAvx2FmaKernels;
     case Tier::kAvx2:
       return kAvx2Kernels;
     case Tier::kScalar:

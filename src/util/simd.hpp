@@ -2,10 +2,10 @@
 // GEMM micro-kernel (tensor/ops.cpp) and the conv kernels (tensor/conv.cpp)
 // pick their own tier-specific code from active_tier() as well.
 //
-// Four tiers — scalar, AVX2, AVX2+FMA, AVX-512 — selected once at startup
-// via __builtin_cpu_supports, overridable with the OSP_SIMD_TIER environment
-// variable ("scalar" | "avx2" | "avx2fma" | "avx512", clamped to what the
-// CPU supports) and force-able from tests via force_tier().
+// Three tiers — scalar, AVX2, AVX-512 — selected once at startup via
+// __builtin_cpu_supports, overridable with the OSP_SIMD_TIER environment
+// variable ("scalar" | "avx2" | "avx512", clamped to what the CPU
+// supports) and force-able from tests via force_tier().
 //
 // Bit-identity contract (see DESIGN.md "SIMD dispatch tiers"): every tier
 // of every kernel produces bit-identical results.
@@ -15,9 +15,9 @@
 //  - Double-precision reductions over float inputs use one fixed-width
 //    8-lane accumulation tree in every tier: lane j of a range owns
 //    elements (base+j, base+j+8, ...), and the 8 lane totals are combined
-//    serially in lane order. The FMA tiers may fuse the per-lane
-//    multiply-add because the product of two floats is exactly
-//    representable in double, so fused and unfused rounding coincide.
+//    serially in lane order. The AVX-512 tier fuses the per-lane
+//    multiply-add: the product of two floats is exactly representable in
+//    double, so fused and unfused rounding coincide.
 //  - Integer/bitmap kernels are exact by construction.
 #pragma once
 
@@ -28,9 +28,11 @@
 
 namespace osp::util::simd {
 
-enum class Tier : int { kScalar = 0, kAvx2 = 1, kAvx2Fma = 2, kAvx512 = 3 };
+/// Ordered by capability. 2 was the retired AVX2+FMA tier; the values are
+/// kept because BENCH_micro_tensor.json records them.
+enum class Tier : int { kScalar = 0, kAvx2 = 1, kAvx512 = 3 };
 
-/// Human-readable tier name ("scalar", "avx2", "avx2fma", "avx512").
+/// Human-readable tier name ("scalar", "avx2", "avx512").
 [[nodiscard]] const char* tier_name(Tier t);
 
 /// Parse an OSP_SIMD_TIER-style name; nullopt for unknown strings.

@@ -30,11 +30,10 @@
 #include "models/zoo.hpp"
 #include "runtime/checkpoint.hpp"
 #include "runtime/engine.hpp"
-#include "sync/asp.hpp"
+#include "sync/async.hpp"
 #include "sync/bsp.hpp"
 #include "sync/kv_bsp.hpp"
 #include "sync/r2sp.hpp"
-#include "sync/ssp.hpp"
 #include "util/check.hpp"
 #include "util/serde.hpp"
 
@@ -271,29 +270,34 @@ void expect_byte_stable(const std::string& path) {
   EXPECT_EQ(w.take(), file.payload);
 }
 
-/// The A/B/C scenario described in the file header.
-void expect_resume_equivalent(const SyncFactory& make,
-                              const runtime::EngineConfig& base,
-                              const std::string& tag) {
+/// The A/B/C scenario described in the file header; `every_iters` and
+/// `checkpoints` (run A's snapshot count) move the snapshots. `inspect`
+/// sees the checkpoint run B halted at.
+void expect_resume_equivalent(
+    const SyncFactory& make, const runtime::EngineConfig& base,
+    const std::string& tag, std::size_t every_iters = 5,
+    std::size_t checkpoints = 4,
+    const std::function<void(const runtime::RunCheckpoint&)>& inspect = {}) {
   TempFile file(temp_path("osp_resume_" + tag + ".bin"));
 
   runtime::EngineConfig cfg_a = base;
-  cfg_a.checkpoint.every_iters = 5;
+  cfg_a.checkpoint.every_iters = every_iters;
   const RunOutput a = run_model(make, cfg_a);
-  EXPECT_EQ(a.result.checkpoints_taken, 4u) << tag;
+  EXPECT_EQ(a.result.checkpoints_taken, checkpoints) << tag;
   EXPECT_FALSE(a.result.halted_at_checkpoint);
 
   runtime::EngineConfig cfg_b = base;
-  cfg_b.checkpoint.every_iters = 5;
+  cfg_b.checkpoint.every_iters = every_iters;
   cfg_b.checkpoint.path = file.path;
   cfg_b.checkpoint.halt_after_checkpoint = true;
   const RunOutput b = run_model(make, cfg_b);
   EXPECT_TRUE(b.result.halted_at_checkpoint);
   EXPECT_EQ(b.result.checkpoints_taken, 1u) << tag;
   expect_byte_stable(file.path);
+  if (inspect) inspect(runtime::RunCheckpoint::load(file.path));
 
   runtime::EngineConfig cfg_c = base;
-  cfg_c.checkpoint.every_iters = 5;
+  cfg_c.checkpoint.every_iters = every_iters;
   cfg_c.checkpoint.resume_from = file.path;
   const RunOutput c = run_model(make, cfg_c);
 
@@ -317,14 +321,31 @@ TEST(ResumeEquivalence, BspWithMomentum) {
 
 TEST(ResumeEquivalence, Asp) {
   expect_resume_equivalent(
-      [] { return std::make_unique<sync::AspSync>(); }, golden_config(),
+      [] { return std::make_unique<sync::AsyncSync>(); }, golden_config(),
       "asp");
 }
 
 TEST(ResumeEquivalence, Ssp) {
   expect_resume_equivalent(
-      [] { return std::make_unique<sync::SspSync>(2); }, golden_config(),
-      "ssp");
+      [] { return std::make_unique<sync::AsyncSync>(sync::ssp(2)); },
+      golden_config(), "ssp");
+}
+
+TEST(ResumeEquivalence, DsspAdaptedBoundCrossesCheckpoint) {
+  // One 4x-slow worker makes the spread hit the bound, so DSSP(1..3) has
+  // tightened by the first snapshot, taken after epoch 1 (8 iterations):
+  // the resumed run must continue from the adapted bound, not from 3.
+  runtime::EngineConfig cfg = golden_config();
+  cfg.cluster.speed_factors = {1.0, 1.0, 1.0, 0.25};
+  expect_resume_equivalent(
+      [] { return std::make_unique<sync::AsyncSync>(sync::dssp(1, 3)); },
+      cfg, "dssp", /*every_iters=*/10, /*checkpoints=*/2,
+      [](const runtime::RunCheckpoint& ckpt) {
+        sync::AsyncSync snapshot(sync::dssp(1, 3));
+        util::serde::Reader r(ckpt.sync_state);
+        snapshot.load_state(r);
+        EXPECT_LT(snapshot.current_bound(), 3u);
+      });
 }
 
 TEST(ResumeEquivalence, R2sp) {
@@ -462,7 +483,7 @@ TEST(CheckpointGuards, RefusesMismatchedResume) {
     runtime::EngineConfig bad = golden_config();
     bad.checkpoint.resume_from = file.path;
     const runtime::WorkloadSpec spec = models::tiny_mlp();
-    sync::AspSync asp;
+    sync::AsyncSync asp;
     runtime::Engine engine(spec, bad, asp);
     EXPECT_THROW((void)engine.run(), util::CheckError);
   }

@@ -5,15 +5,19 @@
 // trajectories.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "core/osp_sync.hpp"
 #include "models/zoo.hpp"
 #include "runtime/engine.hpp"
 #include "sim/cluster.hpp"
 #include "sim/faults.hpp"
-#include "sync/asp.hpp"
+#include "sync/async.hpp"
 #include "sync/bsp.hpp"
+#include "sync/casp.hpp"
+#include "sync/r2sp.hpp"
 #include "util/check.hpp"
 
 namespace osp {
@@ -33,6 +37,31 @@ runtime::RunResult run_with(runtime::SyncModel& sync,
   const runtime::WorkloadSpec spec = models::tiny_mlp();
   runtime::Engine engine(spec, cfg, sync);
   return engine.run();
+}
+
+struct PlannedRun {
+  runtime::RunResult result;
+  std::vector<float> params;
+};
+
+/// Runs `sync` on the tiny workload and expects every worker alive at the
+/// end to have completed all its planned iterations. A model that stalls
+/// makes Engine::run return a truncated result as if training had
+/// finished, which only this count exposes.
+PlannedRun run_to_plan(runtime::SyncModel& sync,
+                       const runtime::EngineConfig& cfg) {
+  const runtime::WorkloadSpec spec = models::tiny_mlp();
+  runtime::Engine engine(spec, cfg, sync);
+  PlannedRun out{engine.run(), {}};
+  const std::size_t planned = cfg.max_epochs * engine.batches_per_epoch();
+  for (std::size_t w = 0; w < cfg.num_workers; ++w) {
+    if (!engine.worker_alive(w)) continue;
+    EXPECT_EQ(engine.worker_iteration(w), planned)
+        << sync.name() << ": worker " << w << " stopped short";
+  }
+  const auto params = engine.global_params();
+  out.params.assign(params.begin(), params.end());
+  return out;
 }
 
 /// Resolve the deterministic link ids of the engine's cluster by building
@@ -91,7 +120,7 @@ TEST(GoldenRegression, BspUnchangedByFaultLayer) {
 }
 
 TEST(GoldenRegression, AspUnchangedByFaultLayer) {
-  sync::AspSync sync;
+  sync::AsyncSync sync;
   const runtime::RunResult r = run_with(sync, golden_config());
   EXPECT_FALSE(r.faults.any());
   EXPECT_DOUBLE_EQ(r.total_samples, 1536.0);
@@ -220,6 +249,127 @@ TEST(CrashSurvival, OspCrashRestartResumesIcs) {
   EXPECT_DOUBLE_EQ(r.total_samples, 1536.0);
   // After recovery the budget applies again: ICS rounds keep completing.
   EXPECT_GT(sync.ics_rounds_completed(), 0u);
+}
+
+// The staleness bound counts only alive workers, so a worker that never
+// comes back stops holding SSP and DSSP back; ASP never waited for it.
+TEST(CrashSurvival, AsyncProfilesOutliveAPermanentCrash) {
+  runtime::EngineConfig cfg = golden_config();
+  cfg.max_virtual_time_s = 60.0;
+  cfg.faults.crash_worker(0.05, 1);
+  for (const sync::Staleness& s :
+       {sync::asp(), sync::ssp(2), sync::dssp(1, 3)}) {
+    sync::AsyncSync sync(s);
+    const PlannedRun run = run_to_plan(sync, cfg);
+    EXPECT_EQ(run.result.faults.worker_crashes, 1u) << sync.name();
+    EXPECT_EQ(run.result.faults.worker_restarts, 0u) << sync.name();
+    // The three survivors' 3 × 384 samples, plus what the crashed worker
+    // computed before it died.
+    EXPECT_GE(run.result.total_samples, 3 * 384.0) << sync.name();
+    EXPECT_LT(run.result.total_samples, 1536.0) << sync.name();
+    EXPECT_TRUE(std::isfinite(run.result.final_loss)) << sync.name();
+    EXPECT_TRUE(sync.drained()) << sync.name();
+  }
+}
+
+/// Records whether the crashed worker was parked over the bound.
+class ParkProbe : public sync::AsyncSync {
+ public:
+  using AsyncSync::AsyncSync;
+  void on_worker_crashed(std::size_t worker) override {
+    crashed_parked = std::count(parked().begin(), parked().end(), worker) > 0;
+    AsyncSync::on_worker_crashed(worker);
+  }
+  bool crashed_parked = false;
+};
+
+TEST(CrashSurvival, SspWorkerCrashedWhileParkedRejoins) {
+  // Worker 3 runs at a quarter speed, so under SSP(1) the fast workers
+  // spend most of the run parked. Worker 0 crashes while parked and is
+  // back before worker 3 next raises the minimum. A park entry left behind
+  // would then release it mid-compute: its crashed batch would count as
+  // done and the redone one be lost.
+  auto parked_crash_run = [] {
+    runtime::EngineConfig cfg = golden_config();
+    cfg.max_virtual_time_s = 60.0;
+    cfg.cluster.speed_factors = {1.0, 1.0, 1.0, 0.25};
+    cfg.faults.crash_worker(0.33, 0, /*restart_after=*/0.01);
+    ParkProbe sync(sync::ssp(1));
+    PlannedRun run = run_to_plan(sync, cfg);
+    EXPECT_TRUE(sync.crashed_parked) << "the crash missed a parked worker";
+    EXPECT_TRUE(sync.drained());
+    return run;
+  };
+  const PlannedRun a = parked_crash_run();
+  EXPECT_EQ(a.result.faults.worker_crashes, 1u);
+  EXPECT_EQ(a.result.faults.worker_restarts, 1u);
+  // The parked worker had finished its batch, but its iteration only
+  // counts at release, so the restart redoes that batch.
+  EXPECT_DOUBLE_EQ(a.result.total_samples, 1536.0 + 16.0);
+  const PlannedRun b = parked_crash_run();
+  EXPECT_EQ(a.params, b.params);
+  EXPECT_EQ(a.result.total_time_s, b.result.total_time_s);
+  EXPECT_EQ(a.result.final_loss, b.result.final_loss);
+  EXPECT_EQ(a.result.mean_bst_s, b.result.mean_bst_s);
+}
+
+TEST(CrashSurvival, R2spCrashRestartFreesItsSlot) {
+  // A crash cancels the worker's owned push or pull, wherever its slot
+  // stands: waiting for its turn, pushing, queued at the PS or pulling.
+  // The slot is freed and the redone push served after the restart. With
+  // a slow PS the worker can be back while the crashed slot's update is
+  // still queued; that update must not answer the redone push. At 0.25 s
+  // (duplex) and 0.27 s (serial) such a stale answer lands while the
+  // worker computes, which the engine rejects.
+  for (const bool overlap_pull : {true, false}) {
+    for (const double ps_apply_bytes_per_s : {2.0e9, 1.0e8}) {
+      for (const double at : {0.2, 0.25, 0.27, 0.3, 0.4, 0.5, 0.6}) {
+        runtime::EngineConfig cfg = golden_config();
+        cfg.max_virtual_time_s = 60.0;
+        cfg.cluster.ps_apply_bytes_per_s = ps_apply_bytes_per_s;
+        cfg.faults.crash_worker(at, 1, /*restart_after=*/0.01);
+        sync::R2spSync sync(overlap_pull);
+        const PlannedRun run = run_to_plan(sync, cfg);
+        const runtime::RunResult& r = run.result;
+        EXPECT_LT(r.total_time_s, 59.0) << sync.name() << " at " << at;
+        EXPECT_EQ(r.faults.worker_restarts, 1u) << sync.name() << " at " << at;
+        EXPECT_GE(r.total_samples, 1536.0) << sync.name() << " at " << at;
+        EXPECT_LE(r.total_samples, 1536.0 + 16.0)
+            << sync.name() << " at " << at;
+        EXPECT_TRUE(sync.drained()) << sync.name() << " at " << at;
+      }
+    }
+  }
+}
+
+TEST(CrashSurvival, CaspCrashRestartRejoinsItsGroup) {
+  // Two speed groups. A crash withdraws the worker's landed push and its
+  // group closes without it; after the restart it rejoins the group, a
+  // batch behind if the crash cost it an applied update. Without a
+  // restart the group goes on without it. At 0.48 s the worker's push is
+  // in flight after its partner's landed, so only the crash notification
+  // can close the group.
+  for (const double restart_after : {0.1, -1.0}) {
+    for (const double at : {0.2, 0.3, 0.4, 0.48, 0.5, 0.6}) {
+      runtime::EngineConfig cfg = golden_config();
+      cfg.max_virtual_time_s = 60.0;
+      cfg.cluster.speed_factors = {1.0, 1.0, 0.5, 0.5};
+      cfg.faults.crash_worker(at, 1, restart_after);
+      sync::CaspSync sync;
+      const PlannedRun run = run_to_plan(sync, cfg);
+      const runtime::RunResult& r = run.result;
+      EXPECT_TRUE(std::isfinite(r.final_loss)) << at;
+      EXPECT_TRUE(sync.drained()) << at;
+      if (restart_after < 0.0) {
+        EXPECT_EQ(r.faults.worker_restarts, 0u) << at;
+        EXPECT_GE(r.total_samples, 3 * 384.0) << at;
+        continue;
+      }
+      EXPECT_EQ(r.faults.worker_restarts, 1u) << at;
+      EXPECT_GE(r.total_samples, 1536.0) << at;
+      EXPECT_LE(r.total_samples, 1536.0 + 16.0) << at;
+    }
+  }
 }
 
 // ---- link faults during ICS ----

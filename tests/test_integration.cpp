@@ -12,7 +12,7 @@
 #include "nn/optimizer.hpp"
 #include "nn/registry.hpp"
 #include "runtime/engine.hpp"
-#include "sync/asp.hpp"
+#include "sync/async.hpp"
 #include "sync/bsp.hpp"
 
 namespace osp {
@@ -137,7 +137,7 @@ TEST(LearningRateSchedule, HalvesInLongRuns) {
   cfg.num_workers = 2;
   cfg.max_epochs = 12;
   cfg.seed = 13;
-  sync::AspSync asp;
+  sync::AsyncSync asp;
   runtime::Engine engine(spec, cfg, asp);
   const auto r = engine.run();
   ASSERT_EQ(r.epoch_losses.size(), 12u);

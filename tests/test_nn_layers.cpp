@@ -177,7 +177,7 @@ TEST(ReluLayer, SeedRulesInEverySimdTier) {
     want_dx[i] = x[i] <= 0.0f ? 0.0f : g[i];
   }
   using util::simd::Tier;
-  for (Tier t : {Tier::kScalar, Tier::kAvx2, Tier::kAvx2Fma, Tier::kAvx512}) {
+  for (Tier t : {Tier::kScalar, Tier::kAvx2, Tier::kAvx512}) {
     if (t > util::simd::hardware_tier()) continue;
     util::simd::ScopedTier forced(t);
     ReLU layer("relu");
@@ -501,7 +501,7 @@ TEST(SelfAttentionLayer, BitIdenticalAcrossTiersAndThreads) {
     util::ThreadPool::ScopedGlobal guard(solo);
     want = run();
   }
-  for (Tier t : {Tier::kScalar, Tier::kAvx2, Tier::kAvx2Fma, Tier::kAvx512}) {
+  for (Tier t : {Tier::kScalar, Tier::kAvx2, Tier::kAvx512}) {
     if (t > util::simd::hardware_tier()) continue;
     util::simd::ScopedTier forced(t);
     for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {

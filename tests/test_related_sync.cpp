@@ -4,9 +4,9 @@
 
 #include "models/zoo.hpp"
 #include "runtime/engine.hpp"
+#include "sync/async.hpp"
 #include "sync/bsp.hpp"
 #include "sync/casp.hpp"
-#include "sync/dssp.hpp"
 #include "util/check.hpp"
 
 namespace osp {
@@ -24,7 +24,7 @@ runtime::EngineConfig rel_config(std::size_t workers = 4,
 
 TEST(Dssp, TrainsAndNames) {
   const auto spec = models::tiny_mlp();
-  sync::DsspSync dssp(1, 4);
+  sync::AsyncSync dssp(sync::dssp(1, 4));
   runtime::Engine engine(spec, rel_config(), dssp);
   const auto r = engine.run();
   EXPECT_EQ(r.sync_name, "DSSP(1..4)");
@@ -36,7 +36,7 @@ TEST(Dssp, BoundStaysInRange) {
   const auto spec = models::tiny_mlp();
   auto cfg = rel_config(3, 8);
   cfg.cluster.speed_factors = {1.0, 1.0, 0.4};  // force spread
-  sync::DsspSync dssp(1, 5);
+  sync::AsyncSync dssp(sync::dssp(1, 5));
   runtime::Engine engine(spec, cfg, dssp);
   (void)engine.run();
   EXPECT_GE(dssp.current_bound(), 1u);
@@ -49,14 +49,14 @@ TEST(Dssp, TightensUnderStragglers) {
   const auto spec = models::tiny_mlp();
   auto cfg = rel_config(2, 10);
   cfg.cluster.speed_factors = {1.0, 0.25};
-  sync::DsspSync dssp(1, 8);
+  sync::AsyncSync dssp(sync::dssp(1, 8));
   runtime::Engine engine(spec, cfg, dssp);
   (void)engine.run();
   EXPECT_LT(dssp.current_bound(), 8u);
 }
 
 TEST(Dssp, RejectsInvertedBounds) {
-  EXPECT_THROW(sync::DsspSync(5, 2), util::CheckError);
+  EXPECT_THROW(sync::AsyncSync(sync::dssp(5, 2)), util::CheckError);
 }
 
 TEST(Casp, GroupsBySpeed) {

@@ -5,10 +5,9 @@
 #include "core/osp_sync.hpp"
 #include "models/zoo.hpp"
 #include "runtime/engine.hpp"
-#include "sync/asp.hpp"
+#include "sync/async.hpp"
 #include "sync/bsp.hpp"
 #include "sync/r2sp.hpp"
-#include "sync/ssp.hpp"
 
 namespace osp {
 namespace {
@@ -36,7 +35,7 @@ TEST(Smoke, BspTrainsTinyMlp) {
 
 TEST(Smoke, AspTrainsTinyMlp) {
   const runtime::WorkloadSpec spec = models::tiny_mlp();
-  sync::AspSync sync;
+  sync::AsyncSync sync;
   runtime::Engine engine(spec, tiny_config(), sync);
   const runtime::RunResult r = engine.run();
   EXPECT_GT(r.best_metric, 0.5);
@@ -52,7 +51,7 @@ TEST(Smoke, R2spTrainsTinyMlp) {
 
 TEST(Smoke, SspTrainsTinyMlp) {
   const runtime::WorkloadSpec spec = models::tiny_mlp();
-  sync::SspSync sync(3);
+  sync::AsyncSync sync(sync::ssp(3));
   runtime::Engine engine(spec, tiny_config(), sync);
   const runtime::RunResult r = engine.run();
   EXPECT_GT(r.best_metric, 0.5);

@@ -24,13 +24,11 @@
 #include "kv/compress.hpp"
 #include "models/zoo.hpp"
 #include "runtime/engine.hpp"
-#include "sync/asp.hpp"
+#include "sync/async.hpp"
 #include "sync/bsp.hpp"
 #include "sync/casp.hpp"
-#include "sync/dssp.hpp"
 #include "sync/kv_bsp.hpp"
 #include "sync/r2sp.hpp"
-#include "sync/ssp.hpp"
 #include "sync/sync_switch.hpp"
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
@@ -83,7 +81,7 @@ TEST(AspBehaviour, FasterThanBspUnderJitter) {
   const auto spec = models::resnet50_cifar10();
   const auto cfg = sync_config(8, 2, 0.1);
   sync::BspSync bsp;
-  sync::AspSync asp;
+  sync::AsyncSync asp;
   const auto rb = run_model(bsp, cfg, spec);
   const auto ra = run_model(asp, cfg, spec);
   EXPECT_GT(ra.throughput, rb.throughput);
@@ -97,7 +95,7 @@ TEST(SspBehaviour, BoundsIterationSpread) {
   auto spec = models::tiny_mlp();
   auto cfg = sync_config(2, 4, 0.0);
   cfg.cluster.speed_factors = {1.0, 0.25};
-  sync::SspSync ssp(2);
+  sync::AsyncSync ssp(sync::ssp(2));
   const auto r = run_model(ssp, cfg, spec);
   // Both workers complete all their epochs regardless.
   EXPECT_DOUBLE_EQ(r.total_samples, 2.0 * 4.0 * 16.0 * 16.0);
@@ -107,7 +105,7 @@ TEST(SspBehaviour, BoundsIterationSpread) {
 TEST(SspBehaviour, ZeroBoundActsLikeBarrier) {
   auto spec = models::tiny_mlp();
   auto cfg = sync_config(3, 2, 0.2);
-  sync::SspSync ssp(0);
+  sync::AsyncSync ssp(sync::ssp(0));
   const auto r = run_model(ssp, cfg, spec);
   EXPECT_GT(r.total_samples, 0.0);  // must not deadlock
 }
@@ -116,7 +114,7 @@ TEST(R2spBehaviour, SlowerThanAspFasterThanBsp) {
   const auto spec = models::resnet50_cifar10();
   const auto cfg = sync_config(8, 2, 0.05);
   sync::BspSync bsp;
-  sync::AspSync asp;
+  sync::AsyncSync asp;
   sync::R2spSync r2sp;
   const double tb = run_model(bsp, cfg, spec).throughput;
   const double ta = run_model(asp, cfg, spec).throughput;
@@ -424,16 +422,21 @@ std::vector<GoldenCase> golden_cases() {
                    [] { return std::make_unique<sync::BspSync>(); },
                    golden_cfg()});
   cases.push_back({"asp",
-                   [] { return std::make_unique<sync::AspSync>(); },
+                   [] { return std::make_unique<sync::AsyncSync>(); },
                    golden_cfg()});
   cases.push_back({"ssp2",
-                   [] { return std::make_unique<sync::SspSync>(2); },
+                   [] {
+                     return std::make_unique<sync::AsyncSync>(sync::ssp(2));
+                   },
                    golden_cfg()});
   cases.push_back({"r2sp",
                    [] { return std::make_unique<sync::R2spSync>(); },
                    golden_cfg()});
   cases.push_back({"dssp",
-                   [] { return std::make_unique<sync::DsspSync>(1, 3); },
+                   [] {
+                     return std::make_unique<sync::AsyncSync>(
+                         sync::dssp(1, 3));
+                   },
                    golden_cfg()});
   cases.push_back({"casp",
                    [] { return std::make_unique<sync::CaspSync>(); },
@@ -444,13 +447,18 @@ std::vector<GoldenCase> golden_cases() {
   runtime::EngineConfig hetero_cfg = golden_cfg();
   hetero_cfg.cluster.speed_factors = {1.0, 1.0, 1.0, 0.25};
   cases.push_back({"asp_hetero",
-                   [] { return std::make_unique<sync::AspSync>(); },
+                   [] { return std::make_unique<sync::AsyncSync>(); },
                    hetero_cfg});
   cases.push_back({"ssp2_hetero",
-                   [] { return std::make_unique<sync::SspSync>(2); },
+                   [] {
+                     return std::make_unique<sync::AsyncSync>(sync::ssp(2));
+                   },
                    hetero_cfg});
   cases.push_back({"dssp_hetero",
-                   [] { return std::make_unique<sync::DsspSync>(1, 3); },
+                   [] {
+                     return std::make_unique<sync::AsyncSync>(
+                         sync::dssp(1, 3));
+                   },
                    hetero_cfg});
   cases.push_back({"sync_switch",
                    [] { return std::make_unique<sync::SyncSwitchSync>(0.3); },
@@ -611,9 +619,9 @@ TEST(CrossModel, AllModelsReachSameSampleCount) {
   const auto cfg = sync_config(3, 3, 0.1);
   const double expected = 3.0 * 3.0 * 10.0 * 16.0;  // shard 170→10 batches
   sync::BspSync bsp;
-  sync::AspSync asp;
+  sync::AsyncSync asp;
   sync::R2spSync r2sp;
-  sync::SspSync ssp(3);
+  sync::AsyncSync ssp(sync::ssp(3));
   core::OspSync osp;
   EXPECT_DOUBLE_EQ(run_model(bsp, cfg, spec).total_samples, expected);
   EXPECT_DOUBLE_EQ(run_model(asp, cfg, spec).total_samples, expected);

@@ -99,7 +99,7 @@ TEST(Tensor, ShapeHelpers) {
 std::vector<util::simd::Tier> testable_tiers() {
   using util::simd::Tier;
   std::vector<Tier> tiers{Tier::kScalar};
-  for (Tier t : {Tier::kAvx2, Tier::kAvx2Fma, Tier::kAvx512}) {
+  for (Tier t : {Tier::kAvx2, Tier::kAvx512}) {
     if (t <= util::simd::hardware_tier()) tiers.push_back(t);
   }
   return tiers;
@@ -279,7 +279,8 @@ TEST(Ops, MatmulSpecialValuesMatchReference) {
   const std::size_t m = 9, k = 24, n = 17;
   const Tensor a = matrix(m, k), b = matrix(k, n);
   std::size_t finite = 0, nans = 0;
-  for (float v : ref_matmul(a, b).data()) {
+  const Tensor want = ref_matmul(a, b);  // data() must not outlive it
+  for (float v : want.data()) {
     (std::isfinite(v) ? finite : nans) += 1;
   }
   ASSERT_GT(finite, 0u);
