@@ -302,6 +302,39 @@ TEST(PsFailover, OspCrashDuringCatchUpSurvivesSecondFailure) {
   EXPECT_TRUE(std::isfinite(r.final_loss));
 }
 
+TEST(PsFailover, WholeChainDownSkipsThenFailsBack) {
+  // Shard 0's primary (host 0) crashes, then its backup (host 1): the whole
+  // chain is down for 0.1 s. Pushes and answers addressed to it wait for
+  // host 1's restart, which promotes it; host 0's restart fails back.
+  auto check = [](auto& sync, std::size_t promotions, std::size_t shards) {
+    SCOPED_TRACE(sync.name());
+    runtime::EngineConfig cfg = chaos_config(/*num_ps=*/2);
+    cfg.faults.crash_ps(0.3, /*ps=*/0, /*restart_after=*/0.3)
+        .crash_ps(0.35, /*ps=*/1, /*restart_after=*/0.1);
+    const runtime::RunResult r = run_with(sync, cfg);
+    EXPECT_LT(r.total_time_s, 59.0) << "run did not converge (deadlock?)";
+    EXPECT_DOUBLE_EQ(r.total_samples, 1536.0);
+    EXPECT_TRUE(sync.drained());
+    EXPECT_EQ(r.faults.ps_crashes, 2u);
+    EXPECT_EQ(r.faults.ps_restarts, 2u);
+    EXPECT_EQ(r.faults.ps_promotions, promotions);
+    EXPECT_EQ(total_promotions(r), r.faults.ps_promotions)
+        << "telemetry and FaultStats must agree on promotions";
+    for (std::size_t s = 0; s < shards; ++s) {
+      EXPECT_EQ(sync.serving_host(s), s) << "failback to the primary";
+    }
+    EXPECT_TRUE(std::isfinite(r.final_loss));
+  };
+  sync::KvBspSync kvbsp;
+  check(kvbsp, /*promotions=*/3, /*shards=*/1);
+  sync::KvBspSync sharded(sync::sharded_bsp());
+  check(sharded, /*promotions=*/4, /*shards=*/2);
+  core::OspOptions opt;
+  opt.fixed_budget_fraction = 0.5;
+  core::OspSync osp(opt, {.rs_timeout_s = 0.3, .ics_timeout_s = 0.3});
+  check(osp, /*promotions=*/4, /*shards=*/2);
+}
+
 TEST(PsFailover, SeededPsChaosIsBitDeterministic) {
   auto chaotic_run = [] {
     runtime::EngineConfig cfg = chaos_config(/*num_ps=*/2);

@@ -513,6 +513,30 @@ std::vector<GoldenCase> golden_cases() {
                      return std::make_unique<core::OspSync>(opt);
                    },
                    golden_cfg(/*num_ps=*/2)});
+  // PS failover: shard 0's primary crashes and its backup follows, so the
+  // whole chain is down for 0.1 s; both hosts restart. Pins promotion,
+  // the down-chain skip, re-push, re-broadcast and failback bit for bit.
+  runtime::EngineConfig ps_chaos_cfg = golden_cfg(/*num_ps=*/2);
+  ps_chaos_cfg.faults.crash_ps(0.3, /*ps=*/0, /*restart_after=*/0.3)
+      .crash_ps(0.35, /*ps=*/1, /*restart_after=*/0.1);
+  cases.push_back({"kvbsp_ps_chaos",
+                   [] { return std::make_unique<sync::KvBspSync>(); },
+                   ps_chaos_cfg});
+  cases.push_back({"sharded_bsp_ps_chaos",
+                   [] {
+                     return std::make_unique<sync::KvBspSync>(
+                         sync::sharded_bsp());
+                   },
+                   ps_chaos_cfg});
+  cases.push_back({"osp_2ps_ps_chaos",
+                   [] {
+                     core::OspOptions opt;
+                     opt.fixed_budget_fraction = 0.5;
+                     return std::make_unique<core::OspSync>(
+                         opt, runtime::SyncTimeouts{.rs_timeout_s = 0.3,
+                                                    .ics_timeout_s = 0.3});
+                   },
+                   ps_chaos_cfg});
   // Conv2d, MaxPool2d and ReLU-after-conv numerics, which the tiny MLP never
   // reaches: two epochs of the ResNet50/CIFAR10 proxy under BSP and OSP.
   runtime::EngineConfig conv_cfg = golden_cfg();
