@@ -1,4 +1,4 @@
-// Failover cost of PS-shard replication (kv/replication.hpp): for each
+// Failover cost of PS-shard replication (kv/shard_session.hpp): for each
 // replication-aware sync model, a healthy run vs an identical run with
 // the primary PS shard crashed mid-training and restarted later — so the
 // schedule exercises both the promotion (crash) and the failback

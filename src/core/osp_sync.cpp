@@ -45,16 +45,6 @@ void OspSync::attach(runtime::Engine& eng) {
   gib_ = Gib::all_important(eng.num_blocks());
   num_ps_ = eng.cluster().num_ps();
   part_ = kv::byte_balanced_partition(eng.all_block_bytes(), num_ps_);
-  tx_.bind(eng);
-  {
-    std::vector<std::size_t> offsets;
-    std::vector<std::size_t> numels;
-    for (const auto& b : eng.blocks()) {
-      offsets.push_back(b.offset);
-      numels.push_back(b.numel);
-    }
-    store_.init(offsets, numels);
-  }
 
   IcsBudgetParams p;
   // §6.1: with P parameter servers the ICS drains through P independent
@@ -88,14 +78,12 @@ void OspSync::attach(runtime::Engine& eng) {
               "OSP-C needs a co-located cluster configuration");
     eng.set_worker_compute_overhead(0, eng.spec().gib_overhead_fraction);
   }
-  replica_.init(part_, eng.all_block_bytes());
-  serving_.resize(num_ps_);
-  for (std::size_t p = 0; p < num_ps_; ++p) serving_[p] = p;
-  shard_epoch_.assign(num_ps_, 0);
+  session_.init(eng, part_, eng.all_block_bytes(), num_ps_,
+                {.collecting_round = [this](std::size_t) { return round_ + 1; },
+                 .deposed = [this](std::size_t p) { drop_rs_arrivals(p); },
+                 .repush = [this](std::size_t p) { repush_shard(p); }});
   rs_arrived_.assign(num_ps_,
                      std::vector<std::uint8_t>(eng.num_workers(), 0));
-  pending_rs_resp_.clear();
-  next_resp_id_ = 0;
 
   const std::size_t n = eng.num_workers();
   round_ = 0;
@@ -179,17 +167,12 @@ void OspSync::on_gradient_ready(std::size_t worker) {
 void OspSync::push_rs_shard(std::size_t worker, std::uint64_t round,
                             std::size_t p) {
   // Whole chain down: the push is re-issued when a restart repoints the
-  // shard (repoint_shard re-pushes for every worker still awaiting).
-  const std::size_t host = serving_[p];
-  if (host == kv::ReplicaTable::npos) return;
+  // shard (repush_shard re-pushes for every worker still awaiting).
   const kv::KvMessage m =
       shard_message(kv::Op::kPush, static_cast<std::uint32_t>(worker), round,
                     p, gib_, /*important=*/true);
-  // The epoch fences deliveries against a failover: a flow addressed to a
-  // host that lost the shard in the meantime is void on arrival.
-  const std::uint64_t epoch = shard_epoch_[p];
-  tx_.push(worker, host, m, /*owned=*/true, [this, round, p, worker, epoch] {
-    on_rs_push_arrived(round, p, worker, epoch);
+  session_.push(worker, p, m, /*owned=*/true, [this, round, p, worker] {
+    on_rs_push_arrived(round, p, worker);
   });
 }
 
@@ -216,8 +199,7 @@ void OspSync::arm_rs_timer() {
 }
 
 void OspSync::on_rs_push_arrived(std::uint64_t round, std::size_t p,
-                                 std::size_t worker, std::uint64_t epoch) {
-  if (epoch != shard_epoch_[p]) return;  // landed at a deposed host
+                                 std::size_t worker) {
   if (round != round_ + 1) {
     // Late shard from a round that already closed: the gradient is stale —
     // discard it and resync the worker so it can rejoin.
@@ -267,31 +249,16 @@ void OspSync::on_worker_restarted(std::size_t worker) {
   --unhealthy_;
 }
 
-void OspSync::on_ps_crashed(std::size_t ps) {
-  replica_.set_alive(ps, false);
-  for (std::size_t p = 0; p < num_ps_; ++p) {
-    if (serving_[p] == ps) repoint_shard(p);
-  }
-}
+void OspSync::on_ps_crashed(std::size_t ps) { session_.on_ps_crashed(ps); }
 
 void OspSync::on_ps_restarted(std::size_t ps) {
-  replica_.set_alive(ps, true);
-  for (std::size_t p = 0; p < num_ps_; ++p) {
-    if (replica_.serving(p) != serving_[p]) repoint_shard(p);
-  }
+  session_.on_ps_restarted(ps);
 }
 
-void OspSync::repoint_shard(std::size_t p) {
-  runtime::Engine& e = eng();
-  const std::size_t target = replica_.serving(p);
-  if (target == serving_[p]) return;
-  serving_[p] = target;
-  ++shard_epoch_[p];  // arrivals addressed to the deposed host are void
-  // Arrivals the dead host was holding for the collecting round never
-  // made it into an aggregate: un-count them so the barrier waits for the
-  // re-pushes (a worker that lost a shard loses its "contributed" mark).
-  const std::uint64_t collecting = round_ + 1;
-  for (std::size_t w = 0; w < e.num_workers(); ++w) {
+void OspSync::drop_rs_arrivals(std::size_t p) {
+  // A worker that lost a shard loses its "contributed" mark, so the
+  // barrier waits for the re-push.
+  for (std::size_t w = 0; w < eng().num_workers(); ++w) {
     if (rs_arrived_[p][w] == 0) continue;
     rs_arrived_[p][w] = 0;
     OSP_CHECK(rs_shards_arrived_[w] > 0, "RS arrival accounting underflow");
@@ -301,30 +268,13 @@ void OspSync::repoint_shard(std::size_t p) {
       --rs_contributed_count_;
     }
   }
-  if (target == kv::ReplicaTable::npos) return;  // wait for a restart
-  // Version-predicate catch-up: ship exactly the segments whose tail
-  // update had not reached the replica, and charge the new host's queue.
-  const double shipped = replica_.catch_up(p, store_);
-  e.record_ps_promotion(shipped);
-  {
-    runtime::SyncTelemetry& rec = e.telemetry_round(collecting);
-    ++rec.promotions;
-    rec.catch_up_bytes += shipped;
-  }
-  if (shipped > 0.0) {
-    e.ps_submit(e.ps_apply_delay(shipped, 1.0), [] {}, target);
-  }
-  // RS responses whose job died with the old host's queue are re-submitted
-  // on the promoted replica — re-answered, never re-applied (the optimizer
-  // step ran once at close_rs; the version stamps stay monotone).
-  for (PendingRsResp& pr : pending_rs_resp_) {
-    if (pr.ps != p) continue;
-    if (pr.host != kv::ReplicaTable::npos && e.ps_alive(pr.host)) continue;
-    pr.host = target;
-    submit_rs_response(pr.id);
-  }
-  // Workers still awaiting the collecting round re-push this shard to the
-  // new host (their original flows, if in flight, are epoch-fenced).
+}
+
+void OspSync::repush_shard(std::size_t p) {
+  runtime::Engine& e = eng();
+  // Workers still awaiting the collecting round re-push this shard (their
+  // original flows, if in flight, are epoch-fenced).
+  const std::uint64_t collecting = round_ + 1;
   for (std::size_t w = 0; w < e.num_workers(); ++w) {
     if (!e.worker_alive(w)) continue;
     if (!rs_awaiting_[w] || rs_awaiting_round_[w] != collecting) continue;
@@ -338,15 +288,13 @@ void OspSync::repoint_shard(std::size_t p) {
     kv::KvMessage m = shard_message(kv::Op::kPush, 0, r.round, p, r.gib,
                                     /*important=*/false);
     if (m.value_bytes <= 0.0) continue;
-    const std::uint64_t epoch = shard_epoch_[p];
     for (std::size_t w = 0; w < e.num_workers(); ++w) {
       if (!r.members[w] || !e.worker_alive(w)) continue;
       r.arrived_from[p][w] = false;
       m.sender = static_cast<std::uint32_t>(w);
       const std::uint64_t rnd = r.round;
-      tx_.push(w, target, m, /*owned=*/true, [this, rnd, p, w, epoch] {
-        on_ics_push_arrived(rnd, p, w, epoch);
-      });
+      session_.push(w, p, m, /*owned=*/true,
+                    [this, rnd, p, w] { on_ics_push_arrived(rnd, p, w); });
     }
   }
 }
@@ -435,21 +383,9 @@ void OspSync::close_rs() {
   if (ema_lgp_ != nullptr) ema_lgp_->observe_global(agg_);
 
   // (b) Step the important blocks of the global model.
-  e.apply_global_step_blocks(agg_, mask_from_gib(gib_, true));
-  {
-    std::vector<std::uint8_t> stepped(gib_.size(), 0);
-    for (std::size_t b = 0; b < gib_.size(); ++b) {
-      stepped[b] = gib_.important(b) ? 1 : 0;
-    }
-    store_.bump_selected(stepped);
-    for (std::size_t b = 0; b < gib_.size(); ++b) {
-      if (stepped[b] != 0) {
-        // Async replication trails the apply by one update per segment.
-        replica_.note_update(static_cast<kv::Key>(b),
-                             store_.version(static_cast<kv::Key>(b)));
-      }
-    }
-  }
+  const std::vector<bool> stepped = mask_from_gib(gib_, true);
+  e.apply_global_step_blocks(agg_, stepped);
+  session_.applied(stepped);
 
   // (c) Asynchronous GIB calculation for the next round.
   const Gib round_gib = gib_;
@@ -462,7 +398,7 @@ void OspSync::close_rs() {
     rec.gib_unimportant = round_gib.count_unimportant();
     rec.important_bytes = round_gib.important_bytes(e.all_block_bytes());
     rec.unimportant_bytes = round_gib.unimportant_bytes(e.all_block_bytes());
-    rec.replica_lag = replica_.lag(store_);
+    rec.replica_lag = session_.lag();
   }
 
   const double lr = e.current_lr();
@@ -486,76 +422,47 @@ void OspSync::close_rs() {
     kv::KvMessage resp =
         shard_message(kv::Op::kPullResponse, static_cast<std::uint32_t>(p),
                       this_round, p, round_gib, /*important=*/true);
-    store_.stamp_versions(resp);
+    session_.store().stamp_versions(resp);
     resp.meta_bytes += static_cast<double>(gib_.wire_bytes());
-    PendingRsResp pending;
-    pending.id = next_resp_id_++;
-    pending.ps = p;
-    pending.host = serving_[p];
-    pending.resp = std::move(resp);
-    pending.round_gib = round_gib;
-    pending.lr = lr;
-    pending.recipients = recipients;
-    pending_rs_resp_.push_back(std::move(pending));
-    submit_rs_response(pending_rs_resp_.back().id);
+    const double bytes = resp.value_bytes;
+    session_.answer(
+        p, bytes,
+        [this, p, resp = std::move(resp), round_gib, lr,
+         recipients](std::size_t host) {
+          for (std::size_t w = 0; w < eng().num_workers(); ++w) {
+            if (!recipients[w]) continue;
+            session_.tx().respond(w, host, resp, /*owned=*/true,
+                                  [this, w, p, round_gib, lr] {
+                                    deliver_rs(w, p, round_gib, lr);
+                                  });
+          }
+        });
   }
   start_ics_round(this_round, round_gib, recipients);
 }
 
-void OspSync::submit_rs_response(std::uint64_t id) {
+void OspSync::deliver_rs(std::size_t w, std::size_t p, const Gib& round_gib,
+                         double lr) {
   runtime::Engine& e = eng();
-  const auto it = std::find_if(
-      pending_rs_resp_.begin(), pending_rs_resp_.end(),
-      [id](const PendingRsResp& r) { return r.id == id; });
-  OSP_CHECK(it != pending_rs_resp_.end(), "unknown pending RS response");
-  // Shard's whole chain down: repoint_shard re-submits at the restart.
-  if (it->host == kv::ReplicaTable::npos) return;
-  e.ps_submit(
-      e.ps_apply_delay(it->resp.value_bytes, 3.0),
-      [this, id] {
-        const auto fit = std::find_if(
-            pending_rs_resp_.begin(), pending_rs_resp_.end(),
-            [id](const PendingRsResp& r) { return r.id == id; });
-        if (fit == pending_rs_resp_.end()) return;
-        // Detach: once the responses are on the wire (worker-owned flows,
-        // which survive PS crashes) there is nothing left to re-drive.
-        const PendingRsResp pr = std::move(*fit);
-        pending_rs_resp_.erase(fit);
-        const std::size_t p = pr.ps;
-        const Gib round_gib = pr.round_gib;
-        const double lr = pr.lr;
-        for (std::size_t w = 0; w < eng().num_workers(); ++w) {
-          if (!pr.recipients[w]) continue;
-          tx_.respond(
-              w, pr.host, pr.resp, /*owned=*/true,
-              [this, w, p, round_gib, lr] {
-                runtime::Engine& e2 = eng();
-                if (!e2.worker_alive(w) || rs_pending_[w] == 0) return;
-                // Install this shard's important blocks (the restricted
-                // view encodes the selection as its important set).
-                copy_important_blocks(
-                    e2.worker_params(w), e2.global_params(), e2.blocks(),
-                    restrict_to_ps(round_gib, p, /*want_important=*/true,
-                                   /*encode_as_important=*/true));
-                if (--rs_pending_[w] > 0) return;
-                // Last shard delivered: LGP prediction + next iteration.
-                rs_awaiting_[w] = false;
-                if (options_.enable_lgp) {
-                  if (ema_lgp_ != nullptr) {
-                    ema_lgp_->apply_local_step(e2.worker_params(w),
-                                               e2.worker_gradient(w), lr,
-                                               e2.blocks(), round_gib);
-                  } else {
-                    lgp_apply_local_step(e2.worker_params(w),
-                                         e2.worker_gradient(w), lr,
-                                         e2.blocks(), round_gib);
-                  }
-                }
-                e2.finish_sync(w);
-              });
-        }
-      },
-      it->host);
+  if (!e.worker_alive(w) || rs_pending_[w] == 0) return;
+  // Install this shard's important blocks (the restricted view encodes the
+  // selection as its important set).
+  copy_important_blocks(e.worker_params(w), e.global_params(), e.blocks(),
+                        restrict_to_ps(round_gib, p, /*want_important=*/true,
+                                       /*encode_as_important=*/true));
+  if (--rs_pending_[w] > 0) return;
+  // Last shard delivered: LGP prediction + next iteration.
+  rs_awaiting_[w] = false;
+  if (options_.enable_lgp) {
+    if (ema_lgp_ != nullptr) {
+      ema_lgp_->apply_local_step(e.worker_params(w), e.worker_gradient(w), lr,
+                                 e.blocks(), round_gib);
+    } else {
+      lgp_apply_local_step(e.worker_params(w), e.worker_gradient(w), lr,
+                           e.blocks(), round_gib);
+    }
+  }
+  e.finish_sync(w);
 }
 
 void OspSync::catch_up(std::size_t worker) {
@@ -563,26 +470,24 @@ void OspSync::catch_up(std::size_t worker) {
   // The pull is served by whichever host currently serves shard 0; with
   // the whole chain down it is skipped — the RS watchdog retries at the
   // next expiry (the worker stays rs_awaiting_).
-  const std::size_t src = serving_[0];
-  if (src == kv::ReplicaTable::npos) return;
+  const std::size_t src = session_.serving(0);
+  if (src == kv::ShardSession::npos) return;
   e.record_catch_up_pull();
   ++e.telemetry_round(round_).retries;
   // Full-model resync pull: every segment, current versions.
   kv::KvMessage pull;
   pull.begin(kv::Op::kPullResponse, static_cast<std::uint32_t>(src), round_,
-             store_.key_range());
-  store_.stamp_versions(pull);
+             session_.store().key_range());
+  session_.store().stamp_versions(pull);
   pull.set_accounting(e.model_bytes());
-  tx_.respond(worker, src, pull, /*owned=*/true, [this, worker] {
-                      runtime::Engine& e2 = eng();
-                      if (!e2.worker_alive(worker) || !rs_awaiting_[worker])
-                        return;
-                      rs_awaiting_[worker] = false;
-                      rs_pending_[worker] = 0;
-                      util::copy(e2.global_params(),
-                                 e2.worker_params(worker));
-                      e2.finish_sync(worker);
-                    });
+  session_.tx().respond(worker, src, pull, /*owned=*/true, [this, worker] {
+    runtime::Engine& e2 = eng();
+    if (!e2.worker_alive(worker) || !rs_awaiting_[worker]) return;
+    rs_awaiting_[worker] = false;
+    rs_pending_[worker] = 0;
+    util::copy(e2.global_params(), e2.worker_params(worker));
+    e2.finish_sync(worker);
+  });
 }
 
 Gib OspSync::compute_next_gib() {
@@ -659,16 +564,12 @@ void OspSync::start_ics_round(std::uint64_t round, const Gib& gib,
                                     /*important=*/false);
     if (m.value_bytes <= 0.0) continue;
     // Whole chain down: skipped now, re-pushed when a restart repoints
-    // the shard (repoint_shard re-drives unapplied ICS shards).
-    const std::size_t host = serving_[p];
-    if (host == kv::ReplicaTable::npos) continue;
-    const std::uint64_t epoch = shard_epoch_[p];
+    // the shard (repush_shard re-drives unapplied ICS shards).
     for (std::size_t w = 0; w < e.num_workers(); ++w) {
       if (!members[w]) continue;
       m.sender = static_cast<std::uint32_t>(w);
-      tx_.push(w, host, m, /*owned=*/true, [this, round, p, w, epoch] {
-        on_ics_push_arrived(round, p, w, epoch);
-      });
+      session_.push(w, p, m, /*owned=*/true,
+                    [this, round, p, w] { on_ics_push_arrived(round, p, w); });
     }
   }
   if (timeouts().ics_timeout_s > 0.0) {
@@ -685,8 +586,7 @@ void OspSync::start_ics_round(std::uint64_t round, const Gib& gib,
 }
 
 void OspSync::on_ics_push_arrived(std::uint64_t round, std::size_t ps,
-                                  std::size_t worker, std::uint64_t epoch) {
-  if (epoch != shard_epoch_[ps]) return;  // landed at a deposed host
+                                  std::size_t worker) {
   auto it = std::find_if(
       ics_inflight_.begin(), ics_inflight_.end(),
       [round](const IcsRound& r) { return r.round == round; });
@@ -729,80 +629,31 @@ void OspSync::check_ics_round(std::uint64_t round) {
     const Gib shard_view =
         restrict_to_ps(it->gib, p, /*want_important=*/false,
                        /*encode_as_important=*/false);
-    e.apply_global_step_blocks(it->grad, mask_from_gib(shard_view, false));
-    {
-      // The correction stepped this shard's unimportant blocks.
-      std::vector<std::uint8_t> stepped(shard_view.size(), 0);
-      for (std::size_t b = 0; b < shard_view.size(); ++b) {
-        stepped[b] = shard_view.important(b) ? 0 : 1;
-      }
-      store_.bump_selected(stepped);
-      for (std::size_t b = 0; b < shard_view.size(); ++b) {
-        if (stepped[b] != 0) {
-          // Async replication trails the apply by one update per segment.
-          replica_.note_update(static_cast<kv::Key>(b),
-                               store_.version(static_cast<kv::Key>(b)));
-        }
-      }
-    }
+    const std::vector<bool> stepped = mask_from_gib(shard_view, false);
+    e.apply_global_step_blocks(it->grad, stepped);
+    session_.applied(stepped);
 
     kv::KvMessage resp =
         shard_message(kv::Op::kPullResponse, static_cast<std::uint32_t>(p),
                       round, p, it->gib, /*important=*/false);
-    store_.stamp_versions(resp);
+    session_.store().stamp_versions(resp);
     const std::vector<bool> members = it->members;
     // Correction answers queue on the shard's serving host (the one the
     // completing push just landed on). A correction that dies with a
     // crashed queue is NOT re-driven: the member keeps its LGP prediction
     // — exactly the no-correction degradation OSP already tolerates.
-    const std::size_t host = serving_[p];
+    const std::size_t host = session_.serving(p);
     e.ps_submit(
         e.ps_apply_delay(resp.value_bytes, 3.0),
         [this, round, shard_view, resp, members, host] {
           runtime::Engine& en = eng();
           for (std::size_t w = 0; w < en.num_workers(); ++w) {
             if (!members[w] || !en.worker_alive(w)) continue;
-            tx_.respond(w, host, resp, /*owned=*/true,
-                               [this, w, round, shard_view] {
-                                 runtime::Engine& e2 = eng();
-                                 if (!e2.worker_alive(w)) return;
-                                 // The bytes arrived either way — the span
-                                 // closes even when a newer round already
-                                 // superseded this correction.
-                                 if (e2.tracing()) {
-                                   ics_trace_note_correction(round, w);
-                                 }
-                                 if (round < last_ics_applied_[w]) return;
-                                 if (e2.config().record_telemetry) {
-                                   // Eq. 7 magnitude: how far the LGP
-                                   // prediction drifted from the global
-                                   // result over the corrected blocks.
-                                   double sq = 0.0;
-                                   const std::span<const float> gp =
-                                       e2.global_params();
-                                   const std::span<const float> wp =
-                                       e2.worker_params(w);
-                                   const auto& blocks = e2.blocks();
-                                   for (std::size_t b = 0;
-                                        b < shard_view.size(); ++b) {
-                                     if (shard_view.important(b)) continue;
-                                     const auto& info = blocks[b];
-                                     for (std::size_t i = info.offset;
-                                          i < info.offset + info.numel; ++i) {
-                                       const double d =
-                                           static_cast<double>(gp[i]) -
-                                           static_cast<double>(wp[i]);
-                                       sq += d * d;
-                                     }
-                                   }
-                                   e2.telemetry_round(round)
-                                       .lgp_correction_sq += sq;
-                                 }
-                                 lgp_correct_blocks(e2.worker_params(w),
-                                                    e2.global_params(),
-                                                    e2.blocks(), shard_view);
-                                 last_ics_applied_[w] = round;
-                               });
+            session_.tx().respond(
+                w, host, resp, /*owned=*/true,
+                [this, w, round, shard_view] {
+                  deliver_ics(w, round, shard_view);
+                });
           }
         },
         host);
@@ -816,6 +667,36 @@ void OspSync::check_ics_round(std::uint64_t round) {
     ++ics_rounds_completed_;
     ics_inflight_.erase(it);
   }
+}
+
+void OspSync::deliver_ics(std::size_t w, std::uint64_t round,
+                          const Gib& shard_view) {
+  runtime::Engine& e = eng();
+  if (!e.worker_alive(w)) return;
+  // The bytes arrived either way — the span closes even when a newer round
+  // already superseded this correction.
+  if (e.tracing()) ics_trace_note_correction(round, w);
+  if (round < last_ics_applied_[w]) return;
+  if (e.config().record_telemetry) {
+    // Eq. 7 magnitude: how far the LGP prediction drifted from the global
+    // result over the corrected blocks.
+    double sq = 0.0;
+    const std::span<const float> gp = e.global_params();
+    const std::span<const float> wp = e.worker_params(w);
+    for (std::size_t b = 0; b < shard_view.size(); ++b) {
+      if (shard_view.important(b)) continue;
+      const auto& info = e.blocks()[b];
+      for (std::size_t i = info.offset; i < info.offset + info.numel; ++i) {
+        const double d =
+            static_cast<double>(gp[i]) - static_cast<double>(wp[i]);
+        sq += d * d;
+      }
+    }
+    e.telemetry_round(round).lgp_correction_sq += sq;
+  }
+  lgp_correct_blocks(e.worker_params(w), e.global_params(), e.blocks(),
+                     shard_view);
+  last_ics_applied_[w] = round;
 }
 
 void OspSync::ics_trace_note_correction(std::uint64_t round, std::size_t w) {
@@ -854,7 +735,7 @@ void OspSync::on_epoch_complete(std::size_t epoch, double mean_loss) {
 }
 
 void OspSync::save_state(util::serde::Writer& w) const {
-  w.u8(3);  // OSP state version (3: PS replication)
+  w.u8(4);  // OSP state version (4: failover state in the shard session)
   w.u64(round_);
   const std::vector<std::uint8_t> gib_bytes = gib_.serialize();
   w.bytes(gib_bytes);
@@ -882,15 +763,12 @@ void OspSync::save_state(util::serde::Writer& w) const {
   w.bool_vec(rs_awaiting_);
   w.u64_vec(rs_awaiting_round_);
   w.size_vec(rs_pending_);
-  w.size_vec(serving_);
-  w.u64_vec(shard_epoch_);
-  replica_.save_state(w);
-  store_.save_state(w);
+  session_.save_state(w);
 }
 
 void OspSync::load_state(util::serde::Reader& r) {
   const std::uint8_t version = r.u8();
-  OSP_CHECK(version == 3, "unsupported OSP state version");
+  OSP_CHECK(version == 4, "unsupported OSP state version");
   round_ = r.u64();
   gib_ = Gib::deserialize(r.bytes());
   OSP_CHECK(gib_.size() == eng().num_blocks(),
@@ -928,17 +806,11 @@ void OspSync::load_state(util::serde::Reader& r) {
                 rs_contributed_.size() == n && rs_awaiting_.size() == n &&
                 rs_awaiting_round_.size() == n && rs_pending_.size() == n,
             "OSP checkpoint worker count mismatch");
-  serving_ = r.size_vec();
-  shard_epoch_ = r.u64_vec();
-  OSP_CHECK(serving_.size() == num_ps_ && shard_epoch_.size() == num_ps_,
-            "OSP checkpoint failover state mismatch");
-  replica_.load_state(r);
-  store_.load_state(r);
+  session_.load_state(r);
   rs_timer_armed_ = false;  // re-armed by the next push
   ics_inflight_.clear();    // drained before every snapshot
   // Collecting-round bookkeeping is empty at the drain barrier.
   rs_arrived_.assign(num_ps_, std::vector<std::uint8_t>(n, 0));
-  pending_rs_resp_.clear();
 }
 
 bool OspSync::drained() const {

@@ -50,9 +50,7 @@
 #include "core/tuning.hpp"
 #include "kv/message.hpp"
 #include "kv/partition.hpp"
-#include "kv/replication.hpp"
-#include "kv/store.hpp"
-#include "kv/transport.hpp"
+#include "kv/shard_session.hpp"
 #include "runtime/sync_model.hpp"
 #include "util/rng.hpp"
 
@@ -117,9 +115,8 @@ class OspSync : public runtime::SyncModel {
   [[nodiscard]] std::size_t num_unhealthy() const { return unhealthy_; }
   /// Introspection for tests: host currently serving logical shard `p`.
   [[nodiscard]] std::size_t serving_host(std::size_t p) const {
-    return serving_[p];
+    return session_.serving(p);
   }
-  [[nodiscard]] const kv::ReplicaTable& replicas() const { return replica_; }
 
   void save_state(util::serde::Writer& w) const override;
   void load_state(util::serde::Reader& r) override;
@@ -137,34 +134,22 @@ class OspSync : public runtime::SyncModel {
   /// routed to shard `p`'s serving host.
   void push_rs_shard(std::size_t worker, std::uint64_t round, std::size_t p);
   void on_rs_push_arrived(std::uint64_t round, std::size_t p,
-                          std::size_t worker, std::uint64_t epoch);
+                          std::size_t worker);
   void maybe_close_rs();
   void close_rs();
+  /// Shard p's RS response for `round_gib` reached worker w.
+  void deliver_rs(std::size_t w, std::size_t p, const Gib& round_gib,
+                  double lr);
   void catch_up(std::size_t worker);
   Gib compute_next_gib();
 
-  // ---- PS failover ----
-  //
-  // An RS response is queued as a job on the shard's serving host; until
-  // the job fires its payload is recorded here so a crash of that host
-  // (which drops its serial queue) can re-submit the *same* response on
-  // the promoted replica. Re-submission never re-applies the optimizer
-  // step — the step ran at close_rs; only the answer is re-driven.
-  struct PendingRsResp {
-    std::uint64_t id = 0;
-    std::size_t ps = 0;        ///< logical shard
-    std::size_t host = 0;      ///< host the job is queued on
-    kv::KvMessage resp;
-    Gib round_gib = Gib::all_important(0);
-    double lr = 0.0;
-    std::vector<bool> recipients;
-  };
-  /// Queue pending_rs_resp_ entry `id` on its host's serial queue.
-  void submit_rs_response(std::uint64_t id);
-  /// Serving host for shard `p` changed (crash or restart): catch the new
-  /// host up and re-drive what the old host still owed (RS pushes of the
-  /// collecting round, unapplied ICS shard pushes, queued RS responses).
-  void repoint_shard(std::size_t p);
+  // ---- PS failover: the model's half of a shard-session repoint ----
+  /// The deposed host's collecting-round RS arrivals never made it into an
+  /// aggregate: un-count them.
+  void drop_rs_arrivals(std::size_t p);
+  /// Re-push shard p to its new host: RS pushes of the collecting round
+  /// and unapplied ICS shard pushes.
+  void repush_shard(std::size_t p);
 
   // ---- ICS ----
   struct IcsRound {
@@ -178,11 +163,13 @@ class OspSync : public runtime::SyncModel {
   void start_ics_round(std::uint64_t round, const Gib& gib,
                        const std::vector<bool>& members);
   void on_ics_push_arrived(std::uint64_t round, std::size_t ps,
-                           std::size_t worker, std::uint64_t epoch);
+                           std::size_t worker);
   /// Apply every shard whose remaining members' pushes all arrived; erase
   /// the round once all byte-carrying shards applied (or no member is
   /// left to deliver the rest).
   void check_ics_round(std::uint64_t round);
+  /// Shard correction for `round` reached worker w (Eq. 7).
+  void deliver_ics(std::size_t w, std::uint64_t round, const Gib& shard_view);
 
   /// Bytes of blocks owned by PS `ps` that are important/unimportant under
   /// `gib`.
@@ -232,9 +219,9 @@ class OspSync : public runtime::SyncModel {
 
   std::size_t num_ps_ = 1;
   kv::Partition part_;     ///< block → PS (byte-balanced)
-  kv::Transport tx_;       ///< all RS/ICS traffic (worker-owned flows)
-  kv::KvStore store_;      ///< per-block segment versions
-  kv::ReplicaTable replica_;
+  /// Store, replicas, serving hosts and all RS/ICS traffic (worker-owned
+  /// flows); RS responses ride its answer ledger.
+  kv::ShardSession session_;
 
   std::vector<float> agg_;     ///< mean of this round's full gradients
   std::uint64_t round_ = 0;    ///< RS rounds closed; collecting id round_+1
@@ -253,15 +240,10 @@ class OspSync : public runtime::SyncModel {
   std::size_t ics_rounds_completed_ = 0;
   std::map<std::uint64_t, IcsTrace> ics_trace_;  ///< tracing only
 
-  // ---- PS failover state (identity / empty on a healthy run) ----
-  std::vector<std::size_t> serving_;        ///< logical shard → host
-  std::vector<std::uint64_t> shard_epoch_;  ///< fences stale arrivals
   /// Collecting-round RS arrivals per [shard][worker]; pairs with the
   /// rs_shards_arrived_ counter so a promotion can un-count the arrivals
   /// the dead host was holding.
   std::vector<std::vector<std::uint8_t>> rs_arrived_;
-  std::vector<PendingRsResp> pending_rs_resp_;
-  std::uint64_t next_resp_id_ = 0;
 };
 
 }  // namespace osp::core

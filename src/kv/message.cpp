@@ -30,7 +30,10 @@ void write_payload(const KvMessage& m, Writer& w) {
   if (m.sparse && !m.compact) {
     // Compact on the fly: only the support travels.
     w.u64(m.indices.size());
-    for (std::uint32_t i : m.indices) w.f32(m.values[i]);
+    for (std::uint32_t i : m.indices) {
+      OSP_CHECK(i < m.values.size(), "KV message: index outside values");
+      w.f32(m.values[i]);
+    }
   } else {
     w.f32_vec(m.values);
   }

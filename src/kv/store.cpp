@@ -24,17 +24,6 @@ void KvStore::bump(Key k) {
   ++segments_[static_cast<std::size_t>(k)].version;
 }
 
-void KvStore::bump_selected(std::span<const std::uint8_t> keep) {
-  OSP_CHECK(keep.size() == segments_.size(), "selection arity mismatch");
-  for (std::size_t i = 0; i < keep.size(); ++i) {
-    if (keep[i] != 0) ++segments_[i].version;
-  }
-}
-
-void KvStore::bump_all() {
-  for (Segment& s : segments_) ++s.version;
-}
-
 void KvStore::stamp_versions(KvMessage& m) const {
   m.versions.clear();
   if (!m.keys.empty()) {

@@ -49,9 +49,6 @@ class KvStore {
 
   /// An update was applied to segment `k`.
   void bump(Key k);
-  /// Bump every segment with keep[k] != 0 (a GIB-selected apply).
-  void bump_selected(std::span<const std::uint8_t> keep);
-  void bump_all();
 
   /// Stamp current versions into `m` — one per key in `m.keys`, or one
   /// per key of `m.range` when the key list is empty.

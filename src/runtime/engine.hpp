@@ -221,7 +221,7 @@ class Engine {
 
   /// False while PS shard `ps` is crashed (between the crash event and its
   /// restart). Sync models route around dead hosts via their replica
-  /// chains (kv/replication.hpp).
+  /// chains (kv/shard_session.hpp).
   [[nodiscard]] bool ps_alive(std::size_t ps) const;
   [[nodiscard]] std::size_t num_ps_crashed() const { return ps_crashed_count_; }
 

@@ -74,7 +74,7 @@ class SyncModel {
 
   /// PS-shard fault notifications. When a PS crashes its serial queue is
   /// dropped (queued ps_submit callbacks never fire); models replicating
-  /// key segments (kv/replication.hpp) repoint the crashed host's shards
+  /// key segments (kv/shard_session.hpp) repoint the crashed host's shards
   /// at their backups here and re-drive any exchange the dead host owed.
   /// Models without PS state may ignore both (the engine-level timeout /
   /// catch-up contract still applies). Restart fires when the host's

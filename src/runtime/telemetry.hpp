@@ -43,7 +43,7 @@ struct SyncTelemetry {
   /// record (a per-round view of wire traffic; responses of round r and
   /// pushes of round r+1 land in record r+1's window).
   double wire_bytes = 0.0;
-  /// Replication health (kv/replication.hpp): segments whose backup
+  /// Replication health (kv/shard_session.hpp): segments whose backup
   /// replica was stale when the round closed, key ranges repointed at a
   /// replica during the round, and the bytes the version-predicate
   /// catch-ups shipped. All zero for models without PS replication.

@@ -94,19 +94,13 @@ std::string KvBspSync::name() const {
 
 void KvBspSync::attach(runtime::Engine& eng) {
   SyncModel::attach(eng);
-  tx_.bind(eng);
   const std::size_t n = eng.num_workers();
   const std::size_t nb = eng.num_blocks();
   const std::size_t numel = eng.global_params().size();
-  std::vector<std::size_t> offsets;
-  std::vector<std::size_t> numels;
   std::vector<double> proxy_bytes;  // a block at its own fp32 size
   for (const auto& b : eng.blocks()) {
-    offsets.push_back(b.offset);
-    numels.push_back(b.numel);
     proxy_bytes.push_back(4.0 * static_cast<double>(b.numel));
   }
-  store_.init(offsets, numels);
   const bool real_scale = options_.profile == KvBspProfile::kSharded ||
                           options_.profile == KvBspProfile::kQ8;
   const std::size_t num_ps = eng.cluster().num_ps();
@@ -124,7 +118,21 @@ void KvBspSync::attach(runtime::Engine& eng) {
                         : 4.0 * static_cast<double>(numel)};
   }
   // Catch-up prices a key at the profile's byte scale.
-  replica_.init(part, real_scale ? eng.all_block_bytes() : proxy_bytes);
+  session_.init(
+      eng, part, real_scale ? eng.all_block_bytes() : proxy_bytes,
+      dense.size(),
+      {.collecting_round =
+           [this](std::size_t s) { return shards_[s].rounds + 1; },
+       .deposed = nullptr,
+       .repush =
+           [this, n](std::size_t s) {
+             // The deposed host's collection is gone: workers that pushed
+             // this round re-send (real traffic, so re-charged).
+             shards_[s].arrived = 0;
+             for (std::size_t w = 0; w < n; ++w) {
+               if (shards_[s].pushed[w] != 0) push(w, s);
+             }
+           }});
   shards_.assign(dense.size(), Shard{});
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     Shard& sh = shards_[s];
@@ -135,14 +143,14 @@ void KvBspSync::attach(runtime::Engine& eng) {
       sh.mask[b] = true;
     }
     sh.dense_bytes = dense[s];
-    sh.serving = sh.resp_host = s;
     sh.pushed.assign(n, 0);
     sh.resp_pending.assign(n, 0);
   }
   if (gib_ != nullptr) {
     std::vector<kv::GibFilter::Block> blocks;
     for (std::size_t b = 0; b < nb; ++b) {
-      blocks.push_back({offsets[b], numels[b], proxy_bytes[b]});
+      const auto& info = eng.blocks()[b];
+      blocks.push_back({info.offset, info.numel, proxy_bytes[b]});
     }
     gib_->set_blocks(std::move(blocks));
     gib_keep_.assign(nb, 1);  // round 1: everything travels
@@ -172,7 +180,7 @@ void KvBspSync::encode_push(std::size_t worker) {
   auto grad = eng().worker_gradient(worker);
   kv::KvMessage& m = inbox_[worker];
   m.begin(kv::Op::kPush, static_cast<std::uint32_t>(worker),
-          shards_[0].rounds + 1, store_.key_range());
+          shards_[0].rounds + 1, session_.store().key_range());
   if (options_.error_feedback) {
     // Fold the previously untransmitted mass back in, writing
     // grad + residual to both the transmit buffer and the residual in one
@@ -205,20 +213,14 @@ void KvBspSync::push(std::size_t worker, std::size_t shard) {
     m.set_accounting(sh.dense_bytes);
   }
   tel_push_bytes_ += m.wire_bytes();
-  const std::size_t host = sh.serving;
-  // Whole chain down: the push stays recorded in `pushed` and is issued
-  // when a restart repoints the shard.
-  if (host == kv::ReplicaTable::npos) return;
-  // The epoch fences deliveries against a failover: a flow addressed to a
-  // host that lost the shard in the meantime is void on arrival.
-  const std::uint64_t epoch = sh.epoch;
-  tx_.push(worker, host, m, /*owned=*/false,
-           [this, shard, epoch] { on_push_arrived(shard, epoch); });
+  // With the whole chain down the push stays recorded in `pushed` and is
+  // issued when a restart repoints the shard.
+  session_.push(worker, shard, m, /*owned=*/false,
+                [this, shard] { on_push_arrived(shard); });
 }
 
-void KvBspSync::on_push_arrived(std::size_t shard, std::uint64_t epoch) {
+void KvBspSync::on_push_arrived(std::size_t shard) {
   Shard& sh = shards_[shard];
-  if (epoch != sh.epoch) return;  // landed at a deposed host
   if (++sh.arrived < eng().num_workers()) return;
   sh.arrived = 0;
   aggregate(shard);
@@ -249,11 +251,7 @@ void KvBspSync::aggregate(std::size_t shard) {
     }
   }
   e.apply_global_step_blocks(agg_, sh.mask);
-  for (const kv::Key k : sh.keys) {
-    store_.bump(k);
-    // Async replication trails the apply by one update per segment.
-    replica_.note_update(k, store_.version(k));
-  }
+  session_.applied(sh.mask);
   std::fill(sh.pushed.begin(), sh.pushed.end(), std::uint8_t{0});
   ++sh.rounds;
   update_gib_selection();
@@ -261,59 +259,38 @@ void KvBspSync::aggregate(std::size_t shard) {
   // push of the round was sent before its first shard closed.
   auto& rec = record_full_round(sh.rounds, n);
   rec.important_bytes = tel_push_bytes_;
-  rec.replica_lag = replica_.lag(store_);
+  rec.replica_lag = session_.lag();
   if (std::all_of(shards_.begin(), shards_.end(), [&](const Shard& x) {
         return x.rounds == sh.rounds;
       })) {
     last_round_push_bytes_ = tel_push_bytes_;
     tel_push_bytes_ = 0.0;
   }
-  switch (options_.profile) {
-    case KvBspProfile::kTopK: {
-      // The response carries only the touched entries (union support).
-      std::size_t support = 0;
-      for (float v : agg_) support += v != 0.0f ? 1 : 0;
-      sh.resp_bytes =
-          std::min(e.model_bytes(), static_cast<double>(support) * 8.0);
-      break;
-    }
-    case KvBspProfile::kQ8:
-      sh.resp_bytes = sh.dense_bytes / 4.0 + 4.0;
-      break;
-    default:
-      sh.resp_bytes = sh.dense_bytes;
+  double bytes = sh.dense_bytes;  // the response broadcast's size
+  if (options_.profile == KvBspProfile::kTopK) {
+    // The response carries only the touched entries (union support).
+    std::size_t support = 0;
+    for (float v : agg_) support += v != 0.0f ? 1 : 0;
+    bytes = std::min(e.model_bytes(), static_cast<double>(support) * 8.0);
+  } else if (options_.profile == KvBspProfile::kQ8) {
+    bytes = sh.dense_bytes / 4.0 + 4.0;
   }
-  sh.resp_outstanding = 1;
-  broadcast(shard);
-}
-
-void KvBspSync::broadcast(std::size_t shard) {
-  runtime::Engine& e = eng();
-  Shard& sh = shards_[shard];
-  const std::size_t host = sh.serving;
-  if (host == kv::ReplicaTable::npos) return;  // re-driven at repoint
-  sh.resp_host = host;
-  const double bytes = sh.resp_bytes;
   const double apply =
       options_.profile == KvBspProfile::kTopK ? bytes : sh.dense_bytes;
-  e.ps_submit(
-      e.ps_apply_delay(apply, 3.0),
-      [this, shard, host, bytes] {
-        Shard& s = shards_[shard];
-        s.resp_outstanding = 0;
-        kv::KvMessage resp;
-        resp.begin(kv::Op::kPullResponse, static_cast<std::uint32_t>(host),
-                   s.rounds, {});
-        resp.keys = s.keys;
-        store_.stamp_versions(resp);
-        resp.set_accounting(bytes);
-        for (std::size_t w = 0; w < s.resp_pending.size(); ++w) {
-          if (s.resp_pending[w] == 0) continue;
-          tx_.respond(w, host, resp, /*owned=*/false,
-                      [this, shard, w] { deliver(shard, w); });
-        }
-      },
-      host);
+  session_.answer(shard, apply, [this, shard, bytes](std::size_t host) {
+    const Shard& s = shards_[shard];
+    kv::KvMessage resp;
+    resp.begin(kv::Op::kPullResponse, static_cast<std::uint32_t>(host),
+               s.rounds, {});
+    resp.keys = s.keys;
+    session_.store().stamp_versions(resp);
+    resp.set_accounting(bytes);
+    for (std::size_t w = 0; w < s.resp_pending.size(); ++w) {
+      if (s.resp_pending[w] == 0) continue;
+      session_.tx().respond(w, host, resp, /*owned=*/false,
+                            [this, shard, w] { deliver(shard, w); });
+    }
+  });
 }
 
 void KvBspSync::deliver(std::size_t shard, std::size_t worker) {
@@ -335,54 +312,10 @@ void KvBspSync::deliver(std::size_t shard, std::size_t worker) {
   }
 }
 
-void KvBspSync::on_ps_crashed(std::size_t ps) {
-  replica_.set_alive(ps, false);
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (shards_[s].serving == ps) repoint(s);
-  }
-}
+void KvBspSync::on_ps_crashed(std::size_t ps) { session_.on_ps_crashed(ps); }
 
 void KvBspSync::on_ps_restarted(std::size_t ps) {
-  replica_.set_alive(ps, true);
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (replica_.serving(s) != shards_[s].serving) repoint(s);
-  }
-}
-
-void KvBspSync::repoint(std::size_t shard) {
-  runtime::Engine& e = eng();
-  Shard& sh = shards_[shard];
-  const std::size_t target = replica_.serving(shard);
-  if (target == sh.serving) return;
-  sh.serving = target;
-  ++sh.epoch;  // arrivals addressed to the deposed host are void
-  if (target == kv::ReplicaTable::npos) return;  // wait for a restart
-  // Version-predicate catch-up: ship exactly the segments whose tail
-  // update had not reached the replica, and charge the new host's queue.
-  const double shipped = replica_.catch_up(shard, store_);
-  e.record_ps_promotion(shipped);
-  {
-    runtime::SyncTelemetry& rec = e.telemetry_round(sh.rounds + 1);
-    ++rec.promotions;
-    rec.catch_up_bytes += shipped;
-  }
-  if (shipped > 0.0) {
-    e.ps_submit(e.ps_apply_delay(shipped, 1.0), [] {}, target);
-  }
-  // An aggregated round whose broadcast died with the old host's queue is
-  // re-broadcast from the new host — never re-applied (the store versions
-  // were already bumped by the one aggregation).
-  if (sh.resp_outstanding != 0 && !e.ps_alive(sh.resp_host)) {
-    broadcast(shard);
-  }
-  // Whatever the old host had collected for the open round is gone:
-  // workers that already pushed re-send to the new host (in-flight flows
-  // to the old host are fenced by the epoch bump). The re-send is real
-  // traffic, so it is re-charged.
-  sh.arrived = 0;
-  for (std::size_t w = 0; w < e.num_workers(); ++w) {
-    if (sh.pushed[w] != 0) push(w, shard);
-  }
+  session_.on_ps_restarted(ps);
 }
 
 void KvBspSync::update_gib_selection() {
@@ -421,13 +354,11 @@ void KvBspSync::update_gib_selection() {
 }
 
 void KvBspSync::save_state(util::serde::Writer& w) const {
-  w.u8(3);  // KvBSP state version (3: one KV-core BSP for every profile)
+  w.u8(4);  // KvBSP state version (4: failover state in the shard session)
   w.u64(shards_.size());
   for (const Shard& sh : shards_) {
     w.u64(sh.rounds);
     w.u64(sh.arrived);
-    w.u64(sh.serving);
-    w.u64(sh.epoch);
   }
   pipeline_.save_state(w);  // RNG streams, key caches
   w.bytes(gib_keep_);
@@ -435,26 +366,22 @@ void KvBspSync::save_state(util::serde::Writer& w) const {
   // every later encode. Without error feedback there are none.
   w.u64(residual_.size());
   for (const auto& res : residual_) w.f32_vec(res);
-  replica_.save_state(w);
-  store_.save_state(w);
+  session_.save_state(w);
 }
 
 void KvBspSync::load_state(util::serde::Reader& r) {
   const std::uint8_t version = r.u8();
-  OSP_CHECK(version == 3, "unsupported KvBSP state version");
+  OSP_CHECK(version == 4, "unsupported KvBSP state version");
   OSP_CHECK(r.u64() == shards_.size(),
             "KvBSP checkpoint shard count mismatch");
   for (Shard& sh : shards_) {
     sh.rounds = r.u64();
     sh.arrived = static_cast<std::size_t>(r.u64());
-    sh.serving = static_cast<std::size_t>(r.u64());
-    sh.epoch = r.u64();
     // In-flight round bookkeeping is empty by construction at the drain
     // barrier the snapshot was taken at.
     std::fill(sh.pushed.begin(), sh.pushed.end(), std::uint8_t{0});
     std::fill(sh.resp_pending.begin(), sh.resp_pending.end(),
               std::uint8_t{0});
-    sh.resp_outstanding = 0;
   }
   pipeline_.load_state(r);
   gib_keep_ = r.bytes();
@@ -468,8 +395,7 @@ void KvBspSync::load_state(util::serde::Reader& r) {
   // Read straight into the attached residual buffers (f32_into validates
   // the stored length against each buffer's size).
   for (auto& res : residual_) r.f32_into(res);
-  replica_.load_state(r);
-  store_.load_state(r);
+  session_.load_state(r);
 }
 
 bool KvBspSync::drained() const {

@@ -16,15 +16,12 @@
 //    pushes address the shard's key list and the gradient stays
 //    by-reference in the worker's buffer. Filters do not apply here.
 //
-// PS replication (kv/replication.hpp): each shard is primary on one host
-// with a ring-successor backup. On a healthy run the replica table is
-// pure bookkeeping. When the serving host crashes the shard is repointed
-// at the first alive host in its chain: the version-predicate catch-up
-// ships the stale segments onto the new host's queue, workers re-push
-// what the dead host was collecting (stale arrivals are fenced by a
-// per-shard epoch), and an aggregated round whose broadcast died with the
-// queue is re-broadcast, never re-applied. A restart fails back the same
-// way.
+// PS failover runs through one kv::ShardSession (kv/shard_session.hpp):
+// each shard is primary on one host with a ring-successor backup. When
+// the serving host crashes or restarts the session repoints the shard,
+// catches the new host up and re-submits a broadcast that died with the
+// old host's queue (never re-applied); workers that pushed this round
+// re-push to the new host.
 //
 // The accounting profile fixes the byte scale each baseline has always
 // charged, which the sync goldens pin:
@@ -49,9 +46,7 @@
 #include "kv/compress.hpp"
 #include "kv/filter.hpp"
 #include "kv/message.hpp"
-#include "kv/replication.hpp"
-#include "kv/store.hpp"
-#include "kv/transport.hpp"
+#include "kv/shard_session.hpp"
 #include "runtime/sync_model.hpp"
 
 namespace osp::sync {
@@ -114,7 +109,7 @@ class KvBspSync : public runtime::SyncModel {
     return last_round_push_bytes_;
   }
   [[nodiscard]] std::size_t serving_host(std::size_t shard = 0) const {
-    return shards_.at(shard).serving;
+    return session_.serving(shard);
   }
 
  private:
@@ -126,12 +121,6 @@ class KvBspSync : public runtime::SyncModel {
     std::size_t arrived = 0;    // pushes counted this round
     std::vector<std::uint8_t> pushed;        // per worker, this round
     std::vector<std::uint8_t> resp_pending;  // per worker
-    std::uint8_t resp_outstanding = 0;       // aggregated, not broadcast
-    double resp_bytes = 0.0;                 // that broadcast's size
-    // ---- failover state (identity / zero on a healthy run) ----
-    std::size_t serving = 0;    // host serving the shard
-    std::uint64_t epoch = 0;    // fences stale arrivals
-    std::size_t resp_host = 0;  // host the broadcast queued on
   };
 
   [[nodiscard]] bool per_ps() const {
@@ -141,14 +130,10 @@ class KvBspSync : public runtime::SyncModel {
   void encode_push(std::size_t worker);
   /// Send worker w's push for `shard` to the shard's serving host.
   void push(std::size_t worker, std::size_t shard);
-  void on_push_arrived(std::size_t shard, std::uint64_t epoch);
+  void on_push_arrived(std::size_t shard);
+  /// Step the shard and queue its response broadcast.
   void aggregate(std::size_t shard);
-  /// Schedule the shard's response broadcast on its serving host.
-  void broadcast(std::size_t shard);
   void deliver(std::size_t shard, std::size_t worker);
-  /// Serving host of `shard` changed (crash or restart): catch the new
-  /// host up and re-drive whatever the old host still owed.
-  void repoint(std::size_t shard);
   /// Recompute the GIB keep mask from per-block mean |agg| under the
   /// byte budget (descending importance, always >= 1 block).
   void update_gib_selection();
@@ -157,9 +142,7 @@ class KvBspSync : public runtime::SyncModel {
   kv::FilterPipeline pipeline_;
   kv::GibFilter* gib_ = nullptr;  // owned by pipeline_
   std::vector<std::uint8_t> gib_keep_;
-  kv::Transport tx_;
-  kv::KvStore store_;
-  kv::ReplicaTable replica_;
+  kv::ShardSession session_;
   std::vector<Shard> shards_;
   std::vector<kv::KvMessage> inbox_;          // per worker, reused
   std::vector<std::vector<float>> residual_;  // per worker, error feedback

@@ -1,17 +1,21 @@
-// PS-shard replication suite: ReplicaTable unit coverage (chains,
-// version-predicate freshness, catch-up, serde), the consistent-hash
-// successor rule, and the chaos family — PS crashes injected mid-RS,
-// mid-ICS and during catch-up against the real Engine, asserting the
-// crashed primary's key range is promoted onto its backup, no update is
-// double-applied, and seeded replays stay bit-identical.
+// PS-shard replication suite: ShardSession unit coverage (chains,
+// version-predicate freshness, catch-up, repoint hooks, serde), the
+// consistent-hash successor rule, and the chaos family — PS crashes
+// injected mid-RS, mid-ICS, during catch-up and with a whole chain down,
+// against the real Engine, asserting the crashed primary's key range is
+// promoted onto its backup, no update is double-applied, no queued answer
+// is lost, and seeded replays stay bit-identical.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
+#include <utility>
 
 #include "core/osp_sync.hpp"
 #include "kv/partition.hpp"
-#include "kv/replication.hpp"
+#include "kv/shard_session.hpp"
 #include "kv/store.hpp"
 #include "models/zoo.hpp"
 #include "runtime/engine.hpp"
@@ -40,132 +44,6 @@ TEST(ConsistentHashSuccessor, DistinctDeterministicInRange) {
 TEST(ConsistentHashSuccessor, SingleShardIsItsOwnSuccessor) {
   kv::ConsistentHashRing ring(1);
   EXPECT_EQ(ring.successor(0), 0u);
-}
-
-// ---- ReplicaTable ----
-
-kv::Partition three_shard_partition() {
-  kv::Partition part;
-  part.num_shards = 3;
-  part.owner = {0, 1, 2, 0};  // key 3 doubles up on shard 0
-  return part;
-}
-
-TEST(ReplicaTable, ChainsPromoteAndFailBack) {
-  const std::vector<double> key_bytes = {100.0, 200.0, 300.0, 400.0};
-  kv::ReplicaTable t;
-  t.init(three_shard_partition(), key_bytes);
-  ASSERT_EQ(t.num_hosts(), 3u);
-  for (std::size_t p = 0; p < 3; ++p) {
-    ASSERT_EQ(t.chain(p).size(), 2u);
-    EXPECT_EQ(t.chain(p).front(), p) << "shard p is primary on host p";
-    EXPECT_NE(t.chain(p)[1], p);
-    EXPECT_TRUE(t.has_backup(p));
-    EXPECT_EQ(t.serving(p), p) << "healthy: the primary serves";
-  }
-  const std::size_t backup = t.chain(0)[1];
-  t.set_alive(0, false);
-  EXPECT_EQ(t.serving(0), backup) << "promotion to the chain successor";
-  t.set_alive(backup, false);
-  EXPECT_EQ(t.serving(0), kv::ReplicaTable::npos) << "whole chain down";
-  t.set_alive(0, true);
-  EXPECT_EQ(t.serving(0), 0u) << "failback to the restarted primary";
-}
-
-TEST(ReplicaTable, SingleHostHasNoBackup) {
-  kv::Partition part;
-  part.num_shards = 1;
-  part.owner = {0, 0};
-  kv::ReplicaTable t;
-  t.init(part, std::vector<double>{8.0, 8.0});
-  EXPECT_FALSE(t.has_backup(0));
-  ASSERT_EQ(t.chain(0).size(), 1u);
-  t.set_alive(0, false);
-  EXPECT_EQ(t.serving(0), kv::ReplicaTable::npos);
-}
-
-TEST(ReplicaTable, VersionPredicateFreshnessAndCatchUp) {
-  const std::vector<double> key_bytes = {100.0, 200.0, 300.0, 400.0};
-  kv::ReplicaTable t;
-  t.init(three_shard_partition(), key_bytes);
-  kv::KvStore store;
-  const std::vector<std::size_t> offsets = {0, 25, 75, 150};
-  const std::vector<std::size_t> numels = {25, 50, 75, 100};
-  store.init(offsets, numels);
-
-  // Untouched store: every backup matches version 0.
-  for (kv::Key k = 0; k < 4; ++k) EXPECT_TRUE(t.fresh(k, store));
-  EXPECT_EQ(t.lag(store), 0u);
-
-  // An apply bumps key 1 to v1; the async stream trails by one update, so
-  // the backup is known-good only up to v0 — exactly key 1 is stale.
-  store.bump(1);
-  t.note_update(1, store.version(1));
-  EXPECT_FALSE(t.fresh(1, store));
-  EXPECT_TRUE(t.fresh(0, store));
-  EXPECT_EQ(t.lag(store), 1u);
-  EXPECT_DOUBLE_EQ(t.stale_bytes(1, store), 200.0);
-  EXPECT_DOUBLE_EQ(t.stale_bytes(0, store), 0.0);
-
-  // Catch-up ships only the stale segment and marks it fresh.
-  EXPECT_DOUBLE_EQ(t.catch_up(1, store), 200.0);
-  EXPECT_TRUE(t.fresh(1, store));
-  EXPECT_EQ(t.lag(store), 0u);
-  EXPECT_DOUBLE_EQ(t.catch_up(1, store), 0.0) << "nothing left to ship";
-
-  // Shard 0 owns keys 0 and 3; staleness accumulates per shard.
-  store.bump(0);
-  t.note_update(0, store.version(0));
-  store.bump(3);
-  t.note_update(3, store.version(3));
-  EXPECT_EQ(t.lag(store), 2u);
-  EXPECT_DOUBLE_EQ(t.stale_bytes(0, store), 100.0 + 400.0);
-  EXPECT_DOUBLE_EQ(t.catch_up(0, store), 100.0 + 400.0);
-  EXPECT_EQ(t.lag(store), 0u);
-}
-
-TEST(ReplicaTable, RepeatedUpdatesNeedOneCatchUp) {
-  kv::Partition part;
-  part.num_shards = 2;
-  part.owner = {0, 1};
-  kv::ReplicaTable t;
-  t.init(part, std::vector<double>{64.0, 64.0});
-  kv::KvStore store;
-  store.init(std::vector<std::size_t>{0, 16},
-             std::vector<std::size_t>{16, 16});
-  for (int i = 0; i < 5; ++i) {
-    store.bump(0);
-    t.note_update(0, store.version(0));
-  }
-  // Five applies, but the version predicate selects the segment once.
-  EXPECT_EQ(t.lag(store), 1u);
-  EXPECT_DOUBLE_EQ(t.catch_up(0, store), 64.0);
-  EXPECT_EQ(t.lag(store), 0u);
-}
-
-TEST(ReplicaTable, SaveLoadRoundTrip) {
-  const std::vector<double> key_bytes = {100.0, 200.0, 300.0, 400.0};
-  kv::ReplicaTable a;
-  a.init(three_shard_partition(), key_bytes);
-  kv::KvStore store;
-  store.init(std::vector<std::size_t>{0, 1, 2, 3},
-             std::vector<std::size_t>{1, 1, 1, 1});
-  store.bump(2);
-  a.note_update(2, store.version(2));
-  a.set_alive(1, false);
-
-  util::serde::Writer w;
-  a.save_state(w);
-  kv::ReplicaTable b;
-  b.init(three_shard_partition(), key_bytes);
-  util::serde::Reader r(w.data());
-  b.load_state(r);
-
-  EXPECT_EQ(b.lag(store), 1u);
-  EXPECT_FALSE(b.fresh(2, store));
-  EXPECT_FALSE(b.alive(1));
-  EXPECT_EQ(b.serving(1), a.serving(1));
-  EXPECT_DOUBLE_EQ(b.stale_bytes(2, store), a.stale_bytes(2, store));
 }
 
 // ---- stamp_versions range guard (the wire-path twin of the replica
@@ -218,6 +96,185 @@ std::size_t total_promotions(const runtime::RunResult& r) {
   std::size_t n = 0;
   for (const runtime::SyncTelemetry& t : r.rounds) n += t.promotions;
   return n;
+}
+
+// ---- ShardSession: placement, version-predicate catch-up, repoint order.
+// The session runs over an engine that is never run (its blocks are the
+// keys); each test drives applies and PS crashes/restarts by hand. ----
+
+struct SessionHarness {
+  runtime::WorkloadSpec spec = models::tiny_mlp();
+  sync::BspSync model;  // the engine needs one; the session stands alone
+  runtime::Engine engine;
+  kv::ShardSession session;
+  std::vector<std::string> calls;  // hook log, in call order
+
+  explicit SessionHarness(std::size_t num_ps)
+      : engine(spec, config(num_ps), model) {}
+
+  /// PS work at 1000 B/s, so queue charges read as round numbers.
+  static runtime::EngineConfig config(std::size_t num_ps) {
+    runtime::EngineConfig cfg = chaos_config(num_ps);
+    cfg.cluster.ps_apply_bytes_per_s = 1000.0;
+    return cfg;
+  }
+
+  /// Key k on shard k % hosts, priced 100·(k+1) bytes.
+  void init(std::size_t hosts, std::size_t shards) {
+    kv::Partition part;
+    part.num_shards = hosts;
+    std::vector<double> key_bytes;
+    for (std::size_t k = 0; k < engine.num_blocks(); ++k) {
+      part.owner.push_back(k % hosts);
+      key_bytes.push_back(100.0 * static_cast<double>(k + 1));
+    }
+    auto log = [this](const char* what) {
+      return [this, what](std::size_t s) {
+        calls.push_back(what + std::to_string(s));
+      };
+    };
+    session.init(engine, part, key_bytes, shards,
+                 {.collecting_round = [](std::size_t) { return 1; },
+                  .deposed = log("deposed "),
+                  .repush = log("repush ")});
+  }
+  [[nodiscard]] double shipped() const {
+    return engine.fault_stats().replica_catchup_bytes;
+  }
+  void apply(std::initializer_list<std::size_t> keys) {
+    std::vector<bool> mask(engine.num_blocks(), false);
+    for (std::size_t k : keys) mask[k] = true;
+    session.applied(mask);
+  }
+  /// Queue a 100-byte answer (0.3 s of PS work) that logs (host, time).
+  void answer(std::size_t shard) {
+    session.answer(shard, 100.0, [this](std::size_t host) {
+      answered.emplace_back(host, engine.sim().now());
+    });
+  }
+  std::vector<std::pair<std::size_t, double>> answered;
+};
+
+TEST(ShardSession, ChainsPromoteAndFailBack) {
+  SessionHarness h(3);
+  ASSERT_GE(h.engine.num_blocks(), 3u);
+  h.init(3, 3);
+  for (std::size_t s = 0; s < 3; ++s) {
+    EXPECT_EQ(h.session.serving(s), s) << "healthy: the primary serves";
+  }
+  const std::size_t backup = kv::ConsistentHashRing(3).successor(0);
+  h.session.on_ps_crashed(0);
+  EXPECT_EQ(h.session.serving(0), backup) << "promotion to the successor";
+  EXPECT_EQ(h.calls, (std::vector<std::string>{"deposed 0", "repush 0"}));
+  h.calls.clear();
+  h.session.on_ps_crashed(backup);
+  EXPECT_EQ(h.session.serving(0), kv::ShardSession::npos)
+      << "whole chain down";
+  // The deposed hook runs, the repush waits for a restart.
+  EXPECT_EQ(std::count(h.calls.begin(), h.calls.end(), "deposed 0"), 1);
+  EXPECT_EQ(std::count(h.calls.begin(), h.calls.end(), "repush 0"), 0);
+  h.calls.clear();
+  h.session.on_ps_restarted(0);
+  EXPECT_EQ(h.session.serving(0), 0u) << "failback to the restarted primary";
+  EXPECT_EQ(std::count(h.calls.begin(), h.calls.end(), "repush 0"), 1);
+}
+
+TEST(ShardSession, SingleHostHasNoBackup) {
+  SessionHarness h(1);
+  h.init(1, 1);
+  h.session.on_ps_crashed(0);
+  EXPECT_EQ(h.session.serving(0), kv::ShardSession::npos);
+  EXPECT_EQ(h.calls, (std::vector<std::string>{"deposed 0"}));
+  EXPECT_EQ(h.engine.fault_stats().ps_promotions, 0u);
+  h.session.on_ps_restarted(0);
+  EXPECT_EQ(h.session.serving(0), 0u);
+  EXPECT_EQ(h.calls, (std::vector<std::string>{"deposed 0", "deposed 0",
+                                               "repush 0"}));
+  EXPECT_EQ(h.engine.fault_stats().ps_promotions, 1u);
+}
+
+TEST(ShardSession, VersionPredicateCatchUp) {
+  SessionHarness h(3);
+  h.init(3, 3);
+  EXPECT_EQ(h.session.lag(), 0u) << "untouched store: every backup fresh";
+  // An apply bumps key 1 to v1; replication trails by one update, so the
+  // backup is known-good only up to v0 — exactly key 1 is stale.
+  h.apply({1});
+  EXPECT_EQ(h.session.lag(), 1u);
+  // Shard 0 (keys 0, 3, ...) has nothing stale: its promotion and its
+  // failback ship 0.
+  h.session.on_ps_crashed(0);
+  h.session.on_ps_restarted(0);
+  EXPECT_EQ(h.engine.fault_stats().ps_promotions, 2u);
+  EXPECT_DOUBLE_EQ(h.shipped(), 0.0);
+  // Shard 1's promotion ships exactly key 1 and marks it fresh.
+  h.session.on_ps_crashed(1);
+  EXPECT_DOUBLE_EQ(h.shipped(), 200.0);
+  EXPECT_EQ(h.session.lag(), 0u);
+  EXPECT_EQ(h.session.store().version(1), 1u);
+}
+
+TEST(ShardSession, RepeatedUpdatesNeedOneCatchUp) {
+  SessionHarness h(2);
+  h.init(2, 2);
+  for (int i = 0; i < 5; ++i) h.apply({0});
+  // Five applies, but the version predicate selects the key once.
+  EXPECT_EQ(h.session.lag(), 1u);
+  h.session.on_ps_crashed(0);
+  EXPECT_DOUBLE_EQ(h.shipped(), 100.0);
+  EXPECT_EQ(h.session.lag(), 0u);
+}
+
+TEST(ShardSession, CatchUpIsChargedOnTheNewHostQueue) {
+  SessionHarness h(2);
+  h.init(2, 2);
+  h.apply({0});                // key 0 (shard 0): the backup is stale
+  h.session.on_ps_crashed(0);  // promote host 1, ship key 0's 100 bytes
+  EXPECT_DOUBLE_EQ(h.shipped(), 100.0);
+  h.answer(0);
+  h.engine.sim().run();
+  // The answer queues behind the 0.1 s catch-up apply on host 1.
+  ASSERT_EQ(h.answered.size(), 1u);
+  EXPECT_EQ(h.answered[0].first, 1u);
+  EXPECT_NEAR(h.answered[0].second, 0.1 + 0.3, 1e-12);
+}
+
+TEST(ShardSession, AnswerStaysOnItsLiveHostAtFailback) {
+  SessionHarness h(2);
+  h.init(2, 2);
+  h.session.on_ps_crashed(0);  // shard 0 → host 1; nothing stale
+  h.answer(0);                 // queued on host 1
+  h.session.on_ps_restarted(0);
+  EXPECT_EQ(h.session.serving(0), 0u);
+  h.engine.sim().run();
+  // Failback away from a live host leaves its queued answer alone.
+  ASSERT_EQ(h.answered.size(), 1u);
+  EXPECT_EQ(h.answered[0].first, 1u);
+  EXPECT_NEAR(h.answered[0].second, 0.3, 1e-12);
+}
+
+TEST(ShardSession, SaveLoadRoundTrip) {
+  SessionHarness a(3);
+  a.init(3, 3);
+  a.session.on_ps_crashed(1);  // nothing stale yet: ships 0 bytes
+  a.apply({2});
+  util::serde::Writer w;
+  a.session.save_state(w);
+
+  SessionHarness b(3);
+  b.init(3, 3);
+  util::serde::Reader r(w.data());
+  b.session.load_state(r);
+  EXPECT_EQ(b.session.lag(), 1u);
+  EXPECT_EQ(b.session.store().version(2), 1u);
+  // The restored liveness, serving hosts and backup versions drive the
+  // same repoints and the same catch-up.
+  a.session.on_ps_crashed(2);
+  b.session.on_ps_crashed(2);
+  EXPECT_DOUBLE_EQ(b.shipped(), a.shipped());
+  for (std::size_t s = 0; s < 3; ++s) {
+    EXPECT_EQ(b.session.serving(s), a.session.serving(s));
+  }
 }
 
 TEST(PsFailover, ShardedBspCrashMidRoundPromotesBackup) {
@@ -333,6 +390,32 @@ TEST(PsFailover, WholeChainDownSkipsThenFailsBack) {
   opt.fixed_budget_fraction = 0.5;
   core::OspSync osp(opt, {.rs_timeout_s = 0.3, .ics_timeout_s = 0.3});
   check(osp, /*promotions=*/4, /*shards=*/2);
+}
+
+TEST(PsFailover, AnswerQueuedOnACrashedHostIsReDriven) {
+  // A broadcast queued on host 1 dies with it. (a) Shard 0's whole chain
+  // is down, and host 1 is back before host 0: the restart that promotes
+  // it must re-submit the broadcast, although host 1 is alive again.
+  // (b) Shard 0 failed back to host 0 while its broadcast was still queued
+  // on host 1, which then crashes: shard 0 is not repointed, yet the
+  // broadcast must be re-driven on host 0.
+  for (const bool failback_first : {false, true}) {
+    SCOPED_TRACE(failback_first ? "failback, then crash" : "chain down");
+    runtime::EngineConfig cfg = chaos_config(/*num_ps=*/2);
+    if (failback_first) {
+      cfg.faults.crash_ps(0.3, /*ps=*/0, /*restart_after=*/0.195)
+          .crash_ps(0.497, /*ps=*/1, /*restart_after=*/0.1);
+    } else {
+      cfg.faults.crash_ps(0.3, /*ps=*/0, /*restart_after=*/0.3)
+          .crash_ps(0.32, /*ps=*/1, /*restart_after=*/0.1);
+    }
+    sync::KvBspSync sync(sync::sharded_bsp());
+    const runtime::RunResult r = run_with(sync, cfg);
+    EXPECT_LT(r.total_time_s, 59.0) << "run did not converge (deadlock?)";
+    EXPECT_DOUBLE_EQ(r.total_samples, 1536.0);
+    EXPECT_TRUE(sync.drained());
+    for (std::size_t s = 0; s < 2; ++s) EXPECT_EQ(sync.serving_host(s), s);
+  }
 }
 
 TEST(PsFailover, SeededPsChaosIsBitDeterministic) {
