@@ -617,6 +617,11 @@ void OspSync::check_ics_round(std::uint64_t round) {
 
   for (std::size_t p = 0; p < num_ps_; ++p) {
     if (it->applied[p]) continue;
+    // Whole chain down (a member crash can get here): no host can step the
+    // shard. Its arrivals sat on a deposed host; the restart's repush
+    // re-collects them.
+    const std::size_t host = session_.serving(p);
+    if (host == kv::ShardSession::npos) continue;
     bool complete = true;
     for (std::size_t w = 0; w < it->members.size(); ++w) {
       if (it->members[w] && !it->arrived_from[p][w]) complete = false;
@@ -642,7 +647,6 @@ void OspSync::check_ics_round(std::uint64_t round) {
     // completing push just landed on). A correction that dies with a
     // crashed queue is NOT re-driven: the member keeps its LGP prediction
     // — exactly the no-correction degradation OSP already tolerates.
-    const std::size_t host = session_.serving(p);
     e.ps_submit(
         e.ps_apply_delay(resp.value_bytes, 3.0),
         [this, round, shard_view, resp, members, host] {

@@ -19,6 +19,7 @@
 #include "kv/store.hpp"
 #include "models/zoo.hpp"
 #include "runtime/engine.hpp"
+#include "sim/cluster.hpp"
 #include "sync/bsp.hpp"
 #include "sync/kv_bsp.hpp"
 #include "util/check.hpp"
@@ -155,6 +156,21 @@ struct SessionHarness {
   std::vector<std::pair<std::size_t, double>> answered;
 };
 
+TEST(ShardSession, EveryShardPromotesToItsRingSuccessor) {
+  const kv::ConsistentHashRing ring(3);
+  for (std::size_t s = 0; s < 3; ++s) {
+    SessionHarness h(3);
+    h.init(3, 3);
+    const std::size_t backup = ring.successor(s);
+    ASSERT_NE(backup, s) << "the backup is not the primary";
+    h.session.on_ps_crashed(s);
+    EXPECT_EQ(h.session.serving(s), backup) << "shard " << s;
+    for (std::size_t o = 0; o < 3; ++o) {
+      if (o != s) EXPECT_EQ(h.session.serving(o), o) << "shard " << o;
+    }
+  }
+}
+
 TEST(ShardSession, ChainsPromoteAndFailBack) {
   SessionHarness h(3);
   ASSERT_GE(h.engine.num_blocks(), 3u);
@@ -212,6 +228,17 @@ TEST(ShardSession, VersionPredicateCatchUp) {
   EXPECT_DOUBLE_EQ(h.shipped(), 200.0);
   EXPECT_EQ(h.session.lag(), 0u);
   EXPECT_EQ(h.session.store().version(1), 1u);
+}
+
+TEST(ShardSession, CatchUpSumsEveryStaleKeyOfTheShard) {
+  SessionHarness h(2);
+  ASSERT_GE(h.engine.num_blocks(), 3u);
+  h.init(2, 2);
+  h.apply({0, 2});  // both on shard 0
+  EXPECT_EQ(h.session.lag(), 2u);
+  h.session.on_ps_crashed(0);
+  EXPECT_DOUBLE_EQ(h.shipped(), 100.0 + 300.0);
+  EXPECT_EQ(h.session.lag(), 0u);
 }
 
 TEST(ShardSession, RepeatedUpdatesNeedOneCatchUp) {
@@ -390,6 +417,37 @@ TEST(PsFailover, WholeChainDownSkipsThenFailsBack) {
   opt.fixed_budget_fraction = 0.5;
   core::OspSync osp(opt, {.rs_timeout_s = 0.3, .ics_timeout_s = 0.3});
   check(osp, /*promotions=*/4, /*shards=*/2);
+}
+
+TEST(PsFailover, IcsShardWithItsChainDownWaitsForTheRestart) {
+  // One PS host, so shard 0's chain is that host alone. Worker 3's slowed
+  // uplink holds back its ICS push of the round in flight; the host
+  // crashes after the other members' pushes landed, then worker 3
+  // crashes. The shard's remaining members are complete, but no host can
+  // step it: it waits for the restart's repush, which re-collects it.
+  runtime::EngineConfig cfg = chaos_config(/*num_ps=*/1);
+  sim::LinkId worker3_up = 0;
+  {
+    sim::Simulator s;
+    runtime::EngineConfig c = cfg;
+    c.cluster.num_workers = c.num_workers;
+    worker3_up = sim::Cluster(s, c.cluster).worker_uplink(3);
+  }
+  cfg.faults.degrade_link(0.25, worker3_up, 0.1, 0.2)
+      .crash_ps(0.333, /*ps=*/0, /*restart_after=*/0.2)
+      .crash_worker(0.3332, /*worker=*/3, /*restart_after=*/0.3);
+  core::OspOptions opt;
+  opt.fixed_budget_fraction = 0.5;
+  core::OspSync sync(opt, {.rs_timeout_s = 0.3, .ics_timeout_s = 0.3});
+  const runtime::RunResult r = run_with(sync, cfg);
+  EXPECT_LT(r.total_time_s, 59.0) << "run did not converge (deadlock?)";
+  EXPECT_TRUE(sync.drained());
+  EXPECT_EQ(r.faults.ps_crashes, 1u);
+  EXPECT_EQ(r.faults.worker_crashes, 1u);
+  EXPECT_EQ(r.faults.ics_rounds_abandoned, 0u)
+      << "the restart's repush closes the waiting round in time";
+  EXPECT_EQ(sync.serving_host(0), 0u);
+  EXPECT_TRUE(std::isfinite(r.final_loss));
 }
 
 TEST(PsFailover, AnswerQueuedOnACrashedHostIsReDriven) {
