@@ -21,6 +21,7 @@
 #include "core/gib.hpp"
 #include "nn/attention.hpp"
 #include "nn/conv2d.hpp"
+#include "tensor/conv.hpp"
 #include "tensor/init.hpp"
 #include "tensor/ops.hpp"
 #include "util/json.hpp"
@@ -247,24 +248,48 @@ BENCHMARK(BM_ConvForward)
     ->Args({64, 14, 18, 4})
     ->Args({64, 18, 18, 4});
 
-void BM_ConvBackward(benchmark::State& state) {
+/// One backward kernel alone on a proxy layer's shapes: the input gradient
+/// (conv2d_backward_data, its GEMM plus the col2im-order gather) or the
+/// weight and bias gradients (conv2d_backward_weight). Each does the GEMM
+/// work of one forward.
+void conv_backward_case(benchmark::State& state, bool data) {
   const auto batch = static_cast<std::size_t>(state.range(0));
   const auto in_c = static_cast<std::size_t>(state.range(1));
   const auto out_c = static_cast<std::size_t>(state.range(2));
   const auto side = static_cast<std::size_t>(state.range(3));
-  osp::util::Rng rng(31);
-  osp::nn::Conv2d conv("bench", in_c, out_c, side, side, 3, 1, 1, rng);
-  const Tensor input = random_nchw(batch, in_c, side, side, 32);
+  const Conv2dGeom g{in_c, side, side, 3, 1, 1};
+  const Tensor w = random_matrix(out_c, g.patch_len(), 31);
+  const Tensor x = random_nchw(batch, in_c, side, side, 32);
   const Tensor grad = random_nchw(batch, out_c, side, side, 33);
-  (void)conv.forward(input, /*train=*/true);
+  Tensor dx(x.shape()), wgrad({out_c, g.patch_len()}), bgrad({out_c});
   for (auto _ : state) {
-    Tensor dx = conv.backward(grad);
-    benchmark::DoNotOptimize(dx.raw());
+    if (data) {
+      osp::tensor::conv2d_backward_data(grad.raw(), w.raw(), g, out_c, batch,
+                                        dx.raw());
+      benchmark::DoNotOptimize(dx.raw());
+    } else {
+      osp::tensor::conv2d_backward_weight(grad.raw(), x.raw(), g, out_c,
+                                          batch, wgrad.raw(), bgrad.raw());
+      benchmark::DoNotOptimize(wgrad.raw());
+    }
+    benchmark::ClobberMemory();
   }
-  // backward ~= 2x forward GEMM work (dW and dX) plus the dX scatter.
-  set_flops(state, 2.0 * conv_flops(batch, conv.geometry(), out_c));
+  set_flops(state, conv_flops(batch, g, out_c));
 }
-BENCHMARK(BM_ConvBackward)
+
+void BM_ConvBackwardData(benchmark::State& state) {
+  conv_backward_case(state, /*data=*/true);
+}
+BENCHMARK(BM_ConvBackwardData)
+    ->Args({64, 3, 10, 8})
+    ->Args({64, 10, 14, 8})
+    ->Args({64, 14, 18, 4})
+    ->Args({64, 18, 18, 4});
+
+void BM_ConvBackwardWeight(benchmark::State& state) {
+  conv_backward_case(state, /*data=*/false);
+}
+BENCHMARK(BM_ConvBackwardWeight)
     ->Args({64, 3, 10, 8})
     ->Args({64, 10, 14, 8})
     ->Args({64, 14, 18, 4})

@@ -5,6 +5,10 @@
 #include <cstdlib>
 #include <limits>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include "util/check.hpp"
 #include "util/vec_math.hpp"
 
@@ -22,11 +26,25 @@ void join_quietly(util::TaskHandle& handle) {
   }
 }
 
+/// Every layer allocates and frees activation tensors of ~0.1–0.3 MB per
+/// step. glibc serves blocks that size with mmap until its dynamic
+/// threshold catches up, and trims freed heap tops back to the kernel, so
+/// the next step faults the same pages in again. Fixed thresholds above
+/// those sizes keep freed buffers in the heap for reuse (DESIGN.md,
+/// "Allocator"). Every Engine sets the same values.
+void keep_freed_buffers_in_heap() {
+#ifdef __GLIBC__
+  mallopt(M_MMAP_THRESHOLD, 1 << 20);
+  mallopt(M_TRIM_THRESHOLD, 4 << 20);
+#endif
+}
+
 }  // namespace
 
 Engine::Engine(const WorkloadSpec& spec, const EngineConfig& config,
                SyncModel& sync)
     : spec_(&spec), config_(config), sync_(&sync) {
+  keep_freed_buffers_in_heap();
   OSP_CHECK(config.num_workers > 0, "need at least one worker");
   OSP_CHECK(config.max_epochs > 0, "need at least one epoch");
   OSP_CHECK(spec.build_model != nullptr, "workload has no model builder");

@@ -4,14 +4,17 @@
 // matrix of sample b (row q = (ch, ky, kx), column p = (oy, ox)):
 //
 //   forward:  out_b  = W · X̂_b + bias          lanes over patches, NCHW out
-//   dX:       D_b    = Wᵀ · G_b                scattered into dx_b as spans
+//   dX:       D_b    = Wᵀ · G_b                gathered into dx_b by rows
 //   dW:       wgrad += G_b · X̂_bᵀ             fresh per sample, batch order
 //   db:       bgrad[oc] += G[b, oc, p]         ascending (b, p) per channel
 //
-// No patch matrix is kept for the batch. Each sample is copied into a zero
-// frame of the padding width, where every patch row is a plain copy;
-// forward packs X̂_b from it and dW packs X̂_bᵀ, one sample at a time, and
-// dX scatters into a framed gradient the same way.
+// No patch matrix is kept for the batch, and no padded copy of a sample is
+// made. Forward packs X̂_b as ow-wide spans read straight from the sample's
+// NCHW rows, dW packs X̂_bᵀ as k-wide spans the same way, one sample at a
+// time; a lane mask zeroes the lanes that fall in the padding. dX reads
+// D_b in col2im's order: each dx row is one register accumulator per span
+// that starts at +0, adds its taps (ky descending, then kx descending,
+// which is ascending (oy, ox) for every pixel) and is stored once.
 //
 // Each per-sample product is one call of the panel GEMM (gemm.hpp), so
 // every output element is one accumulator that starts at 0 and adds its
@@ -22,7 +25,7 @@
 // float grouping of the im2col + GEMM + col2im pipeline these kernels
 // replaced (im2col/col2im in ops.hpp remain as the tests' reference), so
 // results are bit-identical to it at any thread count and in every
-// util::simd tier. See DESIGN.md, "Panel GEMM".
+// util::simd tier. See DESIGN.md, "Convolution kernels".
 #pragma once
 
 #include <cstddef>

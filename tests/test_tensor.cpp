@@ -4,6 +4,7 @@
 // initializers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -121,17 +122,19 @@ void for_each_tier_and_pool(const Fn& fn) {
 
 /// Bit equality, except that any NaN matches any NaN: which operand's
 /// payload an IEEE add of two NaNs returns is left to the hardware and the
-/// compiler, and is not part of the matmul contract. Where the reference
-/// has no NaN this is a memcmp.
-bool same_bits_up_to_nan(const Tensor& a, const Tensor& b) {
-  if (a.shape() != b.shape()) return false;
-  for (std::size_t i = 0; i < a.numel(); ++i) {
+/// compiler, and is not part of the matmul or conv contract. Where the
+/// reference has no NaN this is a memcmp.
+bool same_bits_up_to_nan(std::span<const float> a, std::span<const float> b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
     if (std::isnan(a[i]) && std::isnan(b[i])) continue;
-    if (std::memcmp(a.raw() + i, b.raw() + i, sizeof(float)) != 0) {
-      return false;
-    }
+    if (std::memcmp(&a[i], &b[i], sizeof(float)) != 0) return false;
   }
   return true;
+}
+
+bool same_bits_up_to_nan(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() && same_bits_up_to_nan(a.data(), b.data());
 }
 
 // The matmul contract: one accumulator per element, starting at 0 and
@@ -622,7 +625,9 @@ TEST_P(ConvKernels, BitIdenticalToIm2colReference) {
 // Geometry fields: {in_channels, in_h, in_w, kernel, stride, pad}. Patch
 // counts (oh·ow) of 64, 30, 15, 20, 54, 12, 16, 25 and 1024 cover full and
 // partial 8- and 16-lane strips; out_c of 3..19 covers full and short row
-// tiles.
+// tiles. The Width* cases put the image and output rows (the spans of
+// forward and dX) one lane short of, at and one lane past one and two
+// 8-lane spans, with and without padding.
 INSTANTIATE_TEST_SUITE_P(
     Geometries, ConvKernels,
     ::testing::Values(ConvCase{"Proxy3x3Same", {3, 8, 8, 3, 1, 1}, 10, 4},
@@ -633,10 +638,68 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvCase{"K3Stride2Pad1", {5, 7, 6, 3, 2, 1}, 12, 3},
                       ConvCase{"Batch1", {18, 4, 4, 3, 1, 1}, 18, 1},
                       ConvCase{"PadBeyondKernel", {2, 3, 3, 1, 1, 1}, 3, 2},
-                      ConvCase{"LargeImage", {2, 32, 32, 3, 1, 1}, 16, 1}),
+                      ConvCase{"LargeImage", {2, 32, 32, 3, 1, 1}, 16, 1},
+                      ConvCase{"Width7Pad0", {2, 4, 7, 3, 1, 0}, 5, 2},
+                      ConvCase{"Width7Pad1", {2, 4, 7, 3, 1, 1}, 5, 2},
+                      ConvCase{"Width8Pad0", {2, 4, 8, 3, 1, 0}, 5, 2},
+                      ConvCase{"Width8Pad1", {2, 4, 8, 3, 1, 1}, 5, 2},
+                      ConvCase{"Width9Pad0", {2, 4, 9, 3, 1, 0}, 5, 2},
+                      ConvCase{"Width9Pad1", {2, 4, 9, 3, 1, 1}, 5, 2},
+                      ConvCase{"Width16Pad0", {2, 4, 16, 3, 1, 0}, 5, 2},
+                      ConvCase{"Width16Pad1", {2, 4, 16, 3, 1, 1}, 5, 2},
+                      ConvCase{"Width17Pad0", {2, 4, 17, 3, 1, 0}, 5, 2},
+                      ConvCase{"Width17Pad1", {2, 4, 17, 3, 1, 1}, 5, 2}),
     [](const ::testing::TestParamInfo<ConvCase>& info) {
       return std::string(info.param.name);
     });
+
+TEST(ConvSpecialValues, MatchIm2colReference) {
+  // x, w and grad_out each get +Inf, NaN and -Inf at three spots, so most
+  // outputs stay finite, and a subnormal in every 5th value; conv_values
+  // already makes every 7th value -0. One padded stride-1 geometry wider
+  // than two 8-lane spans, one stride-2 geometry.
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<float> poison = {
+      inf, std::numeric_limits<float>::quiet_NaN(), -inf};
+  const auto salt = [&](std::vector<float>& v) {
+    const std::size_t step = v.size() / poison.size();
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      if (i % step == step / 2) {
+        v[i] = poison[(i / step) % poison.size()];
+      } else if (i % 5 == 1) {
+        v[i] *= 1e-39f;
+      }
+    }
+  };
+  const auto mixed = [](const std::vector<float>& v) {
+    const auto finite = std::count_if(v.begin(), v.end(),
+                                      [](float f) { return std::isfinite(f); });
+    return finite > 0 && finite < static_cast<std::ptrdiff_t>(v.size());
+  };
+  for (const ConvCase& c : {ConvCase{"Padded", {3, 5, 17, 3, 1, 1}, 6, 2},
+                            ConvCase{"Stride2", {3, 7, 9, 3, 2, 1}, 6, 2}}) {
+    util::Rng rng(4242);
+    ConvData data = conv_data(c, rng);
+    salt(data.x);
+    salt(data.w);
+    salt(data.gout);
+    const ConvResult want = reference_conv(c, data);
+    ASSERT_TRUE(mixed(want.out) && mixed(want.dx) && mixed(want.wgrad) &&
+                mixed(want.bgrad))
+        << c.name << ": the specials must leave finite outputs to compare";
+    for_each_tier_and_pool([&](const std::string& at) {
+      const ConvResult got = run_conv_kernels(c, data);
+      EXPECT_TRUE(same_bits_up_to_nan(got.out, want.out))
+          << c.name << " forward, " << at;
+      EXPECT_TRUE(same_bits_up_to_nan(got.dx, want.dx))
+          << c.name << " input gradient, " << at;
+      EXPECT_TRUE(same_bits_up_to_nan(got.wgrad, want.wgrad))
+          << c.name << " weight gradient, " << at;
+      EXPECT_TRUE(same_bits_up_to_nan(got.bgrad, want.bgrad))
+          << c.name << " bias gradient, " << at;
+    });
+  }
+}
 
 TEST(Init, XavierBounds) {
   util::Rng rng(3);
