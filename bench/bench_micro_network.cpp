@@ -244,6 +244,46 @@ void BM_IncastRound(benchmark::State& state) {
 }
 BENCHMARK(BM_IncastRound);
 
+void BM_BroadcastBurst(benchmark::State& state) {
+  // One broadcast at wide-osp's scale: 256 workers pull their slice from
+  // each of 4 PS shards, every pull started in one event (as a sync round
+  // releases them), then the network drains. The burst is one rate solve;
+  // the drain is one per completion event.
+  constexpr std::size_t kWorkers = 256;
+  constexpr std::size_t kShards = 4;
+  std::uint64_t solves = 0;
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    sim::Simulator sim;
+    sim::ClusterConfig cfg;
+    cfg.num_workers = kWorkers;
+    cfg.num_ps = kShards;
+    auto cluster = std::make_unique<sim::Cluster>(sim, cfg);
+    state.ResumeTiming();
+    sim.schedule(0.0, [&cluster] {
+      for (std::size_t w = 0; w < kWorkers; ++w) {
+        for (std::size_t ps = 0; ps < kShards; ++ps) {
+          cluster->network().start_flow(cluster->route_from_ps(w, ps),
+                                        4e6 / kShards, nullptr);
+        }
+      }
+    });
+    events = sim.run();
+    solves = cluster->network().solve_stats().solves;
+    benchmark::DoNotOptimize(cluster->network().bytes_delivered());
+    state.PauseTiming();
+    cluster.reset();
+    state.ResumeTiming();
+  }
+  state.counters["solves"] =
+      benchmark::Counter(static_cast<double>(solves));
+  state.counters["events_per_s"] = benchmark::Counter(
+      static_cast<double>(events),
+      benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_BroadcastBurst);
+
 void BM_PgpRanking(benchmark::State& state) {
   // PGP importance + sort over a model-sized flat vector.
   const auto params_count = static_cast<std::size_t>(state.range(0));

@@ -1,61 +1,59 @@
 #include "sim/faults.hpp"
 
+#include <cmath>
+
 #include "util/check.hpp"
 
 namespace osp::sim {
 
 namespace {
+void check_time(double at) {
+  OSP_CHECK(at >= 0.0 && std::isfinite(at),
+            "fault time must be finite and non-negative");
+}
+
 void check_window(double at, double duration) {
-  OSP_CHECK(at >= 0.0, "fault time must be non-negative");
-  OSP_CHECK(duration > 0.0, "fault window needs a positive duration");
+  check_time(at);
+  OSP_CHECK(duration > 0.0 && std::isfinite(duration),
+            "fault window needs a finite positive duration");
+}
+
+void check_crash(double at, double restart_after) {
+  check_time(at);
+  OSP_CHECK(restart_after < 0.0 || std::isfinite(restart_after),
+            "restart delay must be finite, or negative for never (not NaN)");
 }
 }  // namespace
 
 FaultSchedule& FaultSchedule::pause_worker(double at, std::size_t worker,
                                            double duration) {
   check_window(at, duration);
-  FaultEvent ev;
-  ev.kind = FaultKind::kWorkerPause;
-  ev.time = at;
-  ev.duration = duration;
-  ev.target = worker;
-  events_.push_back(ev);
+  events_.push_back({.kind = FaultKind::kWorkerPause, .time = at,
+                     .duration = duration, .target = worker});
   return *this;
 }
 
 FaultSchedule& FaultSchedule::crash_worker(double at, std::size_t worker,
                                            double restart_after) {
-  OSP_CHECK(at >= 0.0, "fault time must be non-negative");
-  FaultEvent ev;
-  ev.kind = FaultKind::kWorkerCrash;
-  ev.time = at;
-  ev.duration = restart_after;
-  ev.target = worker;
-  events_.push_back(ev);
+  check_crash(at, restart_after);
+  events_.push_back({.kind = FaultKind::kWorkerCrash, .time = at,
+                     .duration = restart_after, .target = worker});
   return *this;
 }
 
 FaultSchedule& FaultSchedule::crash_ps(double at, std::size_t ps,
                                        double restart_after) {
-  OSP_CHECK(at >= 0.0, "fault time must be non-negative");
-  FaultEvent ev;
-  ev.kind = FaultKind::kPsCrash;
-  ev.time = at;
-  ev.duration = restart_after;
-  ev.target = ps;
-  events_.push_back(ev);
+  check_crash(at, restart_after);
+  events_.push_back({.kind = FaultKind::kPsCrash, .time = at,
+                     .duration = restart_after, .target = ps});
   return *this;
 }
 
 FaultSchedule& FaultSchedule::link_down(double at, LinkId link,
                                         double duration) {
   check_window(at, duration);
-  FaultEvent ev;
-  ev.kind = FaultKind::kLinkDown;
-  ev.time = at;
-  ev.duration = duration;
-  ev.target = link;
-  events_.push_back(ev);
+  events_.push_back({.kind = FaultKind::kLinkDown, .time = at,
+                     .duration = duration, .target = link});
   return *this;
 }
 
@@ -67,14 +65,10 @@ FaultSchedule& FaultSchedule::degrade_link(double at, LinkId link,
   OSP_CHECK(bandwidth_factor > 0.0 && bandwidth_factor <= 1.0,
             "bandwidth factor must be in (0, 1]");
   OSP_CHECK(extra_loss_rate >= 0.0, "extra loss rate must be non-negative");
-  FaultEvent ev;
-  ev.kind = FaultKind::kLinkDegrade;
-  ev.time = at;
-  ev.duration = duration;
-  ev.target = link;
-  ev.bandwidth_factor = bandwidth_factor;
-  ev.extra_loss_rate = extra_loss_rate;
-  events_.push_back(ev);
+  events_.push_back({.kind = FaultKind::kLinkDegrade, .time = at,
+                     .duration = duration, .target = link,
+                     .bandwidth_factor = bandwidth_factor,
+                     .extra_loss_rate = extra_loss_rate});
   return *this;
 }
 
@@ -82,14 +76,11 @@ FaultSchedule& FaultSchedule::delay_messages(double at, double duration,
                                              double delay_s,
                                              std::size_t link) {
   check_window(at, duration);
-  OSP_CHECK(delay_s >= 0.0, "message delay must be non-negative");
-  FaultEvent ev;
-  ev.kind = FaultKind::kMessageDelay;
-  ev.time = at;
-  ev.duration = duration;
-  ev.target = link;
-  ev.delay_s = delay_s;
-  events_.push_back(ev);
+  OSP_CHECK(delay_s >= 0.0 && std::isfinite(delay_s),
+            "message delay must be finite and non-negative");
+  events_.push_back({.kind = FaultKind::kMessageDelay, .time = at,
+                     .duration = duration, .target = link,
+                     .delay_s = delay_s});
   return *this;
 }
 
@@ -99,13 +90,9 @@ FaultSchedule& FaultSchedule::drop_messages(double at, double duration,
   check_window(at, duration);
   OSP_CHECK(drop_prob >= 0.0 && drop_prob <= 1.0,
             "drop probability must be in [0, 1]");
-  FaultEvent ev;
-  ev.kind = FaultKind::kMessageDrop;
-  ev.time = at;
-  ev.duration = duration;
-  ev.target = link;
-  ev.drop_prob = drop_prob;
-  events_.push_back(ev);
+  events_.push_back({.kind = FaultKind::kMessageDrop, .time = at,
+                     .duration = duration, .target = link,
+                     .drop_prob = drop_prob});
   return *this;
 }
 

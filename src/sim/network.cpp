@@ -1,11 +1,17 @@
 #include "sim/network.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 
 #include "util/check.hpp"
 #include "util/serde.hpp"
 
 namespace osp::sim {
+
+Network::Network(Simulator& sim) : sim_(&sim) { sim.attach(*this); }
+
+Network::~Network() { sim_->detach(*this); }
 
 LinkId Network::add_link(double bandwidth_bytes_per_s, double latency_s,
                          double loss_rate, double incast_alpha) {
@@ -31,6 +37,7 @@ std::uint32_t Network::alloc_slot() {
   if (free_slots_.empty()) {
     slots_.emplace_back();
     flow_mark_.push_back(0);
+    by_id_pos_.push_back(kNpos);
     return static_cast<std::uint32_t>(slots_.size() - 1);
   }
   const std::uint32_t slot = free_slots_.back();
@@ -62,6 +69,8 @@ void Network::set_rate(std::uint32_t slot, double rate) {
 void Network::remove_flow(std::uint32_t slot) {
   Flow& f = slots_[slot];
   set_rate(slot, 0.0);
+  pending_links_.insert(pending_links_.end(), f.route.begin(), f.route.end());
+  by_id_pos_[slot] = kNpos;
   for (std::size_t i = 0; i < f.route.size(); ++i) {
     std::vector<LinkFlowRef>& refs = link_flows_[f.route[i]];
     const std::uint32_t pos = f.link_pos[i];
@@ -82,8 +91,10 @@ FlowId Network::start_flow(std::vector<LinkId> route, double bytes,
                            std::function<void()> on_complete,
                            double extra_latency_s) {
   OSP_CHECK(!route.empty(), "flow needs a route");
-  OSP_CHECK(bytes >= 0.0, "negative flow size");
-  OSP_CHECK(extra_latency_s >= 0.0, "negative transfer overhead");
+  OSP_CHECK(bytes >= 0.0 && std::isfinite(bytes),
+            "flow size must be finite and non-negative");
+  OSP_CHECK(extra_latency_s >= 0.0 && std::isfinite(extra_latency_s),
+            "transfer overhead must be finite and non-negative");
   double latency = extra_latency_s;
   double loss_factor = 1.0;
   for (LinkId id : route) {
@@ -126,6 +137,19 @@ FlowId Network::start_flow(std::vector<LinkId> route, double bytes,
   f.latency = latency;
   f.on_complete = std::move(on_complete);
   f.in_use = true;
+  if (by_id_.size() > 2 * num_flows_ + 64) {
+    // Mostly dead entries: compact, keeping the live ones in order.
+    std::uint32_t live = 0;
+    for (std::uint32_t i = 0; i < by_id_.size(); ++i) {
+      const std::uint32_t s = by_id_[i];
+      if (by_id_pos_[s] != i) continue;  // freed, or restarted later
+      by_id_pos_[s] = live;
+      by_id_[live++] = s;
+    }
+    by_id_.resize(live);
+  }
+  by_id_pos_[slot] = static_cast<std::uint32_t>(by_id_.size());
+  by_id_.push_back(slot);  // the new id is the largest
   f.link_pos.resize(f.route.size());
   f.down_links = 0;
   for (std::size_t i = 0; i < f.route.size(); ++i) {
@@ -138,13 +162,13 @@ FlowId Network::start_flow(std::vector<LinkId> route, double bytes,
   ++num_flows_;
   payload_in_flight_ += bytes;
   if (hooks_.started) hooks_.started(id, f.route, sim_->now(), bytes);
-  seed_flows_.assign(1, slot);
-  recompute_incremental(seed_flows_, {});
-  schedule_next_completion();
+  pending_flows_.push_back(slot);
+  defer_solve();
   return id;
 }
 
-double Network::flow_rate(FlowId id) const {
+double Network::flow_rate(FlowId id) {
+  settle();
   const auto it = id_to_slot_.find(id);
   return it == id_to_slot_.end() ? 0.0 : slots_[it->second].rate;
 }
@@ -156,11 +180,9 @@ bool Network::cancel_flow(FlowId id) {
   advance_to_now();
   payload_in_flight_ -= slots_[slot].payload_bytes;
   if (hooks_.ended) hooks_.ended(id, sim_->now(), /*cancelled=*/true);
-  seed_links_.assign(slots_[slot].route.begin(), slots_[slot].route.end());
   remove_flow(slot);
   ++flows_cancelled_;
-  recompute_incremental({}, seed_links_);
-  schedule_next_completion();
+  defer_solve();
   return true;
 }
 
@@ -171,7 +193,6 @@ void Network::set_link_up(LinkId id, bool up) {
   // Maintain the per-flow down-hop counters on the edge itself so the
   // solver never rescans routes: one increment/decrement per occurrence of
   // this link on a crossing flow's route.
-  seed_flows_.clear();
   for (const LinkFlowRef& ref : link_flows_[id]) {
     Flow& f = slots_[ref.slot];
     if (up) {
@@ -180,12 +201,11 @@ void Network::set_link_up(LinkId id, bool up) {
     } else {
       ++f.down_links;
     }
-    seed_flows_.push_back(ref.slot);
+    pending_flows_.push_back(ref.slot);
   }
   advance_to_now();
-  seed_links_.assign(1, id);
-  recompute_incremental(seed_flows_, seed_links_);
-  schedule_next_completion();
+  pending_links_.push_back(id);
+  defer_solve();
 }
 
 bool Network::link_up(LinkId id) const {
@@ -201,9 +221,8 @@ void Network::set_link_degradation(LinkId id, double bandwidth_factor,
   link_state_[id].bandwidth_factor = bandwidth_factor;
   link_state_[id].extra_loss_rate = extra_loss_rate;
   advance_to_now();
-  seed_links_.assign(1, id);
-  recompute_incremental({}, seed_links_);
-  schedule_next_completion();
+  pending_links_.push_back(id);
+  defer_solve();
 }
 
 double Network::link_capacity(LinkId id) const {
@@ -251,10 +270,24 @@ void Network::advance_to_now() {
   }
 }
 
-void Network::recompute_incremental(std::span<const std::uint32_t> seed_flows,
-                                    std::span<const LinkId> seed_links) {
+void Network::defer_solve() {
   ++epoch_;
-  if (num_flows_ == 0) return;
+  // No flow left: nothing to solve, no completion to place.
+  solve_pending_ = num_flows_ > 0;
+  if (solve_pending_) pending_seq_ = sim_->reserve_seq();
+}
+
+void Network::settle() {
+  if (solve_pending_) {
+    solve_pending_ = false;
+    recompute_incremental();
+    schedule_next_completion();
+  }
+  pending_flows_.clear();
+  pending_links_.clear();
+}
+
+void Network::recompute_incremental() {
   ++stats_.solves;
   if (use_reference_solver_) {
     solve_reference();
@@ -275,13 +308,13 @@ void Network::recompute_incremental(std::span<const std::uint32_t> seed_flows,
       touched_links_.push_back(l);
     }
   };
-  for (const std::uint32_t slot : seed_flows) {
-    if (flow_mark_[slot] == mark_stamp_) continue;
+  for (const std::uint32_t slot : pending_flows_) {
+    if (!slots_[slot].in_use || flow_mark_[slot] == mark_stamp_) continue;
     flow_mark_[slot] = mark_stamp_;
     affected_.push_back(slot);
     for (const LinkId l : slots_[slot].route) mark_link(l);
   }
-  for (const LinkId l : seed_links) mark_link(l);
+  for (const LinkId l : pending_links_) mark_link(l);
   for (std::size_t i = 0; i < touched_links_.size(); ++i) {
     for (const LinkFlowRef& ref : link_flows_[touched_links_[i]]) {
       if (flow_mark_[ref.slot] == mark_stamp_) continue;
@@ -305,12 +338,21 @@ void Network::solve_over(const std::vector<std::uint32_t>& flow_set,
   // crossing count, and min-share below takes the same values the full
   // solve would produce for these flows — rates stay bit-identical.
   stats_.flow_visits += flow_set.size();
-  unfixed_.clear();
+  // Deterministic order: ascending flow id, read off bits set at by_id_
+  // places, no sort. Flows routed through a down link stall: rate 0, kept
+  // out of water-filling so they don't claim shares on healthy links.
+  id_bits_.assign((by_id_.size() + 63) / 64, 0);
   for (const std::uint32_t slot : flow_set) {
     set_rate(slot, 0.0);
-    // Flows routed through a down link stall: rate 0, excluded from
-    // water-filling so they don't claim shares on their healthy links.
-    if (slots_[slot].down_links == 0) unfixed_.push_back(slot);
+    if (slots_[slot].down_links != 0) continue;
+    const std::uint32_t pos = by_id_pos_[slot];
+    id_bits_[pos / 64] |= std::uint64_t{1} << (pos % 64);
+  }
+  unfixed_.clear();
+  for (std::size_t w = 0; w < id_bits_.size(); ++w) {
+    for (std::uint64_t bits = id_bits_[w]; bits != 0; bits &= bits - 1) {
+      unfixed_.push_back(by_id_[w * 64 + std::countr_zero(bits)]);
+    }
   }
   if (unfixed_.empty()) return;
   for (const LinkId l : links) crossing_[l] = 0;
@@ -326,11 +368,6 @@ void Network::solve_over(const std::vector<std::uint32_t>& flow_set,
     residual_[l] =
         links_[l].bandwidth_bps * link_state_[l].bandwidth_factor / collapse;
   }
-  // Deterministic order: ascending flow id == start order.
-  std::sort(unfixed_.begin(), unfixed_.end(),
-            [this](std::uint32_t a, std::uint32_t b) {
-              return slots_[a].id < slots_[b].id;
-            });
 
   while (!unfixed_.empty()) {
     // Find the most constrained link among those carrying unfixed flows.
@@ -437,12 +474,11 @@ void Network::schedule_next_completion() {
     }
     return;
   }
-  const std::uint64_t epoch = epoch_;
-  const std::uint32_t slot = best_slot;
-  sim_->schedule(best_dt, [this, epoch, slot] {
-    if (epoch != epoch_) return;  // stale: rates changed since scheduling
-    complete_flow(slot);
-  });
+  sim_->schedule_reserved(sim_->now() + best_dt, pending_seq_,
+                          [this, epoch = epoch_, slot = best_slot] {
+                            if (epoch != epoch_) return;  // rates changed
+                            complete_flow(slot);
+                          });
 }
 
 void Network::complete_flow(std::uint32_t slot) {
@@ -456,20 +492,18 @@ void Network::complete_flow(std::uint32_t slot) {
   // The flow leaves the wire when its last byte *arrives*, after the
   // route's propagation delay — match what the completion callback sees.
   if (hooks_.ended) hooks_.ended(f.id, sim_->now() + latency, false);
-  seed_links_.assign(f.route.begin(), f.route.end());
   remove_flow(slot);
   // Last byte leaves now; it arrives after the route's propagation delay.
   if (cb != nullptr) {
     sim_->schedule(latency, std::move(cb));
   }
-  recompute_incremental({}, seed_links_);
-  schedule_next_completion();
+  defer_solve();
 }
 
 void Network::save_state(util::serde::Writer& w) const {
-  OSP_CHECK(num_flows_ == 0,
+  OSP_CHECK(num_flows_ == 0 && !solve_pending_,
             "network checkpoint requires a quiescent network (flows in "
-            "flight)");
+            "flight or a rate solve pending)");
   w.u8(1);  // network state version
   w.u64(link_state_.size());
   for (const LinkState& ls : link_state_) {

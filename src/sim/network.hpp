@@ -11,26 +11,29 @@
 //
 // Every topology change (flow start/finish, link flap, degradation edge,
 // flow cancellation) advances all in-flight flows to the current instant,
-// recomputes rates, and reschedules the next completion. Completion events
-// are invalidated by an epoch counter.
+// stales the scheduled completion (epoch counter) and seeds a deferred
+// solve, which runs once per event (settle) or on a rate read. Its rates
+// equal a per-change solve's: water-filling depends only on the final flow
+// set, and every component that changed holds a seed. The completion keeps
+// its per-change (time, seq) place (see sim/simulator.hpp).
 //
 // Scalability: the solver is *incremental*. A link→flows adjacency index
-// lets each topology change re-run water-filling only over the connected
-// component of flows/links reachable from the changed flow or link —
-// disjoint components share no links, so their allocations are independent
-// and untouched rates stay valid bit-for-bit. Flows live in a slot-indexed
-// table (stable indices, free-list reuse) with an active-flow list so
-// advancing in-flight bytes and rescheduling completions touch only flows
-// whose rate is nonzero. A from-scratch reference solver is kept behind
-// set_use_reference_solver() / set_check_against_reference() and asserted
-// bitwise-equal in the property tests.
+// lets each solve re-run water-filling only over the connected components
+// reachable from the seeds — disjoint components share no links, so their
+// allocations are independent and untouched rates stay valid bit-for-bit.
+// Flows live in a slot-indexed table (stable indices, free-list reuse), on
+// an id-ordered list that orders water-filling without a sort (a new id is
+// the largest), and on an active-flow list so advancing in-flight bytes and
+// rescheduling completions touch only flows whose rate is nonzero. A
+// from-scratch reference solver is kept behind set_use_reference_solver()
+// / set_check_against_reference() and asserted bitwise-equal in tests.
 //
 // Fault injection (see sim/faults.hpp): links carry dynamic state — an
 // up/down bit and a degradation (bandwidth factor + extra loss). A flow
 // routed through a down link stalls at rate 0 and resumes when the link
-// comes back; rates recompute on every flap edge. Per-flow down-link
-// counters are maintained on the flap edges themselves, so recomputes
-// never rescan routes for link health. Message-level injection windows add
+// comes back; every flap edge seeds a solve. Per-flow down-link counters
+// are maintained on the flap edges themselves, so recomputes never rescan
+// routes for link health. Message-level injection windows add
 // latency to, or drop outright, flows that *start* inside the window; drop
 // sampling draws from a dedicated seeded stream so runs stay deterministic.
 #pragma once
@@ -38,7 +41,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -76,7 +78,8 @@ struct LinkSpec {
 
 class Network {
  public:
-  explicit Network(Simulator& sim) : sim_(&sim) {}
+  explicit Network(Simulator& sim);
+  ~Network();
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -143,7 +146,7 @@ class Network {
   [[nodiscard]] std::size_t active_flows() const { return num_flows_; }
 
   /// Current fair-share rate of a flow (bytes/s); 0 if unknown/finished.
-  [[nodiscard]] double flow_rate(FlowId id) const;
+  [[nodiscard]] double flow_rate(FlowId id);
 
   /// Total bytes delivered since construction (post-loss-inflation wire
   /// bytes are NOT counted; this is payload).
@@ -193,12 +196,17 @@ class Network {
   /// assert every flow's rate is bitwise identical (slow; for tests).
   void set_check_against_reference(bool on) { check_reference_ = on; }
 
+  /// settle() runs a pending solve and schedules the next completion; the
+  /// simulator calls it after every event.
+  [[nodiscard]] bool solve_pending() const { return solve_pending_; }
+  void settle();
+
   // ---- checkpointing ----
 
   /// Serialize dynamic state: per-link fault state, the injection RNG
   /// stream, flow-id counter, and accounting counters. Requires a
-  /// quiescent network (no in-flight flows) — in-flight flows are drained
-  /// by the engine before a snapshot, never serialized.
+  /// quiescent network (no in-flight flows, no pending solve) — in-flight
+  /// flows are drained by the engine before a snapshot, never serialized.
   void save_state(util::serde::Writer& w) const;
 
   /// Restore state saved by save_state onto a freshly built network with
@@ -245,21 +253,23 @@ class Network {
   };
 
   void advance_to_now();
+  /// After a change has added its seeds: stale the scheduled completion
+  /// and reserve the sequence number of its replacement.
+  void defer_solve();
   void schedule_next_completion();
   void complete_flow(std::uint32_t slot);
 
   std::uint32_t alloc_slot();
-  /// Unlink from the adjacency index, drop from the active list, free the
-  /// slot. Does not recompute rates.
+  /// Seed its route links, unlink from the adjacency index and the flow
+  /// lists, free the slot. Does not recompute rates.
   void remove_flow(std::uint32_t slot);
   /// Set a flow's rate, maintaining the active list.
   void set_rate(std::uint32_t slot, double rate);
 
   /// Recompute rates over the connected component(s) reachable from the
-  /// seed flows/links; bumps the completion epoch. Falls through to the
-  /// reference solver when requested.
-  void recompute_incremental(std::span<const std::uint32_t> seed_flows,
-                             std::span<const LinkId> seed_links);
+  /// pending seed flows (freed slots skipped) and links. Falls through to
+  /// the reference solver when requested.
+  void recompute_incremental();
   /// Progressive water-filling restricted to `flow_set` / `links` (the
   /// closed sub-problem collected by recompute_incremental).
   void solve_over(const std::vector<std::uint32_t>& flow_set,
@@ -281,7 +291,17 @@ class Network {
   std::unordered_map<FlowId, std::uint32_t> id_to_slot_;
   std::vector<std::vector<LinkFlowRef>> link_flows_;  ///< parallel to links_
   std::vector<std::uint32_t> active_;  ///< slots with rate > 0
+  // In-use slots in ascending flow id; an entry is live while by_id_pos_
+  // points at it. start_flow compacts the dead ones once most are dead.
+  std::vector<std::uint32_t> by_id_;
+  std::vector<std::uint32_t> by_id_pos_;  ///< per slot; kNpos when free
   std::size_t num_flows_ = 0;
+
+  // Deferred solve: seeds since the last one, latest reserved sequence.
+  std::vector<std::uint32_t> pending_flows_;
+  std::vector<LinkId> pending_links_;
+  bool solve_pending_ = false;
+  std::uint64_t pending_seq_ = 0;
 
   // Solver scratch (persistent to avoid per-solve allocation). residual_/
   // crossing_ values are only meaningful for the links touched by the
@@ -295,8 +315,7 @@ class Network {
   std::vector<LinkId> touched_links_;
   std::vector<std::uint32_t> unfixed_;
   std::vector<std::uint32_t> still_unfixed_;
-  std::vector<LinkId> seed_links_;
-  std::vector<std::uint32_t> seed_flows_;
+  std::vector<std::uint64_t> id_bits_;  ///< solve's flows, by by_id_ place
   std::vector<std::pair<std::uint32_t, double>> rate_snapshot_;
 
   SolveStats stats_;

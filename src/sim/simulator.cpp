@@ -1,7 +1,10 @@
 #include "sim/simulator.hpp"
 
+#include <cmath>
+#include <limits>
 #include <utility>
 
+#include "sim/network.hpp"
 #include "util/check.hpp"
 
 namespace osp::sim {
@@ -12,10 +15,30 @@ void Simulator::schedule(SimTime delay, EventFn fn) {
 }
 
 void Simulator::schedule_at(SimTime when, EventFn fn) {
+  schedule_reserved(when, reserve_seq(), std::move(fn));
+}
+
+void Simulator::schedule_reserved(SimTime when, std::uint64_t seq,
+                                  EventFn fn) {
+  OSP_CHECK(seq < next_seq_, "sequence number was never reserved");
   OSP_CHECK(when >= now_, "cannot schedule into the past");
+  OSP_CHECK(std::isfinite(when), "event time must be finite");
   OSP_CHECK(static_cast<bool>(fn), "null event");
-  heap_.push_back(Event{when, next_seq_++, std::move(fn)});
+  heap_.push_back(Event{when, seq, std::move(fn)});
   sift_up(heap_.size() - 1);
+}
+
+void Simulator::attach(Network& net) {
+  OSP_CHECK(net_ == nullptr, "a Simulator drives at most one Network");
+  net_ = &net;
+}
+
+void Simulator::settle() {
+  if (net_ != nullptr) net_->settle();
+}
+
+std::size_t Simulator::pending() const {
+  return heap_.size() + (net_ != nullptr && net_->solve_pending() ? 1 : 0);
 }
 
 void Simulator::sift_up(std::size_t i) {
@@ -50,25 +73,20 @@ Simulator::Event Simulator::pop_min() {
 }
 
 std::size_t Simulator::run() {
-  std::size_t count = 0;
-  while (!heap_.empty()) {
-    // Move out, pop, then fire: the handler may schedule new events.
-    Event ev = pop_min();
-    now_ = ev.time;
-    ev.fn();
-    ++count;
-    ++processed_;
-  }
-  return count;
+  // Event times are finite, so an infinite deadline drains the queue.
+  return run_until(std::numeric_limits<SimTime>::infinity());
 }
 
 std::size_t Simulator::run_until(SimTime deadline) {
   OSP_CHECK(deadline >= now_, "deadline in the past");
+  settle();
   std::size_t count = 0;
   while (!heap_.empty() && heap_.front().time <= deadline) {
+    // Move out, pop, then fire: the handler may schedule new events.
     Event ev = pop_min();
     now_ = ev.time;
     ev.fn();
+    settle();
     ++count;
     ++processed_;
   }
@@ -78,6 +96,9 @@ std::size_t Simulator::run_until(SimTime deadline) {
   return count;
 }
 
-void Simulator::clear() { heap_.clear(); }
+void Simulator::clear() {
+  settle();
+  heap_.clear();
+}
 
 }  // namespace osp::sim

@@ -12,6 +12,10 @@
 // to the inline buffer size. The (time, seq) comparator is a strict total
 // order, so the pop sequence — and therefore determinism — is independent
 // of the heap's internal layout.
+//
+// One Network may attach; its deferred rate solve settles after each event
+// and at the start of run()/run_until(), and its completion takes the
+// sequence number the last topology change reserved.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +24,8 @@
 #include "util/small_function.hpp"
 
 namespace osp::sim {
+
+class Network;
 
 using SimTime = double;
 
@@ -42,8 +48,17 @@ class Simulator {
   /// Schedule `fn` to run `delay` seconds from now (delay >= 0).
   void schedule(SimTime delay, EventFn fn);
 
-  /// Schedule `fn` at absolute time `when` (must be >= now()).
+  /// Schedule `fn` at absolute time `when` (finite and >= now()).
   void schedule_at(SimTime when, EventFn fn);
+
+  /// reserve_seq() takes the sequence number an event scheduled now would
+  /// get; schedule_reserved() later puts an event in that place.
+  std::uint64_t reserve_seq() { return next_seq_++; }
+  void schedule_reserved(SimTime when, std::uint64_t seq, EventFn fn);
+
+  /// Called by Network's constructor/destructor: one Network per Simulator.
+  void attach(Network& net);
+  void detach(const Network& net) { if (net_ == &net) net_ = nullptr; }
 
   /// Run until the event queue drains. Returns events processed.
   std::size_t run();
@@ -52,11 +67,13 @@ class Simulator {
   /// Events after the deadline remain queued; now() is clamped to deadline.
   std::size_t run_until(SimTime deadline);
 
-  /// Drop all pending events (used between experiment repetitions).
+  /// Drop all pending events, a pending solve's completion included (used
+  /// between experiment repetitions).
   void clear();
 
-  [[nodiscard]] bool empty() const { return heap_.empty(); }
-  [[nodiscard]] std::size_t pending() const { return heap_.size(); }
+  /// Queued events, plus one for a pending rate solve.
+  [[nodiscard]] bool empty() const { return pending() == 0; }
+  [[nodiscard]] std::size_t pending() const;
   [[nodiscard]] std::uint64_t events_processed() const { return processed_; }
 
  private:
@@ -72,6 +89,7 @@ class Simulator {
     return a.seq < b.seq;
   }
 
+  void settle();  ///< the attached Network's pending solve, if any
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
   /// Remove and return the earliest event.
@@ -81,6 +99,7 @@ class Simulator {
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
   std::vector<Event> heap_;  ///< min-heap ordered by earlier()
+  Network* net_ = nullptr;
 };
 
 }  // namespace osp::sim

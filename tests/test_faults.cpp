@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "core/osp_sync.hpp"
@@ -92,6 +93,33 @@ TEST(FaultSchedule, ValidatesEagerly) {
   EXPECT_TRUE(s.empty());
   s.crash_worker(1.0, 2).pause_worker(0.5, 1, 0.25);
   EXPECT_EQ(s.events().size(), 2u);
+}
+
+TEST(FaultSchedule, RejectsNonFiniteTimes) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double nan = std::nan("");
+  sim::FaultSchedule s;
+  EXPECT_THROW(s.pause_worker(kInf, 0, 1.0), util::CheckError);
+  EXPECT_THROW(s.pause_worker(0.0, 0, kInf), util::CheckError);
+  EXPECT_THROW(s.link_down(nan, 0, 1.0), util::CheckError);
+  EXPECT_THROW(s.link_down(0.0, 0, nan), util::CheckError);
+  EXPECT_THROW(s.degrade_link(0.0, 0, kInf, 0.5), util::CheckError);
+  EXPECT_THROW(s.delay_messages(0.0, 1.0, kInf), util::CheckError);
+  EXPECT_THROW(s.drop_messages(kInf, 1.0, 0.5), util::CheckError);
+  EXPECT_THROW(s.crash_worker(kInf, 0), util::CheckError);
+  EXPECT_THROW(s.crash_ps(nan, 0), util::CheckError);
+  // A NaN downtime used to read as "never restarts"; +inf is no better.
+  EXPECT_THROW(s.crash_worker(1.0, 0, nan), util::CheckError);
+  EXPECT_THROW(s.crash_ps(1.0, 0, nan), util::CheckError);
+  EXPECT_THROW(s.crash_worker(1.0, 0, kInf), util::CheckError);
+  EXPECT_THROW(s.crash_ps(1.0, 0, kInf), util::CheckError);
+  EXPECT_TRUE(s.empty());
+  // Negative still means a permanent crash.
+  s.crash_worker(1.0, 0, -1.0).crash_ps(1.0, 0, -kInf).crash_ps(2.0, 0, 0.5);
+  ASSERT_EQ(s.events().size(), 3u);
+  EXPECT_LT(s.events()[0].duration, 0.0);
+  EXPECT_LT(s.events()[1].duration, 0.0);
+  EXPECT_EQ(s.events()[2].duration, 0.5);
 }
 
 TEST(FaultSchedule, OutOfRangeTargetsRejectedAtInstall) {

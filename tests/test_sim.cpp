@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -69,11 +70,55 @@ TEST(Simulator, RejectsPastScheduling) {
   EXPECT_THROW(sim.schedule(-1.0, [] {}), util::CheckError);
 }
 
+TEST(Simulator, RejectsNonFiniteTimes) {
+  Simulator sim;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(sim.schedule_at(kInf, [] {}), util::CheckError);
+  EXPECT_THROW(sim.schedule(kInf, [] {}), util::CheckError);
+  EXPECT_THROW(sim.schedule_at(std::nan(""), [] {}), util::CheckError);
+  EXPECT_THROW(sim.schedule(std::nan(""), [] {}), util::CheckError);
+  EXPECT_TRUE(sim.empty());
+}
+
 TEST(Simulator, ClearDropsPending) {
   Simulator sim;
   sim.schedule(1.0, [] {});
   sim.clear();
   EXPECT_TRUE(sim.empty());
+}
+
+// The deferred rate solve is part of the simulator's pending work: it is
+// counted until it runs, and clear() drops its completion with the rest.
+TEST(Simulator, PendingSolveCountsAndClears) {
+  Simulator sim;
+  Network net(sim);
+  const LinkId l = net.add_link(1000.0);
+  bool fired = false;
+  const FlowId id = net.start_flow({l}, 1000.0, [&fired] { fired = true; });
+  EXPECT_TRUE(net.solve_pending());
+  EXPECT_FALSE(sim.empty());
+  EXPECT_EQ(sim.pending(), 1u);  // the solve; its completion is not queued
+  sim.clear();
+  EXPECT_FALSE(net.solve_pending());
+  EXPECT_TRUE(sim.empty());
+  EXPECT_EQ(net.flow_rate(id), 1000.0);  // the rates were still set
+  EXPECT_EQ(sim.run(), 0u);
+  EXPECT_FALSE(fired);
+}
+
+TEST(Simulator, OneNetworkPerSimulator) {
+  Simulator sim;
+  {
+    Network net(sim);
+    EXPECT_THROW(Network second(sim), util::CheckError);
+  }
+  // The destroyed network detached itself: a new one may attach.
+  Network net(sim);
+  const LinkId l = net.add_link(1000.0);
+  double done_at = -1.0;
+  net.start_flow({l}, 500.0, [&] { done_at = sim.now(); });
+  sim.run();
+  EXPECT_EQ(done_at, 0.5);
 }
 
 TEST(Network, SingleFlowTransferTime) {
@@ -134,10 +179,38 @@ TEST(Network, MaxMinFairnessAcrossTwoLinks) {
   FlowId a = net.start_flow({l1, l2}, 1e9, nullptr);
   FlowId b = net.start_flow({l1}, 1e9, nullptr);
   FlowId c = net.start_flow({l2}, 1e9, nullptr);
-  // Rates are set synchronously on the last topology change.
+  // The solve is deferred to the end of the event; reading a rate runs it.
   EXPECT_NEAR(net.flow_rate(a), 50.0, 1e-9);
   EXPECT_NEAR(net.flow_rate(b), 50.0, 1e-9);
   EXPECT_NEAR(net.flow_rate(c), 150.0, 1e-9);
+}
+
+TEST(Network, RejectsNonFiniteFlows) {
+  Simulator sim;
+  Network net(sim);
+  const LinkId l = net.add_link(1000.0);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(net.start_flow({l}, kInf, nullptr), util::CheckError);
+  EXPECT_THROW(net.start_flow({l}, std::nan(""), nullptr), util::CheckError);
+  EXPECT_THROW(net.start_flow({l}, 1.0, nullptr, kInf), util::CheckError);
+  EXPECT_EQ(net.active_flows(), 0u);
+  EXPECT_TRUE(sim.empty());
+}
+
+// A flow's completion keeps the place a solve on the spot would give it:
+// an event scheduled later in the same callback, at exactly the flow's
+// completion instant, fires after the flow has left the network.
+TEST(Network, DeferredCompletionKeepsItsSequencePlace) {
+  Simulator sim;
+  Network net(sim);
+  const LinkId l = net.add_link(1000.0);
+  std::size_t seen = 99;
+  sim.schedule_at(1.0, [&] {
+    net.start_flow({l}, 1000.0, nullptr);  // completes at exactly t = 2
+    sim.schedule_at(2.0, [&] { seen = net.active_flows(); });
+  });
+  sim.run();
+  EXPECT_EQ(seen, 0u);
 }
 
 TEST(Network, LossInflatesTransferTime) {
@@ -647,6 +720,124 @@ TEST(NetworkIncremental, PairedRunsCompleteBitIdentical) {
     // must never visit more flow entries than it.
     EXPECT_LE(net_inc.solve_stats().flow_visits,
               net_ref.solve_stats().flow_visits)
+        << "seed " << seed;
+  }
+}
+
+/// Same-callback bursts: each of `bursts` events starts many flows, starts
+/// and cancels one (so the next start reuses its slot), and flaps link
+/// edges. `settle_each_change` runs the solve after every change, as a
+/// per-change solver would. Returns the completion times by start order
+/// (-1 for never or cancelled), followed by the completion order.
+std::vector<double> run_burst_workload(Simulator& sim, Network& net,
+                                       std::uint64_t seed,
+                                       bool settle_each_change) {
+  util::Rng rng(seed);
+  std::vector<LinkId> links;
+  const std::size_t num_links = 2 + rng.uniform_u64(5);
+  for (std::size_t l = 0; l < num_links; ++l) {
+    links.push_back(net.add_link(rng.uniform(200.0, 3000.0),
+                                 rng.uniform(0.0, 0.01), 0.0,
+                                 rng.uniform(0.0, 0.05)));
+  }
+  auto done = std::make_shared<std::vector<double>>();
+  auto order = std::make_shared<std::vector<double>>();
+  auto settle = [&net, settle_each_change] {
+    if (settle_each_change) net.settle();
+  };
+  auto start = [&, done, order](const std::vector<LinkId>& route,
+                                double bytes) {
+    const std::size_t i = done->size();
+    done->push_back(-1.0);
+    const FlowId id = net.start_flow(
+        std::vector<LinkId>(route), bytes, [&sim, done, order, i] {
+          (*done)[i] = sim.now();
+          order->push_back(static_cast<double>(i));
+        });
+    settle();
+    return id;
+  };
+  const std::size_t bursts = 6 + rng.uniform_u64(6);
+  for (std::size_t b = 0; b < bursts; ++b) {
+    std::vector<std::vector<LinkId>> routes(8 + rng.uniform_u64(24));
+    std::vector<double> sizes;
+    for (std::vector<LinkId>& route : routes) {
+      const std::size_t hops = 1 + rng.uniform_u64(3);
+      for (std::size_t h = 0; h < hops; ++h) {
+        route.push_back(links[rng.uniform_u64(links.size())]);
+      }
+      sizes.push_back(rng.uniform(50.0, 3000.0));
+    }
+    const LinkId flap = links[rng.uniform_u64(links.size())];
+    const bool heal_in_burst = rng.bernoulli(0.5);
+    const double at = rng.uniform(0.0, 3.0);
+    sim.schedule_at(at, [&, routes, sizes, flap, heal_in_burst, start,
+                         settle] {
+      const std::uint64_t solves = net.solve_stats().solves;
+      const FlowId doomed = start(routes[0], sizes[0]);
+      net.cancel_flow(doomed);
+      settle();
+      for (std::size_t f = 1; f < routes.size(); ++f) {
+        start(routes[f], sizes[f]);
+        if (f == routes.size() / 2) {
+          net.set_link_up(flap, false);
+          settle();
+          if (heal_in_burst) {
+            net.set_link_up(flap, true);
+            settle();
+          }
+        }
+      }
+      if (!heal_in_burst) {
+        sim.schedule(0.1, [&net, flap, settle] {
+          net.set_link_up(flap, true);
+          settle();
+        });
+      }
+      if (!settle_each_change) {
+        // The whole burst is one solve, run before the next event.
+        sim.schedule(0.0, [&net, solves] {
+          EXPECT_EQ(net.solve_stats().solves, solves + 1);
+        });
+      }
+    });
+  }
+  sim.run();
+  std::vector<double> out = *done;
+  out.insert(out.end(), order->begin(), order->end());
+  return out;
+}
+
+// One solve per burst, each checked bitwise against the from-scratch
+// solver, and the completion times and order equal both a reference-solver
+// run and a run that solves after every change.
+TEST(NetworkIncremental, SameCallbackBurstsSolveOnceBitIdentical) {
+  for (std::uint64_t seed = 31; seed <= 38; ++seed) {
+    Simulator sim_inc;
+    Network net_inc(sim_inc);
+    net_inc.set_check_against_reference(true);
+    const auto inc = run_burst_workload(sim_inc, net_inc, seed, false);
+
+    Simulator sim_ref;
+    Network net_ref(sim_ref);
+    net_ref.set_use_reference_solver(true);
+    const auto ref = run_burst_workload(sim_ref, net_ref, seed, false);
+
+    Simulator sim_each;
+    Network net_each(sim_each);
+    const auto each = run_burst_workload(sim_each, net_each, seed, true);
+
+    EXPECT_EQ(net_inc.active_flows(), 0u) << "seed " << seed;
+    EXPECT_GT(net_inc.flows_cancelled(), 0u) << "seed " << seed;
+    EXPECT_LT(net_inc.solve_stats().solves, net_each.solve_stats().solves)
+        << "seed " << seed;
+    ASSERT_EQ(inc.size(), ref.size()) << "seed " << seed;
+    ASSERT_EQ(inc.size(), each.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < inc.size(); ++i) {
+      EXPECT_EQ(inc[i], ref[i]) << "seed " << seed << " entry " << i;
+      EXPECT_EQ(inc[i], each[i]) << "seed " << seed << " entry " << i;
+    }
+    EXPECT_EQ(net_inc.bytes_delivered(), net_each.bytes_delivered())
         << "seed " << seed;
   }
 }
