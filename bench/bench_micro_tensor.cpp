@@ -13,12 +13,15 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "bench_json.hpp"
 #include "core/gib.hpp"
+#include "kv/filter.hpp"
+#include "kv/message.hpp"
 #include "nn/attention.hpp"
 #include "nn/conv2d.hpp"
 #include "tensor/conv.hpp"
@@ -450,6 +453,64 @@ void BM_WireTopKThreshold(benchmark::State& state) {
   set_wire_counters(state, seed_s, simd_s);
 }
 BENCHMARK(BM_WireTopKThreshold)->Arg(65536);
+
+/// The Top-K stage of a KvBSP push: sparsify plus the index scan of
+/// TopKFilter::encode. Args are {numel, leading zeros}: kv-chaos pushes
+/// TinyMLP's 2 164 gradient values, and GIB's drop of fc0.weight clears
+/// the first 1 536 of them; {2164, 0} is the same push dense.
+void BM_WireTopKEncode(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto zeroed = static_cast<std::size_t>(state.range(1));
+  constexpr double kKeep = 0.25;
+  std::vector<float> src = random_grad(n, 49);
+  std::fill(src.begin(), src.begin() + static_cast<std::ptrdiff_t>(zeroed),
+            0.0f);
+  const auto& k = osp::util::simd::kernels();
+
+  // Seed implementation: a full-array nth_element for the threshold, then
+  // a push_back index loop. Its scan passes use today's kernels; on these
+  // payloads the only threshold tie is the threshold element itself, so
+  // the tie-budget rule does not engage and the ratio credits only the
+  // positive-only selection and the index kernel.
+  std::vector<float> buf(n);
+  std::vector<float> mags(n);
+  std::vector<float> sel(n);
+  std::vector<std::uint32_t> indices;
+  const auto keep = static_cast<std::size_t>(
+      std::llround(kKeep * static_cast<double>(n)));
+  const auto seed_pass = [&] {
+    std::copy(src.begin(), src.end(), buf.begin());
+    k.abs_into(buf.data(), mags.data(), n);
+    std::copy(mags.begin(), mags.end(), sel.begin());
+    std::nth_element(sel.begin(),
+                     sel.begin() + static_cast<std::ptrdiff_t>(keep - 1),
+                     sel.end(), std::greater<float>());
+    const float threshold = sel[keep - 1];
+    const std::size_t above = k.count_gt(mags.data(), threshold, n);
+    (void)k.threshold_zero(buf.data(), mags.data(), threshold, keep - above,
+                           n);
+    indices.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      if (buf[i] != 0.0f) indices.push_back(static_cast<std::uint32_t>(i));
+    }
+    benchmark::DoNotOptimize(indices.data());
+    benchmark::ClobberMemory();
+  };
+  osp::kv::TopKFilter filter(osp::kv::CompressionMode::TopK, kKeep, 1);
+  osp::kv::KvMessage m;
+  const auto simd_pass = [&] {
+    m.values.assign(src.begin(), src.end());
+    filter.encode(m);
+    benchmark::DoNotOptimize(m.indices.data());
+    benchmark::ClobberMemory();
+  };
+  // A pass takes microseconds, so more reps keep the minima stable.
+  const double seed_s = best_seconds(seed_pass, 33);
+  const double simd_s = best_seconds(simd_pass, 33);
+  for (auto _ : state) simd_pass();
+  set_wire_counters(state, seed_s, simd_s);
+}
+BENCHMARK(BM_WireTopKEncode)->Args({2164, 1536})->Args({2164, 0});
 
 void BM_WireGibPack(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

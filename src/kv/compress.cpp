@@ -19,30 +19,48 @@ std::size_t sparsify(std::span<float> grad, CompressionMode mode,
   const auto keep = std::max<std::size_t>(
       1, static_cast<std::size_t>(std::llround(keep_fraction *
                                                static_cast<double>(n))));
+  OSP_CHECK(n <= std::numeric_limits<std::uint32_t>::max(),
+            "gradient block too large for 32-bit indices");
   if (keep >= n) return n;
   const util::simd::Kernels& k = util::simd::kernels();
+  scratch.idx.resize(n);
   if (mode == CompressionMode::TopK) {
-    // Threshold at the keep-th largest magnitude. `mags` keeps element
-    // order for the scan passes; `sel` is the nth_element workspace.
     scratch.mags.resize(n);
-    scratch.sel.resize(n);
-    k.abs_into(grad.data(), scratch.mags.data(), n);
-    std::copy(scratch.mags.begin(), scratch.mags.end(), scratch.sel.begin());
-    std::nth_element(scratch.sel.begin(),
-                     scratch.sel.begin() + static_cast<std::ptrdiff_t>(keep - 1),
-                     scratch.sel.end(), std::greater<float>());
-    const float threshold = scratch.sel[keep - 1];
+    float* mags = scratch.mags.data();
+    std::uint32_t* idx = scratch.idx.data();
+    k.abs_into(grad.data(), mags, n);
+    // fabs maps every value but NaN into [+0, +inf], so only NaN fails
+    // `> -1`. A NaN would land at an unspecified rank of the selection.
+    OSP_CHECK(k.count_gt(mags, -1.0f, n) == n,
+              "Top-K sparsify input contains NaN");
+    // Threshold at the keep-th largest magnitude. Every zero has magnitude
+    // +0, so with fewer than `keep` positive magnitudes it is +0; otherwise
+    // it lies among the positive ones, and selecting over just those gives
+    // the full-array selection's value (equal positive floats share bits).
+    // Without NaN, the nonzero magnitudes are exactly the positive ones.
+    const std::size_t positive = k.nonzero_indices(mags, idx, n);
+    float threshold = 0.0f;
+    std::size_t kept_above = positive;
+    if (positive >= keep) {
+      scratch.sel.resize(positive);
+      float* sel = scratch.sel.data();
+      if (positive == n) {
+        std::copy(mags, mags + n, sel);  // dense: nothing to compact
+      } else {
+        for (std::size_t j = 0; j < positive; ++j) sel[j] = mags[idx[j]];
+      }
+      std::nth_element(sel, sel + (keep - 1), sel + positive,
+                       std::greater<float>());
+      threshold = sel[keep - 1];
+      kept_above = k.count_gt(mags, threshold, n);
+    }
     // Keep strictly-above first; elements equal to the threshold fill
     // remaining slots in index order (deterministic tie handling).
-    const std::size_t kept_above = k.count_gt(scratch.mags.data(), threshold, n);
     const std::size_t ties_kept = k.threshold_zero(
-        grad.data(), scratch.mags.data(), threshold, keep - kept_above, n);
+        grad.data(), mags, threshold, keep - kept_above, n);
     return kept_above + ties_kept;
   }
   // RandomK: reservoir-free selection via shuffled index prefix.
-  OSP_CHECK(n <= std::numeric_limits<std::uint32_t>::max(),
-            "RandomK gradient block too large for 32-bit indices");
-  scratch.idx.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     scratch.idx[i] = static_cast<std::uint32_t>(i);
   }

@@ -22,14 +22,15 @@ enum class CompressionMode { TopK, RandomK };
 /// warm-up.
 struct SparsifyScratch {
   std::vector<float> mags;        // |grad[i]|, kept in element order
-  std::vector<float> sel;         // nth_element workspace (permuted)
-  std::vector<std::uint32_t> idx; // RandomK shuffle indices
+  std::vector<float> sel;         // positive magnitudes, nth_element'd
+  std::vector<std::uint32_t> idx; // TopK positive / RandomK shuffle indices
   std::vector<std::uint8_t> mask; // RandomK keep byte-mask
 };
 
 /// Sparsify `grad` in place, keeping `keep_fraction` of its elements
 /// (highest |g| for TopK, uniform for RandomK); zeroes the rest. Returns
-/// the number of kept elements.
+/// the number of kept elements. TopK rejects a NaN element with a
+/// CheckError whenever it has to select.
 std::size_t sparsify(std::span<float> grad, CompressionMode mode,
                      double keep_fraction, util::Rng& rng,
                      SparsifyScratch& scratch);

@@ -6,6 +6,7 @@
 
 #include "util/check.hpp"
 #include "util/serde.hpp"
+#include "util/simd.hpp"
 
 namespace osp::kv {
 
@@ -195,12 +196,10 @@ void TopKFilter::encode(KvMessage& m) {
   const std::size_t kept = sparsify(std::span<float>(m.values), mode_,
                                     keep_fraction_, rng_, scratch_);
   last_kept_ = kept;
-  m.indices.clear();
-  for (std::size_t i = 0; i < m.values.size(); ++i) {
-    if (m.values[i] != 0.0f) {
-      m.indices.push_back(static_cast<std::uint32_t>(i));
-    }
-  }
+  const std::size_t n = m.values.size();  // sparsify checked it fits u32
+  m.indices.resize(n);
+  m.indices.resize(util::simd::kernels().nonzero_indices(
+      m.values.data(), m.indices.data(), n));
   m.sparse = true;
   // Wire format: fp32 value + u32 index per kept element, replacing the
   // dense value accounting (so int8 composes after this stage).

@@ -1,6 +1,7 @@
 #include "util/simd.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -156,6 +157,23 @@ std::size_t threshold_zero_scalar(float* grad, const float* mags,
   return initial - tie_slots;
 }
 
+/// Appends the indices j in [i, n) with values[j] != 0.0f to out[count..]
+/// and returns the new count. Branch-free: every index is written, only
+/// the nonzero ones advance the cursor (so out needs room for n entries).
+std::size_t append_nonzero(const float* values, std::uint32_t* out,
+                           std::size_t count, std::size_t i, std::size_t n) {
+  for (; i < n; ++i) {
+    out[count] = static_cast<std::uint32_t>(i);
+    count += values[i] != 0.0f ? 1 : 0;
+  }
+  return count;
+}
+
+std::size_t nonzero_indices_scalar(const float* values, std::uint32_t* out,
+                                   std::size_t n) {
+  return append_nonzero(values, out, 0, 0, n);
+}
+
 void mask_zero_scalar(float* grad, const std::uint8_t* keep, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     if (keep[i] == 0) grad[i] = 0.0f;
@@ -230,6 +248,7 @@ constexpr Kernels kScalarKernels = {
     abs_prod_sum_scalar,  l1_scalar,       l2sq_scalar,
     max_abs_scalar,       quantize_dequantize_scalar,
     abs_into_scalar,      count_gt_scalar, threshold_zero_scalar,
+    nonzero_indices_scalar,
     mask_zero_scalar,     pack_bits_scalar, unpack_bits_scalar,
     relu_scalar,          relu_grad_scalar,
 };
@@ -461,37 +480,63 @@ __attribute__((target("avx2"))) std::size_t threshold_zero_avx2(
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     const __m256 m = _mm256_loadu_ps(mags + i);
-    const __m256 eq = _mm256_cmp_ps(m, vt, _CMP_EQ_OQ);
-    if (_mm256_movemask_ps(eq) == 0) {
-      // No threshold ties in this block: keep strictly-greater, zero the
-      // rest with a mask — identical to the scalar per-element rule.
-      const __m256 gt = _mm256_cmp_ps(m, vt, _CMP_GT_OQ);
-      _mm256_storeu_ps(grad + i,
-                       _mm256_and_ps(_mm256_loadu_ps(grad + i), gt));
+    const auto ties = static_cast<std::size_t>(__builtin_popcount(
+        static_cast<unsigned>(
+            _mm256_movemask_ps(_mm256_cmp_ps(m, vt, _CMP_EQ_OQ)))));
+    __m256 keep;
+    if (ties == 0 || tie_slots == 0) {
+      keep = _mm256_cmp_ps(m, vt, _CMP_GT_OQ);  // any ties are zeroed
+    } else if (ties <= tie_slots) {
+      keep = _mm256_cmp_ps(m, vt, _CMP_GE_OQ);  // every tie fits the budget
+      tie_slots -= ties;
     } else {
-      // Ties present (rare): apply the sequential tie budget in index
-      // order, exactly as the scalar tier does.
-      for (std::size_t j = 0; j < 8; ++j) {
-        const float mj = mags[i + j];
-        if (mj > threshold) continue;
-        if (mj == threshold && tie_slots > 0) {
-          --tie_slots;
-        } else {
-          grad[i + j] = 0.0f;
-        }
-      }
+      // The budget runs out inside this block, which happens at most once
+      // per call: walk its lanes in index order like the scalar tier.
+      tie_slots -= threshold_zero_scalar(grad + i, mags + i, threshold,
+                                         tie_slots, 8);
+      continue;
     }
+    // Zeroed lanes become +0 (as the scalar tier writes); kept lanes keep
+    // their bits, −0 included.
+    _mm256_storeu_ps(grad + i, _mm256_and_ps(_mm256_loadu_ps(grad + i), keep));
   }
-  for (; i < n; ++i) {
-    const float m = mags[i];
-    if (m > threshold) continue;
-    if (m == threshold && tie_slots > 0) {
-      --tie_slots;
-    } else {
-      grad[i] = 0.0f;
-    }
-  }
+  tie_slots -= threshold_zero_scalar(grad + i, mags + i, threshold, tie_slots,
+                                     n - i);
   return initial - tie_slots;
+}
+
+// Compress-store table for AVX2, which has no vpcompressd: byte j of
+// entry m is the lane number of the j-th set bit of the 8-bit mask m.
+constexpr std::array<std::uint64_t, 256> make_compress_lut() {
+  std::array<std::uint64_t, 256> lut{};
+  for (unsigned m = 0; m < 256; ++m) {
+    unsigned slot = 0;
+    for (std::uint64_t lane = 0; lane < 8; ++lane) {
+      if (((m >> lane) & 1u) != 0) lut[m] |= lane << (8 * slot++);
+    }
+  }
+  return lut;
+}
+constexpr std::array<std::uint64_t, 256> kCompressLut = make_compress_lut();
+
+__attribute__((target("avx2"))) std::size_t nonzero_indices_avx2(
+    const float* values, std::uint32_t* out, std::size_t n) {
+  const __m256 zero = _mm256_setzero_ps();
+  std::size_t count = 0;
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    // NEQ_UQ is C++ `!=`: −0 compares equal to 0, NaN is unordered.
+    const auto nz = static_cast<unsigned>(_mm256_movemask_ps(
+        _mm256_cmp_ps(_mm256_loadu_ps(values + i), zero, _CMP_NEQ_UQ)));
+    const __m256i lanes = _mm256_cvtepu8_epi32(_mm_loadl_epi64(
+        reinterpret_cast<const __m128i*>(&kCompressLut[nz])));
+    // A full 8-lane store: count <= i, so it stays inside out[0, n).
+    _mm256_storeu_si256(
+        reinterpret_cast<__m256i*>(out + count),
+        _mm256_add_epi32(lanes, _mm256_set1_epi32(static_cast<int>(i))));
+    count += static_cast<std::size_t>(__builtin_popcount(nz));
+  }
+  return append_nonzero(values, out, count, i, n);
 }
 
 __attribute__((target("avx2"))) void mask_zero_avx2(float* grad,
@@ -782,32 +827,45 @@ __attribute__((target(OSP_T512))) std::size_t threshold_zero_avx512(
   std::size_t i = 0;
   for (; i + 16 <= n; i += 16) {
     const __m512 m = _mm512_loadu_ps(mags + i);
-    if (_mm512_cmp_ps_mask(m, vt, _CMP_EQ_OQ) == 0) {
-      const __mmask16 gt = _mm512_cmp_ps_mask(m, vt, _CMP_GT_OQ);
-      _mm512_storeu_ps(grad + i,
-                       _mm512_maskz_mov_ps(gt, _mm512_loadu_ps(grad + i)));
+    const auto ties = static_cast<std::size_t>(
+        __builtin_popcount(_mm512_cmp_ps_mask(m, vt, _CMP_EQ_OQ)));
+    __mmask16 keep;
+    if (ties == 0 || tie_slots == 0) {
+      keep = _mm512_cmp_ps_mask(m, vt, _CMP_GT_OQ);
+    } else if (ties <= tie_slots) {
+      keep = _mm512_cmp_ps_mask(m, vt, _CMP_GE_OQ);
+      tie_slots -= ties;
     } else {
-      for (std::size_t j = 0; j < 16; ++j) {
-        const float mj = mags[i + j];
-        if (mj > threshold) continue;
-        if (mj == threshold && tie_slots > 0) {
-          --tie_slots;
-        } else {
-          grad[i + j] = 0.0f;
-        }
-      }
+      tie_slots -= threshold_zero_scalar(grad + i, mags + i, threshold,
+                                         tie_slots, 16);
+      continue;
     }
+    _mm512_storeu_ps(grad + i,
+                     _mm512_maskz_mov_ps(keep, _mm512_loadu_ps(grad + i)));
   }
-  for (; i < n; ++i) {
-    const float m = mags[i];
-    if (m > threshold) continue;
-    if (m == threshold && tie_slots > 0) {
-      --tie_slots;
-    } else {
-      grad[i] = 0.0f;
-    }
-  }
+  tie_slots -= threshold_zero_scalar(grad + i, mags + i, threshold, tie_slots,
+                                     n - i);
   return initial - tie_slots;
+}
+
+__attribute__((target(OSP_T512))) std::size_t nonzero_indices_avx512(
+    const float* values, std::uint32_t* out, std::size_t n) {
+  const __m512 zero = _mm512_setzero_ps();
+  const __m512i step = _mm512_set1_epi32(16);
+  __m512i idx = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12,
+                                  13, 14, 15);
+  std::size_t count = 0;
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __mmask16 nz =
+        _mm512_cmp_ps_mask(_mm512_loadu_ps(values + i), zero, _CMP_NEQ_UQ);
+    // Register-form vpcompressd plus a full-width store (the memory form
+    // is microcoded on some cores); count <= i keeps it inside out[0, n).
+    _mm512_storeu_si512(out + count, _mm512_maskz_compress_epi32(nz, idx));
+    count += static_cast<std::size_t>(__builtin_popcount(nz));
+    idx = _mm512_add_epi32(idx, step);
+  }
+  return append_nonzero(values, out, count, i, n);
 }
 
 __attribute__((target(OSP_T512))) void mask_zero_avx512(
@@ -889,6 +947,7 @@ constexpr Kernels kAvx2Kernels = {
     abs_prod_sum_avx2,  l1_avx2,       l2sq_avx2,
     max_abs_avx2,       quantize_dequantize_avx2,
     abs_into_avx2,      count_gt_avx2, threshold_zero_avx2,
+    nonzero_indices_avx2,
     mask_zero_avx2,     pack_bits_avx2, unpack_bits_avx2,
     relu_avx2,          relu_grad_avx2,
 };
@@ -899,6 +958,7 @@ constexpr Kernels kAvx512Kernels = {
     abs_prod_sum_avx512,  l1_avx512,       l2sq_avx512,
     max_abs_avx512,       quantize_dequantize_avx512,
     abs_into_avx512,      count_gt_avx512, threshold_zero_avx512,
+    nonzero_indices_avx512,
     mask_zero_avx512,     pack_bits_avx512, unpack_bits_avx512,
     relu_avx512,          relu_grad_avx512,
 };

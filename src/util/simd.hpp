@@ -89,10 +89,17 @@ struct Kernels {
   std::size_t (*count_gt)(const float* mags, float threshold, std::size_t n);
   /// Top-k apply pass: keep grad[i] where mags[i] > threshold; elements
   /// equal to the threshold consume tie_slots in ascending index order;
-  /// everything else is zeroed. Returns the number of tie slots consumed.
+  /// everything else is zeroed to +0. Kept elements keep their bits (−0
+  /// included). Returns the number of tie slots consumed.
   std::size_t (*threshold_zero)(float* grad, const float* mags,
                                 float threshold, std::size_t tie_slots,
                                 std::size_t n);
+  /// Writes the ascending indices i with values[i] != 0.0f (C++ semantics:
+  /// −0 is skipped, NaN is kept) to out and returns their count. `out`
+  /// must have room for n entries — lanes past the count are scratch —
+  /// and n must fit in 32 bits.
+  std::size_t (*nonzero_indices)(const float* values, std::uint32_t* out,
+                                 std::size_t n);
   /// grad[i] = 0 where keep[i] == 0 (byte mask).
   void (*mask_zero)(float* grad, const std::uint8_t* keep, std::size_t n);
 

@@ -5,9 +5,13 @@
 // compositions through serialize → deserialize → decode.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -368,6 +372,21 @@ TEST(Filters, TopKKeepsLargestAndAccountsKeptElements) {
   EXPECT_EQ(d.values, view);
 }
 
+TEST(Filters, TopKRejectsNaN) {
+  const std::vector<float> vals = {1.0f, -2.0f, 0.0f,
+                                   std::numeric_limits<float>::quiet_NaN(),
+                                   0.5f, -0.25f, 3.0f, 0.0f};
+  std::vector<float> grad = vals;
+  util::Rng rng(1);
+  EXPECT_THROW(
+      (void)kv::sparsify(grad, kv::CompressionMode::TopK, 0.25, rng),
+      util::CheckError);
+  kv::TopKFilter f(kv::CompressionMode::TopK, 0.5, 3);
+  kv::KvMessage m;
+  m.set_values(vals, 32.0);
+  EXPECT_THROW(f.encode(m), util::CheckError);
+}
+
 TEST(Filters, GibZeroesDroppedBlocksAndCharges) {
   kv::GibFilter f(/*attach_bitmap=*/true);
   f.set_blocks({{0, 4, 100.0}, {4, 4, 200.0}, {8, 4, 400.0}});
@@ -543,6 +562,149 @@ TEST(FilterCompositions, GibTopKQ8AccountingComposes) {
   EXPECT_DOUBLE_EQ(m.meta_bytes, 4.0);
   EXPECT_DOUBLE_EQ(m.wire_bytes(), m.value_bytes + m.index_bytes +
                                        m.meta_bytes + kv::kFrameOverheadBytes);
+}
+
+// ------------------------------------------------- top-k encode oracle
+//
+// The Top-K encode selects its threshold over the positive magnitudes only
+// and writes indices with a compress-store kernel. The oracle is the
+// original encode: a full-array nth_element, the scalar tie loop and a
+// push_back index scan. Payloads are GIB-shaped (whole blocks cleared,
+// about half of the cleared entries −0), with zero counts just below, at
+// and just above n − keep, and a run of entries tied at the threshold.
+
+struct OracleEncode {
+  std::vector<float> values;
+  std::size_t kept = 0;
+  std::vector<std::uint32_t> indices;
+};
+
+OracleEncode oracle_topk_encode(std::vector<float> vals,
+                                double keep_fraction) {
+  const std::size_t n = vals.size();
+  const auto keep = std::max<std::size_t>(
+      1, static_cast<std::size_t>(std::llround(keep_fraction *
+                                               static_cast<double>(n))));
+  OracleEncode out;
+  out.kept = n;
+  if (keep < n) {
+    std::vector<float> mags(n);
+    for (std::size_t i = 0; i < n; ++i) mags[i] = std::fabs(vals[i]);
+    std::vector<float> sel = mags;
+    std::nth_element(sel.begin(),
+                     sel.begin() + static_cast<std::ptrdiff_t>(keep - 1),
+                     sel.end(), std::greater<float>());
+    const float threshold = sel[keep - 1];
+    std::size_t above = 0;
+    for (float mag : mags) above += mag > threshold ? 1 : 0;
+    std::size_t slots = keep - above;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (mags[i] > threshold) continue;
+      if (mags[i] == threshold && slots > 0) {
+        --slots;
+      } else {
+        vals[i] = 0.0f;
+      }
+    }
+    out.kept = keep - slots;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (vals[i] != 0.0f) out.indices.push_back(static_cast<std::uint32_t>(i));
+  }
+  out.values = std::move(vals);
+  return out;
+}
+
+std::vector<float> gib_shaped_payload(std::size_t n, std::size_t zeros,
+                                      std::size_t keep, util::Rng& rng) {
+  std::vector<float> vals(n);
+  for (float& v : vals) v = static_cast<float>(rng.normal());
+  // Clear `zeros` entries a block at a time, blocks in shuffled order.
+  const std::size_t block = 1 + rng.uniform_u64(48);
+  std::vector<std::size_t> starts;
+  for (std::size_t b = 0; b < n; b += block) starts.push_back(b);
+  rng.shuffle(starts);
+  std::size_t cleared = 0;
+  for (std::size_t b : starts) {
+    for (std::size_t i = b; i < std::min(n, b + block) && cleared < zeros;
+         ++i, ++cleared) {
+      vals[i] = rng.bernoulli(0.5) ? -0.0f : 0.0f;
+    }
+  }
+  // A run of entries equal in magnitude to the keep-th largest: they tie
+  // at the threshold, which stays that magnitude.
+  std::vector<float> positive;
+  for (float v : vals) {
+    if (v != 0.0f) positive.push_back(std::fabs(v));
+  }
+  if (keep >= 1 && positive.size() >= keep) {
+    std::nth_element(positive.begin(),
+                     positive.begin() + static_cast<std::ptrdiff_t>(keep - 1),
+                     positive.end(), std::greater<float>());
+    const float tie = positive[keep - 1];
+    std::size_t run = 0;
+    for (std::size_t i = rng.uniform_u64(n); i < n && run < 6; ++i) {
+      if (vals[i] == 0.0f) continue;
+      vals[i] = (i % 2 == 0 ? tie : -tie);
+      ++run;
+    }
+  }
+  return vals;
+}
+
+std::vector<std::uint32_t> float_bits(const std::vector<float>& v) {
+  std::vector<std::uint32_t> bits(v.size());
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    bits[i] = std::bit_cast<std::uint32_t>(v[i]);
+  }
+  return bits;
+}
+
+TEST(TopKEncodeOracle, MatchesFullSelectionOnGibShapedPayloads) {
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 0; n <= 17; ++n) sizes.push_back(n);
+  sizes.push_back(2164);
+  sizes.push_back(4099);
+  for (std::size_t n : sizes) {
+    if (n == 0) {
+      kv::TopKFilter f(kv::CompressionMode::TopK, 0.25, 1);
+      kv::KvMessage m;
+      f.encode(m);
+      EXPECT_FALSE(m.sparse);
+      EXPECT_TRUE(m.indices.empty());
+      EXPECT_EQ(f.last_kept(), 0u);
+      continue;
+    }
+    const double dn = static_cast<double>(n);
+    std::vector<double> fractions = {1.0 / dn, 0.25, 0.5};
+    if (n > 1) fractions.push_back((dn - 1.0) / dn);
+    for (double frac : fractions) {
+      // One filter per (n, keep): its scratch is reused across payloads.
+      kv::TopKFilter f(kv::CompressionMode::TopK, frac, 1);
+      const auto keep = std::max<std::size_t>(
+          1, static_cast<std::size_t>(std::llround(frac * dn)));
+      const std::size_t at = n - std::min(keep, n);
+      const std::size_t d = std::max<std::size_t>(1, n / 20);
+      for (std::size_t zeros :
+           {at >= d ? at - d : 0, at, std::min(n, at + d)}) {
+        for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+          util::Rng rng(seed * 1000003 + n * 31 + zeros);
+          const std::vector<float> payload =
+              gib_shaped_payload(n, zeros, keep, rng);
+          const OracleEncode want = oracle_topk_encode(payload, frac);
+          kv::KvMessage m;
+          m.set_values(payload, 4.0 * dn);
+          f.encode(m);
+          SCOPED_TRACE(::testing::Message() << "n=" << n << " keep=" << keep
+                                            << " zeros=" << zeros
+                                            << " seed=" << seed);
+          EXPECT_EQ(float_bits(m.values), float_bits(want.values));
+          EXPECT_EQ(f.last_kept(), want.kept);
+          EXPECT_EQ(m.indices, want.indices);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

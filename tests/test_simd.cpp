@@ -9,6 +9,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -161,6 +163,50 @@ TEST(SimdCrossTier, QuantizeDequantize) {
   }
 }
 
+/// Tie budgets around the vector blocks of `mags` at `threshold`: none,
+/// one, exactly the ties of the first 8- and 16-lane blocks, one past them
+/// (running out inside the next block), half and all of the ties, and more
+/// than all of them.
+std::vector<std::size_t> tie_budgets(const std::vector<float>& mags,
+                                     float threshold) {
+  std::size_t first8 = 0;
+  std::size_t first16 = 0;
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < mags.size(); ++i) {
+    if (mags[i] != threshold) continue;
+    first8 += i < 8 ? 1 : 0;
+    first16 += i < 16 ? 1 : 0;
+    ++total;
+  }
+  return {0,           1,         first8,    first8 + 1, first16,
+          first16 + 1, total / 2, total,     total + 5};
+}
+
+/// threshold_zero in every tier against the scalar tier, for each budget.
+void check_threshold_zero(const std::vector<float>& grad, float threshold,
+                          const char* what) {
+  const std::size_t n = grad.size();
+  std::vector<float> mags(n);
+  const Kernels& ref = simd::kernels(Tier::kScalar);
+  ref.abs_into(grad.data(), mags.data(), n);
+  for (std::size_t budget : tie_budgets(mags, threshold)) {
+    std::vector<float> want = grad;
+    const std::size_t want_ties = ref.threshold_zero(
+        want.data(), mags.data(), threshold, budget, n);
+    for (Tier t : testable_tiers()) {
+      std::vector<float> got = grad;
+      EXPECT_EQ(simd::kernels(t).threshold_zero(got.data(), mags.data(),
+                                                threshold, budget, n),
+                want_ties)
+          << simd::tier_name(t) << ' ' << what << " ties n=" << n
+          << " budget=" << budget;
+      EXPECT_TRUE(same_bits(got, want))
+          << simd::tier_name(t) << ' ' << what << " grad n=" << n
+          << " budget=" << budget;
+    }
+  }
+}
+
 TEST(SimdCrossTier, TopKScanKernels) {
   for (std::size_t n : kSizes) {
     if (n == 0) continue;
@@ -172,9 +218,6 @@ TEST(SimdCrossTier, TopKScanKernels) {
     const Kernels& ref = simd::kernels(Tier::kScalar);
     ref.abs_into(grad.data(), mags.data(), n);
     const std::size_t want_gt = ref.count_gt(mags.data(), threshold, n);
-    std::vector<float> want_grad = grad;
-    const std::size_t want_ties =
-        ref.threshold_zero(want_grad.data(), mags.data(), threshold, 2, n);
     for (Tier t : testable_tiers()) {
       const Kernels& k = simd::kernels(t);
       std::vector<float> got_mags(n);
@@ -183,12 +226,41 @@ TEST(SimdCrossTier, TopKScanKernels) {
           << simd::tier_name(t) << " abs_into n=" << n;
       EXPECT_EQ(k.count_gt(got_mags.data(), threshold, n), want_gt)
           << simd::tier_name(t) << " count_gt n=" << n;
-      std::vector<float> got_grad = grad;
-      EXPECT_EQ(k.threshold_zero(got_grad.data(), got_mags.data(), threshold,
-                                 2, n), want_ties)
-          << simd::tier_name(t) << " threshold_zero ties n=" << n;
-      EXPECT_TRUE(same_bits(got_grad, want_grad))
-          << simd::tier_name(t) << " threshold_zero grad n=" << n;
+    }
+    check_threshold_zero(grad, threshold, "ties at 0.5");
+
+    // Threshold 0 over ±0: the GIB-zeroed Top-K case. A kept tie keeps
+    // its sign bit; a zeroed one becomes +0.
+    std::vector<float> zeros = random_floats(n, 650 + n);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i % 4 != 1) zeros[i] = i % 3 == 0 ? -0.0f : 0.0f;
+    }
+    check_threshold_zero(zeros, 0.0f, "ties at 0");
+  }
+}
+
+TEST(SimdCrossTier, NonzeroIndices) {
+  const float specials[] = {0.0f,
+                            -0.0f,
+                            std::numeric_limits<float>::quiet_NaN(),
+                            -std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::denorm_min(),
+                            -std::numeric_limits<float>::denorm_min(),
+                            std::numeric_limits<float>::infinity(),
+                            1.0f};
+  for (std::size_t n : kSizes) {
+    Rng rng(950 + n);
+    std::vector<float> values(n);
+    for (float& v : values) v = specials[rng.uniform_u64(std::size(specials))];
+    std::vector<std::uint32_t> want;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (values[i] != 0.0f) want.push_back(static_cast<std::uint32_t>(i));
+    }
+    for (Tier t : testable_tiers()) {
+      std::vector<std::uint32_t> got(n);
+      got.resize(simd::kernels(t).nonzero_indices(values.data(), got.data(),
+                                                  n));
+      EXPECT_EQ(got, want) << simd::tier_name(t) << " n=" << n;
     }
   }
 }
