@@ -164,9 +164,9 @@ TEST(SimdCrossTier, QuantizeDequantize) {
 }
 
 /// Tie budgets around the vector blocks of `mags` at `threshold`: none,
-/// one, exactly the ties of the first 8- and 16-lane blocks, one past them
-/// (running out inside the next block), half and all of the ties, and more
-/// than all of them.
+/// one, two, exactly the ties of the first 8- and 16-lane blocks, one past
+/// them (running out inside the next block), half and all of the ties, and
+/// more than all of them.
 std::vector<std::size_t> tie_budgets(const std::vector<float>& mags,
                                      float threshold) {
   std::size_t first8 = 0;
@@ -178,8 +178,8 @@ std::vector<std::size_t> tie_budgets(const std::vector<float>& mags,
     first16 += i < 16 ? 1 : 0;
     ++total;
   }
-  return {0,           1,         first8,    first8 + 1, first16,
-          first16 + 1, total / 2, total,     total + 5};
+  return {0,      1,           2,         first8, first8 + 1,
+          first16, first16 + 1, total / 2, total,  total + 5};
 }
 
 /// threshold_zero in every tier against the scalar tier, for each budget.
