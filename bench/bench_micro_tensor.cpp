@@ -16,6 +16,7 @@
 #include <functional>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_json.hpp"
@@ -349,20 +350,40 @@ std::vector<float> random_grad(std::size_t n, std::uint64_t seed) {
   return v;
 }
 
-/// Best-of-reps wall time of a 16-call batch of fn() — the min over reps
-/// filters scheduler noise, the batch amortizes timer overhead.
+/// Wall time of a 16-call batch of fn(); the batch amortizes timer
+/// overhead.
+template <typename F>
+double batch_seconds(const F& fn) {
+  constexpr int kBatch = 16;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < kBatch; ++i) fn();
+  const auto t1 = std::chrono::steady_clock::now();
+  return std::chrono::duration<double>(t1 - t0).count();
+}
+
+/// Best-of-reps batch time — the min over reps filters scheduler noise.
 template <typename F>
 double best_seconds(const F& fn, int reps = 9) {
-  constexpr int kBatch = 16;
   fn();  // warm-up
   double best = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < kBatch; ++i) fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
-  }
+  for (int r = 0; r < reps; ++r) best = std::min(best, batch_seconds(fn));
   return best;
+}
+
+/// best_seconds of two passes with their batches alternating, so a burst
+/// of host noise lands on both sides rather than on one side's window.
+template <typename F, typename G>
+std::pair<double, double> best_seconds_paired(const F& a, const G& b,
+                                              int reps) {
+  a();  // warm-up
+  b();
+  double best_a = std::numeric_limits<double>::infinity();
+  double best_b = best_a;
+  for (int r = 0; r < reps; ++r) {
+    best_a = std::min(best_a, batch_seconds(a));
+    best_b = std::min(best_b, batch_seconds(b));
+  }
+  return {best_a, best_b};
 }
 
 void set_wire_counters(benchmark::State& state, double seed_s, double simd_s) {
@@ -504,9 +525,8 @@ void BM_WireTopKEncode(benchmark::State& state) {
     benchmark::DoNotOptimize(m.indices.data());
     benchmark::ClobberMemory();
   };
-  // A pass takes microseconds, so more reps keep the minima stable.
-  const double seed_s = best_seconds(seed_pass, 33);
-  const double simd_s = best_seconds(simd_pass, 33);
+  // A pass takes microseconds: alternate many short batches.
+  const auto [seed_s, simd_s] = best_seconds_paired(seed_pass, simd_pass, 101);
   for (auto _ : state) simd_pass();
   set_wire_counters(state, seed_s, simd_s);
 }

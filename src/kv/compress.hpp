@@ -23,7 +23,7 @@ enum class CompressionMode { TopK, RandomK };
 struct SparsifyScratch {
   std::vector<float> mags;        // |grad[i]|, kept in element order
   std::vector<float> sel;         // positive magnitudes, nth_element'd
-  std::vector<std::uint32_t> idx; // TopK positive / RandomK shuffle indices
+  std::vector<std::uint32_t> idx; // index scratch: positive / kept / shuffled
   std::vector<std::uint8_t> mask; // RandomK keep byte-mask
 };
 

@@ -196,10 +196,14 @@ void TopKFilter::encode(KvMessage& m) {
   const std::size_t kept = sparsify(std::span<float>(m.values), mode_,
                                     keep_fraction_, rng_, scratch_);
   last_kept_ = kept;
-  const std::size_t n = m.values.size();  // sparsify checked it fits u32
-  m.indices.resize(n);
-  m.indices.resize(util::simd::kernels().nonzero_indices(
-      m.values.data(), m.indices.data(), n));
+  // The kernel needs room for n indices; the message keeps only the
+  // nonzero ones (sparsify checked that n fits in 32 bits).
+  const std::size_t n = m.values.size();
+  scratch_.idx.resize(n);
+  const auto count = static_cast<std::ptrdiff_t>(
+      util::simd::kernels().nonzero_indices(m.values.data(),
+                                            scratch_.idx.data(), n));
+  m.indices.assign(scratch_.idx.begin(), scratch_.idx.begin() + count);
   m.sparse = true;
   // Wire format: fp32 value + u32 index per kept element, replacing the
   // dense value accounting (so int8 composes after this stage).
