@@ -80,6 +80,8 @@ std::size_t sparsify(std::vector<float>& grad, CompressionMode mode,
 float quantize_dequantize_int8(std::span<float> grad) {
   const util::simd::Kernels& k = util::simd::kernels();
   const float max_abs = k.max_abs(grad.data(), grad.size());
+  // max_abs ranks NaN above inf, so one test covers every non-finite value.
+  OSP_CHECK(std::isfinite(max_abs), "Q8 quantize input is not finite");
   if (max_abs == 0.0f) return 0.0f;
   const float scale = max_abs / 127.0f;
   const float inv = 1.0f / scale;

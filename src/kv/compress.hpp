@@ -42,7 +42,8 @@ std::size_t sparsify(std::vector<float>& grad, CompressionMode mode,
 /// Symmetric per-tensor int8 quantization: q = round(clamp(g/s)) with
 /// s = max|g|/127. Returns the scale; `grad` is replaced by the
 /// dequantized values (the receiver's view), so quantization noise enters
-/// the training numerics exactly as it would on a real system.
+/// the training numerics exactly as it would on a real system. Throws
+/// CheckError if `grad` holds a NaN or an inf.
 float quantize_dequantize_int8(std::span<float> grad);
 
 }  // namespace osp::kv

@@ -6,20 +6,17 @@
 #include <vector>
 
 #include "tensor/gemm.hpp"
+#include "util/lanes.hpp"
 #include "util/simd.hpp"
 #include "util/thread_pool.hpp"
-
-#if defined(__x86_64__) && defined(__GNUC__)
-#include <immintrin.h>
-#define OSP_CONV_X86 1
-#endif
 
 namespace osp::tensor {
 
 namespace {
 
 using Index = std::ptrdiff_t;
-using LaneMask = std::uint32_t;  // bit i set: lane i is live
+using LaneMask = util::lanes::Bits;
+using util::lanes::on;
 
 /// Live lanes of an n-lane span (n ≤ 8) whose lane i reads index off + i
 /// of a line with valid indices [0, len).
@@ -29,30 +26,13 @@ LaneMask window(Index off, Index len, Index n) {
   return ((1u << hi) - 1u) & ~((1u << lo) - 1u);
 }
 
-// ---------------------------------------------------------------------------
-// Spans: up to kWidth consecutive floats, one register in the vector tiers.
-// Only live lanes touch memory: load puts base[off + i] in live lane i and
-// +0 in the rest, and store writes live lanes only. Image edges thus
-// need no bounds test per element: masked-off lanes may lie outside the
-// array, where masked loads do not fault. Registers go by reference, so no
-// vector crosses the ABI of the ISA-neutral loop nests, which are inlined
-// into each tier's entry points.
-// ---------------------------------------------------------------------------
-
-struct ScalarSpan {
-  static constexpr Index kWidth = 1;
-  using Reg = float;
-  static void load(Reg& r, const float* base, Index off, LaneMask live) {
-    r = live != 0 ? base[off] : 0.0f;
-  }
-  static void store(float* base, Index off, const Reg& r, LaneMask live) {
-    if (live != 0) base[off] = r;
-  }
-};
-
-#ifdef OSP_CONV_X86
-#define OSP_AVX2 __attribute__((target("avx2")))
-#define OSP_AVX512 __attribute__((target("avx512f,avx512vl")))
+// Spans: up to S::kWidth consecutive floats, one register of a lane type
+// (util/lanes.hpp): Scalar, Avx2 or Avx512x8. Only live lanes touch memory:
+// a masked load puts base[off + i] in live lane i and +0 in the rest, and a
+// masked store writes live lanes only. Image edges thus need no bounds test
+// per element: masked-off lanes may lie outside the array, where masked
+// loads do not fault. The loop nests are ISA-neutral and inlined into each
+// tier's entry point.
 
 /// Lane 0's address, base + off, computed as an integer: it may lie before
 /// the array, where pointer arithmetic is undefined and no live lane reads.
@@ -60,41 +40,6 @@ const float* lane0(const float* base, Index off) {
   return reinterpret_cast<const float*>(reinterpret_cast<std::uintptr_t>(base) +
                                         std::uintptr_t(off) * sizeof(float));
 }
-
-struct Avx2Span {
-  static constexpr Index kWidth = 8;
-  using Reg = __m256;
-  OSP_AVX2 static __m256i mask(LaneMask live) {
-    const __m256i bit = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
-    return _mm256_cmpeq_epi32(
-        _mm256_and_si256(_mm256_set1_epi32(static_cast<int>(live)), bit), bit);
-  }
-  OSP_AVX2 static void load(Reg& r, const float* base, Index off,
-                            LaneMask live) {
-    r = _mm256_maskload_ps(lane0(base, off), mask(live));
-  }
-  OSP_AVX2 static void store(float* base, Index off, const Reg& r,
-                             LaneMask live) {
-    _mm256_maskstore_ps(base + off, mask(live), r);
-  }
-};
-
-/// 8 lanes with AVX-512VL masks: the workloads' rows are 4–8 floats wide, and
-/// 16-lane loads straddle cache lines (8 lanes: 6–20% faster there).
-struct Avx512Span {
-  static constexpr Index kWidth = 8;
-  using Reg = __m256;
-  OSP_AVX512 static void load(Reg& r, const float* base, Index off,
-                              LaneMask live) {
-    r = _mm256_maskz_loadu_ps(static_cast<__mmask8>(live), lane0(base, off));
-  }
-  OSP_AVX512 static void store(float* base, Index off, const Reg& r,
-                               LaneMask live) {
-    _mm256_mask_storeu_ps(base + off, static_cast<__mmask8>(live), r);
-  }
-};
-
-#endif  // OSP_CONV_X86
 
 // ---------------------------------------------------------------------------
 // Gather loop nests over the first `channels` channels of NCHW data. Tap
@@ -120,12 +65,13 @@ struct Dims {
 /// X̂_b [C·k·k, oh·ow] of one sample: row (ch, ky, kx) holds, per patch, the
 /// pixel under that tap, as one ow-wide span per output row.
 template <class S>
-[[gnu::always_inline]] inline void gather_patches(
+OSP_INLINE inline void gather_patches(
     const float* x, const Conv2dGeom& g, std::size_t channels, float* xhat) {
   const Dims d(g);
+  constexpr Index kWidth = S::kWidth;
   for (Index kx = 0; kx < d.k; ++kx) {
-    for (Index ox = 0; ox < d.ow; ox += S::kWidth) {
-      const Index n = std::min(S::kWidth, d.ow - ox);
+    for (Index ox = 0; ox < d.ow; ox += kWidth) {
+      const Index n = std::min(kWidth, d.ow - ox);
       const Index col = ox * d.s + kx - d.pad;
       const LaneMask live = window(col, d.w, n), all = window(0, n, n);
       for (Index ch = 0; ch < Index(channels); ++ch) {
@@ -133,9 +79,9 @@ template <class S>
           float* dst = xhat + ((ch * d.k + ky) * d.k + kx) * d.oh * d.ow + ox;
           for (Index oy = 0; oy < d.oh; ++oy, dst += d.ow) {
             const Index y = oy * d.s + ky - d.pad;
-            typename S::Reg v{};
-            S::load(v, x + ch * d.h * d.w, y * d.w + col, d.on_row(y, live));
-            S::store(dst, 0, v, all);
+            S::store(dst, S::load(lane0(x + ch * d.h * d.w, y * d.w + col),
+                                  d.on_row(y, live)),
+                     all);
           }
         }
       }
@@ -146,13 +92,14 @@ template <class S>
 /// X̂_bᵀ [oh·ow, C·k·k] of one sample: row p holds patch p's taps in
 /// (ch, ky, kx) order, im2col's row layout, each (ch, ky) one k-wide span.
 template <class S>
-[[gnu::always_inline]] inline void gather_patches_t(
+OSP_INLINE inline void gather_patches_t(
     const float* x, const Conv2dGeom& g, std::size_t channels, float* xt) {
   const Dims d(g);
   const Index taps = d.k * d.k, cols = Index(channels) * taps;
+  constexpr Index kWidth = S::kWidth;
   for (Index ox = 0; ox < d.ow; ++ox) {
-    for (Index kx = 0; kx < d.k; kx += S::kWidth) {
-      const Index n = std::min(S::kWidth, d.k - kx);
+    for (Index kx = 0; kx < d.k; kx += kWidth) {
+      const Index n = std::min(kWidth, d.k - kx);
       const Index col = ox * d.s - d.pad + kx;
       const LaneMask live = window(col, d.w, n), all = window(0, n, n);
       for (Index oy = 0; oy < d.oh; ++oy) {
@@ -160,9 +107,9 @@ template <class S>
           const Index y = oy * d.s + ky - d.pad;
           float* dst = xt + (oy * d.ow + ox) * cols + ky * d.k + kx;
           for (Index ch = 0; ch < Index(channels); ++ch, dst += taps) {
-            typename S::Reg v{};
-            S::load(v, x + ch * d.h * d.w, y * d.w + col, d.on_row(y, live));
-            S::store(dst, 0, v, all);
+            S::store(dst, S::load(lane0(x + ch * d.h * d.w, y * d.w + col),
+                                  d.on_row(y, live)),
+                     all);
           }
         }
       }
@@ -182,14 +129,15 @@ template <class S>
 /// round-to-nearest sum is −0 only when both addends are, so it never
 /// holds a −0 for +0 to flip.
 template <class S>
-[[gnu::always_inline]] inline void gather_taps(
+OSP_INLINE inline void gather_taps(
     const float* dmat, const Conv2dGeom& g, std::size_t channels, float* dx) {
   const Dims d(g);
   const Index patches = d.oh * d.ow;
   struct Tap { Index ox; LaneMask live; };  // per kx: lane 0's ox, live lanes
   std::vector<Tap> taps(std::size_t(d.k));
-  for (Index x = 0; x < d.w; x += S::kWidth) {
-    const Index n = std::min(S::kWidth, d.w - x);
+  constexpr Index kWidth = S::kWidth;
+  for (Index x = 0; x < d.w; x += kWidth) {
+    const Index n = std::min(kWidth, d.w - x);
     for (Index kx = 0; kx < d.k; ++kx) {
       const Index tx = x + d.pad - kx;  // ox·s of lane 0
       taps[kx] = {tx / d.s, tx % d.s == 0 ? window(tx / d.s, d.ow, n) : 0};
@@ -197,17 +145,17 @@ template <class S>
     for (Index ch = 0; ch < Index(channels); ++ch) {
       const float* dch = dmat + ch * d.k * d.k * patches;
       for (Index y = 0; y < d.h; ++y) {
-        typename S::Reg acc{}, v{};  // +0 in every lane
+        typename S::F acc{};  // +0 in every lane
         for (Index ky = d.k; ky-- > 0;) {
           const Index ty = y + d.pad - ky;  // oy·s
           if (ty < 0 || ty % d.s != 0 || ty / d.s >= d.oh) continue;
           const Index off = (ky * d.k * d.oh + ty / d.s) * d.ow;
           for (Index kx = d.k; kx-- > 0;) {
-            S::load(v, dch, off + kx * patches + taps[kx].ox, taps[kx].live);
-            acc += v;
+            acc += S::load(lane0(dch, off + kx * patches + taps[kx].ox),
+                           taps[kx].live);
           }
         }
-        S::store(dx, (ch * d.h + y) * d.w + x, acc, window(0, n, n));
+        S::store(dx + (ch * d.h + y) * d.w + x, acc, window(0, n, n));
       }
     }
   }
@@ -218,36 +166,22 @@ using GatherFn = void (*)(const float* src, const Conv2dGeom& g,
 
 struct Kernels { GatherFn patches, patches_t, taps; };
 
-#ifdef OSP_CONV_X86
-template <GatherFn kNest>
-OSP_AVX2 void on_avx2(const float* src, const Conv2dGeom& g, std::size_t c,
-                      float* dst) {
-  kNest(src, g, c, dst);
-}
-template <GatherFn kNest>
-OSP_AVX512 void on_avx512(const float* src, const Conv2dGeom& g,
-                          std::size_t c, float* dst) {
-  kNest(src, g, c, dst);
-}
-#endif
+template <class S>
+constexpr Kernels kKernels{on<S, gather_patches<S>>,
+                           on<S, gather_patches_t<S>>, on<S, gather_taps<S>>};
 
 /// The active util::simd tier's gathers; one-lane spans for stride > 1.
 const Kernels& active_kernels([[maybe_unused]] const Conv2dGeom& g) {
-  static constexpr Kernels kScalar{gather_patches<ScalarSpan>,
-                                   gather_patches_t<ScalarSpan>,
-                                   gather_taps<ScalarSpan>};
-#ifdef OSP_CONV_X86
-  static constexpr Kernels kAvx2{on_avx2<gather_patches<Avx2Span>>,
-                                 on_avx2<gather_patches_t<Avx2Span>>,
-                                 on_avx2<gather_taps<Avx2Span>>};
-  static constexpr Kernels kAvx512{on_avx512<gather_patches<Avx512Span>>,
-                                   on_avx512<gather_patches_t<Avx512Span>>,
-                                   on_avx512<gather_taps<Avx512Span>>};
+#ifdef OSP_LANES_X86
   const util::simd::Tier tier = util::simd::active_tier();
-  if (g.stride == 1 && tier == util::simd::Tier::kAvx512) return kAvx512;
-  if (g.stride == 1 && tier == util::simd::Tier::kAvx2) return kAvx2;
+  if (g.stride == 1 && tier == util::simd::Tier::kAvx512) {
+    return kKernels<util::lanes::Avx512x8>;
+  }
+  if (g.stride == 1 && tier == util::simd::Tier::kAvx2) {
+    return kKernels<util::lanes::Avx2>;
+  }
 #endif
-  return kScalar;
+  return kKernels<util::lanes::Scalar>;
 }
 
 }  // namespace

@@ -3,159 +3,249 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
-#if defined(__x86_64__) && defined(__GNUC__)
-#include <immintrin.h>
-#define OSP_SIMD_X86 1
-#endif
+#include "util/lanes.hpp"
 
 namespace osp::util::simd {
 
 namespace {
 
+using lanes::on;
+using lanes::Scalar;
+
 // ---------------------------------------------------------------------------
-// Scalar tier. The elementwise loops and wire codecs are the seed
-// implementations verbatim; the double reductions implement the 8-lane
-// accumulation tree that every vector tier reproduces exactly (lane j owns
-// elements base+j mod 8 of the range, lane totals combined serially).
+// Kernels written once over a lane type L (util/lanes.hpp). Each lambda is
+// called with an L for the whole blocks and a Scalar for the tail, so the
+// tail runs the same ops one lane wide.
 // ---------------------------------------------------------------------------
 
-constexpr std::size_t kLanes = 8;
-
-void axpy_scalar(float alpha, const float* x, float* y, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
+/// body(L{}, i) on each whole block of L lanes in [0, n), then
+/// body(Scalar{}, i) on each element of the tail.
+template <class L, class Body>
+OSP_INLINE inline void each(std::size_t n, Body body) {
+  std::size_t i = 0;
+  for (; i + L::kWidth <= n; i += L::kWidth) body(L{}, i);
+  for (; i < n; ++i) body(Scalar{}, i);
 }
 
-void scale_scalar(float* x, float alpha, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) x[i] *= alpha;
+/// block(a + i, b + i) on each whole kWidth-float block of a and b, then
+/// block on zero-padded copies of their tail. Only for folds that a lane of
+/// +0 does not change.
+template <std::size_t kWidth, class Block>
+OSP_INLINE inline void padded(const float* a, const float* b, std::size_t n,
+                              Block block) {
+  std::size_t i = 0;
+  for (; i + kWidth <= n; i += kWidth) block(a + i, b + i);
+  if (i == n) return;
+  float pa[kWidth] = {}, pb[kWidth] = {};
+  std::copy(a + i, a + n, pa);
+  std::copy(b + i, b + n, pb);
+  block(pa, pb);
 }
 
-void add_scalar(const float* a, const float* b, float* dst, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = a[i] + b[i];
+template <class L>
+OSP_INLINE inline void axpy(float alpha, const float* x, float* y,
+                            std::size_t n) {
+  each<L>(n, [&](auto l, std::size_t i) OSP_INLINE {
+    l.store(y + i, l.add(l.load(y + i), l.mul(l.set1(alpha), l.load(x + i))));
+  });
 }
 
-void add_copy2_scalar(const float* a, const float* b, float* d1, float* d2,
-                      std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const float s = a[i] + b[i];
-    d1[i] = s;
-    d2[i] = s;
-  }
+template <class L>
+OSP_INLINE inline void scale(float* x, float alpha, std::size_t n) {
+  each<L>(n, [&](auto l, std::size_t i) OSP_INLINE {
+    l.store(x + i, l.mul(l.load(x + i), l.set1(alpha)));
+  });
 }
 
-void sub_scalar(const float* a, const float* b, float* dst, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = a[i] - b[i];
+template <class L>
+OSP_INLINE inline void add(const float* a, const float* b, float* dst,
+                           std::size_t n) {
+  each<L>(n, [&](auto l, std::size_t i) OSP_INLINE {
+    l.store(dst + i, l.add(l.load(a + i), l.load(b + i)));
+  });
 }
 
-/// Serial combine of the 8 lane totals — identical in every tier.
-double combine_lanes(const double* lanes) {
+template <class L>
+OSP_INLINE inline void add_copy2(const float* a, const float* b, float* d1,
+                                 float* d2, std::size_t n) {
+  each<L>(n, [&](auto l, std::size_t i) OSP_INLINE {
+    const auto s = l.add(l.load(a + i), l.load(b + i));
+    l.store(d1 + i, s);
+    l.store(d2 + i, s);
+  });
+}
+
+template <class L>
+OSP_INLINE inline void sub(const float* a, const float* b, float* dst,
+                           std::size_t n) {
+  each<L>(n, [&](auto l, std::size_t i) OSP_INLINE {
+    l.store(dst + i, l.sub(l.load(a + i), l.load(b + i)));
+  });
+}
+
+/// The 8-lane tree of simd.hpp: fold(acc, a + i, b + i) adds elements
+/// [i, i + 8) to lanes 0–7, and the lane totals are summed in lane order.
+/// The zero-padded tail block adds +0 to the lanes past the tail, which
+/// changes none: every term is ≥ +0 or NaN, so no lane ever holds −0.
+template <class L, class Fold>
+OSP_INLINE inline double tree8(const float* a, const float* b, std::size_t n,
+                               Fold fold) {
+  typename L::D acc{};
+  padded<8>(a, b, n, [&](const float* pa, const float* pb) OSP_INLINE {
+    acc = fold(acc, pa, pb);
+  });
+  double lane[8];
+  L::dstore(lane, acc);
   double s = 0.0;
-  for (std::size_t j = 0; j < kLanes; ++j) s += lanes[j];
+  for (double v : lane) s += v;
   return s;
 }
 
-double dot_scalar(const float* a, const float* b, std::size_t n) {
-  double lanes[kLanes] = {};
-  std::size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    for (std::size_t j = 0; j < kLanes; ++j) {
-      lanes[j] += static_cast<double>(a[i + j]) * static_cast<double>(b[i + j]);
-    }
-  }
-  for (std::size_t j = 0; i < n; ++i, ++j) {
-    lanes[j] += static_cast<double>(a[i]) * static_cast<double>(b[i]);
-  }
-  return combine_lanes(lanes);
+template <class L>
+OSP_INLINE inline double abs_prod_sum(const float* a, const float* b,
+                                      std::size_t n) {
+  return tree8<L>(a, b, n, [](auto acc, const float* pa, const float* pb)
+                               OSP_INLINE {
+    return L::dfma(L::widen_abs(pa), L::widen_abs(pb), acc);
+  });
 }
 
-double abs_prod_sum_scalar(const float* a, const float* b, std::size_t n) {
-  double lanes[kLanes] = {};
-  std::size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    for (std::size_t j = 0; j < kLanes; ++j) {
-      lanes[j] += std::abs(static_cast<double>(a[i + j]) *
-                           static_cast<double>(b[i + j]));
-    }
-  }
-  for (std::size_t j = 0; i < n; ++i, ++j) {
-    lanes[j] +=
-        std::abs(static_cast<double>(a[i]) * static_cast<double>(b[i]));
-  }
-  return combine_lanes(lanes);
+template <class L>
+OSP_INLINE inline double l1(const float* x, std::size_t n) {
+  return tree8<L>(x, x, n, [](auto acc, const float* p, const float*)
+                               OSP_INLINE {
+    return L::dadd(acc, L::widen_abs(p));
+  });
 }
 
-double l1_scalar(const float* x, std::size_t n) {
-  double lanes[kLanes] = {};
-  std::size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    for (std::size_t j = 0; j < kLanes; ++j) {
-      lanes[j] += std::abs(static_cast<double>(x[i + j]));
-    }
-  }
-  for (std::size_t j = 0; i < n; ++i, ++j) {
-    lanes[j] += std::abs(static_cast<double>(x[i]));
-  }
-  return combine_lanes(lanes);
+/// Max over the magnitudes' bit patterns, so NaN ranks above +inf in every
+/// tier; |0| pads the tail.
+template <class L>
+OSP_INLINE inline float max_abs(const float* x, std::size_t n) {
+  typename L::F m = L::set1(0.0f);
+  padded<L::kWidth>(x, x, n, [&](const float* p, const float*) OSP_INLINE {
+    m = L::umax(m, L::abs(L::load(p)));
+  });
+  float lane[L::kWidth];
+  L::store(lane, m);
+  float s = 0.0f;
+  for (float v : lane) s = Scalar::umax(s, v);
+  return s;
 }
 
-double l2sq_scalar(const float* x, std::size_t n) {
-  double lanes[kLanes] = {};
-  std::size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    for (std::size_t j = 0; j < kLanes; ++j) {
-      lanes[j] +=
-          static_cast<double>(x[i + j]) * static_cast<double>(x[i + j]);
-    }
-  }
-  for (std::size_t j = 0; i < n; ++i, ++j) {
-    lanes[j] += static_cast<double>(x[i]) * static_cast<double>(x[i]);
-  }
-  return combine_lanes(lanes);
+/// std::round (half away from zero) from rint (half to even): where q sat
+/// exactly halfway and rint went toward zero, step t one away from zero.
+/// Identical to std::round(std::clamp(x·inv, −127, 127)) on finite input.
+template <class L>
+OSP_INLINE inline void quantize_dequantize(float* x, float scale, float inv,
+                                           std::size_t n) {
+  each<L>(n, [&](auto l, std::size_t i) OSP_INLINE {
+    const auto q = l.min(l.max(l.mul(l.load(x + i), l.set1(inv)),
+                               l.set1(-127.0f)),
+                         l.set1(127.0f));
+    const auto t = l.rint(q);
+    const auto fix = l.eq(l.sub(q, t), l.copysign(l.set1(0.5f), q));
+    const auto away = l.add(t, l.copysign(l.set1(1.0f), q));
+    l.store(x + i, l.mul(l.select(fix, away, t), l.set1(scale)));
+  });
 }
 
-float max_abs_scalar(const float* x, std::size_t n) {
-  float m = 0.0f;
-  for (std::size_t i = 0; i < n; ++i) m = std::max(m, std::fabs(x[i]));
-  return m;
+template <class L>
+OSP_INLINE inline void abs_into(const float* x, float* mags, std::size_t n) {
+  each<L>(n, [&](auto l, std::size_t i) OSP_INLINE {
+    l.store(mags + i, l.abs(l.load(x + i)));
+  });
 }
 
-void quantize_dequantize_scalar(float* x, float scale, float inv,
-                                std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const float q = std::round(std::clamp(x[i] * inv, -127.0f, 127.0f));
-    x[i] = q * scale;
-  }
-}
-
-void abs_into_scalar(const float* x, float* mags, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) mags[i] = std::fabs(x[i]);
-}
-
-std::size_t count_gt_scalar(const float* mags, float threshold,
-                            std::size_t n) {
+template <class L>
+OSP_INLINE inline std::size_t count_gt(const float* mags, float threshold,
+                                       std::size_t n) {
   std::size_t count = 0;
-  for (std::size_t i = 0; i < n; ++i) count += mags[i] > threshold ? 1 : 0;
+  each<L>(n, [&](auto l, std::size_t i) OSP_INLINE {
+    count += l.count(l.gt(l.load(mags + i), l.set1(threshold)));
+  });
   return count;
 }
 
-std::size_t threshold_zero_scalar(float* grad, const float* mags,
-                                  float threshold, std::size_t tie_slots,
-                                  std::size_t n) {
-  const std::size_t initial = tie_slots;
-  for (std::size_t i = 0; i < n; ++i) {
-    const float m = mags[i];
-    if (m > threshold) continue;
-    if (m == threshold && tie_slots > 0) {
-      --tie_slots;
-    } else {
-      grad[i] = 0.0f;
+/// One block of threshold_zero. The block's ties all fit the budget (a
+/// ge-masked store), or the budget is empty (a gt-masked store), or the
+/// budget runs out inside the block, which happens at most once per call:
+/// then its lanes are walked in index order, one lane wide.
+template <class V>
+OSP_INLINE inline void zero_block(float* grad, const float* mags, float t,
+                                  std::size_t& slots) {
+  const auto m = V::load(mags), vt = V::set1(t);
+  const std::size_t ties = V::count(V::eq(m, vt));
+  if constexpr (V::kWidth > 1) {
+    if (ties > slots && slots > 0) {
+      for (std::size_t j = 0; j < V::kWidth; ++j) {
+        zero_block<Scalar>(grad + j, mags + j, t, slots);
+      }
+      return;
     }
   }
-  return initial - tie_slots;
+  const bool spend = ties <= slots;
+  // Zeroed lanes become +0; kept lanes keep their bits, −0 included.
+  V::store(grad, V::keep(spend ? V::ge(m, vt) : V::gt(m, vt), V::load(grad)));
+  if (spend) slots -= ties;
 }
+
+template <class L>
+OSP_INLINE inline std::size_t threshold_zero(float* grad, const float* mags,
+                                             float t, std::size_t slots,
+                                             std::size_t n) {
+  const std::size_t initial = slots;
+  each<L>(n, [&](auto l, std::size_t i) OSP_INLINE {
+    zero_block<decltype(l)>(grad + i, mags + i, t, slots);
+  });
+  return initial - slots;
+}
+
+template <class L>
+OSP_INLINE inline void mask_zero(float* grad, const std::uint8_t* keep,
+                                 std::size_t n) {
+  each<L>(n, [&](auto l, std::size_t i) OSP_INLINE {
+    l.store(grad + i, l.keep(l.nonzero(keep + i), l.load(grad + i)));
+  });
+}
+
+template <class L>
+OSP_INLINE inline void relu(const float* x, float* y, std::size_t n) {
+  each<L>(n, [&](auto l, std::size_t i) OSP_INLINE {
+    const auto v = l.load(x + i);
+    l.store(y + i, l.keep(l.gt(v, l.set1(0.0f)), v));
+  });
+}
+
+template <class L>
+OSP_INLINE inline void relu_grad(const float* x, const float* g, float* d,
+                                 std::size_t n) {
+  each<L>(n, [&](auto l, std::size_t i) OSP_INLINE {
+    l.store(d + i, l.keep(l.nle(l.load(x + i), l.set1(0.0f)), l.load(g + i)));
+  });
+}
+
+/// The table of tier L: the kernels above, plus the tier's own
+/// nonzero_indices and bitmap codecs, where the instruction choice is the
+/// point.
+template <class L>
+constexpr Kernels table(decltype(Kernels::nonzero_indices) nonzero_indices,
+                        decltype(Kernels::pack_bits) pack_bits,
+                        decltype(Kernels::unpack_bits) unpack_bits) {
+  return {on<L, axpy<L>>, on<L, scale<L>>, on<L, add<L>>,
+          on<L, add_copy2<L>>, on<L, sub<L>>, on<L, abs_prod_sum<L>>,
+          on<L, l1<L>>, on<L, max_abs<L>>, on<L, quantize_dequantize<L>>,
+          on<L, abs_into<L>>, on<L, count_gt<L>>, on<L, threshold_zero<L>>,
+          nonzero_indices, on<L, mask_zero<L>>, pack_bits, unpack_bits,
+          on<L, relu<L>>, on<L, relu_grad<L>>};
+}
+
+// ---------------------------------------------------------------------------
+// Per-tier kernels: scalar forms, shared by the vector tiers' tails.
+// ---------------------------------------------------------------------------
 
 /// Appends the indices j in [i, n) with values[j] != 0.0f to out[count..]
 /// and returns the new count. Branch-free: every index is written, only
@@ -172,12 +262,6 @@ std::size_t append_nonzero(const float* values, std::uint32_t* out,
 std::size_t nonzero_indices_scalar(const float* values, std::uint32_t* out,
                                    std::size_t n) {
   return append_nonzero(values, out, 0, 0, n);
-}
-
-void mask_zero_scalar(float* grad, const std::uint8_t* keep, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (keep[i] == 0) grad[i] = 0.0f;
-  }
 }
 
 // Word-at-a-time bitmap codecs, both exhaustively verified against the
@@ -206,12 +290,10 @@ void pack_bits_scalar(const std::uint8_t* bytes, std::uint8_t* bits,
                       std::size_t n) {
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) bits[i / 8] = pack8(bytes + i);
-  if (i < n) {
-    std::uint8_t tail = 0;
-    for (std::size_t j = 0; i + j < n; ++j) {
-      if (bytes[i + j] != 0) tail |= static_cast<std::uint8_t>(1u << j);
-    }
-    bits[i / 8] = tail;
+  if (i < n) {  // the zero-padded tail: its unused high bits come out 0
+    std::uint8_t tail[8] = {};
+    std::copy(bytes + i, bytes + n, tail);
+    bits[i / 8] = pack8(tail);
   }
 }
 
@@ -233,277 +315,10 @@ void unpack_bits_scalar(const std::uint8_t* bits, std::uint8_t* bytes,
   }
 }
 
-void relu_scalar(const float* x, float* y, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] = x[i] > 0.0f ? x[i] : 0.0f;
-}
+constexpr Kernels kScalarKernels =
+    table<Scalar>(nonzero_indices_scalar, pack_bits_scalar, unpack_bits_scalar);
 
-void relu_grad_scalar(const float* x, const float* g, float* d,
-                      std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) d[i] = x[i] <= 0.0f ? 0.0f : g[i];
-}
-
-constexpr Kernels kScalarKernels = {
-    axpy_scalar,          scale_scalar,    add_scalar,
-    add_copy2_scalar,     sub_scalar,      dot_scalar,
-    abs_prod_sum_scalar,  l1_scalar,       l2sq_scalar,
-    max_abs_scalar,       quantize_dequantize_scalar,
-    abs_into_scalar,      count_gt_scalar, threshold_zero_scalar,
-    nonzero_indices_scalar,
-    mask_zero_scalar,     pack_bits_scalar, unpack_bits_scalar,
-    relu_scalar,          relu_grad_scalar,
-};
-
-#ifdef OSP_SIMD_X86
-
-// ---------------------------------------------------------------------------
-// AVX2 tier. Elementwise kernels issue the exact mul/add sequence of the
-// scalar loops lane-by-lane; reductions realize the 8-lane tree as two
-// 4-double accumulators (lanes 0-3 / 4-7).
-// ---------------------------------------------------------------------------
-
-__attribute__((target("avx2"))) void axpy_avx2(float alpha, const float* x,
-                                               float* y, std::size_t n) {
-  const __m256 va = _mm256_set1_ps(alpha);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 vy = _mm256_loadu_ps(y + i);
-    const __m256 vx = _mm256_loadu_ps(x + i);
-    _mm256_storeu_ps(y + i, _mm256_add_ps(vy, _mm256_mul_ps(va, vx)));
-  }
-  for (; i < n; ++i) y[i] += alpha * x[i];
-}
-
-__attribute__((target("avx2"))) void scale_avx2(float* x, float alpha,
-                                                std::size_t n) {
-  const __m256 va = _mm256_set1_ps(alpha);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(x + i, _mm256_mul_ps(_mm256_loadu_ps(x + i), va));
-  }
-  for (; i < n; ++i) x[i] *= alpha;
-}
-
-__attribute__((target("avx2"))) void add_avx2(const float* a, const float* b,
-                                              float* dst, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(
-        dst + i, _mm256_add_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i)));
-  }
-  for (; i < n; ++i) dst[i] = a[i] + b[i];
-}
-
-__attribute__((target("avx2"))) void add_copy2_avx2(const float* a,
-                                                    const float* b, float* d1,
-                                                    float* d2, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 s =
-        _mm256_add_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i));
-    _mm256_storeu_ps(d1 + i, s);
-    _mm256_storeu_ps(d2 + i, s);
-  }
-  for (; i < n; ++i) {
-    const float s = a[i] + b[i];
-    d1[i] = s;
-    d2[i] = s;
-  }
-}
-
-__attribute__((target("avx2"))) void sub_avx2(const float* a, const float* b,
-                                              float* dst, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(
-        dst + i, _mm256_sub_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i)));
-  }
-  for (; i < n; ++i) dst[i] = a[i] - b[i];
-}
-
-// Reduction helpers: convert the low/high float quads of a 256-bit load to
-// doubles, keeping lane j = element (base + j).
-
-#define OSP_REDUCE_TAIL(expr)                           \
-  alignas(32) double lanes[kLanes];                     \
-  _mm256_storeu_pd(lanes, lo);                          \
-  _mm256_storeu_pd(lanes + 4, hi);                      \
-  for (std::size_t j = 0; i < n; ++i, ++j) lanes[j] += (expr); \
-  return combine_lanes(lanes)
-
-__attribute__((target("avx2"))) double dot_avx2(const float* a, const float* b,
-                                                std::size_t n) {
-  __m256d lo = _mm256_setzero_pd(), hi = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 va = _mm256_loadu_ps(a + i);
-    const __m256 vb = _mm256_loadu_ps(b + i);
-    const __m256d alo = _mm256_cvtps_pd(_mm256_castps256_ps128(va));
-    const __m256d ahi = _mm256_cvtps_pd(_mm256_extractf128_ps(va, 1));
-    const __m256d blo = _mm256_cvtps_pd(_mm256_castps256_ps128(vb));
-    const __m256d bhi = _mm256_cvtps_pd(_mm256_extractf128_ps(vb, 1));
-    lo = _mm256_add_pd(lo, _mm256_mul_pd(alo, blo));
-    hi = _mm256_add_pd(hi, _mm256_mul_pd(ahi, bhi));
-  }
-  OSP_REDUCE_TAIL(static_cast<double>(a[i]) * static_cast<double>(b[i]));
-}
-
-__attribute__((target("avx2"))) double abs_prod_sum_avx2(const float* a,
-                                                         const float* b,
-                                                         std::size_t n) {
-  const __m256d dsign = _mm256_set1_pd(-0.0);
-  __m256d lo = _mm256_setzero_pd(), hi = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 va = _mm256_loadu_ps(a + i);
-    const __m256 vb = _mm256_loadu_ps(b + i);
-    const __m256d plo =
-        _mm256_mul_pd(_mm256_cvtps_pd(_mm256_castps256_ps128(va)),
-                      _mm256_cvtps_pd(_mm256_castps256_ps128(vb)));
-    const __m256d phi =
-        _mm256_mul_pd(_mm256_cvtps_pd(_mm256_extractf128_ps(va, 1)),
-                      _mm256_cvtps_pd(_mm256_extractf128_ps(vb, 1)));
-    lo = _mm256_add_pd(lo, _mm256_andnot_pd(dsign, plo));
-    hi = _mm256_add_pd(hi, _mm256_andnot_pd(dsign, phi));
-  }
-  OSP_REDUCE_TAIL(
-      std::abs(static_cast<double>(a[i]) * static_cast<double>(b[i])));
-}
-
-__attribute__((target("avx2"))) double l1_avx2(const float* x, std::size_t n) {
-  const __m256 fsign = _mm256_set1_ps(-0.0f);
-  __m256d lo = _mm256_setzero_pd(), hi = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 v = _mm256_andnot_ps(fsign, _mm256_loadu_ps(x + i));
-    lo = _mm256_add_pd(lo, _mm256_cvtps_pd(_mm256_castps256_ps128(v)));
-    hi = _mm256_add_pd(hi, _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1)));
-  }
-  OSP_REDUCE_TAIL(std::abs(static_cast<double>(x[i])));
-}
-
-__attribute__((target("avx2"))) double l2sq_avx2(const float* x,
-                                                 std::size_t n) {
-  __m256d lo = _mm256_setzero_pd(), hi = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 v = _mm256_loadu_ps(x + i);
-    const __m256d vlo = _mm256_cvtps_pd(_mm256_castps256_ps128(v));
-    const __m256d vhi = _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1));
-    lo = _mm256_add_pd(lo, _mm256_mul_pd(vlo, vlo));
-    hi = _mm256_add_pd(hi, _mm256_mul_pd(vhi, vhi));
-  }
-  OSP_REDUCE_TAIL(static_cast<double>(x[i]) * static_cast<double>(x[i]));
-}
-
-__attribute__((target("avx2"))) float max_abs_avx2(const float* x,
-                                                   std::size_t n) {
-  const __m256 fsign = _mm256_set1_ps(-0.0f);
-  __m256 vm = _mm256_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    vm = _mm256_max_ps(vm, _mm256_andnot_ps(fsign, _mm256_loadu_ps(x + i)));
-  }
-  alignas(32) float m8[8];
-  _mm256_storeu_ps(m8, vm);
-  float m = 0.0f;
-  for (float v : m8) m = std::max(m, v);
-  for (; i < n; ++i) m = std::max(m, std::fabs(x[i]));
-  return m;
-}
-
-// round-half-away-from-zero (std::round) built from round-half-even:
-// t = rint(q); fix t += copysign(1, q) exactly when q - t == copysign(.5, q)
-// (q was an exact half rounded toward zero by rint). Proven identical to
-// std::round for all finite q; the clamp keeps |q| <= 127 anyway.
-__attribute__((target("avx2"))) void quantize_dequantize_avx2(float* x,
-                                                              float scale,
-                                                              float inv,
-                                                              std::size_t n) {
-  const __m256 vinv = _mm256_set1_ps(inv);
-  const __m256 vscale = _mm256_set1_ps(scale);
-  const __m256 vlo = _mm256_set1_ps(-127.0f);
-  const __m256 vhi = _mm256_set1_ps(127.0f);
-  const __m256 fsign = _mm256_set1_ps(-0.0f);
-  const __m256 half = _mm256_set1_ps(0.5f);
-  const __m256 one = _mm256_set1_ps(1.0f);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 q = _mm256_min_ps(
-        _mm256_max_ps(_mm256_mul_ps(_mm256_loadu_ps(x + i), vinv), vlo), vhi);
-    __m256 t = _mm256_round_ps(q, _MM_FROUND_TO_NEAREST_INT |
-                                      _MM_FROUND_NO_EXC);
-    const __m256 sign_bits = _mm256_and_ps(q, fsign);
-    const __m256 fix =
-        _mm256_cmp_ps(_mm256_sub_ps(q, t), _mm256_or_ps(sign_bits, half),
-                      _CMP_EQ_OQ);
-    t = _mm256_blendv_ps(t, _mm256_add_ps(t, _mm256_or_ps(sign_bits, one)),
-                         fix);
-    _mm256_storeu_ps(x + i, _mm256_mul_ps(t, vscale));
-  }
-  for (; i < n; ++i) {
-    const float q = std::round(std::clamp(x[i] * inv, -127.0f, 127.0f));
-    x[i] = q * scale;
-  }
-}
-
-__attribute__((target("avx2"))) void abs_into_avx2(const float* x, float* mags,
-                                                   std::size_t n) {
-  const __m256 fsign = _mm256_set1_ps(-0.0f);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(mags + i,
-                     _mm256_andnot_ps(fsign, _mm256_loadu_ps(x + i)));
-  }
-  for (; i < n; ++i) mags[i] = std::fabs(x[i]);
-}
-
-__attribute__((target("avx2"))) std::size_t count_gt_avx2(const float* mags,
-                                                          float threshold,
-                                                          std::size_t n) {
-  const __m256 vt = _mm256_set1_ps(threshold);
-  std::size_t count = 0;
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 gt = _mm256_cmp_ps(_mm256_loadu_ps(mags + i), vt, _CMP_GT_OQ);
-    count += static_cast<std::size_t>(
-        __builtin_popcount(static_cast<unsigned>(_mm256_movemask_ps(gt))));
-  }
-  for (; i < n; ++i) count += mags[i] > threshold ? 1 : 0;
-  return count;
-}
-
-__attribute__((target("avx2"))) std::size_t threshold_zero_avx2(
-    float* grad, const float* mags, float threshold, std::size_t tie_slots,
-    std::size_t n) {
-  const std::size_t initial = tie_slots;
-  const __m256 vt = _mm256_set1_ps(threshold);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 m = _mm256_loadu_ps(mags + i);
-    const auto ties = static_cast<std::size_t>(__builtin_popcount(
-        static_cast<unsigned>(
-            _mm256_movemask_ps(_mm256_cmp_ps(m, vt, _CMP_EQ_OQ)))));
-    __m256 keep;
-    if (ties == 0 || tie_slots == 0) {
-      keep = _mm256_cmp_ps(m, vt, _CMP_GT_OQ);  // any ties are zeroed
-    } else if (ties <= tie_slots) {
-      keep = _mm256_cmp_ps(m, vt, _CMP_GE_OQ);  // every tie fits the budget
-      tie_slots -= ties;
-    } else {
-      // The budget runs out inside this block, which happens at most once
-      // per call: walk its lanes in index order like the scalar tier.
-      tie_slots -= threshold_zero_scalar(grad + i, mags + i, threshold,
-                                         tie_slots, 8);
-      continue;
-    }
-    // Zeroed lanes become +0 (as the scalar tier writes); kept lanes keep
-    // their bits, −0 included.
-    _mm256_storeu_ps(grad + i, _mm256_and_ps(_mm256_loadu_ps(grad + i), keep));
-  }
-  tie_slots -= threshold_zero_scalar(grad + i, mags + i, threshold, tie_slots,
-                                     n - i);
-  return initial - tie_slots;
-}
+#ifdef OSP_LANES_X86
 
 // Compress-store table for AVX2, which has no vpcompressd: byte j of
 // entry m is the lane number of the j-th set bit of the 8-bit mask m.
@@ -519,7 +334,7 @@ constexpr std::array<std::uint64_t, 256> make_compress_lut() {
 }
 constexpr std::array<std::uint64_t, 256> kCompressLut = make_compress_lut();
 
-__attribute__((target("avx2"))) std::size_t nonzero_indices_avx2(
+OSP_AVX2 std::size_t nonzero_indices_avx2(
     const float* values, std::uint32_t* out, std::size_t n) {
   const __m256 zero = _mm256_setzero_ps();
   std::size_t count = 0;
@@ -539,26 +354,7 @@ __attribute__((target("avx2"))) std::size_t nonzero_indices_avx2(
   return append_nonzero(values, out, count, i, n);
 }
 
-__attribute__((target("avx2"))) void mask_zero_avx2(float* grad,
-                                                    const std::uint8_t* keep,
-                                                    std::size_t n) {
-  const __m256i zero = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m128i bytes =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(keep + i));
-    const __m256i lanes32 = _mm256_cvtepu8_epi32(bytes);
-    const __m256i keep_mask = _mm256_cmpgt_epi32(lanes32, zero);
-    _mm256_storeu_ps(grad + i,
-                     _mm256_and_ps(_mm256_loadu_ps(grad + i),
-                                   _mm256_castsi256_ps(keep_mask)));
-  }
-  for (; i < n; ++i) {
-    if (keep[i] == 0) grad[i] = 0.0f;
-  }
-}
-
-__attribute__((target("avx2"))) void pack_bits_avx2(const std::uint8_t* bytes,
+OSP_AVX2 void pack_bits_avx2(const std::uint8_t* bytes,
                                                     std::uint8_t* bits,
                                                     std::size_t n) {
   const __m256i zero = _mm256_setzero_si256();
@@ -566,23 +362,20 @@ __attribute__((target("avx2"))) void pack_bits_avx2(const std::uint8_t* bytes,
   for (; i + 32 <= n; i += 32) {
     const __m256i v =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bytes + i));
-    const std::uint32_t is_zero = static_cast<std::uint32_t>(
+    const auto mask = ~static_cast<std::uint32_t>(
         _mm256_movemask_epi8(_mm256_cmpeq_epi8(v, zero)));
-    const std::uint32_t mask = ~is_zero;
     std::memcpy(bits + i / 8, &mask, sizeof(mask));
   }
   if (i < n) pack_bits_scalar(bytes + i, bits + i / 8, n - i);
 }
 
-__attribute__((target("avx2"))) void unpack_bits_avx2(const std::uint8_t* bits,
+OSP_AVX2 void unpack_bits_avx2(const std::uint8_t* bits,
                                                       std::uint8_t* bytes,
                                                       std::size_t n) {
   // Replicate each mask byte across its 8 output lanes, test the lane's
   // bit, normalize to 0/1.
-  const __m256i ctrl = _mm256_setr_epi8(0, 0, 0, 0, 0, 0, 0, 0,  //
-                                        1, 1, 1, 1, 1, 1, 1, 1,  //
-                                        2, 2, 2, 2, 2, 2, 2, 2,  //
-                                        3, 3, 3, 3, 3, 3, 3, 3);
+  const __m256i ctrl = _mm256_setr_epi64x(0, kByteRep, 2 * kByteRep,
+                                          3 * kByteRep);
   const __m256i bitsel = _mm256_set1_epi64x(
       static_cast<long long>(0x8040201008040201ull));
   const __m256i ones = _mm256_set1_epi8(1);
@@ -600,255 +393,7 @@ __attribute__((target("avx2"))) void unpack_bits_avx2(const std::uint8_t* bits,
   if (i < n) unpack_bits_scalar(bits + i / 8, bytes + i, n - i);
 }
 
-__attribute__((target("avx2"))) void relu_avx2(const float* x, float* y,
-                                               std::size_t n) {
-  const __m256 zero = _mm256_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 v = _mm256_loadu_ps(x + i);
-    _mm256_storeu_ps(y + i,
-                     _mm256_and_ps(v, _mm256_cmp_ps(v, zero, _CMP_GT_OQ)));
-  }
-  for (; i < n; ++i) y[i] = x[i] > 0.0f ? x[i] : 0.0f;
-}
-
-__attribute__((target("avx2"))) void relu_grad_avx2(const float* x,
-                                                    const float* g, float* d,
-                                                    std::size_t n) {
-  const __m256 zero = _mm256_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 kill =
-        _mm256_cmp_ps(_mm256_loadu_ps(x + i), zero, _CMP_LE_OQ);
-    _mm256_storeu_ps(d + i, _mm256_andnot_ps(kill, _mm256_loadu_ps(g + i)));
-  }
-  for (; i < n; ++i) d[i] = x[i] <= 0.0f ? 0.0f : g[i];
-}
-
-// ---------------------------------------------------------------------------
-// AVX-512 tier (F+BW+DQ+VL). Same contracts at twice the width; the
-// reductions keep the single 8-double-lane accumulator, so the tree is
-// unchanged — AVX-512 just halves the instruction count per 8 elements.
-// ---------------------------------------------------------------------------
-
-#define OSP_T512 "avx512f,avx512bw,avx512dq,avx512vl"
-
-__attribute__((target(OSP_T512))) void axpy_avx512(float alpha,
-                                                   const float* x, float* y,
-                                                   std::size_t n) {
-  const __m512 va = _mm512_set1_ps(alpha);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m512 vy = _mm512_loadu_ps(y + i);
-    const __m512 vx = _mm512_loadu_ps(x + i);
-    _mm512_storeu_ps(y + i, _mm512_add_ps(vy, _mm512_mul_ps(va, vx)));
-  }
-  for (; i < n; ++i) y[i] += alpha * x[i];
-}
-
-__attribute__((target(OSP_T512))) void scale_avx512(float* x, float alpha,
-                                                    std::size_t n) {
-  const __m512 va = _mm512_set1_ps(alpha);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    _mm512_storeu_ps(x + i, _mm512_mul_ps(_mm512_loadu_ps(x + i), va));
-  }
-  for (; i < n; ++i) x[i] *= alpha;
-}
-
-__attribute__((target(OSP_T512))) void add_avx512(const float* a,
-                                                  const float* b, float* dst,
-                                                  std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    _mm512_storeu_ps(
-        dst + i, _mm512_add_ps(_mm512_loadu_ps(a + i), _mm512_loadu_ps(b + i)));
-  }
-  for (; i < n; ++i) dst[i] = a[i] + b[i];
-}
-
-__attribute__((target(OSP_T512))) void add_copy2_avx512(const float* a,
-                                                        const float* b,
-                                                        float* d1, float* d2,
-                                                        std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m512 s =
-        _mm512_add_ps(_mm512_loadu_ps(a + i), _mm512_loadu_ps(b + i));
-    _mm512_storeu_ps(d1 + i, s);
-    _mm512_storeu_ps(d2 + i, s);
-  }
-  for (; i < n; ++i) {
-    const float s = a[i] + b[i];
-    d1[i] = s;
-    d2[i] = s;
-  }
-}
-
-__attribute__((target(OSP_T512))) void sub_avx512(const float* a,
-                                                  const float* b, float* dst,
-                                                  std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    _mm512_storeu_ps(
-        dst + i, _mm512_sub_ps(_mm512_loadu_ps(a + i), _mm512_loadu_ps(b + i)));
-  }
-  for (; i < n; ++i) dst[i] = a[i] - b[i];
-}
-
-#define OSP_REDUCE_TAIL_512(expr)                        \
-  alignas(64) double lanes[kLanes];                      \
-  _mm512_storeu_pd(lanes, acc);                          \
-  for (std::size_t j = 0; i < n; ++i, ++j) lanes[j] += (expr); \
-  return combine_lanes(lanes)
-
-__attribute__((target(OSP_T512))) double dot_avx512(const float* a,
-                                                    const float* b,
-                                                    std::size_t n) {
-  __m512d acc = _mm512_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    acc = _mm512_fmadd_pd(_mm512_cvtps_pd(_mm256_loadu_ps(a + i)),
-                          _mm512_cvtps_pd(_mm256_loadu_ps(b + i)), acc);
-  }
-  OSP_REDUCE_TAIL_512(static_cast<double>(a[i]) * static_cast<double>(b[i]));
-}
-
-__attribute__((target(OSP_T512))) double abs_prod_sum_avx512(const float* a,
-                                                             const float* b,
-                                                             std::size_t n) {
-  const __m256 fsign = _mm256_set1_ps(-0.0f);
-  __m512d acc = _mm512_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 va = _mm256_andnot_ps(fsign, _mm256_loadu_ps(a + i));
-    const __m256 vb = _mm256_andnot_ps(fsign, _mm256_loadu_ps(b + i));
-    acc = _mm512_fmadd_pd(_mm512_cvtps_pd(va), _mm512_cvtps_pd(vb), acc);
-  }
-  OSP_REDUCE_TAIL_512(
-      std::abs(static_cast<double>(a[i]) * static_cast<double>(b[i])));
-}
-
-__attribute__((target(OSP_T512))) double l1_avx512(const float* x,
-                                                   std::size_t n) {
-  const __m256 fsign = _mm256_set1_ps(-0.0f);
-  __m512d acc = _mm512_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    acc = _mm512_add_pd(
-        acc,
-        _mm512_cvtps_pd(_mm256_andnot_ps(fsign, _mm256_loadu_ps(x + i))));
-  }
-  OSP_REDUCE_TAIL_512(std::abs(static_cast<double>(x[i])));
-}
-
-__attribute__((target(OSP_T512))) double l2sq_avx512(const float* x,
-                                                     std::size_t n) {
-  __m512d acc = _mm512_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d v = _mm512_cvtps_pd(_mm256_loadu_ps(x + i));
-    acc = _mm512_fmadd_pd(v, v, acc);
-  }
-  OSP_REDUCE_TAIL_512(static_cast<double>(x[i]) * static_cast<double>(x[i]));
-}
-
-__attribute__((target(OSP_T512))) float max_abs_avx512(const float* x,
-                                                       std::size_t n) {
-  const __m512 fsign = _mm512_set1_ps(-0.0f);
-  __m512 vm = _mm512_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    vm = _mm512_max_ps(vm, _mm512_andnot_ps(fsign, _mm512_loadu_ps(x + i)));
-  }
-  float m = _mm512_reduce_max_ps(vm);
-  for (; i < n; ++i) m = std::max(m, std::fabs(x[i]));
-  return m;
-}
-
-__attribute__((target(OSP_T512))) void quantize_dequantize_avx512(
-    float* x, float scale, float inv, std::size_t n) {
-  const __m512 vinv = _mm512_set1_ps(inv);
-  const __m512 vscale = _mm512_set1_ps(scale);
-  const __m512 vlo = _mm512_set1_ps(-127.0f);
-  const __m512 vhi = _mm512_set1_ps(127.0f);
-  const __m512 fsign = _mm512_set1_ps(-0.0f);
-  const __m512 half = _mm512_set1_ps(0.5f);
-  const __m512 one = _mm512_set1_ps(1.0f);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m512 q = _mm512_min_ps(
-        _mm512_max_ps(_mm512_mul_ps(_mm512_loadu_ps(x + i), vinv), vlo), vhi);
-    __m512 t = _mm512_roundscale_ps(
-        q, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-    const __m512 sign_bits = _mm512_and_ps(q, fsign);
-    const __mmask16 fix = _mm512_cmp_ps_mask(
-        _mm512_sub_ps(q, t), _mm512_or_ps(sign_bits, half), _CMP_EQ_OQ);
-    t = _mm512_mask_add_ps(t, fix, t, _mm512_or_ps(sign_bits, one));
-    _mm512_storeu_ps(x + i, _mm512_mul_ps(t, vscale));
-  }
-  for (; i < n; ++i) {
-    const float q = std::round(std::clamp(x[i] * inv, -127.0f, 127.0f));
-    x[i] = q * scale;
-  }
-}
-
-__attribute__((target(OSP_T512))) void abs_into_avx512(const float* x,
-                                                       float* mags,
-                                                       std::size_t n) {
-  const __m512 fsign = _mm512_set1_ps(-0.0f);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    _mm512_storeu_ps(mags + i,
-                     _mm512_andnot_ps(fsign, _mm512_loadu_ps(x + i)));
-  }
-  for (; i < n; ++i) mags[i] = std::fabs(x[i]);
-}
-
-__attribute__((target(OSP_T512))) std::size_t count_gt_avx512(
-    const float* mags, float threshold, std::size_t n) {
-  const __m512 vt = _mm512_set1_ps(threshold);
-  std::size_t count = 0;
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __mmask16 gt =
-        _mm512_cmp_ps_mask(_mm512_loadu_ps(mags + i), vt, _CMP_GT_OQ);
-    count += static_cast<std::size_t>(__builtin_popcount(gt));
-  }
-  for (; i < n; ++i) count += mags[i] > threshold ? 1 : 0;
-  return count;
-}
-
-__attribute__((target(OSP_T512))) std::size_t threshold_zero_avx512(
-    float* grad, const float* mags, float threshold, std::size_t tie_slots,
-    std::size_t n) {
-  const std::size_t initial = tie_slots;
-  const __m512 vt = _mm512_set1_ps(threshold);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m512 m = _mm512_loadu_ps(mags + i);
-    const auto ties = static_cast<std::size_t>(
-        __builtin_popcount(_mm512_cmp_ps_mask(m, vt, _CMP_EQ_OQ)));
-    __mmask16 keep;
-    if (ties == 0 || tie_slots == 0) {
-      keep = _mm512_cmp_ps_mask(m, vt, _CMP_GT_OQ);
-    } else if (ties <= tie_slots) {
-      keep = _mm512_cmp_ps_mask(m, vt, _CMP_GE_OQ);
-      tie_slots -= ties;
-    } else {
-      tie_slots -= threshold_zero_scalar(grad + i, mags + i, threshold,
-                                         tie_slots, 16);
-      continue;
-    }
-    _mm512_storeu_ps(grad + i,
-                     _mm512_maskz_mov_ps(keep, _mm512_loadu_ps(grad + i)));
-  }
-  tie_slots -= threshold_zero_scalar(grad + i, mags + i, threshold, tie_slots,
-                                     n - i);
-  return initial - tie_slots;
-}
-
-__attribute__((target(OSP_T512))) std::size_t nonzero_indices_avx512(
+OSP_AVX512 std::size_t nonzero_indices_avx512(
     const float* values, std::uint32_t* out, std::size_t n) {
   const __m512 zero = _mm512_setzero_ps();
   const __m512i step = _mm512_set1_epi32(16);
@@ -868,24 +413,7 @@ __attribute__((target(OSP_T512))) std::size_t nonzero_indices_avx512(
   return append_nonzero(values, out, count, i, n);
 }
 
-__attribute__((target(OSP_T512))) void mask_zero_avx512(
-    float* grad, const std::uint8_t* keep, std::size_t n) {
-  const __m512i zero = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i bytes =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(keep + i));
-    const __mmask16 keep_mask =
-        _mm512_cmpgt_epi32_mask(_mm512_cvtepu8_epi32(bytes), zero);
-    _mm512_storeu_ps(
-        grad + i, _mm512_maskz_mov_ps(keep_mask, _mm512_loadu_ps(grad + i)));
-  }
-  for (; i < n; ++i) {
-    if (keep[i] == 0) grad[i] = 0.0f;
-  }
-}
-
-__attribute__((target(OSP_T512))) void pack_bits_avx512(
+OSP_AVX512 void pack_bits_avx512(
     const std::uint8_t* bytes, std::uint8_t* bits, std::size_t n) {
   std::size_t i = 0;
   for (; i + 64 <= n; i += 64) {
@@ -897,7 +425,7 @@ __attribute__((target(OSP_T512))) void pack_bits_avx512(
   if (i < n) pack_bits_scalar(bytes + i, bits + i / 8, n - i);
 }
 
-__attribute__((target(OSP_T512))) void unpack_bits_avx512(
+OSP_AVX512 void unpack_bits_avx512(
     const std::uint8_t* bits, std::uint8_t* bytes, std::size_t n) {
   const __m512i ones = _mm512_set1_epi8(1);
   std::size_t i = 0;
@@ -910,63 +438,15 @@ __attribute__((target(OSP_T512))) void unpack_bits_avx512(
   if (i < n) unpack_bits_scalar(bits + i / 8, bytes + i, n - i);
 }
 
-__attribute__((target(OSP_T512))) void relu_avx512(const float* x, float* y,
-                                                   std::size_t n) {
-  const __m512 zero = _mm512_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m512 v = _mm512_loadu_ps(x + i);
-    _mm512_storeu_ps(
-        y + i, _mm512_maskz_mov_ps(_mm512_cmp_ps_mask(v, zero, _CMP_GT_OQ), v));
-  }
-  for (; i < n; ++i) y[i] = x[i] > 0.0f ? x[i] : 0.0f;
-}
+constexpr Kernels kAvx2Kernels =
+    table<lanes::Avx2>(nonzero_indices_avx2, pack_bits_avx2, unpack_bits_avx2);
+constexpr Kernels kAvx512Kernels = table<lanes::Avx512>(
+    nonzero_indices_avx512, pack_bits_avx512, unpack_bits_avx512);
 
-__attribute__((target(OSP_T512))) void relu_grad_avx512(const float* x,
-                                                        const float* g,
-                                                        float* d,
-                                                        std::size_t n) {
-  const __m512 zero = _mm512_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    // Not-less-or-equal, unordered: true for x > 0 and for NaN.
-    const __mmask16 keep =
-        _mm512_cmp_ps_mask(_mm512_loadu_ps(x + i), zero, _CMP_NLE_UQ);
-    _mm512_storeu_ps(d + i, _mm512_maskz_mov_ps(keep, _mm512_loadu_ps(g + i)));
-  }
-  for (; i < n; ++i) d[i] = x[i] <= 0.0f ? 0.0f : g[i];
-}
-
-#undef OSP_T512
-#undef OSP_REDUCE_TAIL
-#undef OSP_REDUCE_TAIL_512
-
-constexpr Kernels kAvx2Kernels = {
-    axpy_avx2,          scale_avx2,    add_avx2,
-    add_copy2_avx2,     sub_avx2,      dot_avx2,
-    abs_prod_sum_avx2,  l1_avx2,       l2sq_avx2,
-    max_abs_avx2,       quantize_dequantize_avx2,
-    abs_into_avx2,      count_gt_avx2, threshold_zero_avx2,
-    nonzero_indices_avx2,
-    mask_zero_avx2,     pack_bits_avx2, unpack_bits_avx2,
-    relu_avx2,          relu_grad_avx2,
-};
-
-constexpr Kernels kAvx512Kernels = {
-    axpy_avx512,          scale_avx512,    add_avx512,
-    add_copy2_avx512,     sub_avx512,      dot_avx512,
-    abs_prod_sum_avx512,  l1_avx512,       l2sq_avx512,
-    max_abs_avx512,       quantize_dequantize_avx512,
-    abs_into_avx512,      count_gt_avx512, threshold_zero_avx512,
-    nonzero_indices_avx512,
-    mask_zero_avx512,     pack_bits_avx512, unpack_bits_avx512,
-    relu_avx512,          relu_grad_avx512,
-};
-
-#endif  // OSP_SIMD_X86
+#endif  // OSP_LANES_X86
 
 Tier detect_hardware_tier() {
-#ifdef OSP_SIMD_X86
+#ifdef OSP_LANES_X86
   if (__builtin_cpu_supports("avx512f") &&
       __builtin_cpu_supports("avx512bw") &&
       __builtin_cpu_supports("avx512dq") &&
@@ -981,11 +461,10 @@ Tier detect_hardware_tier() {
 Tier clamp_to_hardware(Tier t) { return std::min(t, hardware_tier()); }
 
 Tier env_default_tier() {
-  const Tier hw = hardware_tier();
   if (const char* env = std::getenv("OSP_SIMD_TIER")) {
     if (const auto parsed = parse_tier(env)) return clamp_to_hardware(*parsed);
   }
-  return hw;
+  return hardware_tier();
 }
 
 std::atomic<Tier> g_active_tier{env_default_tier()};
@@ -1029,17 +508,10 @@ void reset_tier() {
 }
 
 const Kernels& kernels(Tier t) {
-#ifdef OSP_SIMD_X86
-  switch (clamp_to_hardware(t)) {
-    case Tier::kAvx512:
-      return kAvx512Kernels;
-    case Tier::kAvx2:
-      return kAvx2Kernels;
-    case Tier::kScalar:
-      break;
-  }
-#else
-  (void)t;
+  [[maybe_unused]] const Tier tier = clamp_to_hardware(t);
+#ifdef OSP_LANES_X86
+  if (tier == Tier::kAvx512) return kAvx512Kernels;
+  if (tier == Tier::kAvx2) return kAvx2Kernels;
 #endif
   return kScalarKernels;
 }

@@ -1,6 +1,7 @@
 // Runtime SIMD dispatch for the gradient wire-path kernels and ReLU. The
-// GEMM micro-kernel (tensor/ops.cpp) and the conv kernels (tensor/conv.cpp)
-// pick their own tier-specific code from active_tier() as well.
+// GEMM tiles (tensor/gemm.cpp) and the conv gathers (tensor/conv.cpp) pick
+// their tier from active_tier() as well. All three are written once over
+// the lane types of util/lanes.hpp.
 //
 // Three tiers — scalar, AVX2, AVX-512 — selected once at startup via
 // __builtin_cpu_supports, overridable with the OSP_SIMD_TIER environment
@@ -18,6 +19,7 @@
 //    serially in lane order. The AVX-512 tier fuses the per-lane
 //    multiply-add: the product of two floats is exactly representable in
 //    double, so fused and unfused rounding coincide.
+//  - NaN follows one rule per kernel in every tier, stated below.
 //  - Integer/bitmap kernels are exact by construction.
 #pragma once
 
@@ -70,17 +72,18 @@ struct Kernels {
   void (*sub)(const float* a, const float* b, float* dst, std::size_t n);
 
   // -- double reductions over float inputs (8-lane tree) --
-  double (*dot)(const float* a, const float* b, std::size_t n);
   double (*abs_prod_sum)(const float* a, const float* b, std::size_t n);
   double (*l1)(const float* x, std::size_t n);
-  /// Sum of squares (caller applies sqrt).
-  double (*l2sq)(const float* x, std::size_t n);
 
   // -- wire codecs --
-  /// max_i |x[i]| (0 for empty; exact in any order — max is associative).
+  /// max_i |x[i]|, taken over the magnitudes' bit patterns as unsigned
+  /// integers (0 for empty). On finite input that is the numeric max; a NaN
+  /// anywhere gives a NaN, else an inf gives +inf. Exact in any order.
   float (*max_abs)(const float* x, std::size_t n);
   /// x[i] = round(clamp(x[i]*inv, -127, 127)) * scale with round-half-
-  /// away-from-zero (std::round semantics, exactly, in every tier).
+  /// away-from-zero (std::round semantics, exactly, in every tier). Meant
+  /// for finite input, which kv::quantize_dequantize_int8 checks; a NaN
+  /// lane comes out as -127 * scale in every tier.
   void (*quantize_dequantize)(float* x, float scale, float inv,
                               std::size_t n);
   /// mags[i] = |x[i]|.

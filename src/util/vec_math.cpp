@@ -1,6 +1,5 @@
 #include "util/vec_math.hpp"
 
-#include <cmath>
 #include <cstring>
 
 #include "util/check.hpp"
@@ -80,19 +79,6 @@ void fill(std::span<float> x, float value) {
   for (float& v : x) v = value;
 }
 
-double dot(std::span<const float> a, std::span<const float> b) {
-  OSP_CHECK(a.size() == b.size(), "dot size mismatch");
-  const simd::Kernels& k = simd::kernels();
-  const std::size_t n = a.size();
-  const float* pa = a.data();
-  const float* pb = b.data();
-  const auto range = [&](std::size_t begin, std::size_t end) {
-    return k.dot(pa + begin, pb + begin, end - begin);
-  };
-  if (n < kReduceParallelMin) return range(0, n);
-  return chunked_reduce(n, range);
-}
-
 double abs_prod_sum(std::span<const float> a, std::span<const float> b) {
   OSP_CHECK(a.size() == b.size(), "abs_prod_sum size mismatch");
   const simd::Kernels& k = simd::kernels();
@@ -104,17 +90,6 @@ double abs_prod_sum(std::span<const float> a, std::span<const float> b) {
   };
   if (n < kReduceParallelMin) return range(0, n);
   return chunked_reduce(n, range);
-}
-
-double l2_norm(std::span<const float> x) {
-  const simd::Kernels& k = simd::kernels();
-  const std::size_t n = x.size();
-  const float* px = x.data();
-  const auto range = [&](std::size_t begin, std::size_t end) {
-    return k.l2sq(px + begin, end - begin);
-  };
-  const double s = n < kReduceParallelMin ? range(0, n) : chunked_reduce(n, range);
-  return std::sqrt(s);
 }
 
 double l1_norm(std::span<const float> x) {

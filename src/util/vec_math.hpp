@@ -21,15 +21,9 @@ void copy(std::span<const float> src, std::span<float> dst);
 /// Fill x with the given value.
 void fill(std::span<float> x, float value);
 
-/// Dot product.
-[[nodiscard]] double dot(std::span<const float> a, std::span<const float> b);
-
 /// Sum of |a_i * b_i| — the Parameter-Gradient Production kernel (Eq. 4).
 [[nodiscard]] double abs_prod_sum(std::span<const float> a,
                                   std::span<const float> b);
-
-/// Euclidean norm.
-[[nodiscard]] double l2_norm(std::span<const float> x);
 
 /// Sum of absolute values.
 [[nodiscard]] double l1_norm(std::span<const float> x);

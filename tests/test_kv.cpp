@@ -24,6 +24,7 @@
 #include "util/check.hpp"
 #include "util/rng.hpp"
 #include "util/serde.hpp"
+#include "util/simd.hpp"
 
 namespace osp {
 namespace {
@@ -348,6 +349,33 @@ TEST(Filters, QuantizeMatchesKernelAndAccounting) {
   EXPECT_EQ(m.quant_bits, 8);
   EXPECT_DOUBLE_EQ(m.value_bytes, 4.0);
   EXPECT_DOUBLE_EQ(m.meta_bytes, 4.0);
+}
+
+TEST(Filters, Q8RejectsNonFinite) {
+  // A NaN or an inf would set the scale (or slip past the clamp) and give
+  // tier-dependent bits; the Q8 stage rejects it in every tier, whether it
+  // sits in a whole 16-lane block (index 5) or in the tail (index 36).
+  const float bad[] = {std::numeric_limits<float>::quiet_NaN(),
+                       std::numeric_limits<float>::infinity(),
+                       -std::numeric_limits<float>::infinity()};
+  for (auto tier : {util::simd::Tier::kScalar, util::simd::Tier::kAvx2,
+                    util::simd::Tier::kAvx512}) {
+    util::simd::ScopedTier forced(tier);
+    for (float v : bad) {
+      for (std::size_t at : {5u, 36u}) {
+        std::vector<float> grad(37, 0.5f);
+        grad[at] = v;
+        EXPECT_THROW((void)kv::quantize_dequantize_int8(grad),
+                     util::CheckError)
+            << util::simd::tier_name(util::simd::active_tier()) << ' ' << v
+            << " at " << at;
+      }
+    }
+    kv::QuantizeInt8Filter f;
+    kv::KvMessage m;
+    m.set_values(std::vector<float>{1.0f, bad[0], -2.0f}, 12.0);
+    EXPECT_THROW(f.encode(m), util::CheckError);
+  }
 }
 
 TEST(Filters, TopKKeepsLargestAndAccountsKeptElements) {

@@ -6,6 +6,7 @@
 // hardware.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -50,10 +51,47 @@ bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
 }
 
+/// Bitwise equality, except that any NaN matches any NaN: for arithmetic
+/// results, whose NaN payload IEEE leaves unspecified.
+bool same_bits_up_to_nan(const std::vector<float>& a,
+                         const std::vector<float>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::isnan(a[i]) && std::isnan(b[i])) continue;
+    if (std::memcmp(&a[i], &b[i], sizeof(float)) != 0) return false;
+  }
+  return true;
+}
+
+bool same_bits_up_to_nan(double a, double b) {
+  return (std::isnan(a) && std::isnan(b)) ||
+         std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
 std::vector<float> random_floats(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
   std::vector<float> v(n);
   for (float& x : v) x = static_cast<float>(rng.normal());
+  return v;
+}
+
+/// Draws from ±0, subnormals, exact ±k.5 halves (also after the ×4 of
+/// QuantizeDequantize), a few normal values and, unless `finite`, ±inf and
+/// NaN of both signs.
+std::vector<float> special_floats(std::size_t n, std::uint64_t seed,
+                                  bool finite = false) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float tiny = std::numeric_limits<float>::denorm_min();
+  const float specials[] = {0.0f,     -0.0f,  tiny,   -tiny,   1e-39f,
+                            -1e-39f,  0.5f,   -0.5f,  2.5f,    -126.5f,
+                            0.125f,   -0.375f, 0.625f, -31.625f, 1.0f,
+                            -0.75f,   inf,    -inf,   nan,     -nan};
+  Rng rng(seed);
+  std::vector<float> v(n);
+  for (float& x : v) {
+    x = specials[rng.uniform_u64(std::size(specials) - (finite ? 4 : 0))];
+  }
   return v;
 }
 
@@ -81,58 +119,103 @@ TEST(SimdDispatch, ForceTierClampsToHardware) {
 TEST(SimdCrossTier, ElementwiseKernels) {
   const Kernels& ref = simd::kernels(Tier::kScalar);
   for (std::size_t n : kSizes) {
-    const std::vector<float> a = random_floats(n, 100 + n);
-    const std::vector<float> b = random_floats(n, 200 + n);
-    std::vector<float> want_axpy = b, want_scale = a;
-    std::vector<float> want_add(n), want_sub(n), want_d1(n), want_d2 = b;
-    ref.axpy(0.37f, a.data(), want_axpy.data(), n);
-    ref.scale(want_scale.data(), -1.75f, n);
-    ref.add(a.data(), b.data(), want_add.data(), n);
-    ref.sub(a.data(), b.data(), want_sub.data(), n);
-    ref.add_copy2(a.data(), want_d2.data(), want_d1.data(), want_d2.data(), n);
-    for (Tier t : testable_tiers()) {
-      const Kernels& k = simd::kernels(t);
-      std::vector<float> got_axpy = b, got_scale = a;
-      std::vector<float> got_add(n), got_sub(n), got_d1(n), got_d2 = b;
-      k.axpy(0.37f, a.data(), got_axpy.data(), n);
-      k.scale(got_scale.data(), -1.75f, n);
-      k.add(a.data(), b.data(), got_add.data(), n);
-      k.sub(a.data(), b.data(), got_sub.data(), n);
-      // add_copy2 with d2 aliasing b, as the EF fold uses it.
-      k.add_copy2(a.data(), got_d2.data(), got_d1.data(), got_d2.data(), n);
-      const char* tn = simd::tier_name(t);
-      EXPECT_TRUE(same_bits(got_axpy, want_axpy)) << tn << " axpy n=" << n;
-      EXPECT_TRUE(same_bits(got_scale, want_scale)) << tn << " scale n=" << n;
-      EXPECT_TRUE(same_bits(got_add, want_add)) << tn << " add n=" << n;
-      EXPECT_TRUE(same_bits(got_sub, want_sub)) << tn << " sub n=" << n;
-      EXPECT_TRUE(same_bits(got_d1, want_d1)) << tn << " add_copy2 d1";
-      EXPECT_TRUE(same_bits(got_d2, want_d2)) << tn << " add_copy2 d2";
+    for (bool special : {false, true}) {
+      const std::vector<float> a =
+          special ? special_floats(n, 100 + n) : random_floats(n, 100 + n);
+      const std::vector<float> b =
+          special ? special_floats(n, 200 + n) : random_floats(n, 200 + n);
+      std::vector<float> want_axpy = b, want_scale = a;
+      std::vector<float> want_add(n), want_sub(n), want_d1(n), want_d2 = b;
+      ref.axpy(0.37f, a.data(), want_axpy.data(), n);
+      ref.scale(want_scale.data(), -1.75f, n);
+      ref.add(a.data(), b.data(), want_add.data(), n);
+      ref.sub(a.data(), b.data(), want_sub.data(), n);
+      ref.add_copy2(a.data(), want_d2.data(), want_d1.data(), want_d2.data(),
+                    n);
+      for (Tier t : testable_tiers()) {
+        const Kernels& k = simd::kernels(t);
+        std::vector<float> got_axpy = b, got_scale = a;
+        std::vector<float> got_add(n), got_sub(n), got_d1(n), got_d2 = b;
+        k.axpy(0.37f, a.data(), got_axpy.data(), n);
+        k.scale(got_scale.data(), -1.75f, n);
+        k.add(a.data(), b.data(), got_add.data(), n);
+        k.sub(a.data(), b.data(), got_sub.data(), n);
+        // add_copy2 with d2 aliasing b, as the EF fold uses it.
+        k.add_copy2(a.data(), got_d2.data(), got_d1.data(), got_d2.data(), n);
+        const char* tn = simd::tier_name(t);
+        EXPECT_TRUE(same_bits_up_to_nan(got_axpy, want_axpy))
+            << tn << " axpy n=" << n;
+        EXPECT_TRUE(same_bits_up_to_nan(got_scale, want_scale))
+            << tn << " scale n=" << n;
+        EXPECT_TRUE(same_bits_up_to_nan(got_add, want_add))
+            << tn << " add n=" << n;
+        EXPECT_TRUE(same_bits_up_to_nan(got_sub, want_sub))
+            << tn << " sub n=" << n;
+        EXPECT_TRUE(same_bits_up_to_nan(got_d1, want_d1))
+            << tn << " add_copy2 d1";
+        EXPECT_TRUE(same_bits_up_to_nan(got_d2, want_d2))
+            << tn << " add_copy2 d2";
+      }
     }
   }
+}
+
+/// max_abs's rule (simd.hpp): the max of the magnitudes' bit patterns, so
+/// NaN > +inf > every finite value.
+float max_abs_rule(const std::vector<float>& x) {
+  std::uint32_t m = 0;
+  for (float v : x) {
+    std::uint32_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    m = std::max(m, bits & 0x7fffffffu);
+  }
+  float out;
+  std::memcpy(&out, &m, sizeof(out));
+  return out;
 }
 
 TEST(SimdCrossTier, Reductions) {
   const Kernels& ref = simd::kernels(Tier::kScalar);
   for (std::size_t n : kSizes) {
-    const std::vector<float> a = random_floats(n, 300 + n);
-    const std::vector<float> b = random_floats(n, 400 + n);
-    const double want_dot = ref.dot(a.data(), b.data(), n);
-    const double want_aps = ref.abs_prod_sum(a.data(), b.data(), n);
-    const double want_l1 = ref.l1(a.data(), n);
-    const double want_l2sq = ref.l2sq(a.data(), n);
-    const float want_max = ref.max_abs(a.data(), n);
-    for (Tier t : testable_tiers()) {
-      const Kernels& k = simd::kernels(t);
-      const char* tn = simd::tier_name(t);
-      // Bit-identical, not just close: compare the exact doubles.
-      EXPECT_EQ(k.dot(a.data(), b.data(), n), want_dot)
-          << tn << " dot n=" << n;
-      EXPECT_EQ(k.abs_prod_sum(a.data(), b.data(), n), want_aps)
-          << tn << " abs_prod_sum n=" << n;
-      EXPECT_EQ(k.l1(a.data(), n), want_l1) << tn << " l1 n=" << n;
-      EXPECT_EQ(k.l2sq(a.data(), n), want_l2sq) << tn << " l2sq n=" << n;
-      EXPECT_EQ(k.max_abs(a.data(), n), want_max) << tn << " max_abs n=" << n;
+    for (bool special : {false, true}) {
+      const std::vector<float> a =
+          special ? special_floats(n, 300 + n) : random_floats(n, 300 + n);
+      const std::vector<float> b =
+          special ? special_floats(n, 400 + n) : random_floats(n, 400 + n);
+      const double want_aps = ref.abs_prod_sum(a.data(), b.data(), n);
+      const double want_l1 = ref.l1(a.data(), n);
+      const std::vector<float> want_max = {max_abs_rule(a)};
+      for (Tier t : testable_tiers()) {
+        const Kernels& k = simd::kernels(t);
+        const char* tn = simd::tier_name(t);
+        // Bit-identical, not just close: compare the exact doubles.
+        EXPECT_TRUE(same_bits_up_to_nan(k.abs_prod_sum(a.data(), b.data(), n),
+                                        want_aps))
+            << tn << " abs_prod_sum n=" << n;
+        EXPECT_TRUE(same_bits_up_to_nan(k.l1(a.data(), n), want_l1))
+            << tn << " l1 n=" << n;
+        // A selection, not arithmetic: even a NaN result has exact bits.
+        EXPECT_TRUE(same_bits({k.max_abs(a.data(), n)}, want_max))
+            << tn << " max_abs n=" << n;
+      }
     }
+  }
+  // 100, NaN and 1 in the same lane of three consecutive 16-lane blocks:
+  // a float max that drops NaN would pick 100 or 1 depending on the tier.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::vector<float> x(48, 0.0f);
+  x[5] = 100.0f;
+  x[21] = nan;
+  x[37] = 1.0f;
+  for (Tier t : testable_tiers()) {
+    EXPECT_TRUE(std::isnan(simd::kernels(t).max_abs(x.data(), x.size())))
+        << simd::tier_name(t);
+  }
+  x[21] = -std::numeric_limits<float>::infinity();
+  for (Tier t : testable_tiers()) {
+    EXPECT_EQ(simd::kernels(t).max_abs(x.data(), x.size()),
+              std::numeric_limits<float>::infinity())
+        << simd::tier_name(t);
   }
 }
 
@@ -154,11 +237,22 @@ TEST(SimdCrossTier, QuantizeDequantize) {
     for (float& v : want) {
       v = std::round(std::clamp(v * inv, -127.0f, 127.0f)) * scale;
     }
+    // Finite special values: ±0, subnormals, halves and values past the
+    // clamp. Non-finite input is the caller's to reject.
+    const std::vector<float> special = special_floats(n, 550 + n, true);
+    std::vector<float> want_special = special;
+    for (float& v : want_special) {
+      v = std::round(std::clamp(v * inv, -127.0f, 127.0f)) * scale;
+    }
     for (Tier t : testable_tiers()) {
       std::vector<float> got = base;
       simd::kernels(t).quantize_dequantize(got.data(), scale, inv, n);
       EXPECT_TRUE(same_bits(got, want))
           << simd::tier_name(t) << " n=" << n;
+      got = special;
+      simd::kernels(t).quantize_dequantize(got.data(), scale, inv, n);
+      EXPECT_TRUE(same_bits(got, want_special))
+          << simd::tier_name(t) << " special n=" << n;
     }
   }
 }
@@ -214,18 +308,20 @@ TEST(SimdCrossTier, TopKScanKernels) {
     // Force threshold ties so the sequential tie budget is exercised.
     const float threshold = 0.5f;
     for (std::size_t i = 0; i < n; i += 3) grad[i] = i % 2 == 0 ? 0.5f : -0.5f;
-    std::vector<float> mags(n);
     const Kernels& ref = simd::kernels(Tier::kScalar);
-    ref.abs_into(grad.data(), mags.data(), n);
-    const std::size_t want_gt = ref.count_gt(mags.data(), threshold, n);
-    for (Tier t : testable_tiers()) {
-      const Kernels& k = simd::kernels(t);
-      std::vector<float> got_mags(n);
-      k.abs_into(grad.data(), got_mags.data(), n);
-      EXPECT_TRUE(same_bits(got_mags, mags))
-          << simd::tier_name(t) << " abs_into n=" << n;
-      EXPECT_EQ(k.count_gt(got_mags.data(), threshold, n), want_gt)
-          << simd::tier_name(t) << " count_gt n=" << n;
+    for (const std::vector<float>& x : {grad, special_floats(n, 625 + n)}) {
+      std::vector<float> mags(n);
+      ref.abs_into(x.data(), mags.data(), n);
+      const std::size_t want_gt = ref.count_gt(mags.data(), threshold, n);
+      for (Tier t : testable_tiers()) {
+        const Kernels& k = simd::kernels(t);
+        std::vector<float> got_mags(n);
+        k.abs_into(x.data(), got_mags.data(), n);
+        EXPECT_TRUE(same_bits(got_mags, mags))
+            << simd::tier_name(t) << " abs_into n=" << n;
+        EXPECT_EQ(k.count_gt(got_mags.data(), threshold, n), want_gt)
+            << simd::tier_name(t) << " count_gt n=" << n;
+      }
     }
     check_threshold_zero(grad, threshold, "ties at 0.5");
 
@@ -267,17 +363,19 @@ TEST(SimdCrossTier, NonzeroIndices) {
 
 TEST(SimdCrossTier, MaskZero) {
   for (std::size_t n : kSizes) {
-    const std::vector<float> base = random_floats(n, 700 + n);
     Rng rng(800 + n);
     std::vector<std::uint8_t> mask(n);
     for (auto& m : mask) m = rng.bernoulli(0.5) ? 1 : 0;
-    std::vector<float> want = base;
-    simd::kernels(Tier::kScalar).mask_zero(want.data(), mask.data(), n);
-    for (Tier t : testable_tiers()) {
-      std::vector<float> got = base;
-      simd::kernels(t).mask_zero(got.data(), mask.data(), n);
-      EXPECT_TRUE(same_bits(got, want))
-          << simd::tier_name(t) << " n=" << n;
+    for (const std::vector<float>& base :
+         {random_floats(n, 700 + n), special_floats(n, 750 + n)}) {
+      std::vector<float> want = base;
+      simd::kernels(Tier::kScalar).mask_zero(want.data(), mask.data(), n);
+      for (Tier t : testable_tiers()) {
+        std::vector<float> got = base;
+        simd::kernels(t).mask_zero(got.data(), mask.data(), n);
+        EXPECT_TRUE(same_bits(got, want))
+            << simd::tier_name(t) << " n=" << n;
+      }
     }
   }
 }
