@@ -24,6 +24,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #include <immintrin.h>
@@ -48,7 +49,7 @@ struct Scalar {
   using Isa = Scalar;
   using F = float;
   using M = bool;
-  using D = std::array<double, 8>;  // the double lanes of a reduction tree
+  using D = std::array<double, 8>;  // the 8 double lanes of a reduction tree
   static constexpr std::size_t kWidth = 1;
 
   static F set1(float x) { return x; }
@@ -57,9 +58,7 @@ struct Scalar {
   /// Masked forms: dead lanes load +0 and are not stored; p is not
   /// dereferenced for them, so it may point outside the array.
   static F load(const float* p, Bits live) { return live != 0 ? *p : 0.0f; }
-  static void store(float* p, F v, Bits live) {
-    if (live != 0) *p = v;
-  }
+  static void store(float* p, F v, Bits live) { if (live != 0) *p = v; }
   static F add(F a, F b) { return a + b; }
   static F sub(F a, F b) { return a - b; }
   static F mul(F a, F b) { return a * b; }
@@ -91,20 +90,21 @@ struct Scalar {
   /// |p[0..8)| widened to 8 doubles (exact).
   static D widen_abs(const float* p) {
     D d;
-    for (int j = 0; j < 8; ++j) d[j] = std::fabs(static_cast<double>(p[j]));
-    return d;
+    for (int j = 0; j < 8; ++j) d[j] = p[j];
+    return map(d, d, [](double x, double) { return std::fabs(x); });
   }
-  static D dadd(D a, D b) {
-    for (int j = 0; j < 8; ++j) a[j] += b[j];
+  template <class Op>
+  static D map(D a, const D& b, Op op) {
+    for (int j = 0; j < 8; ++j) a[j] = op(a[j], b[j]);
     return a;
   }
-  /// c + a·b for a, b widened floats: the product is exact in double, so
-  /// a fused and an unfused multiply-add give the same bits.
-  static D dfma(D a, D b, D c) {
-    for (int j = 0; j < 8; ++j) c[j] += a[j] * b[j];
-    return c;
+  static D dadd(const D& a, const D& b) { return map(a, b, std::plus()); }
+  /// c + a·b. For widened floats the product is exact, so a fused
+  /// multiply-add (AVX-512's) gives the same bits.
+  static D dfma(const D& a, const D& b, const D& c) {
+    return dadd(c, map(a, b, std::multiplies()));
   }
-  static void dstore(double* out, D d) { std::copy(d.begin(), d.end(), out); }
+  static void dstore(double* out, const D& d) { std::ranges::copy(d, out); }
 };
 
 #ifdef OSP_LANES_X86
@@ -162,9 +162,9 @@ struct Avx2 {
   }
 
   OSP_AVX2 static D widen_abs(const float* p) {
-    const F v = abs(load(p));
-    return {_mm256_cvtps_pd(_mm256_castps256_ps128(v)),
-            _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1))};
+    const __m256d sign = _mm256_set1_pd(-0.0);
+    return {_mm256_andnot_pd(sign, _mm256_cvtps_pd(_mm_loadu_ps(p))),
+            _mm256_andnot_pd(sign, _mm256_cvtps_pd(_mm_loadu_ps(p + 4)))};
   }
   OSP_AVX2 static D dadd(D a, D b) {
     return {_mm256_add_pd(a.lo, b.lo), _mm256_add_pd(a.hi, b.hi)};
@@ -236,13 +236,11 @@ struct Avx512 {
   OSP_AVX512 static void dstore(double* out, D d) { _mm512_storeu_pd(out, d); }
 };
 
-/// 8 lanes with AVX-512VL masks, for the conv gathers: their rows are 4–8
-/// floats wide, and 16-lane loads straddle cache lines (8 lanes: 6–20%
-/// faster there).
-struct Avx512x8 {
+/// Avx2's lanes with AVX-512VL masked loads and stores, for the conv
+/// gathers: their rows are 4–8 floats wide, and 16-lane loads straddle cache
+/// lines (8 lanes: 6–20% faster there).
+struct Avx512x8 : Avx2 {
   using Isa = Avx512;
-  using F = __m256;
-  static constexpr std::size_t kWidth = 8;
   OSP_AVX512 static F load(const float* p, Bits live) {
     return _mm256_maskz_loadu_ps(static_cast<__mmask8>(live), p);
   }

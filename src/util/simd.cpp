@@ -25,9 +25,9 @@ using lanes::Scalar;
 /// body(Scalar{}, i) on each element of the tail.
 template <class L, class Body>
 OSP_INLINE inline void each(std::size_t n, Body body) {
-  std::size_t i = 0;
-  for (; i + L::kWidth <= n; i += L::kWidth) body(L{}, i);
-  for (; i < n; ++i) body(Scalar{}, i);
+  const std::size_t whole = n - n % L::kWidth;
+  for (std::size_t i = 0; i < whole; i += L::kWidth) body(L{}, i);
+  for (std::size_t i = whole; i < n; ++i) body(Scalar{}, i);
 }
 
 /// block(a + i, b + i) on each whole kWidth-float block of a and b, then
@@ -87,7 +87,8 @@ OSP_INLINE inline void sub(const float* a, const float* b, float* dst,
 }
 
 /// The 8-lane tree of simd.hpp: fold(acc, a + i, b + i) adds elements
-/// [i, i + 8) to lanes 0–7, and the lane totals are summed in lane order.
+/// [i, i + 8) to lanes 0–7 of acc, and the lane totals are summed in lane
+/// order.
 /// The zero-padded tail block adds +0 to the lanes past the tail, which
 /// changes none: every term is ≥ +0 or NaN, so no lane ever holds −0.
 template <class L, class Fold>
@@ -95,7 +96,7 @@ OSP_INLINE inline double tree8(const float* a, const float* b, std::size_t n,
                                Fold fold) {
   typename L::D acc{};
   padded<8>(a, b, n, [&](const float* pa, const float* pb) OSP_INLINE {
-    acc = fold(acc, pa, pb);
+    fold(acc, pa, pb);
   });
   double lane[8];
   L::dstore(lane, acc);
@@ -107,17 +108,17 @@ OSP_INLINE inline double tree8(const float* a, const float* b, std::size_t n,
 template <class L>
 OSP_INLINE inline double abs_prod_sum(const float* a, const float* b,
                                       std::size_t n) {
-  return tree8<L>(a, b, n, [](auto acc, const float* pa, const float* pb)
+  return tree8<L>(a, b, n, [](auto& acc, const float* pa, const float* pb)
                                OSP_INLINE {
-    return L::dfma(L::widen_abs(pa), L::widen_abs(pb), acc);
+    acc = L::dfma(L::widen_abs(pa), L::widen_abs(pb), acc);
   });
 }
 
 template <class L>
 OSP_INLINE inline double l1(const float* x, std::size_t n) {
-  return tree8<L>(x, x, n, [](auto acc, const float* p, const float*)
+  return tree8<L>(x, x, n, [](auto& acc, const float* p, const float*)
                                OSP_INLINE {
-    return L::dadd(acc, L::widen_abs(p));
+    acc = L::dadd(acc, L::widen_abs(p));
   });
 }
 
@@ -170,10 +171,10 @@ OSP_INLINE inline std::size_t count_gt(const float* mags, float threshold,
   return count;
 }
 
-/// One block of threshold_zero. The block's ties all fit the budget (a
-/// ge-masked store), or the budget is empty (a gt-masked store), or the
-/// budget runs out inside the block, which happens at most once per call:
-/// then its lanes are walked in index order, one lane wide.
+/// One block of threshold_zero. The budget is empty (a gt-masked store), or
+/// the block's ties all fit it (a ge-masked store), or it runs out inside
+/// the block, which happens at most once per call: then the block's lanes
+/// are walked in index order, one lane wide.
 template <class V>
 OSP_INLINE inline void zero_block(float* grad, const float* mags, float t,
                                   std::size_t& slots) {
@@ -187,7 +188,7 @@ OSP_INLINE inline void zero_block(float* grad, const float* mags, float t,
       return;
     }
   }
-  const bool spend = ties <= slots;
+  const bool spend = slots > 0;  // then every tie of the block fits
   // Zeroed lanes become +0; kept lanes keep their bits, −0 included.
   V::store(grad, V::keep(spend ? V::ge(m, vt) : V::gt(m, vt), V::load(grad)));
   if (spend) slots -= ties;
@@ -354,9 +355,8 @@ OSP_AVX2 std::size_t nonzero_indices_avx2(
   return append_nonzero(values, out, count, i, n);
 }
 
-OSP_AVX2 void pack_bits_avx2(const std::uint8_t* bytes,
-                                                    std::uint8_t* bits,
-                                                    std::size_t n) {
+OSP_AVX2 void pack_bits_avx2(const std::uint8_t* bytes, std::uint8_t* bits,
+                             std::size_t n) {
   const __m256i zero = _mm256_setzero_si256();
   std::size_t i = 0;
   for (; i + 32 <= n; i += 32) {
@@ -369,15 +369,13 @@ OSP_AVX2 void pack_bits_avx2(const std::uint8_t* bytes,
   if (i < n) pack_bits_scalar(bytes + i, bits + i / 8, n - i);
 }
 
-OSP_AVX2 void unpack_bits_avx2(const std::uint8_t* bits,
-                                                      std::uint8_t* bytes,
-                                                      std::size_t n) {
+OSP_AVX2 void unpack_bits_avx2(const std::uint8_t* bits, std::uint8_t* bytes,
+                               std::size_t n) {
   // Replicate each mask byte across its 8 output lanes, test the lane's
   // bit, normalize to 0/1.
   const __m256i ctrl = _mm256_setr_epi64x(0, kByteRep, 2 * kByteRep,
                                           3 * kByteRep);
-  const __m256i bitsel = _mm256_set1_epi64x(
-      static_cast<long long>(0x8040201008040201ull));
+  const __m256i bitsel = _mm256_set1_epi64x(static_cast<long long>(kBitSelect));
   const __m256i ones = _mm256_set1_epi8(1);
   std::size_t i = 0;
   for (; i + 32 <= n; i += 32) {
