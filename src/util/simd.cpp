@@ -180,15 +180,15 @@ OSP_INLINE inline void zero_block(float* grad, const float* mags, float t,
                                   std::size_t& slots) {
   const auto m = V::load(mags), vt = V::set1(t);
   const std::size_t ties = V::count(V::eq(m, vt));
+  const bool spend = slots > 0;
   if constexpr (V::kWidth > 1) {
-    if (ties > slots && slots > 0) {
+    if (spend && ties > slots) [[unlikely]] {
       for (std::size_t j = 0; j < V::kWidth; ++j) {
         zero_block<Scalar>(grad + j, mags + j, t, slots);
       }
       return;
     }
   }
-  const bool spend = slots > 0;  // then every tie of the block fits
   // Zeroed lanes become +0; kept lanes keep their bits, −0 included.
   V::store(grad, V::keep(spend ? V::ge(m, vt) : V::gt(m, vt), V::load(grad)));
   if (spend) slots -= ties;
