@@ -81,9 +81,8 @@ struct Kernels {
   /// anywhere gives a NaN, else an inf gives +inf. Exact in any order.
   float (*max_abs)(const float* x, std::size_t n);
   /// x[i] = round(clamp(x[i]*inv, -127, 127)) * scale with round-half-
-  /// away-from-zero (std::round semantics, exactly, in every tier). Meant
-  /// for finite input, which kv::quantize_dequantize_int8 checks; a NaN
-  /// lane comes out as -127 * scale in every tier.
+  /// away-from-zero (std::round semantics, exactly, in every tier). Input
+  /// must be finite; kv::quantize_dequantize_int8 checks it.
   void (*quantize_dequantize)(float* x, float scale, float inv,
                               std::size_t n);
   /// mags[i] = |x[i]|.
