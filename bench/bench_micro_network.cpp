@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_json.hpp"
@@ -294,7 +295,9 @@ void BM_PgpRanking(benchmark::State& state) {
   std::vector<nn::LayerBlockInfo> blocks;
   const std::size_t block_size = params_count / 16;
   for (std::size_t b = 0; b < 16; ++b) {
-    blocks.push_back({"b" + std::to_string(b), b * block_size, block_size});
+    std::string name = "b";
+    name += std::to_string(b);
+    blocks.push_back({std::move(name), b * block_size, block_size});
   }
   std::vector<double> bytes(16, static_cast<double>(block_size) * 4.0);
   for (auto _ : state) {

@@ -1,10 +1,12 @@
 // Dataset abstraction.
 //
 // Datasets are *generative*: examples are synthesized deterministically from
-// (seed, index), so a 50k-example dataset occupies no memory and every
-// worker regenerates identical examples. A Batch carries the model input
-// tensor plus whichever supervision the task uses (class labels or QA
-// spans).
+// (seed, index), so every worker sees identical examples. A dataset may keep
+// examples it has generated, up to a fixed byte cap, filled lazily and
+// safely under concurrent make_batch calls (SyntheticImageDataset does);
+// above the cap it regenerates an example on every visit. A Batch carries
+// the model input tensor plus whichever supervision the task uses (class
+// labels or QA spans).
 #pragma once
 
 #include <cstdint>
@@ -35,7 +37,8 @@ class Dataset {
   /// Total number of examples.
   [[nodiscard]] virtual std::size_t size() const = 0;
 
-  /// Materialize the examples at `indices` into a batch.
+  /// Materialize the examples at `indices` into a batch. Safe to call from
+  /// several threads at once.
   [[nodiscard]] virtual Batch make_batch(
       std::span<const std::size_t> indices) const = 0;
 };

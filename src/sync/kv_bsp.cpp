@@ -82,7 +82,9 @@ std::string KvBspSync::name() const {
       std::snprintf(pct, sizeof(pct), "%g",
                     options_.topk_keep_fraction * 100.0);
       n = options_.topk_mode == kv::CompressionMode::TopK ? "TopK" : "RandomK";
-      n += "(" + std::string(pct) + "%)";
+      n += "(";
+      n += pct;
+      n += "%)";
       break;
     }
     case KvBspProfile::kKv:

@@ -198,16 +198,21 @@ struct Avx512 {
   OSP_AVX512 static F add(F a, F b) { return _mm512_add_ps(a, b); }
   OSP_AVX512 static F sub(F a, F b) { return _mm512_sub_ps(a, b); }
   OSP_AVX512 static F mul(F a, F b) { return _mm512_mul_ps(a, b); }
-  OSP_AVX512 static F min(F a, F b) { return _mm512_min_ps(a, b); }
-  OSP_AVX512 static F max(F a, F b) { return _mm512_max_ps(a, b); }
+  // min, max, umax, rint and widen_abs use the zero-masking intrinsics with
+  // every lane live: they emit the same unmasked instructions, while GCC
+  // 12's unmasked forms pass the instruction an uninitialized register that
+  // -Wmaybe-uninitialized reports.
+  static constexpr __mmask16 kAll = 0xffff;
+  OSP_AVX512 static F min(F a, F b) { return _mm512_maskz_min_ps(kAll, a, b); }
+  OSP_AVX512 static F max(F a, F b) { return _mm512_maskz_max_ps(kAll, a, b); }
   OSP_AVX512 static F abs(F a) { return _mm512_andnot_ps(set1(-0.0f), a); }
   OSP_AVX512 static F umax(F a, F b) {
-    return _mm512_castsi512_ps(
-        _mm512_max_epu32(_mm512_castps_si512(a), _mm512_castps_si512(b)));
+    return _mm512_castsi512_ps(_mm512_maskz_max_epu32(
+        kAll, _mm512_castps_si512(a), _mm512_castps_si512(b)));
   }
   OSP_AVX512 static F rint(F a) {
-    return _mm512_roundscale_ps(a,
-                                _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+    return _mm512_maskz_roundscale_ps(
+        kAll, a, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
   }
   OSP_AVX512 static F copysign(F mag, F s) {
     return _mm512_or_ps(mag, _mm512_and_ps(s, set1(-0.0f)));
@@ -229,7 +234,7 @@ struct Avx512 {
   }
 
   OSP_AVX512 static D widen_abs(const float* p) {
-    return _mm512_cvtps_pd(Avx2::abs(Avx2::load(p)));
+    return _mm512_maskz_cvtps_pd(0xff, Avx2::abs(Avx2::load(p)));
   }
   OSP_AVX512 static D dadd(D a, D b) { return _mm512_add_pd(a, b); }
   OSP_AVX512 static D dfma(D a, D b, D c) { return _mm512_fmadd_pd(a, b, c); }

@@ -2,7 +2,11 @@
 // structural properties the trainer depends on.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <latch>
 #include <set>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "data/loader.hpp"
@@ -88,6 +92,133 @@ TEST(SyntheticImage, RejectsOutOfRangeIndex) {
   SyntheticImageDataset ds(small_image_config());
   EXPECT_THROW((void)ds.make_batch(std::vector<std::size_t>{64}),
                util::CheckError);
+}
+
+// The rows at `indices` as a cold dataset generates them: each row comes
+// from its own fresh instance, so none is read from a memo.
+Batch fresh_rows(const ImageDatasetConfig& cfg,
+                 const std::vector<std::size_t>& indices) {
+  Batch out;
+  out.inputs = tensor::Tensor(
+      {indices.size(), cfg.channels, cfg.height, cfg.width});
+  const std::size_t px = cfg.channels * cfg.height * cfg.width;
+  for (std::size_t b = 0; b < indices.size(); ++b) {
+    const Batch one = SyntheticImageDataset(cfg).make_batch(
+        std::vector<std::size_t>{indices[b]});
+    std::memcpy(out.inputs.raw() + b * px, one.inputs.raw(),
+                px * sizeof(float));
+    out.labels.push_back(one.labels[0]);
+  }
+  return out;
+}
+
+void expect_same_bits(const Batch& got, const Batch& want) {
+  ASSERT_EQ(got.inputs.shape(), want.inputs.shape());
+  EXPECT_EQ(std::memcmp(got.inputs.raw(), want.inputs.raw(),
+                        want.inputs.numel() * sizeof(float)),
+            0);
+  EXPECT_EQ(got.labels, want.labels);
+}
+
+// The memo's configurations: both noise-seed paths, a set exactly at the
+// memo cap and one over it (regenerated on every visit).
+std::vector<ImageDatasetConfig> memo_configs() {
+  ImageDatasetConfig derived = small_image_config();  // noise_seed 0
+  ImageDatasetConfig own = small_image_config();
+  own.noise_seed = 1234;
+  ImageDatasetConfig at_cap = small_image_config();
+  at_cap.channels = 1;
+  at_cap.height = 16;
+  at_cap.width = 16;
+  at_cap.num_examples =
+      SyntheticImageDataset::kMemoBytes / (256 * sizeof(float));
+  ImageDatasetConfig over_cap = at_cap;
+  over_cap.num_examples += 1;
+  return {derived, own, at_cap, over_cap};
+}
+
+std::string describe(const ImageDatasetConfig& cfg) {
+  return std::to_string(cfg.num_examples) + " examples, noise_seed " +
+         std::to_string(cfg.noise_seed);
+}
+
+TEST(SyntheticImageMemo, RepeatVisitsMatchFreshGeneration) {
+  for (const ImageDatasetConfig& cfg : memo_configs()) {
+    SCOPED_TRACE(describe(cfg));
+    const std::size_t last = cfg.num_examples - 1;
+    const std::vector<std::size_t> idx = {0, 5, last, 17, 1};
+    const Batch want = fresh_rows(cfg, idx);
+    SyntheticImageDataset ds(cfg);
+    for (int visit = 0; visit < 3; ++visit) {
+      SCOPED_TRACE(visit);
+      expect_same_bits(ds.make_batch(idx), want);
+    }
+  }
+}
+
+TEST(SyntheticImageMemo, MixedAndDuplicatedIndicesInOneBatch) {
+  for (const ImageDatasetConfig& cfg : memo_configs()) {
+    SCOPED_TRACE(describe(cfg));
+    const std::size_t last = cfg.num_examples - 1;
+    // Cold and warm rows in one batch, each duplicated, the last example
+    // first and again at the end.
+    const std::vector<std::size_t> idx = {last, 3, 3, 10, last, 0, 10, 2};
+    const Batch want = fresh_rows(cfg, idx);
+    SyntheticImageDataset ds(cfg);
+    expect_same_bits(ds.make_batch(std::vector<std::size_t>{10, 0}),
+                     fresh_rows(cfg, {10, 0}));
+    expect_same_bits(ds.make_batch(idx), want);
+    expect_same_bits(ds.make_batch(idx), want);
+    EXPECT_THROW((void)ds.make_batch(std::vector<std::size_t>{0, last + 1}),
+                 util::CheckError);
+  }
+}
+
+TEST(SyntheticImageMemo, ZeroNoiseSeedDerivesFromSeed) {
+  ImageDatasetConfig derived = small_image_config();
+  ImageDatasetConfig spelled = derived;
+  spelled.noise_seed = derived.seed;
+  const std::vector<std::size_t> idx = {63, 0, 31, 63};
+  SyntheticImageDataset a(derived), b(spelled);
+  for (int visit = 0; visit < 2; ++visit) {
+    expect_same_bits(a.make_batch(idx), b.make_batch(idx));
+  }
+}
+
+TEST(SyntheticImageMemo, ConcurrentColdFillsMatchSerial) {
+  for (const ImageDatasetConfig& cfg : memo_configs()) {
+    SCOPED_TRACE(describe(cfg));
+    // Four overlapping index sets, each visited three times.
+    constexpr std::size_t kThreads = 4;
+    std::vector<std::vector<std::size_t>> idx(kThreads);
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      for (std::size_t i = 0; i < 24; ++i) {
+        idx[t].push_back((t * 5 + i * 3) % cfg.num_examples);
+      }
+    }
+    SyntheticImageDataset serial(cfg);
+    std::vector<Batch> want;
+    for (const auto& v : idx) want.push_back(serial.make_batch(v));
+
+    for (int round = 0; round < 4; ++round) {
+      SyntheticImageDataset ds(cfg);
+      std::vector<std::vector<Batch>> got(kThreads);
+      std::latch start(kThreads);
+      std::vector<std::thread> threads;
+      for (std::size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+          start.arrive_and_wait();
+          for (int visit = 0; visit < 3; ++visit) {
+            got[t].push_back(ds.make_batch(idx[t]));
+          }
+        });
+      }
+      for (std::thread& th : threads) th.join();
+      for (std::size_t t = 0; t < kThreads; ++t) {
+        for (const Batch& b : got[t]) expect_same_bits(b, want[t]);
+      }
+    }
+  }
 }
 
 QaDatasetConfig small_qa_config() {

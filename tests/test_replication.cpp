@@ -166,7 +166,9 @@ TEST(ShardSession, EveryShardPromotesToItsRingSuccessor) {
     h.session.on_ps_crashed(s);
     EXPECT_EQ(h.session.serving(s), backup) << "shard " << s;
     for (std::size_t o = 0; o < 3; ++o) {
-      if (o != s) EXPECT_EQ(h.session.serving(o), o) << "shard " << o;
+      if (o != s) {
+        EXPECT_EQ(h.session.serving(o), o) << "shard " << o;
+      }
     }
   }
 }
