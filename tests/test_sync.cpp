@@ -537,6 +537,30 @@ std::vector<GoldenCase> golden_cases() {
                                                     .ics_timeout_s = 0.3});
                    },
                    ps_chaos_cfg});
+  // Worker faults under an RS deadline: worker 1 crashes and restarts,
+  // worker 3 crashes for good, and a drop window loses pushes and answers.
+  // Pins the deadline close, the renormalized partial aggregate, the
+  // late-push and watchdog catch-up pulls of BSP's barrier and OSP's RS.
+  runtime::EngineConfig worker_chaos_cfg = golden_cfg();
+  worker_chaos_cfg.faults.set_seed(17)
+      .crash_worker(0.3, /*worker=*/1, /*restart_after=*/0.2)
+      .crash_worker(0.6, /*worker=*/3)
+      .drop_messages(0.8, 0.3, /*drop_prob=*/0.5);
+  cases.push_back({"bsp_worker_chaos",
+                   [] {
+                     return std::make_unique<sync::BspSync>(
+                         runtime::SyncTimeouts{.rs_timeout_s = 0.15});
+                   },
+                   worker_chaos_cfg});
+  cases.push_back({"osp_worker_chaos",
+                   [] {
+                     core::OspOptions opt;
+                     opt.fixed_budget_fraction = 0.5;
+                     return std::make_unique<core::OspSync>(
+                         opt, runtime::SyncTimeouts{.rs_timeout_s = 0.15,
+                                                    .ics_timeout_s = 0.15});
+                   },
+                   worker_chaos_cfg});
   // Conv2d, MaxPool2d and ReLU-after-conv numerics, which the tiny MLP never
   // reaches: two epochs of the ResNet50/CIFAR10 proxy under BSP and OSP.
   runtime::EngineConfig conv_cfg = golden_cfg();
@@ -635,6 +659,25 @@ TEST(GoldenBitIdentity, AllSyncModelsMatchMainAt128Threads) {
     out << regenerated.str();
     std::cout << "regenerated " << golden_file_path() << "\n";
   }
+}
+
+TEST(GoldenBitIdentity, WorkerChaosReachesDeadlineAndCatchUp) {
+  // The worker-chaos goldens pin the deadline and catch-up paths only if
+  // their schedule actually reaches them.
+  std::size_t checked = 0;
+  for (const GoldenCase& c : golden_cases()) {
+    if (!c.tag.ends_with("_worker_chaos")) continue;
+    ++checked;
+    const runtime::WorkloadSpec spec = c.workload();
+    auto sync = c.make();
+    runtime::Engine engine(spec, c.cfg, *sync);
+    const runtime::RunResult r = engine.run();
+    EXPECT_GE(r.faults.timed_out_rounds, 1u) << c.tag;
+    EXPECT_GE(r.faults.catch_up_pulls, 1u) << c.tag;
+    EXPECT_EQ(r.faults.worker_crashes, 2u) << c.tag;
+    EXPECT_GT(r.faults.messages_dropped, 0u) << c.tag;
+  }
+  EXPECT_EQ(checked, 2u);
 }
 
 TEST(CrossModel, AllModelsReachSameSampleCount) {
