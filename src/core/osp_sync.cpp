@@ -1,6 +1,7 @@
 #include "core/osp_sync.hpp"
 
 #include <algorithm>
+#include <functional>
 
 #include "core/pgp.hpp"
 #include "runtime/engine.hpp"
@@ -79,25 +80,17 @@ void OspSync::attach(runtime::Engine& eng) {
     eng.set_worker_compute_overhead(0, eng.spec().gib_overhead_fraction);
   }
   session_.init(eng, part_, eng.all_block_bytes(), num_ps_,
-                {.collecting_round = [this](std::size_t) { return round_ + 1; },
+                {.collecting_round =
+                     [this](std::size_t) { return rs_.collecting(); },
                  .deposed = [this](std::size_t p) { drop_rs_arrivals(p); },
                  .repush = [this](std::size_t p) { repush_shard(p); }});
   rs_arrived_.assign(num_ps_,
                      std::vector<std::uint8_t>(eng.num_workers(), 0));
 
+  rs_.attach(eng, timeouts().rs_timeout_s, *this);
   const std::size_t n = eng.num_workers();
-  round_ = 0;
   rs_shards_arrived_.assign(n, 0);
-  rs_contributed_.assign(n, false);
-  rs_contributed_count_ = 0;
-  rs_awaiting_.assign(n, false);
-  rs_awaiting_round_.assign(n, 0);
   rs_pending_.assign(n, 0);
-  rs_timer_armed_ = false;
-  // Same gate as BSP: skip-done-workers is survival-contract behavior and
-  // must not change clean-run barrier semantics.
-  survival_ = timeouts().rs_timeout_s > 0.0 ||
-              !eng.config().faults.events().empty();
   unhealthy_ = 0;
   ics_inflight_.clear();
   last_ics_applied_.assign(n, 0);
@@ -111,18 +104,6 @@ void OspSync::attach(runtime::Engine& eng) {
 }
 
 double OspSync::u_max() const { return tuner_->u_max(); }
-
-double OspSync::ps_bytes(const Gib& gib, std::size_t ps,
-                         bool important) const {
-  // Ascending-key accumulation via the KV selection helper — the same
-  // float order the pre-KV implementation used (the goldens pin it).
-  const auto& bytes = eng().all_block_bytes();
-  std::vector<std::uint8_t> keep(bytes.size(), 0);
-  for (std::size_t b = 0; b < bytes.size(); ++b) {
-    keep[b] = part_.owner[b] == ps && gib.important(b) == important ? 1 : 0;
-  }
-  return kv::selected_bytes(keep, bytes);
-}
 
 kv::KvMessage OspSync::shard_message(kv::Op op, std::uint32_t sender,
                                      std::uint64_t round, std::size_t ps,
@@ -155,13 +136,9 @@ Gib OspSync::restrict_to_ps(const Gib& gib, std::size_t ps,
 }
 
 void OspSync::on_gradient_ready(std::size_t worker) {
-  const std::uint64_t r = round_ + 1;
-  rs_awaiting_[worker] = true;
-  rs_awaiting_round_[worker] = r;
-  for (std::size_t p = 0; p < num_ps_; ++p) {
-    push_rs_shard(worker, r, p);
-  }
-  arm_rs_timer();
+  rs_.push(worker, [&](std::uint64_t r) {
+    for (std::size_t p = 0; p < num_ps_; ++p) push_rs_shard(worker, r, p);
+  });
 }
 
 void OspSync::push_rs_shard(std::size_t worker, std::uint64_t round,
@@ -176,52 +153,21 @@ void OspSync::push_rs_shard(std::size_t worker, std::uint64_t round,
   });
 }
 
-void OspSync::arm_rs_timer() {
-  const double deadline = timeouts().rs_timeout_s;
-  if (deadline <= 0.0 || rs_timer_armed_) return;
-  rs_timer_armed_ = true;
-  const std::uint64_t r = round_ + 1;
-  eng().sim().schedule(deadline, [this, r] {
-    if (r != round_ + 1) return;  // the round closed naturally
-    rs_timer_armed_ = false;
-    // Quiescent expiry (e.g. the watchdog armed at the last close of the
-    // run): nothing arrived and nobody is stuck — not a timeout.
-    runtime::Engine& e = eng();
-    bool pending = rs_contributed_count_ > 0;
-    for (std::size_t w = 0; w < e.num_workers() && !pending; ++w) {
-      pending = rs_awaiting_[w] && e.worker_alive(w);
-    }
-    if (!pending) return;
-    e.record_round_timeout();
-    close_rs();
-    ++e.telemetry_round(round_).timeouts;  // round_ is the round just closed
-  });
-}
-
 void OspSync::on_rs_push_arrived(std::uint64_t round, std::size_t p,
                                  std::size_t worker) {
-  if (round != round_ + 1) {
-    // Late shard from a round that already closed: the gradient is stale —
-    // discard it and resync the worker so it can rejoin.
-    if (rs_awaiting_[worker] && eng().worker_alive(worker))
-      catch_up(worker);
-    return;
-  }
+  if (rs_.late(round, worker)) return;
   if (rs_arrived_[p][worker] != 0) return;  // re-push raced its original
   rs_arrived_[p][worker] = 1;
   if (++rs_shards_arrived_[worker] < num_ps_) return;
-  rs_contributed_[worker] = true;
-  ++rs_contributed_count_;
-  maybe_close_rs();
+  rs_.contribute(worker);
 }
 
 void OspSync::on_worker_crashed(std::size_t worker) {
   ++unhealthy_;
-  rs_awaiting_[worker] = false;  // its flows are cancelled
   rs_pending_[worker] = 0;
   // Partial shard pushes can no longer complete; a finished contribution
   // is kept (the gradient already reached every shard).
-  if (!rs_contributed_[worker]) {
+  if (!rs_.contributed(worker)) {
     rs_shards_arrived_[worker] = 0;
     for (std::size_t p = 0; p < num_ps_; ++p) rs_arrived_[p][worker] = 0;
   }
@@ -240,11 +186,10 @@ void OspSync::on_worker_crashed(std::size_t worker) {
     it->second.pending.erase(worker);
     it = it->second.pending.empty() ? ics_trace_.erase(it) : std::next(it);
   }
-  maybe_close_rs();  // the RS barrier may now be satisfiable
+  rs_.crashed(worker);  // the RS barrier may now be satisfiable
 }
 
-void OspSync::on_worker_restarted(std::size_t worker) {
-  (void)worker;
+void OspSync::on_worker_restarted(std::size_t /*worker*/) {
   OSP_CHECK(unhealthy_ > 0, "restart without a preceding crash");
   --unhealthy_;
 }
@@ -263,10 +208,7 @@ void OspSync::drop_rs_arrivals(std::size_t p) {
     rs_arrived_[p][w] = 0;
     OSP_CHECK(rs_shards_arrived_[w] > 0, "RS arrival accounting underflow");
     --rs_shards_arrived_[w];
-    if (rs_contributed_[w]) {
-      rs_contributed_[w] = false;
-      --rs_contributed_count_;
-    }
+    rs_.withdraw(w);
   }
 }
 
@@ -274,10 +216,10 @@ void OspSync::repush_shard(std::size_t p) {
   runtime::Engine& e = eng();
   // Workers still awaiting the collecting round re-push this shard (their
   // original flows, if in flight, are epoch-fenced).
-  const std::uint64_t collecting = round_ + 1;
+  const std::uint64_t collecting = rs_.collecting();
   for (std::size_t w = 0; w < e.num_workers(); ++w) {
     if (!e.worker_alive(w)) continue;
-    if (!rs_awaiting_[w] || rs_awaiting_round_[w] != collecting) continue;
+    if (!rs_.awaiting(w) || rs_.awaiting_round(w) != collecting) continue;
     push_rs_shard(w, collecting, p);
   }
   // In-flight ICS rounds whose shard-p step has not run yet lost whatever
@@ -299,92 +241,32 @@ void OspSync::repush_shard(std::size_t p) {
   }
 }
 
-void OspSync::maybe_close_rs() {
-  if (rs_contributed_count_ == 0) return;
-  runtime::Engine& e = eng();
-  const std::size_t n = e.num_workers();
-  for (std::size_t w = 0; w < n; ++w) {
-    if (rs_contributed_[w] || !e.worker_alive(w)) continue;
-    if (survival_ && e.worker_done(w)) continue;
-    // A stuck worker (awaiting a response from an older round, e.g. one
-    // whose RS response was dropped) will never push again — the timeout
-    // path resyncs it; everyone else we genuinely wait for.
-    if (rs_awaiting_[w] && rs_awaiting_round_[w] <= round_) continue;
-    return;
-  }
-  close_rs();
-}
-
-void OspSync::close_rs() {
-  runtime::Engine& e = eng();
-  const std::size_t n = e.num_workers();
-  const std::vector<bool> contributors = rs_contributed_;
-  const std::size_t contributed = rs_contributed_count_;
-  const std::uint64_t this_round = ++round_;
-  rs_timer_armed_ = false;
-  rs_shards_arrived_.assign(n, 0);
-  rs_contributed_.assign(n, false);
-  rs_contributed_count_ = 0;
+void OspSync::round_closed(std::uint64_t round, std::size_t contributed) {
+  std::fill(rs_shards_arrived_.begin(), rs_shards_arrived_.end(), 0);
   for (auto& row : rs_arrived_) {
     std::fill(row.begin(), row.end(), std::uint8_t{0});
   }
-
   // Telemetry record for this round — created before the empty-round early
   // return so timed-out rounds with zero contributors stay visible, and
-  // before the resync loop so catch_up's retry counts land on it.
-  {
-    runtime::SyncTelemetry& rec = e.telemetry_round(this_round);
-    rec.contributors = contributed;
-    rec.ics_budget_bytes = ics_budget_;
-  }
+  // before the resync so catch-up retry counts land on it.
+  runtime::SyncTelemetry& rec = eng().telemetry_round(round);
+  rec.contributors = contributed;
+  rec.ics_budget_bytes = ics_budget_;
+}
 
-  // Resync healthy workers whose push missed the round. A worker stays
-  // `rs_awaiting_` until some response is delivered, so a lost catch-up
-  // pull is retried at the next close; duplicate deliveries no-op.
-  bool resyncing = false;
-  for (std::size_t w = 0; w < n; ++w) {
-    if (rs_awaiting_[w] && e.worker_alive(w)) {
-      resyncing = true;
-      if (!contributors[w]) catch_up(w);
-    }
-  }
-  // Watchdog: while any healthy worker still waits on a response, keep a
-  // timer armed so a dropped response or catch-up pull is retried at the
-  // next expiry instead of deadlocking the cluster.
-  if (resyncing && !e.stopping()) arm_rs_timer();
-  if (contributed == 0) return;  // nothing arrived: no step this round
-
-  // Aggregate the round's *full* gradients once; the unimportant part is
-  // exactly what the workers' ICS pushes will deliver, so the snapshot
+void OspSync::step_round(std::uint64_t this_round,
+                         const std::vector<bool>& contributors) {
+  runtime::Engine& e = eng();
+  const std::size_t n = e.num_workers();
+  // The aggregate holds the round's *full* gradients; the unimportant part
+  // is exactly what the workers' ICS pushes will deliver, so the snapshot
   // keeps the numerics identical while the bytes flow on the virtual wire.
-  // §2.1.1: weight by sample share; a partial round renormalizes over the
-  // contributors while the full-round path keeps the exact historical
-  // arithmetic.
-  agg_.assign(e.global_params().size(), 0.0f);
-  if (contributed == n) {
-    for (std::size_t w = 0; w < n; ++w) {
-      util::axpy(static_cast<float>(e.worker_weight(w)),
-                 e.worker_gradient(w), agg_);
-    }
-  } else {
-    double weight_sum = 0.0;
-    for (std::size_t w = 0; w < n; ++w) {
-      if (contributors[w]) weight_sum += e.worker_weight(w);
-    }
-    // Defensive twin of the contributed == 0 gate above: a contributor set
-    // whose weights sum to zero must close as a no-op, not divide by zero.
-    if (weight_sum <= 0.0) return;
-    for (std::size_t w = 0; w < n; ++w) {
-      if (!contributors[w]) continue;
-      util::axpy(static_cast<float>(e.worker_weight(w) / weight_sum),
-                 e.worker_gradient(w), agg_);
-    }
-  }
-  if (ema_lgp_ != nullptr) ema_lgp_->observe_global(agg_);
+  const std::vector<float>& agg = rs_.aggregate();
+  if (ema_lgp_ != nullptr) ema_lgp_->observe_global(agg);
 
   // (b) Step the important blocks of the global model.
   const std::vector<bool> stepped = mask_from_gib(gib_, true);
-  e.apply_global_step_blocks(agg_, stepped);
+  e.apply_global_step_blocks(agg, stepped);
   session_.applied(stepped);
 
   // (c) Asynchronous GIB calculation for the next round.
@@ -406,8 +288,7 @@ void OspSync::close_rs() {
   // same set carries the round's ICS pushes.
   std::vector<bool> recipients(n, false);
   for (std::size_t w = 0; w < n; ++w) {
-    recipients[w] =
-        contributors[w] && e.worker_alive(w) && rs_awaiting_[w];
+    recipients[w] = contributors[w] && e.worker_alive(w) && rs_.awaiting(w);
     rs_pending_[w] = recipients[w] ? num_ps_ : 0;
   }
 
@@ -452,7 +333,7 @@ void OspSync::deliver_rs(std::size_t w, std::size_t p, const Gib& round_gib,
                                        /*encode_as_important=*/true));
   if (--rs_pending_[w] > 0) return;
   // Last shard delivered: LGP prediction + next iteration.
-  rs_awaiting_[w] = false;
+  rs_.settle(w);
   if (options_.enable_lgp) {
     if (ema_lgp_ != nullptr) {
       ema_lgp_->apply_local_step(e.worker_params(w), e.worker_gradient(w), lr,
@@ -465,29 +346,24 @@ void OspSync::deliver_rs(std::size_t w, std::size_t p, const Gib& round_gib,
   e.finish_sync(w);
 }
 
-void OspSync::catch_up(std::size_t worker) {
+bool OspSync::catch_up(std::size_t worker) {
   runtime::Engine& e = eng();
-  // The pull is served by whichever host currently serves shard 0; with
-  // the whole chain down it is skipped — the RS watchdog retries at the
-  // next expiry (the worker stays rs_awaiting_).
   const std::size_t src = session_.serving(0);
-  if (src == kv::ShardSession::npos) return;
-  e.record_catch_up_pull();
-  ++e.telemetry_round(round_).retries;
+  if (src == kv::ShardSession::npos) return false;
   // Full-model resync pull: every segment, current versions.
   kv::KvMessage pull;
-  pull.begin(kv::Op::kPullResponse, static_cast<std::uint32_t>(src), round_,
-             session_.store().key_range());
+  pull.begin(kv::Op::kPullResponse, static_cast<std::uint32_t>(src),
+             rs_.rounds_closed(), session_.store().key_range());
   session_.store().stamp_versions(pull);
   pull.set_accounting(e.model_bytes());
   session_.tx().respond(worker, src, pull, /*owned=*/true, [this, worker] {
-    runtime::Engine& e2 = eng();
-    if (!e2.worker_alive(worker) || !rs_awaiting_[worker]) return;
-    rs_awaiting_[worker] = false;
+    if (!rs_.settle(worker)) return;
     rs_pending_[worker] = 0;
+    runtime::Engine& e2 = eng();
     util::copy(e2.global_params(), e2.worker_params(worker));
     e2.finish_sync(worker);
   });
+  return true;
 }
 
 Gib OspSync::compute_next_gib() {
@@ -498,17 +374,18 @@ Gib OspSync::compute_next_gib() {
   if (unhealthy_ > 0) return Gib::all_important(e.num_blocks());
   if (e.num_ps_crashed() > 0) return Gib::all_important(e.num_blocks());
   if (ics_budget_ <= 0.0) return Gib::all_important(e.num_blocks());
+  const std::vector<float>& agg = rs_.aggregate();
   std::vector<double> importance;
   switch (options_.ranking) {
     case OspOptions::Ranking::kPgp:
       importance = density_normalize(
-          pgp_importance(e.global_params(), agg_, e.blocks()), e.blocks());
+          pgp_importance(e.global_params(), agg, e.blocks()), e.blocks());
       break;
     case OspOptions::Ranking::kPgpSum:
-      importance = pgp_importance(e.global_params(), agg_, e.blocks());
+      importance = pgp_importance(e.global_params(), agg, e.blocks());
       break;
     case OspOptions::Ranking::kMagnitude:
-      importance = magnitude_importance(agg_, e.blocks());
+      importance = magnitude_importance(agg, e.blocks());
       break;
     case OspOptions::Ranking::kRandom:
       importance.resize(e.num_blocks());
@@ -523,22 +400,23 @@ void OspSync::start_ics_round(std::uint64_t round, const Gib& gib,
                               const std::vector<bool>& members) {
   runtime::Engine& e = eng();
   if (gib.count_unimportant() == 0) return;
-  std::size_t member_count = 0;
-  for (std::size_t w = 0; w < members.size(); ++w) {
-    if (members[w]) ++member_count;
-  }
-  if (member_count == 0) return;
+  if (std::ranges::none_of(members, std::identity{})) return;
   IcsRound state;
   state.round = round;
   state.gib = gib;
-  state.grad = agg_;  // snapshot: workers' buffers get reused next round
+  // Snapshot: the workers' gradient buffers get reused next round.
+  state.grad = rs_.aggregate();
   state.members = members;
   state.arrived_from.assign(
       num_ps_, std::vector<bool>(e.num_workers(), false));
   state.applied.assign(num_ps_, false);
   // Shards that carry no unimportant bytes have nothing to wait for.
+  std::size_t carrying = 0;
   for (std::size_t p = 0; p < num_ps_; ++p) {
-    if (ps_bytes(gib, p, /*important=*/false) <= 0.0) {
+    if (shard_message(kv::Op::kPush, 0, round, p, gib, /*important=*/false)
+            .value_bytes > 0.0) {
+      ++carrying;
+    } else {
       state.applied[p] = true;
     }
   }
@@ -546,10 +424,6 @@ void OspSync::start_ics_round(std::uint64_t round, const Gib& gib,
   if (e.tracing()) {
     // One ICS span per member, open from the first unimportant push until
     // the member's last shard correction lands (ics_trace_note_correction).
-    std::size_t carrying = 0;
-    for (std::size_t p = 0; p < num_ps_; ++p) {
-      if (ps_bytes(gib, p, /*important=*/false) > 0.0) ++carrying;
-    }
     if (carrying > 0) {
       IcsTrace t;
       t.begin_s = e.sim().now();
@@ -574,9 +448,7 @@ void OspSync::start_ics_round(std::uint64_t round, const Gib& gib,
   }
   if (timeouts().ics_timeout_s > 0.0) {
     e.sim().schedule(timeouts().ics_timeout_s, [this, round] {
-      auto it = std::find_if(
-          ics_inflight_.begin(), ics_inflight_.end(),
-          [round](const IcsRound& r) { return r.round == round; });
+      const auto it = find_ics_round(round);
       if (it == ics_inflight_.end()) return;  // completed in time
       eng().record_ics_abandoned();
       ics_inflight_.erase(it);
@@ -585,11 +457,15 @@ void OspSync::start_ics_round(std::uint64_t round, const Gib& gib,
   }
 }
 
+std::vector<OspSync::IcsRound>::iterator OspSync::find_ics_round(
+    std::uint64_t round) {
+  return std::find_if(ics_inflight_.begin(), ics_inflight_.end(),
+                      [round](const IcsRound& r) { return r.round == round; });
+}
+
 void OspSync::on_ics_push_arrived(std::uint64_t round, std::size_t ps,
                                   std::size_t worker) {
-  auto it = std::find_if(
-      ics_inflight_.begin(), ics_inflight_.end(),
-      [round](const IcsRound& r) { return r.round == round; });
+  const auto it = find_ics_round(round);
   if (it == ics_inflight_.end()) return;  // round abandoned or timed out
   it->arrived_from[ps][worker] = true;
   check_ics_round(round);
@@ -597,16 +473,10 @@ void OspSync::on_ics_push_arrived(std::uint64_t round, std::size_t ps,
 
 void OspSync::check_ics_round(std::uint64_t round) {
   runtime::Engine& e = eng();
-  auto it = std::find_if(
-      ics_inflight_.begin(), ics_inflight_.end(),
-      [round](const IcsRound& r) { return r.round == round; });
+  const auto it = find_ics_round(round);
   if (it == ics_inflight_.end()) return;
 
-  bool any_member = false;
-  for (std::size_t w = 0; w < it->members.size(); ++w) {
-    if (it->members[w]) any_member = true;
-  }
-  if (!any_member) {
+  if (std::ranges::none_of(it->members, std::identity{})) {
     // Everyone who owed pushes crashed: the remaining shards will never
     // arrive. Drop the round (already-applied shards keep their step).
     e.record_ics_abandoned();
@@ -663,11 +533,7 @@ void OspSync::check_ics_round(std::uint64_t round) {
         host);
   }
 
-  bool all_applied = true;
-  for (std::size_t p = 0; p < num_ps_; ++p) {
-    if (!it->applied[p]) all_applied = false;
-  }
-  if (all_applied) {
+  if (std::ranges::all_of(it->applied, std::identity{})) {
     ++ics_rounds_completed_;
     ics_inflight_.erase(it);
   }
@@ -739,8 +605,7 @@ void OspSync::on_epoch_complete(std::size_t epoch, double mean_loss) {
 }
 
 void OspSync::save_state(util::serde::Writer& w) const {
-  w.u8(4);  // OSP state version (4: failover state in the shard session)
-  w.u64(round_);
+  w.u8(5);  // OSP state version (5: the RS stage's round barrier)
   const std::vector<std::uint8_t> gib_bytes = gib_.serialize();
   w.bytes(gib_bytes);
   w.f64(ics_budget_);
@@ -761,19 +626,14 @@ void OspSync::save_state(util::serde::Writer& w) const {
   w.u64_vec(last_ics_applied_);
   w.u64(ics_rounds_completed_);
   w.u64(unhealthy_);
+  rs_.save_state(w);
   w.size_vec(rs_shards_arrived_);
-  w.bool_vec(rs_contributed_);
-  w.u64(rs_contributed_count_);
-  w.bool_vec(rs_awaiting_);
-  w.u64_vec(rs_awaiting_round_);
-  w.size_vec(rs_pending_);
   session_.save_state(w);
 }
 
 void OspSync::load_state(util::serde::Reader& r) {
   const std::uint8_t version = r.u8();
-  OSP_CHECK(version == 4, "unsupported OSP state version");
-  round_ = r.u64();
+  OSP_CHECK(version == 5, "unsupported OSP state version");
   gib_ = Gib::deserialize(r.bytes());
   OSP_CHECK(gib_.size() == eng().num_blocks(),
             "OSP checkpoint GIB block count mismatch");
@@ -799,31 +659,23 @@ void OspSync::load_state(util::serde::Reader& r) {
   last_ics_applied_ = r.u64_vec();
   ics_rounds_completed_ = static_cast<std::size_t>(r.u64());
   unhealthy_ = static_cast<std::size_t>(r.u64());
+  rs_.load_state(r);
   rs_shards_arrived_ = r.size_vec();
-  rs_contributed_ = r.bool_vec();
-  rs_contributed_count_ = static_cast<std::size_t>(r.u64());
-  rs_awaiting_ = r.bool_vec();
-  rs_awaiting_round_ = r.u64_vec();
-  rs_pending_ = r.size_vec();
   const std::size_t n = eng().num_workers();
-  OSP_CHECK(last_ics_applied_.size() == n && rs_shards_arrived_.size() == n &&
-                rs_contributed_.size() == n && rs_awaiting_.size() == n &&
-                rs_awaiting_round_.size() == n && rs_pending_.size() == n,
+  OSP_CHECK(last_ics_applied_.size() == n && rs_shards_arrived_.size() == n,
             "OSP checkpoint worker count mismatch");
   session_.load_state(r);
-  rs_timer_armed_ = false;  // re-armed by the next push
-  ics_inflight_.clear();    // drained before every snapshot
+  // Drained before every snapshot: no ICS round in flight and no RS response
+  // pending (rs_pending_ keeps attach's zeros).
+  ics_inflight_.clear();
   // Collecting-round bookkeeping is empty at the drain barrier.
   rs_arrived_.assign(num_ps_, std::vector<std::uint8_t>(n, 0));
 }
 
 bool OspSync::drained() const {
-  return ics_inflight_.empty() && !rs_timer_armed_ &&
-         rs_contributed_count_ == 0 &&
-         std::none_of(rs_awaiting_.begin(), rs_awaiting_.end(),
-                      [](bool b) { return b; }) &&
-         std::all_of(rs_pending_.begin(), rs_pending_.end(),
-                     [](std::size_t v) { return v == 0; });
+  return ics_inflight_.empty() && rs_.drained() &&
+         std::ranges::all_of(rs_pending_,
+                             [](std::size_t v) { return v == 0; });
 }
 
 }  // namespace osp::core

@@ -27,16 +27,14 @@
 // blocks on its own serial update queue, and Eq. 5's bound scales with the
 // P-fold aggregate ingress capacity.
 //
-// Survival contract (fault injection): RS rounds are tagged so late pushes
-// are recognized; a crashed worker stops gating the RS barrier. With a
-// configured rs_timeout_s the RS closes after the deadline with the N−k
-// contributors it has (weights renormalized), and stragglers are resynced
-// with a full parameter pull. While any worker is unhealthy the next GIB
-// degrades to all-important (§4.3: RS-only, ICS budget effectively 0);
-// Algorithm 1's budget resumes once the cluster heals. ICS rounds track
-// their member set — a member's crash removes it from every in-flight
-// round — and an ics_timeout_s abandons rounds whose remaining pushes
-// never arrive.
+// Survival contract (fault injection): the RS stage is a RoundBarrier
+// (sync/round_barrier.hpp), which states the contract: deadline close with
+// the N−k contributors it has, catch-up resync, watchdog. While any worker is
+// unhealthy the next GIB degrades to all-important (§4.3: RS-only, ICS
+// budget effectively 0); Algorithm 1's budget resumes once the cluster
+// heals. ICS rounds track their member set — a member's crash removes it
+// from every in-flight round — and an ics_timeout_s abandons rounds whose
+// remaining pushes never arrive.
 #pragma once
 
 #include <cstdint>
@@ -52,6 +50,7 @@
 #include "kv/partition.hpp"
 #include "kv/shard_session.hpp"
 #include "runtime/sync_model.hpp"
+#include "sync/round_barrier.hpp"
 #include "util/rng.hpp"
 
 namespace osp::core {
@@ -86,7 +85,8 @@ struct OspOptions {
   std::uint64_t seed = 7;  ///< for Ranking::kRandom
 };
 
-class OspSync : public runtime::SyncModel {
+class OspSync : public runtime::SyncModel,
+                private sync::RoundBarrier::Owner {
  public:
   explicit OspSync(OspOptions options = {});
   OspSync(OspOptions options, runtime::SyncTimeouts timeouts)
@@ -129,18 +129,23 @@ class OspSync : public runtime::SyncModel {
 
  private:
   // ---- RS ----
-  void arm_rs_timer();
   /// One shard flow of worker `worker`'s round-`round` important push,
   /// routed to shard `p`'s serving host.
   void push_rs_shard(std::size_t worker, std::uint64_t round, std::size_t p);
   void on_rs_push_arrived(std::uint64_t round, std::size_t p,
                           std::size_t worker);
-  void maybe_close_rs();
-  void close_rs();
+  /// RS round `round` closed: reset the shard counts, open its telemetry.
+  void round_closed(std::uint64_t round, std::size_t contributed) override;
+  /// The closed RS round's step: important blocks, next GIB, answers, and
+  /// the round's ICS.
+  void step_round(std::uint64_t round,
+                  const std::vector<bool>& contributors) override;
   /// Shard p's RS response for `round_gib` reached worker w.
   void deliver_rs(std::size_t w, std::size_t p, const Gib& round_gib,
                   double lr);
-  void catch_up(std::size_t worker);
+  /// Full-model resync pull served by shard 0's host; false while its whole
+  /// chain is down (the RS watchdog retries).
+  bool catch_up(std::size_t worker) override;
   Gib compute_next_gib();
 
   // ---- PS failover: the model's half of a shard-session repoint ----
@@ -171,10 +176,8 @@ class OspSync : public runtime::SyncModel {
   /// Shard correction for `round` reached worker w (Eq. 7).
   void deliver_ics(std::size_t w, std::uint64_t round, const Gib& shard_view);
 
-  /// Bytes of blocks owned by PS `ps` that are important/unimportant under
-  /// `gib`.
-  [[nodiscard]] double ps_bytes(const Gib& gib, std::size_t ps,
-                                bool important) const;
+  /// The in-flight ICS round `round`, or ics_inflight_.end().
+  std::vector<IcsRound>::iterator find_ics_round(std::uint64_t round);
   /// KV message addressed to PS `ps`'s blocks whose GIB state equals
   /// `important`: key list + wire accounting (no payload copy — RS/ICS
   /// values stay by-reference in the engine's buffers).
@@ -223,16 +226,10 @@ class OspSync : public runtime::SyncModel {
   /// flows); RS responses ride its answer ledger.
   kv::ShardSession session_;
 
-  std::vector<float> agg_;     ///< mean of this round's full gradients
-  std::uint64_t round_ = 0;    ///< RS rounds closed; collecting id round_+1
+  /// The RS stage; a worker contributes once all num_ps_ shards landed.
+  sync::RoundBarrier rs_;
   std::vector<std::size_t> rs_shards_arrived_;  ///< per-worker, this round
-  std::vector<bool> rs_contributed_;            ///< all shards arrived
-  std::size_t rs_contributed_count_ = 0;
-  std::vector<bool> rs_awaiting_;  ///< pushed, no response delivered yet
-  std::vector<std::uint64_t> rs_awaiting_round_;  ///< round of that push
   std::vector<std::size_t> rs_pending_;  ///< per-worker RS responses awaited
-  bool rs_timer_armed_ = false;
-  bool survival_ = false;  ///< faults/timeouts in play (see attach)
   std::size_t unhealthy_ = 0;  ///< workers currently crashed
 
   std::vector<IcsRound> ics_inflight_;

@@ -190,10 +190,6 @@ std::size_t Engine::worker_iteration(std::size_t w) const {
   return workers_.at(w).iteration;
 }
 
-std::size_t Engine::worker_epoch(std::size_t w) const {
-  return workers_.at(w).epoch;
-}
-
 std::size_t Engine::min_worker_iteration() const {
   std::size_t m = std::numeric_limits<std::size_t>::max();
   for (const WorkerState& ws : workers_) {
@@ -840,11 +836,6 @@ void Engine::restart_worker(std::size_t w) {
                     sync_->on_worker_restarted(w);
                     begin_compute(w);
                   });
-}
-
-bool Engine::ps_alive(std::size_t ps) const {
-  OSP_CHECK(ps < ps_crashed_.size(), "ps id out of range");
-  return ps_crashed_[ps] == 0;
 }
 
 void Engine::crash_ps(std::size_t ps, double restart_after) {

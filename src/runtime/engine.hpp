@@ -155,7 +155,6 @@ class Engine {
   [[nodiscard]] std::span<const float> worker_gradient(std::size_t w) const;
   [[nodiscard]] std::span<float> worker_params(std::size_t w);
   [[nodiscard]] std::size_t worker_iteration(std::size_t w) const;
-  [[nodiscard]] std::size_t worker_epoch(std::size_t w) const;
   /// Lowest completed-iteration count over the alive workers: a crashed
   /// worker cannot progress, so staleness bounds must not wait on it.
   /// SIZE_MAX when every worker is crashed.
@@ -219,10 +218,6 @@ class Engine {
   /// pending loopbacks and does not snapshot across them.
   void loopback_transfer(double delay, std::function<void()> done);
 
-  /// False while PS shard `ps` is crashed (between the crash event and its
-  /// restart). Sync models route around dead hosts via their replica
-  /// chains (kv/shard_session.hpp).
-  [[nodiscard]] bool ps_alive(std::size_t ps) const;
   [[nodiscard]] std::size_t num_ps_crashed() const { return ps_crashed_count_; }
 
   /// Fault-accounting hooks for sync models.

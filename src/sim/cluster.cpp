@@ -57,16 +57,6 @@ LinkId Cluster::worker_uplink(std::size_t worker) const {
   return uplink_[worker];
 }
 
-LinkId Cluster::worker_downlink(std::size_t worker) const {
-  OSP_CHECK(worker < config_.num_workers, "worker id out of range");
-  return downlink_[worker];
-}
-
-LinkId Cluster::ps_uplink(std::size_t ps) const {
-  OSP_CHECK(ps < ps_nodes_.size(), "ps id out of range");
-  return uplink_[ps_nodes_[ps]];
-}
-
 LinkId Cluster::ps_downlink(std::size_t ps) const {
   OSP_CHECK(ps < ps_nodes_.size(), "ps id out of range");
   return downlink_[ps_nodes_[ps]];

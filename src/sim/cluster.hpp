@@ -83,11 +83,9 @@ class Cluster {
   }
 
   // Link handles for targeting fault schedules (see sim/faults.hpp).
-  /// Access links of worker `w`'s node.
+  /// Uplink of worker `w`'s node.
   [[nodiscard]] LinkId worker_uplink(std::size_t worker) const;
-  [[nodiscard]] LinkId worker_downlink(std::size_t worker) const;
-  /// Access links of PS `ps`'s node (the co-located PS shares worker 0's).
-  [[nodiscard]] LinkId ps_uplink(std::size_t ps = 0) const;
+  /// Downlink of PS `ps`'s node (the co-located PS shares worker 0's).
   [[nodiscard]] LinkId ps_downlink(std::size_t ps = 0) const;
 
   /// Name of the node owning access link `id` ("worker3", "ps0", …) —

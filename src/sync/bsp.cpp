@@ -1,8 +1,7 @@
 #include "sync/bsp.hpp"
 
-#include <algorithm>
-
 #include "runtime/engine.hpp"
+#include "util/check.hpp"
 #include "util/serde.hpp"
 #include "util/vec_math.hpp"
 
@@ -10,135 +9,24 @@ namespace osp::sync {
 
 void BspSync::attach(runtime::Engine& eng) {
   SyncModel::attach(eng);
-  const std::size_t n = eng.num_workers();
-  round_ = 0;
-  arrived_.assign(n, false);
-  arrived_count_ = 0;
-  awaiting_.assign(n, false);
-  awaiting_round_.assign(n, 0);
-  timer_armed_ = false;
-  // The survival contract (a worker that finished its epochs no longer
-  // gates the barrier) only engages when faults or timeouts are in play.
-  // On a clean run the historical semantics hold: the barrier waits for
-  // every worker, so a straggler with leftover iterations stalls once the
-  // others finish and the run ends at the drained event queue.
-  survival_ = timeouts().rs_timeout_s > 0.0 ||
-              !eng.config().faults.events().empty();
+  barrier_.attach(eng, timeouts().rs_timeout_s, *this);
 }
 
 void BspSync::on_gradient_ready(std::size_t worker) {
   runtime::Engine& e = eng();
-  const std::uint64_t r = round_ + 1;
-  awaiting_[worker] = true;
-  awaiting_round_[worker] = r;
-  e.worker_transfer(worker, e.cluster().route_to_ps(worker), e.model_bytes(),
-                    [this, r, worker] { on_push_arrived(r, worker); });
-  arm_round_timer();
-}
-
-void BspSync::arm_round_timer() {
-  const double deadline = timeouts().rs_timeout_s;
-  if (deadline <= 0.0 || timer_armed_) return;
-  timer_armed_ = true;
-  const std::uint64_t r = round_ + 1;
-  eng().sim().schedule(deadline, [this, r] {
-    if (r != round_ + 1) return;  // the round closed naturally
-    timer_armed_ = false;
-    // Quiescent expiry (e.g. the watchdog armed at the last close of the
-    // run): nothing arrived and nobody is stuck — not a timeout.
-    runtime::Engine& e = eng();
-    bool pending = arrived_count_ > 0;
-    for (std::size_t w = 0; w < e.num_workers() && !pending; ++w) {
-      pending = awaiting_[w] && e.worker_alive(w);
-    }
-    if (!pending) return;
-    e.record_round_timeout();
-    close_round();
-    ++e.telemetry_round(round_).timeouts;
+  barrier_.push(worker, [&](std::uint64_t r) {
+    e.worker_transfer(worker, e.cluster().route_to_ps(worker), e.model_bytes(),
+                      [this, r, worker] {
+                        if (barrier_.late(r, worker)) return;
+                        barrier_.contribute(worker);
+                      });
   });
 }
 
-void BspSync::on_push_arrived(std::uint64_t round, std::size_t worker) {
-  if (round != round_ + 1) {
-    // Late push from a round that already closed: the gradient is stale —
-    // discard it and resync the worker so it can rejoin.
-    if (awaiting_[worker] && eng().worker_alive(worker)) catch_up(worker);
-    return;
-  }
-  arrived_[worker] = true;
-  ++arrived_count_;
-  maybe_close_round();
-}
-
-void BspSync::on_worker_crashed(std::size_t worker) {
-  awaiting_[worker] = false;  // its flows are cancelled; nothing to answer
-  maybe_close_round();        // the barrier may now be satisfiable
-}
-
-void BspSync::maybe_close_round() {
-  if (arrived_count_ == 0) return;
+void BspSync::step_round(std::uint64_t /*round*/,
+                         const std::vector<bool>& contributors) {
   runtime::Engine& e = eng();
-  const std::size_t n = e.num_workers();
-  for (std::size_t w = 0; w < n; ++w) {
-    if (arrived_[w] || !e.worker_alive(w)) continue;
-    if (survival_ && e.worker_done(w)) continue;
-    // A stuck worker (awaiting a response from an older round, e.g. one
-    // whose broadcast was dropped) will never push again — the timeout
-    // path resyncs it; everyone else we genuinely wait for.
-    if (awaiting_[w] && awaiting_round_[w] <= round_) continue;
-    return;
-  }
-  close_round();
-}
-
-void BspSync::close_round() {
-  runtime::Engine& e = eng();
-  const std::size_t n = e.num_workers();
-  const std::vector<bool> contributors = arrived_;
-  const std::size_t contributed = arrived_count_;
-  ++round_;
-  timer_armed_ = false;
-  arrived_.assign(n, false);
-  arrived_count_ = 0;
-  record_full_round(round_, contributed);
-
-  // Resync healthy workers whose push missed the round (still awaiting a
-  // response but not among this round's contributors). A worker stays
-  // `awaiting_` until some response is delivered, so a lost catch-up pull
-  // is retried at the next round close; duplicate deliveries no-op.
-  bool resyncing = false;
-  for (std::size_t w = 0; w < n; ++w) {
-    if (awaiting_[w] && e.worker_alive(w)) {
-      resyncing = true;
-      if (!contributors[w]) catch_up(w);
-    }
-  }
-  // Watchdog: while any healthy worker still waits on a response, keep a
-  // timer armed so a dropped broadcast or catch-up pull is retried at the
-  // next expiry instead of deadlocking the cluster.
-  if (resyncing && !e.stopping()) arm_round_timer();
-  if (contributed == 0) return;  // nothing arrived: no step this round
-
-  // §2.1.1: weight by the worker's sample share. With a partial round the
-  // weights renormalize over the contributors; the full-round path keeps
-  // the exact historical arithmetic.
-  agg_.assign(e.global_params().size(), 0.0f);
-  double weight_sum = 0.0;
-  for (std::size_t w = 0; w < n; ++w) {
-    if (contributors[w]) weight_sum += e.worker_weight(w);
-  }
-  // Defensive twin of the contributed == 0 gate above: a partial round
-  // whose contributor weights sum to zero must close as a no-op, not
-  // renormalize by zero (the full-round path never divides).
-  if (contributed != n && weight_sum <= 0.0) return;
-  for (std::size_t w = 0; w < n; ++w) {
-    if (!contributors[w]) continue;
-    const double weight = contributed == n
-                              ? e.worker_weight(w)
-                              : e.worker_weight(w) / weight_sum;
-    util::axpy(static_cast<float>(weight), e.worker_gradient(w), agg_);
-  }
-  e.apply_global_step(agg_);
+  e.apply_global_step(barrier_.aggregate());
   // PS cost: the final optimizer application (read aggregate, read+write
   // params = 3 memory passes); per-push accumulation streams with the
   // incast arrivals and stays off the critical path.
@@ -147,65 +35,34 @@ void BspSync::close_round() {
     for (std::size_t w = 0; w < en.num_workers(); ++w) {
       if (!contributors[w] || !en.worker_alive(w)) continue;
       en.worker_transfer(w, en.cluster().route_from_ps(w), en.model_bytes(),
-                         [this, w] {
-                           runtime::Engine& e2 = eng();
-                           if (!e2.worker_alive(w) || !awaiting_[w]) return;
-                           awaiting_[w] = false;
-                           util::copy(e2.global_params(),
-                                      e2.worker_params(w));
-                           e2.finish_sync(w);
-                         });
+                         [this, w] { resume(w); });
     }
   });
 }
 
+bool BspSync::catch_up(std::size_t worker) {
+  runtime::Engine& e = eng();
+  e.worker_transfer(worker, e.cluster().route_from_ps(worker), e.model_bytes(),
+                    [this, worker] { resume(worker); });
+  return true;
+}
+
+void BspSync::resume(std::size_t worker) {
+  if (!barrier_.settle(worker)) return;
+  runtime::Engine& e = eng();
+  util::copy(e.global_params(), e.worker_params(worker));
+  e.finish_sync(worker);
+}
+
 void BspSync::save_state(util::serde::Writer& w) const {
-  w.u8(1);  // BSP state version
-  w.u64(round_);
-  w.bool_vec(arrived_);
-  w.u64(arrived_count_);
-  w.bool_vec(awaiting_);
-  w.u64_vec(awaiting_round_);
+  w.u8(2);  // BSP state version (2: the round barrier's state)
+  barrier_.save_state(w);
 }
 
 void BspSync::load_state(util::serde::Reader& r) {
   const std::uint8_t version = r.u8();
-  OSP_CHECK(version == 1, "unsupported BSP state version");
-  round_ = r.u64();
-  arrived_ = r.bool_vec();
-  arrived_count_ = static_cast<std::size_t>(r.u64());
-  awaiting_ = r.bool_vec();
-  awaiting_round_ = r.u64_vec();
-  OSP_CHECK(arrived_.size() == eng().num_workers() &&
-                awaiting_.size() == eng().num_workers() &&
-                awaiting_round_.size() == eng().num_workers(),
-            "BSP checkpoint worker count mismatch");
-  timer_armed_ = false;  // re-armed by the next push
-}
-
-bool BspSync::drained() const {
-  return !timer_armed_ && arrived_count_ == 0 &&
-         std::none_of(awaiting_.begin(), awaiting_.end(),
-                      [](bool b) { return b; });
-}
-
-void BspSync::catch_up(std::size_t worker) {
-  runtime::Engine& e = eng();
-  e.record_catch_up_pull();
-  ++e.telemetry_round(round_).retries;
-  // `awaiting_` stays set until the pull is actually delivered: if this
-  // pull is dropped, the next round close retries; if several pulls end up
-  // in flight, the first delivery wins and the rest no-op.
-  e.worker_transfer(worker, e.cluster().route_from_ps(worker),
-                    e.model_bytes(), [this, worker] {
-                      runtime::Engine& e2 = eng();
-                      if (!e2.worker_alive(worker) || !awaiting_[worker])
-                        return;
-                      awaiting_[worker] = false;
-                      util::copy(e2.global_params(),
-                                 e2.worker_params(worker));
-                      e2.finish_sync(worker);
-                    });
+  OSP_CHECK(version == 2, "unsupported BSP state version");
+  barrier_.load_state(r);
 }
 
 }  // namespace osp::sync

@@ -5,23 +5,19 @@
 // optimizer step, then broadcasts the updated parameters back; workers
 // resume only after receiving them (global barrier).
 //
-// Survival contract (fault injection): rounds are tagged so late pushes
-// are recognized. A crashed worker stops gating the barrier (its
-// contribution is kept if it already arrived). With a configured
-// rs_timeout_s the round closes after the deadline with the N−k arrivals
-// it has (weights renormalized); healthy workers whose push missed the
-// round — stalled, dropped, or simply late — are resynced with a full
-// parameter pull so the cluster never deadlocks.
+// The barrier, its deadline and its catch-up resync are the RoundBarrier
+// (sync/round_barrier.hpp), which states the survival contract.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "runtime/sync_model.hpp"
+#include "sync/round_barrier.hpp"
 
 namespace osp::sync {
 
-class BspSync : public runtime::SyncModel {
+class BspSync : public runtime::SyncModel, private RoundBarrier::Owner {
  public:
   BspSync() = default;
   explicit BspSync(runtime::SyncTimeouts timeouts) { set_timeouts(timeouts); }
@@ -29,31 +25,31 @@ class BspSync : public runtime::SyncModel {
   [[nodiscard]] std::string name() const override { return "BSP"; }
   void attach(runtime::Engine& eng) override;
   void on_gradient_ready(std::size_t worker) override;
-  void on_worker_crashed(std::size_t worker) override;
+  void on_worker_crashed(std::size_t worker) override {
+    barrier_.crashed(worker);
+  }
   void save_state(util::serde::Writer& w) const override;
   void load_state(util::serde::Reader& r) override;
-  [[nodiscard]] bool drained() const override;
+  [[nodiscard]] bool drained() const override { return barrier_.drained(); }
 
   /// Barrier rounds closed so far (SyncSwitch seeds ASP's telemetry round
   /// numbering from this at the switch point).
-  [[nodiscard]] std::uint64_t rounds_closed() const { return round_; }
+  [[nodiscard]] std::uint64_t rounds_closed() const {
+    return barrier_.rounds_closed();
+  }
 
  private:
-  void arm_round_timer();
-  void on_push_arrived(std::uint64_t round, std::size_t worker);
-  void maybe_close_round();
-  void close_round();
-  void catch_up(std::size_t worker);
+  void round_closed(std::uint64_t round, std::size_t contributed) override {
+    record_full_round(round, contributed);
+  }
+  bool catch_up(std::size_t worker) override;
+  /// Step the global model and broadcast it to the round's contributors.
+  void step_round(std::uint64_t round,
+                  const std::vector<bool>& contributors) override;
+  /// A broadcast or catch-up pull reached `worker`.
+  void resume(std::size_t worker);
 
-  std::uint64_t round_ = 0;        ///< rounds closed so far; collecting
-                                   ///< round id is round_ + 1
-  std::vector<bool> arrived_;      ///< push landed this round
-  std::size_t arrived_count_ = 0;
-  std::vector<bool> awaiting_;     ///< pushed, no response delivered yet
-  std::vector<std::uint64_t> awaiting_round_;  ///< round of that push
-  bool timer_armed_ = false;
-  bool survival_ = false;  ///< faults/timeouts in play (see attach)
-  std::vector<float> agg_;
+  RoundBarrier barrier_;
 };
 
 }  // namespace osp::sync
