@@ -89,7 +89,6 @@ void OspSync::attach(runtime::Engine& eng) {
 
   rs_.attach(eng, timeouts().rs_timeout_s, *this);
   const std::size_t n = eng.num_workers();
-  rs_shards_arrived_.assign(n, 0);
   rs_pending_.assign(n, 0);
   unhealthy_ = 0;
   ics_inflight_.clear();
@@ -158,7 +157,9 @@ void OspSync::on_rs_push_arrived(std::uint64_t round, std::size_t p,
   if (rs_.late(round, worker)) return;
   if (rs_arrived_[p][worker] != 0) return;  // re-push raced its original
   rs_arrived_[p][worker] = 1;
-  if (++rs_shards_arrived_[worker] < num_ps_) return;
+  for (const auto& shard : rs_arrived_) {
+    if (shard[worker] == 0) return;  // a shard has yet to land
+  }
   rs_.contribute(worker);
 }
 
@@ -168,8 +169,7 @@ void OspSync::on_worker_crashed(std::size_t worker) {
   // Partial shard pushes can no longer complete; a finished contribution
   // is kept (the gradient already reached every shard).
   if (!rs_.contributed(worker)) {
-    rs_shards_arrived_[worker] = 0;
-    for (std::size_t p = 0; p < num_ps_; ++p) rs_arrived_[p][worker] = 0;
+    for (auto& shard : rs_arrived_) shard[worker] = 0;
   }
   // Drop it from every in-flight ICS round; some shards may now complete
   // with the remaining members.
@@ -206,8 +206,6 @@ void OspSync::drop_rs_arrivals(std::size_t p) {
   for (std::size_t w = 0; w < eng().num_workers(); ++w) {
     if (rs_arrived_[p][w] == 0) continue;
     rs_arrived_[p][w] = 0;
-    OSP_CHECK(rs_shards_arrived_[w] > 0, "RS arrival accounting underflow");
-    --rs_shards_arrived_[w];
     rs_.withdraw(w);
   }
 }
@@ -242,13 +240,12 @@ void OspSync::repush_shard(std::size_t p) {
 }
 
 void OspSync::round_closed(std::uint64_t round, std::size_t contributed) {
-  std::fill(rs_shards_arrived_.begin(), rs_shards_arrived_.end(), 0);
   for (auto& row : rs_arrived_) {
     std::fill(row.begin(), row.end(), std::uint8_t{0});
   }
-  // Telemetry record for this round — created before the empty-round early
-  // return so timed-out rounds with zero contributors stay visible, and
-  // before the resync so catch-up retry counts land on it.
+  // The round's telemetry record: created before the barrier's resync, so
+  // catch-up retry counts land on it, and kept for a timed-out round with
+  // no contributors, which takes no step.
   runtime::SyncTelemetry& rec = eng().telemetry_round(round);
   rec.contributors = contributed;
   rec.ics_budget_bytes = ics_budget_;
@@ -627,7 +624,6 @@ void OspSync::save_state(util::serde::Writer& w) const {
   w.u64(ics_rounds_completed_);
   w.u64(unhealthy_);
   rs_.save_state(w);
-  w.size_vec(rs_shards_arrived_);
   session_.save_state(w);
 }
 
@@ -660,9 +656,8 @@ void OspSync::load_state(util::serde::Reader& r) {
   ics_rounds_completed_ = static_cast<std::size_t>(r.u64());
   unhealthy_ = static_cast<std::size_t>(r.u64());
   rs_.load_state(r);
-  rs_shards_arrived_ = r.size_vec();
   const std::size_t n = eng().num_workers();
-  OSP_CHECK(last_ics_applied_.size() == n && rs_shards_arrived_.size() == n,
+  OSP_CHECK(last_ics_applied_.size() == n,
             "OSP checkpoint worker count mismatch");
   session_.load_state(r);
   // Drained before every snapshot: no ICS round in flight and no RS response

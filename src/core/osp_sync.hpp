@@ -27,14 +27,13 @@
 // blocks on its own serial update queue, and Eq. 5's bound scales with the
 // P-fold aggregate ingress capacity.
 //
-// Survival contract (fault injection): the RS stage is a RoundBarrier
-// (sync/round_barrier.hpp), which states the contract: deadline close with
-// the N−k contributors it has, catch-up resync, watchdog. While any worker is
-// unhealthy the next GIB degrades to all-important (§4.3: RS-only, ICS
-// budget effectively 0); Algorithm 1's budget resumes once the cluster
-// heals. ICS rounds track their member set — a member's crash removes it
-// from every in-flight round — and an ics_timeout_s abandons rounds whose
-// remaining pushes never arrive.
+// Survival contract (fault injection): the RS stage runs on
+// sync::RoundBarrier, whose header (sync/round_barrier.hpp) states it.
+// While any worker is unhealthy the next GIB degrades to all-important
+// (§4.3: RS-only, ICS budget effectively 0); Algorithm 1's budget resumes
+// once the cluster heals. ICS rounds track their member set — a member's
+// crash removes it from every in-flight round — and an ics_timeout_s
+// abandons rounds whose remaining pushes never arrive.
 #pragma once
 
 #include <cstdint>
@@ -226,9 +225,7 @@ class OspSync : public runtime::SyncModel,
   /// flows); RS responses ride its answer ledger.
   kv::ShardSession session_;
 
-  /// The RS stage; a worker contributes once all num_ps_ shards landed.
-  sync::RoundBarrier rs_;
-  std::vector<std::size_t> rs_shards_arrived_;  ///< per-worker, this round
+  sync::RoundBarrier rs_;  ///< the RS stage
   std::vector<std::size_t> rs_pending_;  ///< per-worker RS responses awaited
   std::size_t unhealthy_ = 0;  ///< workers currently crashed
 
@@ -237,8 +234,8 @@ class OspSync : public runtime::SyncModel,
   std::size_t ics_rounds_completed_ = 0;
   std::map<std::uint64_t, IcsTrace> ics_trace_;  ///< tracing only
 
-  /// Collecting-round RS arrivals per [shard][worker]; pairs with the
-  /// rs_shards_arrived_ counter so a promotion can un-count the arrivals
+  /// Collecting-round RS arrivals per [shard][worker]: a worker contributes
+  /// once every shard has its push, and a promotion un-counts the arrivals
   /// the dead host was holding.
   std::vector<std::vector<std::uint8_t>> rs_arrived_;
 };

@@ -9,11 +9,9 @@
 //
 // Survival contract (fault injection, see sim/faults.hpp): barrier-style
 // models must not hang when a worker crashes or its messages stall. The
-// engine notifies models through on_worker_crashed / on_worker_restarted,
-// and SyncTimeouts lets a round proceed with N−k arrivals once the
-// deadline passes (BSP's barrier, OSP's RS and ICS stages). A timeout of 0
-// preserves the classic wait-forever semantics — the healthy path is
-// untouched unless a deadline is configured.
+// engine notifies models through on_worker_crashed / on_worker_restarted.
+// BSP's barrier and OSP's RS stage keep the contract through
+// sync::RoundBarrier (sync/round_barrier.hpp), whose header states it.
 #pragma once
 
 #include <cstddef>

@@ -74,6 +74,11 @@ class RoundBarrier {
     ~Owner() = default;
   };
 
+  RoundBarrier() = default;
+  /// Pinned: the deadline timer holds its address.
+  RoundBarrier(const RoundBarrier&) = delete;
+  RoundBarrier& operator=(const RoundBarrier&) = delete;
+
   /// Reset for `eng`'s workers; `rs_timeout_s` 0 disables the deadline.
   void attach(runtime::Engine& eng, double rs_timeout_s, Owner& owner);
 
