@@ -23,7 +23,6 @@ void RoundBarrier::attach(runtime::Engine& eng, double rs_timeout_s,
   round_ = 0;
   contributed_.assign(n, false);
   contributed_count_ = 0;
-  closed_.assign(n, false);
   awaiting_.assign(n, false);
   awaiting_round_.assign(n, 0);
   timer_armed_ = false;
