@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark): the engine's batch-parallel worker
 // math pipeline — full proxy-CNN training runs at 32 workers, measured
 // with the async pipeline (FP+BP and eval jobs overlapped on the thread
-// pool) and against the serial reference path (OSP_ASYNC_MATH semantics).
+// pool) and against the serial reference path (async_worker_math off) —
+// and the per-message cost of the engine's worker-owned transfers.
 //
 // Besides the console table, the run writes
 // bench_out/BENCH_micro_engine.json (override with OSP_BENCH_JSON): one
@@ -11,6 +12,10 @@
 //                       (BM_EngineSpeedup only),
 //   threads           — pool threads the async path ran with,
 //   hw_cores          — std::thread::hardware_concurrency() of the machine,
+//   overhead_ns_per_msg — what Engine::worker_transfer, the one path every
+//                       sync message takes, costs per message over a bare
+//                       Network::start_flow of the same flow
+//                       (BM_WorkerTransferOverhead only),
 // so the bench-smoke CI gate can scale its expectation to the runner: the
 // paper-level ≥3x bar at 32 workers / 8 threads only physically exists on
 // ≥8-core machines; a 1-core container can only assert no regression.
@@ -23,10 +28,12 @@
 #include <chrono>
 #include <cstddef>
 #include <thread>
+#include <vector>
 
 #include "bench_json.hpp"
 #include "models/zoo.hpp"
 #include "runtime/engine.hpp"
+#include "sim/network.hpp"
 #include "sync/bsp.hpp"
 #include "util/thread_pool.hpp"
 
@@ -103,6 +110,62 @@ void BM_EngineSpeedup(benchmark::State& state) {
       static_cast<double>(std::thread::hardware_concurrency());
 }
 BENCHMARK(BM_EngineSpeedup);
+
+/// 64 workers each send one 5 kB message to PS 0, one message at a time so
+/// the rate solve stays trivial, either as a worker-owned transfer or as a
+/// bare flow; returns seconds. The completion holds 40 bytes, like the
+/// shard session's epoch-fenced ones, so std::function allocates on both
+/// paths.
+double send_messages(runtime::Engine& e, bool owned, long& delivered) {
+  struct Completion {
+    long* delivered;
+    std::size_t pad[4];
+    void operator()() const { ++*delivered; }
+  };
+  sim::Network& net = e.cluster().network();
+  const double overhead = e.cluster().config().transfer_overhead_s;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (std::size_t w = 0; w < e.num_workers(); ++w) {
+    const Completion done{&delivered, {w}};
+    if (owned) {
+      e.worker_transfer(w, e.cluster().route_to_ps(w), 5000.0, done);
+    } else {
+      net.start_flow(e.cluster().route_to_ps(w), 5000.0, done, overhead);
+    }
+    e.sim().run();
+  }
+  const auto t1 = std::chrono::steady_clock::now();
+  return std::chrono::duration<double>(t1 - t0).count();
+}
+
+void BM_WorkerTransferOverhead(benchmark::State& state) {
+  runtime::WorkloadSpec spec = models::tiny_mlp();
+  spec.batch_size = 1;  // 64 shards of the tiny set
+  runtime::EngineConfig cfg;
+  cfg.num_workers = 64;
+  cfg.async_worker_math = false;
+  sync::BspSync sync;
+  runtime::Engine engine(spec, cfg, sync);
+  engine.sim().clear();  // no training: only the messages below run
+  long delivered = 0;
+  std::vector<double> owned;
+  std::vector<double> bare;
+  std::vector<double> diff;
+  for (auto _ : state) {
+    owned.push_back(send_messages(engine, true, delivered));
+    bare.push_back(send_messages(engine, false, delivered));
+    diff.push_back(owned.back() - bare.back());
+  }
+  auto median_ns = [&](std::vector<double>& v) {
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2] * 1e9 / static_cast<double>(cfg.num_workers);
+  };
+  state.counters["owned_ns_per_msg"] = median_ns(owned);
+  state.counters["bare_ns_per_msg"] = median_ns(bare);
+  state.counters["overhead_ns_per_msg"] = median_ns(diff);
+  benchmark::DoNotOptimize(delivered);
+}
+BENCHMARK(BM_WorkerTransferOverhead);
 
 }  // namespace
 

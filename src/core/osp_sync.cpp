@@ -147,7 +147,7 @@ void OspSync::push_rs_shard(std::size_t worker, std::uint64_t round,
   const kv::KvMessage m =
       shard_message(kv::Op::kPush, static_cast<std::uint32_t>(worker), round,
                     p, gib_, /*important=*/true);
-  session_.push(worker, p, m, /*owned=*/true, [this, round, p, worker] {
+  session_.push(worker, p, m, [this, round, p, worker] {
     on_rs_push_arrived(round, p, worker);
   });
 }
@@ -233,7 +233,7 @@ void OspSync::repush_shard(std::size_t p) {
       r.arrived_from[p][w] = false;
       m.sender = static_cast<std::uint32_t>(w);
       const std::uint64_t rnd = r.round;
-      session_.push(w, p, m, /*owned=*/true,
+      session_.push(w, p, m,
                     [this, rnd, p, w] { on_ics_push_arrived(rnd, p, w); });
     }
   }
@@ -305,22 +305,22 @@ void OspSync::step_round(std::uint64_t this_round,
     const double bytes = resp.value_bytes;
     session_.answer(
         p, bytes,
-        [this, p, resp = std::move(resp), round_gib, lr,
+        [this, p, resp = std::move(resp), this_round, round_gib, lr,
          recipients](std::size_t host) {
           for (std::size_t w = 0; w < eng().num_workers(); ++w) {
             if (!recipients[w]) continue;
-            session_.tx().respond(w, host, resp, /*owned=*/true,
-                                  [this, w, p, round_gib, lr] {
-                                    deliver_rs(w, p, round_gib, lr);
-                                  });
+            session_.respond(w, host, resp,
+                             [this, w, p, this_round, round_gib, lr] {
+                               deliver_rs(w, p, this_round, round_gib, lr);
+                             });
           }
         });
   }
   start_ics_round(this_round, round_gib, recipients);
 }
 
-void OspSync::deliver_rs(std::size_t w, std::size_t p, const Gib& round_gib,
-                         double lr) {
+void OspSync::deliver_rs(std::size_t w, std::size_t p, std::uint64_t round,
+                         const Gib& round_gib, double lr) {
   runtime::Engine& e = eng();
   if (!e.worker_alive(w) || rs_pending_[w] == 0) return;
   // Install this shard's important blocks (the restricted view encodes the
@@ -330,7 +330,7 @@ void OspSync::deliver_rs(std::size_t w, std::size_t p, const Gib& round_gib,
                                        /*encode_as_important=*/true));
   if (--rs_pending_[w] > 0) return;
   // Last shard delivered: LGP prediction + next iteration.
-  rs_.settle(w);
+  rs_.settle(w, round);
   if (options_.enable_lgp) {
     if (ema_lgp_ != nullptr) {
       ema_lgp_->apply_local_step(e.worker_params(w), e.worker_gradient(w), lr,
@@ -343,18 +343,18 @@ void OspSync::deliver_rs(std::size_t w, std::size_t p, const Gib& round_gib,
   e.finish_sync(w);
 }
 
-bool OspSync::catch_up(std::size_t worker) {
+bool OspSync::catch_up(std::size_t worker, std::uint64_t round) {
   runtime::Engine& e = eng();
   const std::size_t src = session_.serving(0);
   if (src == kv::ShardSession::npos) return false;
   // Full-model resync pull: every segment, current versions.
   kv::KvMessage pull;
-  pull.begin(kv::Op::kPullResponse, static_cast<std::uint32_t>(src),
-             rs_.rounds_closed(), session_.store().key_range());
+  pull.begin(kv::Op::kPullResponse, static_cast<std::uint32_t>(src), round,
+             session_.store().key_range());
   session_.store().stamp_versions(pull);
   pull.set_accounting(e.model_bytes());
-  session_.tx().respond(worker, src, pull, /*owned=*/true, [this, worker] {
-    if (!rs_.settle(worker)) return;
+  session_.respond(worker, src, pull, [this, worker, round] {
+    if (!rs_.settle(worker, round)) return;
     rs_pending_[worker] = 0;
     runtime::Engine& e2 = eng();
     util::copy(e2.global_params(), e2.worker_params(worker));
@@ -439,7 +439,7 @@ void OspSync::start_ics_round(std::uint64_t round, const Gib& gib,
     for (std::size_t w = 0; w < e.num_workers(); ++w) {
       if (!members[w]) continue;
       m.sender = static_cast<std::uint32_t>(w);
-      session_.push(w, p, m, /*owned=*/true,
+      session_.push(w, p, m,
                     [this, round, p, w] { on_ics_push_arrived(round, p, w); });
     }
   }
@@ -520,11 +520,9 @@ void OspSync::check_ics_round(std::uint64_t round) {
           runtime::Engine& en = eng();
           for (std::size_t w = 0; w < en.num_workers(); ++w) {
             if (!members[w] || !en.worker_alive(w)) continue;
-            session_.tx().respond(
-                w, host, resp, /*owned=*/true,
-                [this, w, round, shard_view] {
-                  deliver_ics(w, round, shard_view);
-                });
+            session_.respond(w, host, resp, [this, w, round, shard_view] {
+              deliver_ics(w, round, shard_view);
+            });
           }
         },
         host);

@@ -139,12 +139,13 @@ class OspSync : public runtime::SyncModel,
   /// the round's ICS.
   void step_round(std::uint64_t round,
                   const std::vector<bool>& contributors) override;
-  /// Shard p's RS response for `round_gib` reached worker w.
-  void deliver_rs(std::size_t w, std::size_t p, const Gib& round_gib,
-                  double lr);
-  /// Full-model resync pull served by shard 0's host; false while its whole
-  /// chain is down (the RS watchdog retries).
-  bool catch_up(std::size_t worker) override;
+  /// Shard p's RS response for round `round` (split `round_gib`) reached
+  /// worker w.
+  void deliver_rs(std::size_t w, std::size_t p, std::uint64_t round,
+                  const Gib& round_gib, double lr);
+  /// Full-model resync pull answering `round`, served by shard 0's host;
+  /// false while its whole chain is down (the RS watchdog retries).
+  bool catch_up(std::size_t worker, std::uint64_t round) override;
   Gib compute_next_gib();
 
   // ---- PS failover: the model's half of a shard-session repoint ----

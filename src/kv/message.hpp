@@ -65,9 +65,10 @@ struct KvMessage {
   double index_bytes = 0.0;           ///< index / bitmap side channel
   double meta_bytes = 0.0;            ///< scales, signatures, piggybacks
 
-  /// Total simulated cost the transport charges for this message: the
-  /// filtered payload plus the fixed frame every serialized message carries
-  /// (magic | version | length | crc32).
+  /// Total simulated cost a send charges for this message (the flow size
+  /// of ShardSession::push and respond): the filtered payload plus the
+  /// fixed frame every serialized message carries (magic | version |
+  /// length | crc32).
   [[nodiscard]] double wire_bytes() const {
     return value_bytes + index_bytes + meta_bytes + kFrameOverheadBytes;
   }

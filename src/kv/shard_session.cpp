@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "runtime/engine.hpp"
 #include "util/serde.hpp"
 
 namespace osp::kv {
@@ -22,7 +21,6 @@ void ShardSession::init(runtime::Engine& eng, const Partition& part,
     numels.push_back(b.numel);
   }
   store_.init(offsets, numels);
-  tx_.bind(eng);
   owner_ = part.owner;
   key_bytes_.assign(key_bytes.begin(), key_bytes.end());
   backup_versions_.assign(owner_.size(), 0);

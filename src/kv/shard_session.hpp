@@ -1,10 +1,19 @@
 // One PS-shard session: the failover lifecycle every sharded sync model
 // shares (KvBSP and its profiles, OSP's RS and ICS stages).
 //
-// The session owns the versioned key store, the transport, the replica
-// chains, and per logical shard the host serving it and an epoch that
-// fences stale arrivals. The sync model keeps only what is its own: which
-// workers pushed what, and how a round closes.
+// The session owns the versioned key store, the replica chains, and per
+// logical shard the host serving it and an epoch that fences stale
+// arrivals. The sync model keeps only what is its own: which workers
+// pushed what, and how a round closes.
+//
+// Traffic: push() and respond() send a KvMessage between a worker and a
+// PS host as an Engine::worker_transfer, so a worker's pushes and answers
+// die with it. The route comes from the cluster topology (an empty one is
+// a co-located loopback). The flow size is exactly
+// KvMessage::wire_bytes(): the composed filter pipeline's output plus the
+// fixed serialization frame (kFrameOverheadBytes: magic | version |
+// length | crc32) every message carries, so telemetry and flow sizes
+// always equal what a serialized message would put on the wire.
 //
 // Placement: logical shard s is primary on host s; its backup is the
 // ring successor on the consistent-hash ring key ownership already uses
@@ -21,6 +30,7 @@
 //  * push() sends a worker's message to the shard's serving host. It is
 //    skipped while the shard's whole chain is down, and the arrival
 //    callback runs only if no repoint happened in flight.
+//  * respond() sends a host's answer to a worker.
 //  * applied() records a PS step: store bump plus replica note.
 //  * answer() queues a PS answer (ps_apply_delay(bytes, 3.0)) on the
 //    serving host and keeps it in a ledger until it fires, so an answer
@@ -44,9 +54,10 @@
 #include <span>
 #include <vector>
 
+#include "kv/message.hpp"
 #include "kv/partition.hpp"
 #include "kv/store.hpp"
-#include "kv/transport.hpp"
+#include "runtime/engine.hpp"
 
 namespace osp::kv {
 
@@ -75,20 +86,27 @@ class ShardSession {
     return serving_.at(shard);
   }
   [[nodiscard]] const KvStore& store() const { return store_; }
-  [[nodiscard]] Transport& tx() { return tx_; }
   /// Keys whose backup is stale (telemetry's replica lag).
   [[nodiscard]] std::size_t lag() const;
 
   template <class F>
   void push(std::size_t worker, std::size_t shard, const KvMessage& m,
-            bool owned, F on_arrival) {
+            F on_arrival) {
     const std::size_t host = serving_[shard];
     if (host == npos) return;  // issued by the repush at the restart
-    tx_.push(worker, host, m, owned,
-             [this, shard, epoch = epochs_[shard],
-              f = std::move(on_arrival)] {
-               if (epoch == epochs_[shard]) f();  // else: a deposed host
-             });
+    eng_->worker_transfer(
+        worker, eng_->cluster().route_to_ps(worker, host), m.wire_bytes(),
+        [this, shard, epoch = epochs_[shard], f = std::move(on_arrival)] {
+          if (epoch == epochs_[shard]) f();  // else: a deposed host
+        });
+  }
+
+  /// Host `host`'s answer `m` to worker `worker`; `done` runs on arrival.
+  template <class F>
+  void respond(std::size_t worker, std::size_t host, const KvMessage& m,
+               F done) {
+    eng_->worker_transfer(worker, eng_->cluster().route_from_ps(worker, host),
+                          m.wire_bytes(), std::move(done));
   }
 
   /// The PS stepped the keys with mask[k] set.
@@ -123,7 +141,6 @@ class ShardSession {
   runtime::Engine* eng_ = nullptr;
   Hooks hooks_;
   KvStore store_;
-  Transport tx_;
   std::vector<std::size_t> owner_;                ///< key → shard
   std::vector<double> key_bytes_;                 ///< per key
   std::vector<std::uint64_t> backup_versions_;    ///< per key

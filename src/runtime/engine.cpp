@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 
 #ifdef __GLIBC__
@@ -70,9 +69,6 @@ Engine::Engine(const WorkloadSpec& spec, const EngineConfig& config,
   replicas_ = std::make_unique<ReplicaPool>(spec.build_model, config.seed);
   pool_ = &util::ThreadPool::global();
   async_math_ = config.async_worker_math;
-  if (const char* env = std::getenv("OSP_ASYNC_MATH")) {
-    async_math_ = !(env[0] == '0' && env[1] == '\0');
-  }
   // A single-thread pool cannot overlap anything: submitting jobs would
   // only add handoff latency between the event loop and the one worker.
   // Results are identical either way, so quietly take the serial path.
@@ -470,6 +466,7 @@ void Engine::begin_compute(std::size_t w) {
   // the batch index. Package them into a job and, on the async path, start
   // it on the thread pool immediately so it overlaps other workers' math
   // and the event loop; the completion event joins it in on_compute_done.
+  OSP_CHECK(ws.job == nullptr, "worker started computing twice");
   auto job = std::make_shared<MathJob>();
   job->worker = w;
   job->epoch = ws.epoch;
@@ -537,7 +534,8 @@ void Engine::on_compute_done(std::size_t w, double charged_time) {
 
 void Engine::finish_sync(std::size_t w) {
   WorkerState& ws = workers_[w];
-  if (ws.crashed) return;  // stale callback; the restart path owns `w`
+  // Stale callback: the restart path owns `w` until its state is back.
+  if (ws.crashed || ws.restoring) return;
   OSP_CHECK(!ws.compute_pending,
             "sync model released a worker that is already computing");
   metrics_.record_bst(sim_.now() - ws.grad_ready_time);
@@ -609,25 +607,25 @@ void Engine::worker_transfer(std::size_t owner,
   if (route.empty()) {
     // Loopback (co-located PS): not a network flow, so not cancellable —
     // guard at delivery instead.
-    loopback_transfer(overhead, [this, owner, done = std::move(done)] {
-      if (workers_[owner].crashed) return;
-      done();
+    loopback_transfer(overhead, [this, owner, life = ws.lives,
+                                 done = std::move(done)] {
+      if (workers_[owner].lives == life) done();
     });
     return;
   }
-  // The flow id is only known after start_flow returns; box it so the
-  // completion callback can deregister itself.
-  auto id_box = std::make_shared<sim::FlowId>(0);
-  const sim::FlowId id = cluster_->network().start_flow(
+  // The completion deregisters the flow by the id start_flow gives it.
+  sim::Network& net = cluster_->network();
+  const sim::FlowId id = net.next_flow_id();
+  const sim::FlowId started = net.start_flow(
       std::move(route), bytes,
-      [this, owner, id_box, done = std::move(done)] {
+      [this, owner, id, life = ws.lives, done = std::move(done)] {
         WorkerState& s = workers_[owner];
-        std::erase(s.flows, *id_box);
-        if (!s.crashed) done();
+        std::erase(s.flows, id);
+        if (s.lives == life) done();  // else a zero-byte flow outlived it
         maybe_checkpoint_now();
       },
       overhead);
-  *id_box = id;
+  if (started == sim::kNoFlow) return;  // dropped: nothing to cancel or await
   ws.flows.push_back(id);
 }
 
@@ -759,6 +757,8 @@ void Engine::crash_worker(std::size_t w, double restart_after) {
   WorkerState& ws = workers_[w];
   if (ws.crashed || ws.done) return;
   ws.crashed = true;
+  ws.restoring = false;
+  ++ws.lives;  // voids its loopbacks still in flight
   ws.crashed_at = sim_.now();
   if (ws.parked && config_.record_trace && sim_.now() > ws.park_begin_time) {
     trace_.add({ws.park_begin_time, sim_.now(), w, ws.iteration,
@@ -803,6 +803,7 @@ void Engine::restart_worker(std::size_t w) {
                 TracePhase::kDowntime});
   }
   ws.crashed = false;
+  ws.restoring = true;
   ++alive_count_;
   if (config_.record_trace) {
     trace_.add_counter(sim_.now(), "alive_workers",
@@ -818,9 +819,10 @@ void Engine::restart_worker(std::size_t w) {
     auto ckpt = last_checkpoint_;
     const double rate =
         std::max(config_.checkpoint.restore_read_bytes_per_s, 1.0);
-    loopback_transfer(model_bytes() / rate, [this, w, ckpt] {
+    loopback_transfer(model_bytes() / rate, [this, w, ckpt, life = ws.lives] {
       WorkerState& s = workers_[w];
-      if (s.crashed) return;  // re-crashed during the disk read
+      if (s.lives != life) return;  // re-crashed during the disk read
+      s.restoring = false;
       s.params = ckpt->workers[w].params;
       sync_->on_worker_restarted(w);
       begin_compute(w);
@@ -832,6 +834,7 @@ void Engine::restart_worker(std::size_t w) {
   worker_transfer(w, cluster_->route_from_ps(w), model_bytes(),
                   [this, w] {
                     WorkerState& s = workers_[w];
+                    s.restoring = false;
                     s.params = global_params_;
                     sync_->on_worker_restarted(w);
                     begin_compute(w);

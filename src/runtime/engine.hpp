@@ -26,9 +26,10 @@
 // stretched by the pause window; a crashed worker's in-flight compute and
 // worker-owned network flows are cancelled, the sync model is notified,
 // and on restart the worker re-pulls the global model before computing
-// again. Link and message events are forwarded to the Network. Sync models
-// route per-worker traffic through worker_transfer() so the engine can
-// cancel it on a crash; RunResult::faults reports the accounting.
+// again. Link and message events are forwarded to the Network. Every
+// message a sync model sends is a worker_transfer(): it belongs to a
+// worker, and the engine cancels it when that worker crashes.
+// RunResult::faults reports the accounting.
 #pragma once
 
 #include <map>
@@ -84,9 +85,7 @@ struct EngineConfig {
   /// virtual-time completion event (see runtime/worker_math.hpp); evals of
   /// the global model run on the pool too, joined at the next eval,
   /// checkpoint or run end. Results are bit-identical either way and at
-  /// any OSP_NUM_THREADS; disable to get the serial reference path (or set
-  /// OSP_ASYNC_MATH=0, which overrides this flag for A/B timing without
-  /// code changes).
+  /// any OSP_NUM_THREADS; disable to get the serial reference path.
   bool async_worker_math = true;
   /// Deterministic fault scenario executed during the run (empty = none).
   sim::FaultSchedule faults;
@@ -188,14 +187,17 @@ class Engine {
   [[nodiscard]] double current_lr() const;
 
   /// Called by the sync model when worker `w` may start its next iteration.
-  /// Ignored for a crashed worker (the restart path owns its lifecycle).
-  /// Throws util::CheckError if `w` is computing: a model released it
-  /// twice, e.g. with a callback left over from before a crash.
+  /// Ignored for a crashed worker and for one whose restart pull or
+  /// checkpoint read is still in flight (the restart path owns its
+  /// lifecycle until its state is back). Throws util::CheckError if `w` is
+  /// computing: a model released it twice, e.g. with a callback left over
+  /// from before a crash.
   void finish_sync(std::size_t w);
 
   // ---- fault injection ----
-  /// False while worker `w` is crashed (between the crash event and the
-  /// completion of its restart pull).
+  /// False while worker `w` is crashed: from the crash event to its
+  /// restart. The restart's pull (or checkpoint read) window counts as
+  /// alive, though finish_sync ignores the worker until it lands.
   [[nodiscard]] bool worker_alive(std::size_t w) const;
   [[nodiscard]] std::size_t num_alive() const;
   /// True once worker `w` has finished all its epochs (it will not push
@@ -205,18 +207,14 @@ class Engine {
   }
 
   /// Move `bytes` along `route` on behalf of worker `owner` and call `done`
-  /// on arrival. The flow is registered to `owner` and cancelled if the
-  /// owner crashes (the completion callback then never fires). No-op when
-  /// the owner is already crashed. An empty route is a co-located-PS
-  /// loopback, completed through the event queue.
+  /// on arrival; the one path every sync message takes, in either
+  /// direction. The flow is registered to `owner` and cancelled if the
+  /// owner crashes (the completion callback then never fires, not even
+  /// after a restart). No-op when the owner is already crashed. An empty
+  /// route is a co-located-PS loopback, completed through the event queue.
+  /// A message an injection window drops is never registered.
   void worker_transfer(std::size_t owner, std::vector<sim::LinkId> route,
                        double bytes, std::function<void()> done);
-
-  /// Complete `done` after `delay` virtual seconds of node-local activity
-  /// (co-located-PS loopback, checkpoint disk reads). Equivalent to
-  /// sim().schedule but tracked, so the checkpoint drain barrier sees
-  /// pending loopbacks and does not snapshot across them.
-  void loopback_transfer(double delay, std::function<void()> done);
 
   [[nodiscard]] std::size_t num_ps_crashed() const { return ps_crashed_count_; }
 
@@ -260,7 +258,7 @@ class Engine {
   }
 
   /// True when this run overlaps worker math and evals on the thread pool
-  /// (config flag and OSP_ASYNC_MATH resolved); the serial path otherwise.
+  /// (the config flag, off on a 1-thread pool); the serial path otherwise.
   [[nodiscard]] bool async_math() const { return async_math_; }
   /// Model replicas the pool has materialized for worker math and, on the
   /// async path, evaluation ranges (1 on the serial path; up to
@@ -290,6 +288,8 @@ class Engine {
     double park_begin_time = 0.0;   // when parked went true (trace spans)
     // Fault-injection state.
     bool crashed = false;
+    bool restoring = false;         // restart pull / checkpoint read pending
+    std::uint64_t lives = 0;        // crashes so far; voids older loopbacks
     double crashed_at = 0.0;
     double pause_until = 0.0;       // compute stalls until this instant
     double restart_at = -1.0;       // pending restart event time (< 0: none)
@@ -305,6 +305,13 @@ class Engine {
     std::shared_ptr<MathJob> job;
   };
 
+  /// Complete `done` after `delay` virtual seconds of node-local activity
+  /// (co-located-PS loopback, checkpoint disk reads). Equivalent to
+  /// sim().schedule but tracked, so the checkpoint drain barrier sees
+  /// pending loopbacks and does not snapshot across them.
+  void loopback_transfer(double delay, std::function<void()> done);
+  /// Throws util::CheckError if `w` already has a math job: one started
+  /// over it would be orphaned.
   void begin_compute(std::size_t w);
   void on_compute_done(std::size_t w, double charged_time);
   /// Abandon worker w's in-flight math job (crash / teardown): flags it

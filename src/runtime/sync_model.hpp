@@ -2,10 +2,10 @@
 //
 // The Engine owns the per-worker compute loop; a SyncModel owns everything
 // between "worker w's gradient is ready" and "worker w may start its next
-// iteration". Implementations schedule virtual-time network transfers
-// through Engine::worker_transfer (or kv::Transport) and apply parameter
-// updates through the engine's PS accessors, then call
-// eng().finish_sync(w).
+// iteration". Implementations send every message as a worker-owned
+// transfer (Engine::worker_transfer, directly or through
+// kv::ShardSession) and apply parameter updates through the engine's PS
+// accessors, then call eng().finish_sync(w).
 //
 // Survival contract (fault injection, see sim/faults.hpp): barrier-style
 // models must not hang when a worker crashes or its messages stall. The

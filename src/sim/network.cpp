@@ -113,7 +113,7 @@ FlowId Network::start_flow(std::vector<LinkId> route, double bytes,
       if (!on_route) continue;
       if (win.drop_prob > 0.0 && inject_rng_.bernoulli(win.drop_prob)) {
         ++messages_dropped_;
-        return next_flow_id_++;  // the message simply never arrives
+        return kNoFlow;  // the message simply never arrives
       }
       if (win.delay_s > 0.0) {
         latency += win.delay_s;

@@ -57,6 +57,10 @@ namespace osp::sim {
 using LinkId = std::size_t;
 using FlowId = std::uint64_t;
 
+/// What start_flow returns for a message an injection window dropped: no
+/// flow exists, so there is nothing to cancel or wait for.
+inline constexpr FlowId kNoFlow = 0;
+
 /// Sentinel for "every link" in message-injection windows.
 inline constexpr std::size_t kAllLinks = static_cast<std::size_t>(-1);
 
@@ -94,11 +98,14 @@ class Network {
   /// Start a flow of `bytes` along `route`; `on_complete` fires (through the
   /// simulator) when the last byte arrives. Zero-byte flows complete after
   /// the route latency alone. `extra_latency_s` models per-transfer software
-  /// overhead (serialization, framing, process-pool handoff). Returns a
-  /// flow id.
+  /// overhead (serialization, framing, process-pool handoff). Returns the
+  /// flow id, or kNoFlow when an injection window dropped the message.
   FlowId start_flow(std::vector<LinkId> route, double bytes,
                     std::function<void()> on_complete,
                     double extra_latency_s = 0.0);
+
+  /// The id the next flow start_flow starts will get.
+  [[nodiscard]] FlowId next_flow_id() const { return next_flow_id_; }
 
   /// Cancel an in-flight flow: it is removed without firing its completion
   /// callback (used when a crashed worker's transfers are torn down).

@@ -23,32 +23,33 @@ void BspSync::on_gradient_ready(std::size_t worker) {
   });
 }
 
-void BspSync::step_round(std::uint64_t /*round*/,
+void BspSync::step_round(std::uint64_t round,
                          const std::vector<bool>& contributors) {
   runtime::Engine& e = eng();
   e.apply_global_step(barrier_.aggregate());
   // PS cost: the final optimizer application (read aggregate, read+write
   // params = 3 memory passes); per-push accumulation streams with the
   // incast arrivals and stays off the critical path.
-  e.ps_submit(e.ps_apply_delay(e.model_bytes(), 3.0), [this, contributors] {
+  const double apply_s = e.ps_apply_delay(e.model_bytes(), 3.0);
+  e.ps_submit(apply_s, [this, round, contributors] {
     runtime::Engine& en = eng();
     for (std::size_t w = 0; w < en.num_workers(); ++w) {
       if (!contributors[w] || !en.worker_alive(w)) continue;
       en.worker_transfer(w, en.cluster().route_from_ps(w), en.model_bytes(),
-                         [this, w] { resume(w); });
+                         [this, w, round] { resume(w, round); });
     }
   });
 }
 
-bool BspSync::catch_up(std::size_t worker) {
+bool BspSync::catch_up(std::size_t worker, std::uint64_t round) {
   runtime::Engine& e = eng();
   e.worker_transfer(worker, e.cluster().route_from_ps(worker), e.model_bytes(),
-                    [this, worker] { resume(worker); });
+                    [this, worker, round] { resume(worker, round); });
   return true;
 }
 
-void BspSync::resume(std::size_t worker) {
-  if (!barrier_.settle(worker)) return;
+void BspSync::resume(std::size_t worker, std::uint64_t round) {
+  if (!barrier_.settle(worker, round)) return;
   runtime::Engine& e = eng();
   util::copy(e.global_params(), e.worker_params(worker));
   e.finish_sync(worker);

@@ -42,12 +42,12 @@ class BspSync : public runtime::SyncModel, private RoundBarrier::Owner {
   void round_closed(std::uint64_t round, std::size_t contributed) override {
     record_full_round(round, contributed);
   }
-  bool catch_up(std::size_t worker) override;
+  bool catch_up(std::size_t worker, std::uint64_t round) override;
   /// Step the global model and broadcast it to the round's contributors.
   void step_round(std::uint64_t round,
                   const std::vector<bool>& contributors) override;
-  /// A broadcast or catch-up pull reached `worker`.
-  void resume(std::size_t worker);
+  /// A broadcast or catch-up pull answering `round` reached `worker`.
+  void resume(std::size_t worker, std::uint64_t round);
 
   RoundBarrier barrier_;
 };

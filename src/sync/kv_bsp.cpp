@@ -217,8 +217,7 @@ void KvBspSync::push(std::size_t worker, std::size_t shard) {
   tel_push_bytes_ += m.wire_bytes();
   // With the whole chain down the push stays recorded in `pushed` and is
   // issued when a restart repoints the shard.
-  session_.push(worker, shard, m, /*owned=*/false,
-                [this, shard] { on_push_arrived(shard); });
+  session_.push(worker, shard, m, [this, shard] { on_push_arrived(shard); });
 }
 
 void KvBspSync::on_push_arrived(std::size_t shard) {
@@ -289,8 +288,7 @@ void KvBspSync::aggregate(std::size_t shard) {
     resp.set_accounting(bytes);
     for (std::size_t w = 0; w < s.resp_pending.size(); ++w) {
       if (s.resp_pending[w] == 0) continue;
-      session_.tx().respond(w, host, resp, /*owned=*/false,
-                            [this, shard, w] { deliver(shard, w); });
+      session_.respond(w, host, resp, [this, shard, w] { deliver(shard, w); });
     }
   });
 }

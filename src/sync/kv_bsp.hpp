@@ -37,7 +37,7 @@
 // scale that makes composed-filter accounting comparable (EXPERIMENTS.md
 // wire-bytes table); the other scales are the real model's. Telemetry
 // `important_bytes` is the round's summed push wire bytes — exactly what
-// the transport charged.
+// the session's transfers charged.
 #pragma once
 
 #include <cstdint>

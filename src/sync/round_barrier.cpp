@@ -72,8 +72,9 @@ void RoundBarrier::crashed(std::size_t w) {
   maybe_close();
 }
 
-bool RoundBarrier::settle(std::size_t w) {
+bool RoundBarrier::settle(std::size_t w, std::uint64_t round) {
   if (!eng_->worker_alive(w) || !awaiting_[w]) return false;
+  if (round < awaiting_round_[w]) return false;
   awaiting_[w] = false;
   return true;
 }
@@ -131,7 +132,7 @@ void RoundBarrier::close() {
 }
 
 void RoundBarrier::catch_up(std::size_t w) {
-  if (!owner_->catch_up(w)) return;
+  if (!owner_->catch_up(w, round_)) return;
   eng_->record_catch_up_pull();
   ++eng_->telemetry_round(round_).retries;
 }

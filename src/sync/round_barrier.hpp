@@ -28,8 +28,9 @@
 //  * Each close resyncs every alive worker that awaits an answer but did
 //    not contribute. A worker awaits until some answer reaches it, so a
 //    lost pull is retried at the next close, and while anyone awaits the
-//    watchdog keeps the timer armed so that close comes. Duplicate answers
-//    no-op (settle()).
+//    watchdog keeps the timer armed so that close comes. Every answer
+//    carries the round it answers; a duplicate, or one older than the
+//    worker's last push, no-ops (settle()).
 //  * With no deadline and no fault schedule the classic semantics hold:
 //    the round waits for every alive worker.
 //
@@ -63,8 +64,9 @@ class RoundBarrier {
     /// the resync, so the round's telemetry record exists for its retries.
     virtual void round_closed(std::uint64_t round,
                               std::size_t contributed) = 0;
-    /// Send worker w a full parameter pull; false when none could be sent.
-    virtual bool catch_up(std::size_t w) = 0;
+    /// Send worker w a full parameter pull answering round `round` (the
+    /// last closed one); false when none could be sent.
+    virtual bool catch_up(std::size_t w, std::uint64_t round) = 0;
     /// Apply round `round`: aggregate() holds the weighted gradient of
     /// `contributors`. Skipped when nothing contributed.
     virtual void step_round(std::uint64_t round,
@@ -117,9 +119,11 @@ class RoundBarrier {
   /// W crashed: its flows are gone, nothing is owed to it, and the round
   /// may close without it.
   void crashed(std::size_t w);
-  /// An answer reached w: true for the first one (w alive and awaiting),
-  /// which w consumes; false for a duplicate.
-  bool settle(std::size_t w);
+  /// An answer of round `round` reached w: true for the first one (w alive
+  /// and awaiting, the answer not older than w's last push), which w
+  /// consumes; false for a duplicate or a stale answer, e.g. a catch-up
+  /// pull issued before w's push to the collecting round.
+  bool settle(std::size_t w, std::uint64_t round);
 
   /// Only the round id survives a snapshot: the rest is empty whenever
   /// drained() holds, which is when the engine takes one.

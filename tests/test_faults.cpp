@@ -341,6 +341,65 @@ TEST(CrashSurvival, SspWorkerCrashedWhileParkedRejoins) {
   EXPECT_EQ(a.result.mean_bst_s, b.result.mean_bst_s);
 }
 
+/// BSP that releases worker `w` the instant its restart begins, while its
+/// re-pull (or checkpoint read) is still in flight: what an answer landing
+/// in that window does, e.g. a broadcast sent before the crash.
+class ReleaseDuringRestart : public sync::BspSync {
+ public:
+  ReleaseDuringRestart(double restart_after, bool release)
+      : restart_after_(restart_after), release_(release) {}
+
+  void on_worker_crashed(std::size_t w) override {
+    BspSync::on_worker_crashed(w);
+    restored_ = false;
+    if (!release_) return;
+    // The restart event is scheduled after this hook at the same instant:
+    // hop once more so the release runs after it.
+    eng().sim().schedule(restart_after_, [this, w] {
+      eng().sim().schedule(0.0, [this, w] {
+        released_in_window_ = eng().worker_alive(w) && !restored_;
+        eng().finish_sync(w);
+      });
+    });
+  }
+  void on_worker_restarted(std::size_t /*w*/) override { restored_ = true; }
+
+  bool released_in_window_ = false;
+
+ private:
+  double restart_after_;
+  bool release_;
+  bool restored_ = false;
+};
+
+TEST(CrashSurvival, ReleaseDuringRestartPullIsIgnored) {
+  for (const bool from_checkpoint : {false, true}) {
+    auto run = [from_checkpoint](bool release) {
+      runtime::EngineConfig cfg = golden_config();
+      cfg.max_virtual_time_s = 60.0;
+      cfg.checkpoint.every_iters = from_checkpoint ? 4 : 0;
+      cfg.checkpoint.restore_crashed_from_checkpoint = from_checkpoint;
+      constexpr double kRestartAfter = 0.1;
+      cfg.faults.crash_worker(0.9, 1, kRestartAfter);
+      ReleaseDuringRestart sync(kRestartAfter, release);
+      PlannedRun out = run_to_plan(sync, cfg);
+      EXPECT_EQ(sync.released_in_window_, release);
+      return out;
+    };
+    const PlannedRun plain = run(false);
+    const PlannedRun released = run(true);
+    SCOPED_TRACE(from_checkpoint ? "checkpoint read" : "restart pull");
+    EXPECT_EQ(released.result.faults.checkpoint_restores,
+              from_checkpoint ? 1u : 0u);
+    // The engine owns the worker until its state is back: the early
+    // release starts nothing, so the run is the same bit for bit.
+    EXPECT_EQ(released.result.total_time_s, plain.result.total_time_s);
+    EXPECT_EQ(released.result.total_samples, plain.result.total_samples);
+    EXPECT_EQ(released.result.mean_bst_s, plain.result.mean_bst_s);
+    EXPECT_EQ(released.params, plain.params);
+  }
+}
+
 TEST(CrashSurvival, R2spCrashRestartFreesItsSlot) {
   // A crash cancels the worker's owned push or pull, wherever its slot
   // stands: waiting for its turn, pushing, queued at the PS or pulling.
@@ -451,6 +510,20 @@ TEST(Timeouts, MessageDropsSurvivedViaDeadlines) {
   EXPECT_TRUE(std::isfinite(r.final_loss));
 }
 
+TEST(Timeouts, DroppedMessageDoesNotBlockLaterCheckpoints) {
+  runtime::EngineConfig cfg = golden_config();
+  cfg.max_virtual_time_s = 60.0;
+  cfg.checkpoint.every_iters = 4;
+  cfg.faults.drop_messages(0.05, 0.1, /*drop_prob=*/0.3);
+  sync::BspSync sync({.rs_timeout_s = 0.05, .ics_timeout_s = 0.0});
+  const runtime::RunResult r = run_with(sync, cfg);
+  ASSERT_GT(r.faults.messages_dropped, 0u);
+  // A dropped message is no flow to wait for: the drain barrier still goes
+  // quiescent at every boundary (iterations 4, 8, ..., 20, all past the
+  // window's end at t = 0.15), as it does without the window.
+  EXPECT_EQ(r.checkpoints_taken, 5u);
+}
+
 // ---- checkpoint-based crash recovery ----
 // With CheckpointPolicy::restore_crashed_from_checkpoint a restarted
 // worker reloads its replica from the latest run checkpoint (a local disk
@@ -514,6 +587,25 @@ TEST(CheckpointRecovery, FallsBackToPullBeforeFirstCheckpoint) {
   EXPECT_EQ(r.faults.worker_restarts, 1u);
   EXPECT_EQ(r.faults.checkpoint_restores, 0u);  // nothing to restore yet
   EXPECT_GE(r.total_samples, 1536.0);
+}
+
+TEST(CheckpointRecovery, CrashDuringCheckpointReadVoidsTheRead) {
+  // Worker 1 restarts at t = 1.0 and reads its replica back for 2 ms
+  // (4 MB at 2 GB/s). It crashes again 1 ms into the read and restarts
+  // 0.5 ms later, so the first read lands while it is alive again. That
+  // read belongs to the crashed life: only the second may restore it, or
+  // the worker would start computing twice.
+  runtime::EngineConfig cfg = golden_config();
+  cfg.max_virtual_time_s = 60.0;
+  cfg.checkpoint.every_iters = 4;
+  cfg.checkpoint.restore_crashed_from_checkpoint = true;
+  cfg.faults.crash_worker(0.9, 1, /*restart_after=*/0.1)
+      .crash_worker(1.001, 1, /*restart_after=*/0.0005);
+  sync::BspSync sync;
+  const PlannedRun r = run_to_plan(sync, cfg);
+  EXPECT_EQ(r.result.faults.worker_crashes, 2u);
+  EXPECT_EQ(r.result.faults.worker_restarts, 2u);
+  EXPECT_EQ(r.result.faults.checkpoint_restores, 2u);
 }
 
 TEST(CheckpointRecovery, OspCrashRestoreCompletesIcs) {

@@ -22,6 +22,7 @@
 #include "sim/cluster.hpp"
 #include "sync/bsp.hpp"
 #include "sync/kv_bsp.hpp"
+#include "sync/round_barrier.hpp"
 #include "util/check.hpp"
 #include "util/serde.hpp"
 
@@ -304,6 +305,68 @@ TEST(ShardSession, SaveLoadRoundTrip) {
   for (std::size_t s = 0; s < 3; ++s) {
     EXPECT_EQ(b.session.serving(s), a.session.serving(s));
   }
+}
+
+// ---- RoundBarrier: every answer carries the round it answers. Driven by
+// hand over an engine that is never run, like the ShardSession cases. ----
+
+struct BarrierHarness : sync::RoundBarrier::Owner {
+  runtime::WorkloadSpec spec = models::tiny_mlp();
+  sync::BspSync model;  // the engine needs one; the barrier stands alone
+  runtime::Engine engine{spec, chaos_config(1), model};
+  sync::RoundBarrier barrier;
+  std::vector<std::pair<std::size_t, std::uint64_t>> pulls;  // (w, round)
+
+  BarrierHarness() { barrier.attach(engine, 0.0, *this); }
+
+  void round_closed(std::uint64_t, std::size_t) override {}
+  bool catch_up(std::size_t w, std::uint64_t round) override {
+    pulls.emplace_back(w, round);
+    return true;
+  }
+  void step_round(std::uint64_t, const std::vector<bool>&) override {}
+
+  /// Workers 1..3 take round `answered`'s answer, then push and land the
+  /// collecting round.
+  void others_run_a_round(std::uint64_t answered) {
+    for (std::size_t w = 1; w < 4; ++w) {
+      EXPECT_TRUE(barrier.settle(w, answered));
+      barrier.push(w, [](std::uint64_t) {});
+    }
+    for (std::size_t w = 1; w < 4; ++w) barrier.contribute(w);
+  }
+};
+
+TEST(RoundBarrier, StaleCatchUpDoesNotResumeAPusher) {
+  BarrierHarness h;
+  ASSERT_EQ(h.engine.num_workers(), 4u);
+  for (std::size_t w = 0; w < 4; ++w) {
+    h.barrier.push(w, [](std::uint64_t) {});
+    h.barrier.contribute(w);
+  }
+  ASSERT_EQ(h.barrier.rounds_closed(), 1u);
+  // Worker 0's round-1 answer is lost, so it is stuck: rounds 2 and 3
+  // close without it, and each close sends it a catch-up pull.
+  h.others_run_a_round(1);
+  h.others_run_a_round(2);
+  ASSERT_EQ(h.barrier.rounds_closed(), 3u);
+  using Pulls = std::vector<std::pair<std::size_t, std::uint64_t>>;
+  ASSERT_EQ(h.pulls, (Pulls{{0, 2}, {0, 3}}));
+  // The first pull lands: worker 0 resumes and pushes to round 4.
+  EXPECT_TRUE(h.barrier.settle(0, 2));
+  h.barrier.push(0, [](std::uint64_t) {});
+  EXPECT_EQ(h.barrier.awaiting_round(0), 4u);
+  // The second pull predates that push; it must not resume worker 0 while
+  // the push is in flight.
+  EXPECT_FALSE(h.barrier.settle(0, 3));
+  EXPECT_TRUE(h.barrier.awaiting(0));
+  // Round 4's own answer does, once.
+  h.others_run_a_round(3);
+  h.barrier.contribute(0);
+  ASSERT_EQ(h.barrier.rounds_closed(), 4u);
+  EXPECT_TRUE(h.barrier.settle(0, 4));
+  EXPECT_FALSE(h.barrier.settle(0, 4)) << "a duplicate answer";
+  EXPECT_EQ(h.pulls.size(), 2u);
 }
 
 TEST(PsFailover, ShardedBspCrashMidRoundPromotesBackup) {
