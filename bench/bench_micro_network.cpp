@@ -202,6 +202,8 @@ void BM_RoundTripChurn(benchmark::State& state) {
       static_cast<double>(racks * wpr));
   state.counters["solves"] =
       benchmark::Counter(static_cast<double>(after.solves));
+  state.counters["full_solves"] =
+      benchmark::Counter(static_cast<double>(after.full_solves));
   state.counters["visits_reference"] =
       benchmark::Counter(static_cast<double>(before.flow_visits));
   state.counters["visits_incremental"] =
@@ -284,6 +286,99 @@ void BM_BroadcastBurst(benchmark::State& state) {
       benchmark::Counter::kIsIterationInvariantRate);
 }
 BENCHMARK(BM_BroadcastBurst);
+
+/// wide-osp's traffic shape: every one of `workers` workers pushes a slice
+/// to each of `shards` PS shards (all of a worker's pushes in one event,
+/// workers staggered by deterministic pseudo-jitter); once every push has
+/// landed the shards answer every worker in one event, and once every pull
+/// has landed the next round begins. Each worker touches every shard, so
+/// every solve's closure is every in-flight flow.
+class ShardedIncastHarness {
+ public:
+  ShardedIncastHarness(std::size_t workers, std::size_t shards,
+                       std::size_t rounds)
+      : workers_(workers), shards_(shards), rounds_left_(rounds) {
+    sim::ClusterConfig cfg;
+    cfg.num_workers = workers;
+    cfg.num_ps = shards;
+    cluster_ = std::make_unique<sim::Cluster>(sim_, cfg);
+  }
+
+  void run() {
+    start_pushes();
+    sim_.run();
+  }
+
+  [[nodiscard]] const sim::Network::SolveStats& stats() const {
+    return cluster_->network().solve_stats();
+  }
+  [[nodiscard]] std::uint64_t events() const {
+    return sim_.events_processed();
+  }
+
+ private:
+  static constexpr double kSliceBytes = 4e6 / 4;
+
+  void start_pushes() {
+    owed_ = workers_ * shards_;
+    for (std::size_t w = 0; w < workers_; ++w) {
+      const std::uint64_t h = w * 2654435761ULL + rounds_left_ * 40503ULL;
+      sim_.schedule(static_cast<double>(h % 97) * 7e-6, [this, w] {
+        for (std::size_t ps = 0; ps < shards_; ++ps) {
+          cluster_->network().start_flow(cluster_->route_to_ps(w, ps),
+                                         kSliceBytes, [this] {
+                                           if (--owed_ == 0) start_pulls();
+                                         });
+        }
+      });
+    }
+  }
+
+  void start_pulls() {
+    owed_ = workers_ * shards_;
+    for (std::size_t w = 0; w < workers_; ++w) {
+      for (std::size_t ps = 0; ps < shards_; ++ps) {
+        cluster_->network().start_flow(
+            cluster_->route_from_ps(w, ps), kSliceBytes, [this] {
+              if (--owed_ == 0 && --rounds_left_ > 0) start_pushes();
+            });
+      }
+    }
+  }
+
+  sim::Simulator sim_;
+  std::unique_ptr<sim::Cluster> cluster_;
+  std::size_t workers_;
+  std::size_t shards_;
+  std::size_t rounds_left_;
+  std::size_t owed_ = 0;
+};
+
+void BM_ShardedIncast(benchmark::State& state) {
+  // wide-osp's 256 workers x 4 PS shards, all-to-all. full_solves ==
+  // solves shows the solver's full-closure path is taken on every event.
+  constexpr std::size_t kWorkers = 256;
+  constexpr std::size_t kShards = 4;
+  constexpr std::size_t kRounds = 2;
+  sim::Network::SolveStats stats;
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    auto h = std::make_unique<ShardedIncastHarness>(kWorkers, kShards,
+                                                    kRounds);
+    h->run();
+    stats = h->stats();
+    events = h->events();
+    benchmark::DoNotOptimize(events);
+  }
+  state.counters["events_per_s"] = benchmark::Counter(
+      static_cast<double>(events),
+      benchmark::Counter::kIsIterationInvariantRate);
+  state.counters["solves"] =
+      benchmark::Counter(static_cast<double>(stats.solves));
+  state.counters["full_solves"] =
+      benchmark::Counter(static_cast<double>(stats.full_solves));
+}
+BENCHMARK(BM_ShardedIncast);
 
 void BM_PgpRanking(benchmark::State& state) {
   // PGP importance + sort over a model-sized flat vector.

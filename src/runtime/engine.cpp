@@ -597,12 +597,12 @@ void Engine::cancel_math_job(std::size_t w) {
   ws.job.reset();
 }
 
-void Engine::worker_transfer(std::size_t owner,
+bool Engine::worker_transfer(std::size_t owner,
                              std::vector<sim::LinkId> route, double bytes,
                              std::function<void()> done) {
   OSP_CHECK(done != nullptr, "worker transfer needs a completion");
   WorkerState& ws = workers_.at(owner);
-  if (ws.crashed) return;
+  if (ws.crashed) return false;
   const double overhead = config_.cluster.transfer_overhead_s;
   if (route.empty()) {
     // Loopback (co-located PS): not a network flow, so not cancellable —
@@ -611,7 +611,7 @@ void Engine::worker_transfer(std::size_t owner,
                                  done = std::move(done)] {
       if (workers_[owner].lives == life) done();
     });
-    return;
+    return false;
   }
   // The completion deregisters the flow by the id start_flow gives it.
   sim::Network& net = cluster_->network();
@@ -625,8 +625,9 @@ void Engine::worker_transfer(std::size_t owner,
         maybe_checkpoint_now();
       },
       overhead);
-  if (started == sim::kNoFlow) return;  // dropped: nothing to cancel or await
+  if (started == sim::kNoFlow) return true;  // nothing to cancel or await
   ws.flows.push_back(id);
+  return false;
 }
 
 void Engine::loopback_transfer(double delay, std::function<void()> done) {
@@ -831,14 +832,26 @@ void Engine::restart_worker(std::size_t w) {
   }
   // Local state died with the process: re-pull the global model, then
   // rejoin the training loop (redoing the batch the crash cancelled).
-  worker_transfer(w, cluster_->route_from_ps(w), model_bytes(),
-                  [this, w] {
-                    WorkerState& s = workers_[w];
-                    s.restoring = false;
-                    s.params = global_params_;
-                    sync_->on_worker_restarted(w);
-                    begin_compute(w);
-                  });
+  pull_restart_model(w);
+}
+
+void Engine::pull_restart_model(std::size_t w) {
+  const bool dropped =
+      worker_transfer(w, cluster_->route_from_ps(w), model_bytes(), [this, w] {
+        WorkerState& s = workers_[w];
+        s.restoring = false;
+        s.params = global_params_;
+        sync_->on_worker_restarted(w);
+        begin_compute(w);
+      });
+  if (!dropped) return;
+  // A drop window ate the pull (loopbacks never drop): ask again once it
+  // would have landed, unless the worker crashed again meanwhile.
+  const double retry_after = cluster_->network().ideal_transfer_time(
+      cluster_->route_from_ps(w), model_bytes());
+  sim_.schedule(retry_after, [this, w, life = workers_[w].lives] {
+    if (workers_[w].lives == life) pull_restart_model(w);
+  });
 }
 
 void Engine::crash_ps(std::size_t ps, double restart_after) {

@@ -212,8 +212,9 @@ class Engine {
   /// owner crashes (the completion callback then never fires, not even
   /// after a restart). No-op when the owner is already crashed. An empty
   /// route is a co-located-PS loopback, completed through the event queue.
-  /// A message an injection window drops is never registered.
-  void worker_transfer(std::size_t owner, std::vector<sim::LinkId> route,
+  /// A message an injection window drops is never registered; the call
+  /// then returns true, so a sender that must get through can re-send.
+  bool worker_transfer(std::size_t owner, std::vector<sim::LinkId> route,
                        double bytes, std::function<void()> done);
 
   [[nodiscard]] std::size_t num_ps_crashed() const { return ps_crashed_count_; }
@@ -335,6 +336,8 @@ class Engine {
   void apply_fault(const sim::FaultEvent& ev);
   void crash_worker(std::size_t w, double restart_after);
   void restart_worker(std::size_t w);
+  /// The restarted worker's model pull; re-issued while drop windows eat it.
+  void pull_restart_model(std::size_t w);
   void pause_worker(std::size_t w, double duration);
   void crash_ps(std::size_t ps, double restart_after);
   void restart_ps(std::size_t ps);

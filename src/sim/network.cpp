@@ -49,15 +49,16 @@ std::uint32_t Network::alloc_slot() {
   return slot;
 }
 
-void Network::set_rate(std::uint32_t slot, double rate) {
+inline void Network::set_rate(std::uint32_t slot, double rate) {
   Flow& f = slots_[slot];
   const bool was_active = f.rate > 0.0;
   const bool is_active = rate > 0.0;
   f.rate = rate;
-  if (is_active && !was_active) {
+  if (is_active == was_active) return;  // the common case: no list change
+  if (is_active) {
     f.active_pos = static_cast<std::uint32_t>(active_.size());
     active_.push_back(slot);
-  } else if (!is_active && was_active) {
+  } else {
     const std::uint32_t last = active_.back();
     active_[f.active_pos] = last;
     slots_[last].active_pos = f.active_pos;
@@ -289,6 +290,7 @@ void Network::settle() {
 
 void Network::recompute_incremental() {
   ++stats_.solves;
+  fused_pick_ = false;
   if (use_reference_solver_) {
     solve_reference();
     return;
@@ -305,60 +307,85 @@ void Network::recompute_incremental() {
   auto mark_link = [this](LinkId l) {
     if (link_mark_[l] != mark_stamp_) {
       link_mark_[l] = mark_stamp_;
+      crossing_[l] = 0;
       touched_links_.push_back(l);
+    }
+  };
+  // A flow joins the closure with its route links; one that is not
+  // stalled is counted on each of them for water-filling.
+  auto add_flow = [&](std::uint32_t slot, const Flow& f) {
+    affected_.push_back(slot);
+    for (const LinkId l : f.route) {
+      mark_link(l);
+      if (f.down_links == 0) ++crossing_[l];
     }
   };
   for (const std::uint32_t slot : pending_flows_) {
     if (!slots_[slot].in_use || flow_mark_[slot] == mark_stamp_) continue;
     flow_mark_[slot] = mark_stamp_;
-    affected_.push_back(slot);
-    for (const LinkId l : slots_[slot].route) mark_link(l);
+    add_flow(slot, slots_[slot]);
   }
   for (const LinkId l : pending_links_) mark_link(l);
-  for (std::size_t i = 0; i < touched_links_.size(); ++i) {
+  // Once the closure holds every flow the BFS can add none, and every
+  // route link is already marked: touched_links_ is final.
+  for (std::size_t i = 0;
+       i < touched_links_.size() && affected_.size() < num_flows_; ++i) {
     for (const LinkFlowRef& ref : link_flows_[touched_links_[i]]) {
       if (flow_mark_[ref.slot] == mark_stamp_) continue;
       flow_mark_[ref.slot] = mark_stamp_;
       const Flow& f = slots_[ref.slot];
       if (f.down_links != 0) continue;  // stalled: stays at rate 0
-      affected_.push_back(ref.slot);
-      for (const LinkId l : f.route) mark_link(l);
+      add_flow(ref.slot, f);
     }
   }
-  if (affected_.size() == num_flows_) ++stats_.full_solves;
-  solve_over(affected_, touched_links_);
+  const bool full = affected_.size() == num_flows_;
+  if (full) ++stats_.full_solves;
+  solve_over(affected_, touched_links_, full);
+  fused_pick_ = full;
   if (check_reference_) verify_against_reference();
 }
 
 void Network::solve_over(const std::vector<std::uint32_t>& flow_set,
-                         const std::vector<LinkId>& links) {
+                         const std::vector<LinkId>& links, bool full) {
   // Progressive water-filling restricted to the affected sub-problem. The
   // arithmetic mirrors solve_reference() exactly: because the sub-problem
   // is closed (no outside flow crosses a touched link), every residual,
   // crossing count, and min-share below takes the same values the full
   // solve would produce for these flows — rates stay bit-identical.
   stats_.flow_visits += flow_set.size();
-  // Deterministic order: ascending flow id, read off bits set at by_id_
-  // places, no sort. Flows routed through a down link stall: rate 0, kept
-  // out of water-filling so they don't claim shares on healthy links.
-  id_bits_.assign((by_id_.size() + 63) / 64, 0);
-  for (const std::uint32_t slot : flow_set) {
-    set_rate(slot, 0.0);
-    if (slots_[slot].down_links != 0) continue;
-    const std::uint32_t pos = by_id_pos_[slot];
-    id_bits_[pos / 64] |= std::uint64_t{1} << (pos % 64);
-  }
+  // Deterministic order: ascending flow id. Flows routed through a down
+  // link stall: rate 0, kept out of water-filling so they don't claim
+  // shares on healthy links. Every other flow's rate is written once, when
+  // it is fixed, so active_ changes only when a flow starts or stops
+  // moving.
   unfixed_.clear();
-  for (std::size_t w = 0; w < id_bits_.size(); ++w) {
-    for (std::uint64_t bits = id_bits_[w]; bits != 0; bits &= bits - 1) {
-      unfixed_.push_back(by_id_[w * 64 + std::countr_zero(bits)]);
+  auto collect = [this](std::uint32_t slot) {
+    if (slots_[slot].down_links != 0) {
+      set_rate(slot, 0.0);
+    } else {
+      unfixed_.push_back(slot);
+    }
+  };
+  if (full) {
+    // Every in-flight flow: walk the live by_id_ entries directly.
+    for (std::uint32_t i = 0; i < by_id_.size(); ++i) {
+      if (by_id_pos_[by_id_[i]] == i) collect(by_id_[i]);
+    }
+    next_ = {};
+  } else {
+    // Read off bits set at by_id_ places, no sort.
+    id_bits_.assign((by_id_.size() + 63) / 64, 0);
+    for (const std::uint32_t slot : flow_set) {
+      const std::uint32_t pos = by_id_pos_[slot];
+      id_bits_[pos / 64] |= std::uint64_t{1} << (pos % 64);
+    }
+    for (std::size_t w = 0; w < id_bits_.size(); ++w) {
+      for (std::uint64_t bits = id_bits_[w]; bits != 0; bits &= bits - 1) {
+        collect(by_id_[w * 64 + std::countr_zero(bits)]);
+      }
     }
   }
   if (unfixed_.empty()) return;
-  for (const LinkId l : links) crossing_[l] = 0;
-  for (const std::uint32_t slot : unfixed_) {
-    for (const LinkId l : slots_[slot].route) ++crossing_[l];
-  }
   for (const LinkId l : links) {
     const double k = static_cast<double>(crossing_[l]);
     // A link's usable capacity shrinks under incast collapse when many
@@ -368,6 +395,19 @@ void Network::solve_over(const std::vector<std::uint32_t>& flow_set,
     residual_[l] =
         links_[l].bandwidth_bps * link_state_[l].bandwidth_factor / collapse;
   }
+  // Fix a flow at `share`. A full solve leaves every moving flow fixed
+  // here, so it also tracks the earliest completion on the way.
+  auto fix = [this, full](std::uint32_t slot, double share) {
+    set_rate(slot, share);
+    const Flow& f = slots_[slot];
+    for (const LinkId l : f.route) {
+      residual_[l] -= share;
+      --crossing_[l];
+    }
+    if (full && share > 0.0) {
+      next_.offer(f.wire_bytes_remaining / share, f.id, slot);
+    }
+  };
 
   while (!unfixed_.empty()) {
     // Find the most constrained link among those carrying unfixed flows.
@@ -380,12 +420,11 @@ void Network::solve_over(const std::vector<std::uint32_t>& flow_set,
     OSP_CHECK(min_share < std::numeric_limits<double>::infinity(),
               "water-filling found no constrained link");
     // Fix every unfixed flow that crosses a link achieving min_share.
+    stats_.flow_visits += unfixed_.size();
     still_unfixed_.clear();
     for (const std::uint32_t slot : unfixed_) {
-      ++stats_.flow_visits;
-      Flow& flow = slots_[slot];
       bool bottlenecked = false;
-      for (const LinkId l : flow.route) {
+      for (const LinkId l : slots_[slot].route) {
         const double share =
             residual_[l] / static_cast<double>(crossing_[l]);
         if (share <= min_share * (1.0 + 1e-12)) {
@@ -394,11 +433,7 @@ void Network::solve_over(const std::vector<std::uint32_t>& flow_set,
         }
       }
       if (bottlenecked) {
-        set_rate(slot, min_share);
-        for (const LinkId l : flow.route) {
-          residual_[l] -= min_share;
-          --crossing_[l];
-        }
+        fix(slot, min_share);
       } else {
         still_unfixed_.push_back(slot);
       }
@@ -406,13 +441,7 @@ void Network::solve_over(const std::vector<std::uint32_t>& flow_set,
     // Guard against numerical stalls: if nothing was fixed, fix everything
     // remaining at the current min share.
     if (still_unfixed_.size() == unfixed_.size()) {
-      for (const std::uint32_t slot : unfixed_) {
-        set_rate(slot, min_share);
-        for (const LinkId l : slots_[slot].route) {
-          residual_[l] -= min_share;
-          --crossing_[l];
-        }
-      }
+      for (const std::uint32_t slot : unfixed_) fix(slot, min_share);
       still_unfixed_.clear();
     }
     unfixed_.swap(still_unfixed_);
@@ -425,12 +454,21 @@ void Network::solve_reference() {
   // asserted against, and as the "before" configuration for benches.
   affected_.clear();
   touched_links_.clear();
-  for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
-    if (slots_[slot].in_use) affected_.push_back(slot);
+  for (LinkId l = 0; l < links_.size(); ++l) {
+    touched_links_.push_back(l);
+    crossing_[l] = 0;
   }
-  for (LinkId l = 0; l < links_.size(); ++l) touched_links_.push_back(l);
+  for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
+    const Flow& f = slots_[slot];
+    if (!f.in_use) continue;
+    affected_.push_back(slot);
+    if (f.down_links != 0) continue;
+    for (const LinkId l : f.route) ++crossing_[l];
+  }
   ++stats_.full_solves;
-  solve_over(affected_, touched_links_);
+  // The general path (id bits, then a scan of active_): the check stays
+  // independent of the full-closure shortcuts.
+  solve_over(affected_, touched_links_, /*full=*/false);
 }
 
 void Network::verify_against_reference() {
@@ -451,21 +489,21 @@ void Network::verify_against_reference() {
 
 void Network::schedule_next_completion() {
   if (num_flows_ == 0) return;
-  // Find the earliest-finishing flow under current rates. Only flows with
-  // a nonzero rate can finish, so the scan touches the active list alone.
-  double best_dt = std::numeric_limits<double>::infinity();
-  FlowId best_id = 0;
-  std::uint32_t best_slot = kNpos;
-  for (const std::uint32_t slot : active_) {
-    const Flow& flow = slots_[slot];
-    const double dt = flow.wire_bytes_remaining / flow.rate;
-    if (dt < best_dt || (dt == best_dt && flow.id < best_id)) {
-      best_dt = dt;
-      best_id = flow.id;
-      best_slot = slot;
+  // Find the earliest-finishing flow under current rates: a full solve
+  // picked it as it fixed the rates; otherwise scan the active list (only
+  // flows with a nonzero rate can finish).
+  Completion next = next_;
+  if (!fused_pick_ || check_reference_) {
+    Completion scan;
+    for (const std::uint32_t slot : active_) {
+      const Flow& flow = slots_[slot];
+      scan.offer(flow.wire_bytes_remaining / flow.rate, flow.id, slot);
     }
+    OSP_CHECK(!fused_pick_ || (scan.slot == next.slot && scan.dt == next.dt),
+              "fused completion pick diverged from the active-list scan");
+    next = scan;
   }
-  if (best_slot == kNpos) {
+  if (next.slot == kNpos) {
     // Every flow is stalled. Legitimate only under a link outage — the up
     // edge will recompute rates and reschedule; anything else is a bug.
     for (const Flow& flow : slots_) {
@@ -474,8 +512,8 @@ void Network::schedule_next_completion() {
     }
     return;
   }
-  sim_->schedule_reserved(sim_->now() + best_dt, pending_seq_,
-                          [this, epoch = epoch_, slot = best_slot] {
+  sim_->schedule_reserved(sim_->now() + next.dt, pending_seq_,
+                          [this, epoch = epoch_, slot = next.slot] {
                             if (epoch != epoch_) return;  // rates changed
                             complete_flow(slot);
                           });

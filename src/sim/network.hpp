@@ -28,6 +28,20 @@
 // from-scratch reference solver is kept behind set_use_reference_solver()
 // / set_check_against_reference() and asserted bitwise-equal in tests.
 //
+// Full closure: when every worker talks to every PS shard (wide-osp), each
+// solve's closure is every in-flight flow. The BFS stops once it holds
+// them all (no flow is left to add, and every route link is marked), and
+// counts each link's crossing flows as it adds them. Water-filling then
+// walks by_id_ itself instead of setting and reading id bits: the same
+// flows in the same ascending-id order. Every solve zeroes only stalled
+// flows and writes each other rate once, when it is fixed, so active_
+// changes only when a flow starts or stops moving. A full solve fixes
+// every moving flow, so it picks the next completion, the least
+// (remaining / rate, id), as it fixes them, and the scan of active_ runs
+// only after a partial solve; the least of a strict order does not depend
+// on the visiting order. The reference solve keeps the general path (id
+// bits, active_ scan), so the check stays independent.
+//
 // Fault injection (see sim/faults.hpp): links carry dynamic state — an
 // up/down bit and a degradation (bandwidth factor + extra loss). A flow
 // routed through a down link stalls at rate 0 and resumes when the link
@@ -251,6 +265,20 @@ class Network {
     double extra_loss_rate = 0.0;
   };
 
+  /// The earliest completion seen so far: least (dt, id).
+  struct Completion {
+    double dt = std::numeric_limits<double>::infinity();
+    FlowId id = 0;
+    std::uint32_t slot = kNpos;
+    void offer(double flow_dt, FlowId flow_id, std::uint32_t flow_slot) {
+      if (flow_dt < dt || (flow_dt == dt && flow_id < id)) {
+        dt = flow_dt;
+        id = flow_id;
+        slot = flow_slot;
+      }
+    }
+  };
+
   struct InjectionWindow {
     double start_s = 0.0;
     double end_s = 0.0;
@@ -271,16 +299,20 @@ class Network {
   /// lists, free the slot. Does not recompute rates.
   void remove_flow(std::uint32_t slot);
   /// Set a flow's rate, maintaining the active list.
-  void set_rate(std::uint32_t slot, double rate);
+  inline void set_rate(std::uint32_t slot, double rate);
 
   /// Recompute rates over the connected component(s) reachable from the
   /// pending seed flows (freed slots skipped) and links. Falls through to
   /// the reference solver when requested.
   void recompute_incremental();
   /// Progressive water-filling restricted to `flow_set` / `links` (the
-  /// closed sub-problem collected by recompute_incremental).
+  /// closed sub-problem collected by recompute_incremental), with
+  /// crossing_ already holding each link's count of the set's non-stalled
+  /// flows. `full` says
+  /// the set is every in-flight flow: walk by_id_ and pick the next
+  /// completion into next_.
   void solve_over(const std::vector<std::uint32_t>& flow_set,
-                  const std::vector<LinkId>& links);
+                  const std::vector<LinkId>& links, bool full);
   /// From-scratch water-filling over every flow and link.
   void solve_reference();
   /// Assert the reference solver reproduces the current rates bitwise.
@@ -314,7 +346,7 @@ class Network {
   // crossing_ values are only meaningful for the links touched by the
   // current solve; *_mark_ stamps identify membership per BFS.
   std::vector<double> residual_;
-  std::vector<std::size_t> crossing_;
+  std::vector<std::uint32_t> crossing_;
   std::vector<std::uint64_t> link_mark_;
   std::vector<std::uint64_t> flow_mark_;
   std::uint64_t mark_stamp_ = 0;
@@ -324,6 +356,8 @@ class Network {
   std::vector<std::uint32_t> still_unfixed_;
   std::vector<std::uint64_t> id_bits_;  ///< solve's flows, by by_id_ place
   std::vector<std::pair<std::uint32_t, double>> rate_snapshot_;
+  Completion next_;          ///< picked by the last full solve
+  bool fused_pick_ = false;  ///< next_ is current (last solve was full)
 
   SolveStats stats_;
   bool use_reference_solver_ = false;

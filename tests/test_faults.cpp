@@ -400,6 +400,23 @@ TEST(CrashSurvival, ReleaseDuringRestartPullIsIgnored) {
   }
 }
 
+// The restart at t = 0.6 falls inside a window that drops every message:
+// the model pull is asked for again once it would have landed, so the
+// worker rejoins. Without the retry it stayed restoring for good, and BSP
+// with no RS deadline ended the whole run there as if it had finished.
+TEST(CrashSurvival, DroppedRestartPullIsRetried) {
+  for (const double rs_timeout : {0.0, 0.1}) {
+    SCOPED_TRACE(rs_timeout);
+    runtime::EngineConfig cfg = golden_config();
+    cfg.faults.crash_worker(0.5, 1, /*restart_after=*/0.1)
+        .drop_messages(0.59, 0.03, /*drop_prob=*/1.0);
+    sync::BspSync sync({.rs_timeout_s = rs_timeout, .ics_timeout_s = 0.0});
+    const PlannedRun run = run_to_plan(sync, cfg);
+    EXPECT_GT(run.result.faults.messages_dropped, 0u);
+    EXPECT_EQ(run.result.faults.worker_restarts, 1u);
+  }
+}
+
 TEST(CrashSurvival, R2spCrashRestartFreesItsSlot) {
   // A crash cancels the worker's owned push or pull, wherever its slot
   // stands: waiting for its turn, pushing, queued at the PS or pulling.

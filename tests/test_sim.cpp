@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -840,6 +841,148 @@ TEST(NetworkIncremental, SameCallbackBurstsSolveOnceBitIdentical) {
     EXPECT_EQ(net_inc.bytes_delivered(), net_each.bytes_delivered())
         << "seed " << seed;
   }
+}
+
+/// wide-osp's traffic shape straight on a Network: each of 16 workers
+/// pushes one slice to every one of 4 PS shards in one event, and pulls one
+/// back from each once every push of the round has landed (BSP-style
+/// phases, so pushes and pulls never share the wire). Starts are staggered
+/// at random, slice sizes are random per worker and phase, and each phase
+/// cancels one worker's transfers mid-flight (a crash). With `outage`,
+/// worker 0's uplink is down for part of the first push phase, stalling
+/// its flows. Returns the completion times in completion order.
+std::vector<double> run_coupled_shards(Simulator& sim, Network& net,
+                                       std::uint64_t seed, bool outage) {
+  constexpr std::size_t kWorkers = 16;
+  constexpr std::size_t kShards = 4;
+  constexpr int kPhases = 6;  // three push + pull rounds
+  util::Rng rng(seed);
+  std::vector<LinkId> up, down, ps_in, ps_out;
+  for (std::size_t w = 0; w < kWorkers; ++w) {
+    up.push_back(net.add_link(1000.0, 0.001));
+    down.push_back(net.add_link(1000.0, 0.001));
+  }
+  for (std::size_t s = 0; s < kShards; ++s) {
+    ps_in.push_back(net.add_link(3000.0, 0.001, 0.0, 0.02));
+    ps_out.push_back(net.add_link(3000.0, 0.001, 0.0, 0.02));
+  }
+  std::vector<double> done;
+  std::vector<std::vector<FlowId>> flows(kWorkers);
+  int current = 0;
+  std::size_t owed = 0;  // transfers of the phase not yet landed/cancelled
+  std::function<void(int)> start_phase;
+  auto settle_one = [&](int phase) {
+    if (--owed == 0 && phase + 1 < kPhases) start_phase(phase + 1);
+  };
+  start_phase = [&](int phase) {
+    current = phase;
+    owed = kWorkers * kShards;
+    const bool push = phase % 2 == 0;
+    for (std::size_t w = 0; w < kWorkers; ++w) {
+      flows[w].clear();
+      const double bytes = rng.uniform(200.0, 2000.0);
+      sim.schedule(rng.uniform(0.0, 0.3), [&, w, bytes, push, phase] {
+        for (std::size_t s = 0; s < kShards; ++s) {
+          std::vector<LinkId> route{up[w], ps_in[s]};
+          if (!push) route = {ps_out[s], down[w]};
+          flows[w].push_back(
+              net.start_flow(std::move(route), bytes, [&, phase] {
+                done.push_back(sim.now());
+                settle_one(phase);
+              }));
+        }
+      });
+    }
+    const std::size_t victim = rng.uniform_u64(kWorkers);
+    sim.schedule(rng.uniform(0.1, 0.5), [&, victim, phase] {
+      if (phase != current) return;
+      const std::vector<FlowId> ids = flows[victim];
+      for (const FlowId id : ids) {
+        if (net.cancel_flow(id)) settle_one(phase);
+      }
+    });
+  };
+  start_phase(0);
+  if (outage) {
+    sim.schedule_at(0.2, [&net, &up] { net.set_link_up(up[0], false); });
+    sim.schedule_at(1.5, [&net, &up] { net.set_link_up(up[0], true); });
+  }
+  sim.run();
+  EXPECT_EQ(current, kPhases - 1);
+  EXPECT_EQ(owed, 0u);
+  return done;
+}
+
+// Every worker talks to every shard, so each solve's closure is every
+// in-flight flow: every solve takes the full-closure path (by_id_ walk,
+// fused completion pick), checked bitwise against the general path.
+TEST(NetworkIncremental, CoupledShardsTakeTheFullPath) {
+  for (std::uint64_t seed = 41; seed <= 44; ++seed) {
+    Simulator sim;
+    Network net(sim);
+    net.set_check_against_reference(true);
+    const auto done = run_coupled_shards(sim, net, seed, false);
+    EXPECT_GT(net.flows_cancelled(), 0u) << "seed " << seed;
+    EXPECT_EQ(done.size() + net.flows_cancelled(), 6u * 16u * 4u)
+        << "seed " << seed;
+    EXPECT_GT(net.solve_stats().solves, 0u) << "seed " << seed;
+    EXPECT_EQ(net.solve_stats().full_solves, net.solve_stats().solves)
+        << "seed " << seed;
+  }
+}
+
+// A down uplink stalls one worker's flows. A solve that does not seed them
+// leaves them out of the closure, so the BFS runs to the end and the
+// partial path (id bits, active-list scan) water-fills; the run still
+// matches the reference solver bit for bit.
+TEST(NetworkIncremental, StalledFlowsTakeThePartialPath) {
+  for (std::uint64_t seed = 41; seed <= 44; ++seed) {
+    Simulator sim_inc;
+    Network net_inc(sim_inc);
+    net_inc.set_check_against_reference(true);
+    const auto inc = run_coupled_shards(sim_inc, net_inc, seed, true);
+
+    Simulator sim_ref;
+    Network net_ref(sim_ref);
+    net_ref.set_use_reference_solver(true);
+    const auto ref = run_coupled_shards(sim_ref, net_ref, seed, true);
+
+    EXPECT_LT(net_inc.solve_stats().full_solves, net_inc.solve_stats().solves)
+        << "seed " << seed;
+    EXPECT_EQ(inc, ref) << "seed " << seed;  // bitwise
+    EXPECT_EQ(sim_inc.events_processed(), sim_ref.events_processed())
+        << "seed " << seed;
+  }
+}
+
+// Two flows finish at the same instant; the one fixed in the later
+// water-filling round has the lower id and must complete first.
+TEST(NetworkIncremental, FullSolveTieCompletesInIdOrder) {
+  Simulator sim;
+  Network net(sim);
+  net.set_check_against_reference(true);
+  const LinkId narrow = net.add_link(100.0);
+  const LinkId wide = net.add_link(300.0);
+  std::vector<int> order;
+  std::vector<double> at;
+  auto record = [&](int i) {
+    return [&, i] {
+      order.push_back(i);
+      at.push_back(sim.now());
+    };
+  };
+  sim.schedule(0.0, [&] {
+    // Round 1 fixes flows 2 and 3 at 50 B/s on the narrow link; round 2
+    // gives flow 1 the wide link's remaining 200 B/s. Flows 1 and 3 both
+    // finish at t = 2.
+    net.start_flow({wide}, 400.0, record(1));
+    net.start_flow({narrow, wide}, 200.0, record(2));
+    net.start_flow({narrow, wide}, 100.0, record(3));
+  });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 2}));
+  EXPECT_EQ(at, (std::vector<double>{2.0, 2.0, 3.0}));
+  EXPECT_EQ(net.solve_stats().full_solves, net.solve_stats().solves);
 }
 
 // Disjoint components keep the incremental solver local: with flows spread
