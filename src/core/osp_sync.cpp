@@ -258,7 +258,7 @@ void OspSync::step_round(std::uint64_t this_round,
   // The aggregate holds the round's *full* gradients; the unimportant part
   // is exactly what the workers' ICS pushes will deliver, so the snapshot
   // keeps the numerics identical while the bytes flow on the virtual wire.
-  const std::vector<float>& agg = rs_.aggregate();
+  const std::vector<float>& agg = rs_.aggregate_round();
   if (ema_lgp_ != nullptr) ema_lgp_->observe_global(agg);
 
   // (b) Step the important blocks of the global model.

@@ -2,9 +2,11 @@
 //
 // A RunCheckpoint is a full snapshot of a training run at a drain barrier:
 // every worker parked at an iteration boundary, no network flow or PS job
-// in flight, and the sync model drained (no open RS/ICS round, no armed
-// timer). Because the snapshot point is quiescent, no in-flight event has
-// to be serialized — the entire simulator queue is reconstructible from
+// in flight, and the sync model drained (no open RS/ICS round; a round
+// barrier's armed timer is fenced by the snapshot, see
+// sync/round_barrier.hpp). Because the snapshot point is quiescent, no
+// in-flight event has to be serialized — the entire simulator queue is
+// reconstructible from
 // (a) the parked workers (released at the snapshot time on resume) and
 // (b) the not-yet-executed entries of the fault schedule. Resuming from a
 // checkpoint therefore replays the remainder of the run *bit-identically*:

@@ -332,22 +332,12 @@ RunResult Engine::run() {
     if (!sim_.empty()) break;  // hit the virtual-time cap mid-drain
     // The queue starved with a drain pending: every worker is parked (or
     // done/crashed-forever) and no future fault event is left to trigger
-    // the snapshot, so take it here and release the barrier.
-    if (maybe_checkpoint_now()) {
-      if (halted_) break;
-      continue;
-    }
-    // The drain barrier deadlocked. After a crash a straggler can run a
-    // round or two behind the pack in a barrier model, and its pending
-    // round needs the parked workers' gradients to close — so the cut
-    // can never go quiescent at this boundary. Skip it: release everyone
-    // and re-arm the snapshot at the next cadence point.
-    OSP_CHECK(std::any_of(workers_.begin(), workers_.end(),
-                          [](const WorkerState& ws) { return ws.parked; }),
-              "checkpoint drain stalled");
-    next_checkpoint_iter_ += config_.checkpoint.every_iters;
-    drain_pending_ = false;
-    release_parked();
+    // the snapshot, so take it here and release the barrier. A worker
+    // trailing the pack after a crash does not stall the cut: under faults
+    // a barrier round stops waiting on parked workers
+    // (sync/round_barrier.hpp).
+    OSP_CHECK(maybe_checkpoint_now(), "checkpoint drain stalled");
+    if (halted_) break;
   }
   if (!halted_) maybe_evaluate(/*force=*/true);
   join_evals();

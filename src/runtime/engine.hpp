@@ -205,6 +205,16 @@ class Engine {
   [[nodiscard]] bool worker_done(std::size_t w) const {
     return workers_.at(w).done;
   }
+  /// True while worker `w` is held at a checkpoint cut: it pushes again
+  /// only after the snapshot, which waits for every open round.
+  [[nodiscard]] bool worker_parked(std::size_t w) const {
+    return workers_.at(w).parked;
+  }
+  /// Snapshots taken so far, a resumed run's included. A barrier fences
+  /// the timer armed before a snapshot with it.
+  [[nodiscard]] std::uint64_t checkpoints_taken() const {
+    return checkpoints_taken_;
+  }
 
   /// Move `bytes` along `route` on behalf of worker `owner` and call `done`
   /// on arrival; the one path every sync message takes, in either

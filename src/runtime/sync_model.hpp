@@ -10,8 +10,9 @@
 // Survival contract (fault injection, see sim/faults.hpp): barrier-style
 // models must not hang when a worker crashes or its messages stall. The
 // engine notifies models through on_worker_crashed / on_worker_restarted.
-// BSP's barrier and OSP's RS stage keep the contract through
-// sync::RoundBarrier (sync/round_barrier.hpp), whose header states it.
+// BSP's barrier, OSP's RS stage and each KV-core BSP shard keep the
+// contract through sync::RoundBarrier (sync/round_barrier.hpp), whose
+// header states it.
 #pragma once
 
 #include <cstddef>
@@ -100,7 +101,8 @@ class SyncModel {
   virtual void load_state(util::serde::Reader& r) { (void)r; }
 
   /// True when no synchronization round is in progress and no model-owned
-  /// timer or transfer is pending — i.e. state is snapshot-safe.
+  /// transfer is pending — i.e. state is snapshot-safe. A timer may still
+  /// be armed if the snapshot fences it (sync/round_barrier.hpp).
   [[nodiscard]] virtual bool drained() const { return true; }
 
   // ---- observability ----

@@ -26,7 +26,7 @@ void BspSync::on_gradient_ready(std::size_t worker) {
 void BspSync::step_round(std::uint64_t round,
                          const std::vector<bool>& contributors) {
   runtime::Engine& e = eng();
-  e.apply_global_step(barrier_.aggregate());
+  e.apply_global_step(barrier_.aggregate_round());
   // PS cost: the final optimizer application (read aggregate, read+write
   // params = 3 memory passes); per-push accumulation streams with the
   // incast arrivals and stays off the critical path.

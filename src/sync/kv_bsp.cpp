@@ -124,20 +124,26 @@ void KvBspSync::attach(runtime::Engine& eng) {
       eng, part, real_scale ? eng.all_block_bytes() : proxy_bytes,
       dense.size(),
       {.collecting_round =
-           [this](std::size_t s) { return shards_[s].rounds + 1; },
-       .deposed = nullptr,
+           [this](std::size_t s) { return shards_[s].barrier.collecting(); },
+       .deposed =
+           [this, n](std::size_t s) {
+             RoundBarrier& b = shards_[s].barrier;
+             for (std::size_t w = 0; w < n; ++w) b.withdraw(w);
+           },
        .repush =
            [this, n](std::size_t s) {
-             // The deposed host's collection is gone: workers that pushed
-             // this round re-send (real traffic, so re-charged).
-             shards_[s].arrived = 0;
+             // The deposed host's collection is gone: workers that await
+             // the collecting round re-send (real traffic, so re-charged).
+             const RoundBarrier& b = shards_[s].barrier;
              for (std::size_t w = 0; w < n; ++w) {
-               if (shards_[s].pushed[w] != 0) push(w, s);
+               if (b.awaiting(w) && b.awaiting_round(w) == b.collecting()) {
+                 push(w, s, b.collecting());
+               }
              }
            }});
-  shards_.assign(dense.size(), Shard{});
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    Shard& sh = shards_[s];
+  shards_.clear();
+  for (std::size_t s = 0; s < dense.size(); ++s) {
+    Shard& sh = shards_.emplace_back(*this, s);
     sh.mask.assign(nb, false);
     for (std::size_t b = 0; b < nb; ++b) {
       if (part.owner[b] != s) continue;
@@ -145,8 +151,7 @@ void KvBspSync::attach(runtime::Engine& eng) {
       sh.mask[b] = true;
     }
     sh.dense_bytes = dense[s];
-    sh.pushed.assign(n, 0);
-    sh.resp_pending.assign(n, 0);
+    sh.barrier.attach(eng, timeouts().rs_timeout_s, sh);
   }
   if (gib_ != nullptr) {
     std::vector<kv::GibFilter::Block> blocks;
@@ -171,18 +176,21 @@ void KvBspSync::attach(runtime::Engine& eng) {
 
 void KvBspSync::on_gradient_ready(std::size_t worker) {
   if (!per_ps()) encode_push(worker);
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    shards_[s].pushed[worker] = 1;
-    shards_[s].resp_pending[worker] = 1;
-    push(worker, s);
+  for (Shard& sh : shards_) {
+    sh.barrier.push(
+        worker, [&](std::uint64_t round) { push(worker, sh.index, round); });
   }
+}
+
+void KvBspSync::on_worker_crashed(std::size_t worker) {
+  for (Shard& sh : shards_) sh.barrier.crashed(worker);
 }
 
 void KvBspSync::encode_push(std::size_t worker) {
   auto grad = eng().worker_gradient(worker);
   kv::KvMessage& m = inbox_[worker];
   m.begin(kv::Op::kPush, static_cast<std::uint32_t>(worker),
-          shards_[0].rounds + 1, session_.store().key_range());
+          shards_[0].barrier.collecting(), session_.store().key_range());
   if (options_.error_feedback) {
     // Fold the previously untransmitted mass back in, writing
     // grad + residual to both the transmit buffer and the residual in one
@@ -202,34 +210,32 @@ void KvBspSync::encode_push(std::size_t worker) {
   }
 }
 
-void KvBspSync::push(std::size_t worker, std::size_t shard) {
-  Shard& sh = shards_[shard];
+void KvBspSync::push(std::size_t worker, std::size_t shard,
+                     std::uint64_t round) {
+  const Shard& sh = shards_[shard];
   kv::KvMessage& m = inbox_[worker];
   if (per_ps()) {
     // The push addresses the shard's key list; the gradient stays in the
     // worker's buffer (the PS reads it at aggregate time), so the message
     // carries accounting + addressing only.
-    m.begin(kv::Op::kPush, static_cast<std::uint32_t>(worker), sh.rounds + 1,
-            {});
+    m.begin(kv::Op::kPush, static_cast<std::uint32_t>(worker), round, {});
     m.keys = sh.keys;
     m.set_accounting(sh.dense_bytes);
   }
   tel_push_bytes_ += m.wire_bytes();
-  // With the whole chain down the push stays recorded in `pushed` and is
-  // issued when a restart repoints the shard.
-  session_.push(worker, shard, m, [this, shard] { on_push_arrived(shard); });
+  // With the whole chain down the worker stays awaiting the collecting
+  // round and re-pushes when a restart repoints the shard.
+  session_.push(worker, shard, m, [this, shard, worker, round] {
+    RoundBarrier& b = shards_[shard].barrier;
+    if (b.late(round, worker)) return;
+    b.contribute(worker);
+  });
 }
 
-void KvBspSync::on_push_arrived(std::size_t shard) {
-  Shard& sh = shards_[shard];
-  if (++sh.arrived < eng().num_workers()) return;
-  sh.arrived = 0;
-  aggregate(shard);
-}
-
-void KvBspSync::aggregate(std::size_t shard) {
+void KvBspSync::aggregate(std::size_t shard, std::uint64_t round,
+                          const std::vector<bool>& contributors) {
   runtime::Engine& e = eng();
-  Shard& sh = shards_[shard];
+  const Shard& sh = shards_[shard];
   const std::size_t n = e.num_workers();
   if (!per_ps()) {
     // Symmetry rule: in-memory delivery kept the dense receiver view, so
@@ -237,14 +243,17 @@ void KvBspSync::aggregate(std::size_t shard) {
     // the serialized compact form would reproduce.
     for (kv::KvMessage& m : inbox_) pipeline_.decode(m);
   }
-  // Mean of the pushed gradients over the shard's blocks (shards own
-  // disjoint blocks, so they aggregate independently).
-  const float scale = 1.0f / static_cast<float>(n);
+  // Mean of the contributors' gradients over the shard's blocks (shards
+  // own disjoint blocks, so they aggregate independently): 1/N on a full
+  // round, 1/k over a partial round's k contributors.
+  const auto count = std::ranges::count(contributors, true);
+  const float scale = 1.0f / static_cast<float>(count);
   for (const kv::Key k : sh.keys) {
     const auto& info = e.blocks()[k];
     auto dst = std::span<float>(agg_).subspan(info.offset, info.numel);
     util::fill(dst, 0.0f);
     for (std::size_t w = 0; w < n; ++w) {
+      if (!contributors[w]) continue;
       const std::span<const float> src =
           per_ps() ? e.worker_gradient(w)
                    : std::span<const float>(inbox_[w].values);
@@ -253,16 +262,15 @@ void KvBspSync::aggregate(std::size_t shard) {
   }
   e.apply_global_step_blocks(agg_, sh.mask);
   session_.applied(sh.mask);
-  std::fill(sh.pushed.begin(), sh.pushed.end(), std::uint8_t{0});
-  ++sh.rounds;
   update_gib_selection();
-  // Per-PS shards of one logical round share a telemetry record; every
-  // push of the round was sent before its first shard closed.
-  auto& rec = record_full_round(sh.rounds, n);
+  // Per-PS shards of one logical round share a telemetry record (opened
+  // by round_closed); every push of the round was sent before its first
+  // shard closed.
+  runtime::SyncTelemetry& rec = e.telemetry_round(round);
   rec.important_bytes = tel_push_bytes_;
   rec.replica_lag = session_.lag();
   if (std::all_of(shards_.begin(), shards_.end(), [&](const Shard& x) {
-        return x.rounds == sh.rounds;
+        return x.barrier.rounds_closed() == round;
       })) {
     last_round_push_bytes_ = tel_push_bytes_;
     tel_push_bytes_ = 0.0;
@@ -278,37 +286,69 @@ void KvBspSync::aggregate(std::size_t shard) {
   }
   const double apply =
       options_.profile == KvBspProfile::kTopK ? bytes : sh.dense_bytes;
-  session_.answer(shard, apply, [this, shard, bytes](std::size_t host) {
-    const Shard& s = shards_[shard];
-    kv::KvMessage resp;
-    resp.begin(kv::Op::kPullResponse, static_cast<std::uint32_t>(host),
-               s.rounds, {});
-    resp.keys = s.keys;
-    session_.store().stamp_versions(resp);
-    resp.set_accounting(bytes);
-    for (std::size_t w = 0; w < s.resp_pending.size(); ++w) {
-      if (s.resp_pending[w] == 0) continue;
-      session_.respond(w, host, resp, [this, shard, w] { deliver(shard, w); });
-    }
-  });
+  session_.answer(
+      shard, apply,
+      [this, shard, round, bytes, contributors](std::size_t host) {
+        const Shard& s = shards_[shard];
+        kv::KvMessage resp;
+        resp.begin(kv::Op::kPullResponse, static_cast<std::uint32_t>(host),
+                   round, {});
+        resp.keys = s.keys;
+        session_.store().stamp_versions(resp);
+        resp.set_accounting(bytes);
+        // The round's contributors that still await its answer.
+        for (std::size_t w = 0; w < contributors.size(); ++w) {
+          if (!contributors[w] || !s.barrier.awaiting(w) ||
+              s.barrier.awaiting_round(w) != round) {
+            continue;
+          }
+          session_.respond(w, host, resp, [this, shard, w, round] {
+            deliver(shard, w, round);
+          });
+        }
+      });
 }
 
-void KvBspSync::deliver(std::size_t shard, std::size_t worker) {
+bool KvBspSync::catch_up(std::size_t shard, std::size_t worker,
+                         std::uint64_t round) {
+  const std::size_t host = session_.serving(shard);
+  if (host == kv::ShardSession::npos) return false;
+  const Shard& sh = shards_[shard];
+  // The shard's keys at their current versions, at the dense push scale.
+  kv::KvMessage pull;
+  pull.begin(kv::Op::kPullResponse, static_cast<std::uint32_t>(host), round,
+             {});
+  pull.keys = sh.keys;
+  session_.store().stamp_versions(pull);
+  pull.set_accounting(sh.dense_bytes);
+  session_.respond(worker, host, pull, [this, shard, worker, round] {
+    deliver(shard, worker, round);
+  });
+  return true;
+}
+
+void KvBspSync::deliver(std::size_t shard, std::size_t worker,
+                        std::uint64_t round) {
   runtime::Engine& e = eng();
   Shard& sh = shards_[shard];
-  // Duplicate delivery after a failover re-broadcast: the first copy
-  // already installed these (identical, version-stamped) blocks.
-  if (sh.resp_pending[worker] == 0) return;
-  sh.resp_pending[worker] = 0;
+  // A duplicate after a failover re-broadcast (the first copy already
+  // installed these version-stamped blocks), or an answer older than the
+  // worker's last push, no-ops.
+  if (!sh.barrier.settle(worker, round)) return;
   for (const kv::Key k : sh.keys) {
     const auto& info = e.blocks()[k];
     util::copy(e.global_params().subspan(info.offset, info.numel),
                e.worker_params(worker).subspan(info.offset, info.numel));
   }
-  if (std::none_of(shards_.begin(), shards_.end(), [&](const Shard& x) {
-        return x.resp_pending[worker] != 0;
-      })) {
-    e.finish_sync(worker);
+  const auto awaiting = [&](const Shard& x) {
+    return x.barrier.awaiting(worker);
+  };
+  if (std::any_of(shards_.begin(), shards_.end(), awaiting)) return;
+  e.finish_sync(worker);
+  // A worker that finished or parked stops gating, which a shard that
+  // another worker is a round ahead on may be waiting for (see header).
+  if (e.worker_done(worker) || e.worker_parked(worker)) {
+    for (Shard& s : shards_) s.barrier.recheck();
   }
 }
 
@@ -354,12 +394,9 @@ void KvBspSync::update_gib_selection() {
 }
 
 void KvBspSync::save_state(util::serde::Writer& w) const {
-  w.u8(4);  // KvBSP state version (4: failover state in the shard session)
+  w.u8(5);  // KvBSP state version (5: a round barrier per shard)
   w.u64(shards_.size());
-  for (const Shard& sh : shards_) {
-    w.u64(sh.rounds);
-    w.u64(sh.arrived);
-  }
+  for (const Shard& sh : shards_) sh.barrier.save_state(w);
   pipeline_.save_state(w);  // RNG streams, key caches
   w.bytes(gib_keep_);
   // Error-feedback residuals are true training state: losing them changes
@@ -371,18 +408,10 @@ void KvBspSync::save_state(util::serde::Writer& w) const {
 
 void KvBspSync::load_state(util::serde::Reader& r) {
   const std::uint8_t version = r.u8();
-  OSP_CHECK(version == 4, "unsupported KvBSP state version");
+  OSP_CHECK(version == 5, "unsupported KvBSP state version");
   OSP_CHECK(r.u64() == shards_.size(),
             "KvBSP checkpoint shard count mismatch");
-  for (Shard& sh : shards_) {
-    sh.rounds = r.u64();
-    sh.arrived = static_cast<std::size_t>(r.u64());
-    // In-flight round bookkeeping is empty by construction at the drain
-    // barrier the snapshot was taken at.
-    std::fill(sh.pushed.begin(), sh.pushed.end(), std::uint8_t{0});
-    std::fill(sh.resp_pending.begin(), sh.resp_pending.end(),
-              std::uint8_t{0});
-  }
+  for (Shard& sh : shards_) sh.barrier.load_state(r);
   pipeline_.load_state(r);
   gib_keep_ = r.bytes();
   if (gib_ != nullptr) {
@@ -400,7 +429,7 @@ void KvBspSync::load_state(util::serde::Reader& r) {
 
 bool KvBspSync::drained() const {
   return std::all_of(shards_.begin(), shards_.end(),
-                     [](const Shard& sh) { return sh.arrived == 0; });
+                     [](const Shard& sh) { return sh.barrier.drained(); });
 }
 
 }  // namespace osp::sync

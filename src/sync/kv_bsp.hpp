@@ -4,10 +4,24 @@
 // sparsified baselines (§2.2.2, §7) and 8-bit quantized BSP.
 //
 // Per round, every worker pushes its gradient to each shard's serving
-// host; a shard aggregates (mean) once all N pieces have arrived, steps
-// its blocks, bumps their store versions and broadcasts them as a
-// version-stamped pull response. A worker resumes when every shard's
-// response has landed. The key space runs in one of two layouts:
+// host. Each shard closes its rounds on its own sync::RoundBarrier
+// (sync/round_barrier.hpp, which states the close rule and the survival
+// contract): with no faults and no deadline, once all N pieces have
+// arrived; a crashed worker stops gating it, and with rs_timeout_s > 0 the
+// deadline closes it with the pieces it has. At the close the shard takes
+// the uniform mean of its contributors' gradients (1/N when all N
+// contributed), steps its blocks, bumps their store versions and
+// broadcasts them as a version-stamped pull response to the contributors
+// still awaiting it. A worker resumes when every shard has answered it; a
+// worker the shard closed without (a late push, a lost answer) gets a
+// catch-up pull of the shard's keys from its serving host instead.
+// Shards close independently, so a worker that restarts after one shard
+// closed its round without it, but before another did, pushes one round
+// ahead on the first shard: its gradient joins that shard's next round,
+// one round stale. Such a round can end up waiting only on workers that
+// finished or parked at a checkpoint cut, so a worker's last answer
+// re-checks every shard's close when it finishes or parks. The key space
+// runs in one of two layouts:
 //  * one logical shard holding every key (primary host 0, ring-successor
 //    backup): pushes are the worker's full gradient, encoded in place
 //    through the filter pipeline (key-cache ∘ GIB ∘ top-k ∘ int8), and
@@ -20,8 +34,9 @@
 // each shard is primary on one host with a ring-successor backup. When
 // the serving host crashes or restarts the session repoints the shard,
 // catches the new host up and re-submits a broadcast that died with the
-// old host's queue (never re-applied); workers that pushed this round
-// re-push to the new host.
+// old host's queue (never re-applied). The deposed host's arrivals are
+// withdrawn from the shard's barrier, and workers that await the
+// collecting round re-push to the new host.
 //
 // The accounting profile fixes the byte scale each baseline has always
 // charged, which the sync goldens pin:
@@ -41,6 +56,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <vector>
 
 #include "kv/compress.hpp"
@@ -48,6 +64,7 @@
 #include "kv/message.hpp"
 #include "kv/shard_session.hpp"
 #include "runtime/sync_model.hpp"
+#include "sync/round_barrier.hpp"
 
 namespace osp::sync {
 
@@ -97,6 +114,7 @@ class KvBspSync : public runtime::SyncModel {
   [[nodiscard]] std::string name() const override;
   void attach(runtime::Engine& eng) override;
   void on_gradient_ready(std::size_t worker) override;
+  void on_worker_crashed(std::size_t worker) override;
   void on_ps_crashed(std::size_t ps) override;
   void on_ps_restarted(std::size_t ps) override;
   void save_state(util::serde::Writer& w) const override;
@@ -113,14 +131,27 @@ class KvBspSync : public runtime::SyncModel {
   }
 
  private:
-  struct Shard {
+  /// A key shard and the barrier its rounds close on. Pinned: the
+  /// barrier's timer holds its address.
+  struct Shard final : RoundBarrier::Owner {
+    Shard(KvBspSync& sync, std::size_t index) : sync(sync), index(index) {}
+    KvBspSync& sync;
+    std::size_t index;
     std::vector<kv::Key> keys;  // owned keys (= block ids), ascending
     std::vector<bool> mask;     // the same keys as a block mask
     double dense_bytes = 0.0;   // unfiltered push size
-    std::uint64_t rounds = 0;   // closed rounds
-    std::size_t arrived = 0;    // pushes counted this round
-    std::vector<std::uint8_t> pushed;        // per worker, this round
-    std::vector<std::uint8_t> resp_pending;  // per worker
+    RoundBarrier barrier;
+
+    void round_closed(std::uint64_t round, std::size_t contributed) override {
+      sync.record_full_round(round, contributed);
+    }
+    bool catch_up(std::size_t worker, std::uint64_t round) override {
+      return sync.catch_up(index, worker, round);
+    }
+    void step_round(std::uint64_t round,
+                    const std::vector<bool>& contributors) override {
+      sync.aggregate(index, round, contributors);
+    }
   };
 
   [[nodiscard]] bool per_ps() const {
@@ -128,12 +159,18 @@ class KvBspSync : public runtime::SyncModel {
   }
   /// Fill worker w's inbox with its gradient and run the pipeline.
   void encode_push(std::size_t worker);
-  /// Send worker w's push for `shard` to the shard's serving host.
-  void push(std::size_t worker, std::size_t shard);
-  void on_push_arrived(std::size_t shard);
-  /// Step the shard and queue its response broadcast.
-  void aggregate(std::size_t shard);
-  void deliver(std::size_t shard, std::size_t worker);
+  /// Send worker w's push of `round` for `shard` to the shard's serving
+  /// host.
+  void push(std::size_t worker, std::size_t shard, std::uint64_t round);
+  /// Step the shard with the mean of `contributors`' gradients and queue
+  /// its response broadcast.
+  void aggregate(std::size_t shard, std::uint64_t round,
+                 const std::vector<bool>& contributors);
+  /// Send worker w a pull of the shard's keys answering `round`; false
+  /// while the shard's whole chain is down.
+  bool catch_up(std::size_t shard, std::size_t worker, std::uint64_t round);
+  /// Shard `shard`'s answer of `round` (response or pull) reached w.
+  void deliver(std::size_t shard, std::size_t worker, std::uint64_t round);
   /// Recompute the GIB keep mask from per-block mean |agg| under the
   /// byte budget (descending importance, always >= 1 block).
   void update_gib_selection();
@@ -143,7 +180,7 @@ class KvBspSync : public runtime::SyncModel {
   kv::GibFilter* gib_ = nullptr;  // owned by pipeline_
   std::vector<std::uint8_t> gib_keep_;
   kv::ShardSession session_;
-  std::vector<Shard> shards_;
+  std::deque<Shard> shards_;
   std::vector<kv::KvMessage> inbox_;          // per worker, reused
   std::vector<std::vector<float>> residual_;  // per worker, error feedback
   std::vector<float> agg_;

@@ -29,11 +29,15 @@ void RoundBarrier::attach(runtime::Engine& eng, double rs_timeout_s,
 }
 
 void RoundBarrier::arm_timer() {
-  if (rs_timeout_s_ <= 0.0 || timer_armed_) return;
+  if (rs_timeout_s_ <= 0.0) return;
+  const std::uint64_t snapshot = eng_->checkpoints_taken();
+  if (timer_armed_ && timer_snapshot_ == snapshot) return;
   timer_armed_ = true;
+  timer_snapshot_ = snapshot;
   const std::uint64_t r = collecting();
-  eng_->sim().schedule(rs_timeout_s_, [this, r] {
-    if (r != collecting()) return;  // the round closed naturally
+  eng_->sim().schedule(rs_timeout_s_, [this, r, snapshot] {
+    // The round closed naturally, or a snapshot fenced this timer.
+    if (r != collecting() || snapshot != eng_->checkpoints_taken()) return;
     timer_armed_ = false;
     // Quiescent expiry (e.g. the watchdog armed at the last close of the
     // run): nothing landed and nobody is stuck.
@@ -84,7 +88,7 @@ void RoundBarrier::maybe_close() {
   const runtime::Engine& e = *eng_;
   for (std::size_t w = 0; w < e.num_workers(); ++w) {
     if (contributed_[w] || !e.worker_alive(w)) continue;
-    if (survival_ && e.worker_done(w)) continue;
+    if (survival_ && (e.worker_done(w) || e.worker_parked(w))) continue;
     // A stuck worker will never push again: the deadline resyncs it.
     if (awaiting_[w] && awaiting_round_[w] <= round_) continue;
     return;
@@ -114,21 +118,31 @@ void RoundBarrier::close() {
   // instead of deadlocking the cluster.
   if (resyncing && !e.stopping()) arm_timer();
   if (contributed == 0) return;  // nothing landed: no step this round
-
-  agg_.assign(e.global_params().size(), 0.0f);
-  double weight_sum = 0.0;
-  for (std::size_t w = 0; w < n; ++w) {
-    if (closed_[w]) weight_sum += e.worker_weight(w);
-  }
-  if (contributed != n && weight_sum <= 0.0) return;
-  for (std::size_t w = 0; w < n; ++w) {
-    if (!closed_[w]) continue;
-    const double weight = contributed == n
-                              ? e.worker_weight(w)
-                              : e.worker_weight(w) / weight_sum;
-    util::axpy(static_cast<float>(weight), e.worker_gradient(w), agg_);
-  }
+  if (contributed != n && closed_weight() <= 0.0) return;
   owner_->step_round(round_, closed_);
+}
+
+double RoundBarrier::closed_weight() const {
+  double sum = 0.0;
+  for (std::size_t w = 0; w < closed_.size(); ++w) {
+    if (closed_[w]) sum += eng_->worker_weight(w);
+  }
+  return sum;
+}
+
+const std::vector<float>& RoundBarrier::aggregate_round() {
+  const runtime::Engine& e = *eng_;
+  // A full round weighs by sample share as is (x / 1.0 == x exactly); a
+  // partial one renormalizes over its contributors.
+  const double sum =
+      std::ranges::all_of(closed_, std::identity{}) ? 1.0 : closed_weight();
+  agg_.assign(e.global_params().size(), 0.0f);
+  for (std::size_t w = 0; w < closed_.size(); ++w) {
+    if (!closed_[w]) continue;
+    util::axpy(static_cast<float>(e.worker_weight(w) / sum),
+               e.worker_gradient(w), agg_);
+  }
+  return agg_;
 }
 
 void RoundBarrier::catch_up(std::size_t w) {
@@ -144,7 +158,7 @@ void RoundBarrier::save_state(util::serde::Writer& w) const {
 void RoundBarrier::load_state(util::serde::Reader& r) { round_ = r.u64(); }
 
 bool RoundBarrier::drained() const {
-  return !timer_armed_ && contributed_count_ == 0 &&
+  return contributed_count_ == 0 &&
          std::ranges::none_of(awaiting_, std::identity{});
 }
 

@@ -1,14 +1,14 @@
-// The gradient-collection barrier shared by BSP (§2.1.2) and OSP's Routine
-// Synchronization stage (§3). §4.3: with an ICS budget of 0 OSP is BSP, so
-// both run this one barrier.
+// The gradient-collection barrier shared by BSP (§2.1.2), OSP's Routine
+// Synchronization stage (§3) and KV-core BSP (one barrier per KV shard).
+// §4.3: with an ICS budget of 0 OSP is BSP, so all three run this one
+// barrier.
 //
 // The barrier owns a round's bookkeeping: the collecting round id; per
 // worker whether its push of the round landed (contributed) and whether it
-// still awaits an answer, and from which round; the close rule; the weighted
-// aggregate; the deadline timer and the watchdog. The sync model owns its
-// traffic: what a push carries and when it counts as landed (OSP: once
-// every PS shard has it), how the step is applied and answered, and how a
-// catch-up pull travels.
+// still awaits an answer, and from which round; the close rule; the deadline
+// timer and the watchdog. The sync model owns its traffic: what a push
+// carries and when it counts as landed (OSP: once every PS shard has it),
+// how the step is applied and answered, and how a catch-up pull travels.
 //
 // Survival contract (fault injection, see sim/faults.hpp). Every
 // barrier-style model keeps it through this class:
@@ -18,9 +18,10 @@
 //    (catch-up).
 //  * A crashed worker stops gating the round; a contribution that already
 //    landed is kept. While faults or a deadline are in play, a worker that
-//    finished its epochs stops gating it too, and so does a stuck worker
-//    (one awaiting the answer of an older round, e.g. a dropped broadcast):
-//    it will never push again.
+//    finished its epochs stops gating it too, and so does one parked at a
+//    checkpoint cut (it pushes only after the snapshot, which waits for
+//    this round), and so does a stuck worker (one awaiting the answer of an
+//    older round, e.g. a dropped broadcast): none of them will push to it.
 //  * With rs_timeout_s > 0 a deadline timer is armed at the round's first
 //    push; on expiry the round closes with the N−k contributions it has.
 //    An expiry with nothing landed and nobody stuck is quiescent, not a
@@ -31,13 +32,20 @@
 //    watchdog keeps the timer armed so that close comes. Every answer
 //    carries the round it answers; a duplicate, or one older than the
 //    worker's last push, no-ops (settle()).
+//  * A snapshot fences the armed timer: its expiry no-ops and the next push
+//    arms a fresh one. A resumed run starts with no timer, so the fence is
+//    what keeps it equal to the uninterrupted run, and the engine's drain
+//    waits only for contributions and answers, never for a timer.
 //  * With no deadline and no fault schedule the classic semantics hold:
 //    the round waits for every alive worker.
 //
-// Aggregate (§2.1.1): worker gradients weighted by sample share, in worker
-// order. A full round uses worker_weight(w); a partial round renormalizes
-// over its contributors, worker_weight(w) / Σ weights, and closes as a
-// no-op when those weights sum to zero.
+// Aggregate (§2.1.1), computed by aggregate_round() when the owner asks
+// for it from step_round (KV-core BSP takes its own uniform mean instead):
+// worker gradients weighted by sample share, in worker order. A full round
+// uses worker_weight(w); a partial round renormalizes over its
+// contributors, worker_weight(w) / Σ weights. Whatever the owner's
+// aggregate, a partial round whose contributors' weights sum to zero
+// closes as a no-op.
 #pragma once
 
 #include <cstddef>
@@ -64,11 +72,13 @@ class RoundBarrier {
     /// the resync, so the round's telemetry record exists for its retries.
     virtual void round_closed(std::uint64_t round,
                               std::size_t contributed) = 0;
-    /// Send worker w a full parameter pull answering round `round` (the
-    /// last closed one); false when none could be sent.
+    /// Send worker w a pull of the parameters the barrier's rounds step
+    /// (all of them, or a KV shard's), answering round `round` (the last
+    /// closed one); false when none could be sent.
     virtual bool catch_up(std::size_t w, std::uint64_t round) = 0;
-    /// Apply round `round`: aggregate() holds the weighted gradient of
-    /// `contributors`. Skipped when nothing contributed.
+    /// Apply round `round`, which `contributors` contributed to (the
+    /// sample-share aggregate is aggregate_round()). Skipped when nothing
+    /// contributed.
     virtual void step_round(std::uint64_t round,
                             const std::vector<bool>& contributors) = 0;
 
@@ -95,7 +105,9 @@ class RoundBarrier {
   [[nodiscard]] std::uint64_t awaiting_round(std::size_t w) const {
     return awaiting_round_[w];
   }
-  /// Weighted gradient of the last round that contributed.
+  /// The sample-share aggregate of the round that just closed; call from
+  /// step_round. aggregate() keeps it until the next call.
+  const std::vector<float>& aggregate_round();
   [[nodiscard]] const std::vector<float>& aggregate() const { return agg_; }
 
   /// Worker w pushes to the collecting round: it awaits an answer,
@@ -119,6 +131,9 @@ class RoundBarrier {
   /// W crashed: its flows are gone, nothing is owed to it, and the round
   /// may close without it.
   void crashed(std::size_t w);
+  /// A worker stopped gating between pushes (it finished its epochs or
+  /// parked at a checkpoint cut): the round may close without it.
+  void recheck() { maybe_close(); }
   /// An answer of round `round` reached w: true for the first one (w alive
   /// and awaiting, the answer not older than w's last push), which w
   /// consumes; false for a duplicate or a stale answer, e.g. a catch-up
@@ -126,10 +141,11 @@ class RoundBarrier {
   bool settle(std::size_t w, std::uint64_t round);
 
   /// Only the round id survives a snapshot: the rest is empty whenever
-  /// drained() holds, which is when the engine takes one.
+  /// drained() holds, which is when the engine takes one, and the timer is
+  /// fenced by it.
   void save_state(util::serde::Writer& w) const;
   void load_state(util::serde::Reader& r);
-  /// No round collecting, nobody awaiting, no timer armed.
+  /// No round collecting and nobody awaiting.
   [[nodiscard]] bool drained() const;
 
  private:
@@ -137,6 +153,8 @@ class RoundBarrier {
   void maybe_close();
   void close();
   void catch_up(std::size_t w);
+  /// Σ worker_weight over the last close's contributors.
+  [[nodiscard]] double closed_weight() const;
 
   runtime::Engine* eng_ = nullptr;
   double rs_timeout_s_ = 0.0;
@@ -149,6 +167,7 @@ class RoundBarrier {
   std::vector<bool> awaiting_;     ///< pushed, no answer delivered yet
   std::vector<std::uint64_t> awaiting_round_;  ///< round of that push
   bool timer_armed_ = false;
+  std::uint64_t timer_snapshot_ = 0;  ///< checkpoints taken at arming
   std::vector<float> agg_;
 };
 

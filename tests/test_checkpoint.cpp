@@ -401,6 +401,106 @@ TEST(ResumeEquivalence, CompressedBspWithErrorFeedback) {
       golden_config(), "compressed_ef");
 }
 
+// ---- RS deadlines across a snapshot ----
+// With rs_timeout_s > 0 every barrier keeps a timer armed from each push
+// and close. A snapshot fences it and a resumed run starts without one, so
+// the resumed run equals the uninterrupted one: with no fault, with worker
+// 1 down across the first snapshot (at iteration 5, t ≈ 0.32 s), and with
+// worker 0 paused across it, which holds the first round after the
+// snapshot open past the deadline of the timer armed before it.
+
+void expect_deadline_resume_equivalent(const SyncFactory& make,
+                                       const std::string& tag) {
+  for (const char* fault : {"none", "crash", "pause"}) {
+    SCOPED_TRACE(fault);
+    runtime::EngineConfig cfg = golden_config();
+    if (fault == std::string("crash")) {
+      cfg.faults.crash_worker(0.2, 1, /*restart_after=*/0.2);
+    } else if (fault == std::string("pause")) {
+      cfg.faults.pause_worker(0.3, 0, /*duration=*/0.5);
+    }
+    expect_resume_equivalent(make, cfg, tag + "_" + fault);
+  }
+}
+
+TEST(ResumeEquivalence, BspWithDeadline) {
+  expect_deadline_resume_equivalent(
+      [] {
+        return std::make_unique<sync::BspSync>(
+            runtime::SyncTimeouts{.rs_timeout_s = 0.3});
+      },
+      "bsp_deadline");
+}
+
+TEST(ResumeEquivalence, OspWithDeadline) {
+  expect_deadline_resume_equivalent(
+      [] {
+        core::OspOptions opt;
+        opt.fixed_budget_fraction = 0.5;
+        return std::make_unique<core::OspSync>(
+            opt, runtime::SyncTimeouts{.rs_timeout_s = 0.3,
+                                       .ics_timeout_s = 0.3});
+      },
+      "osp_deadline");
+}
+
+TEST(ResumeEquivalence, KvBspWithDeadline) {
+  expect_deadline_resume_equivalent(
+      [] {
+        auto s = std::make_unique<sync::KvBspSync>();
+        s->set_timeouts({.rs_timeout_s = 0.3});
+        return s;
+      },
+      "kvbsp_deadline");
+}
+
+// The drain waits for no timer: with a deadline, a checkpointed BSP run
+// takes as long as, and trains the same parameters as, the run without
+// checkpoints, with or without a pause to put the run under the fault
+// rules. The watchdog armed at each close is still pending when the last
+// worker parks. OSP's drain also waits for its in-flight ICS rounds,
+// which costs the same with a deadline as without.
+TEST(CheckpointDrain, DeadlineTimerDoesNotDelayTheSnapshot) {
+  const auto run = [](const SyncFactory& make,
+                      const runtime::EngineConfig& base, bool ckpt) {
+    runtime::EngineConfig cfg = base;
+    cfg.checkpoint.every_iters = ckpt ? 8 : 0;
+    const RunOutput out = run_model(make, cfg);
+    EXPECT_EQ(out.result.checkpoints_taken, ckpt ? 2u : 0u);
+    return out;
+  };
+  const auto bsp = [](double rs_timeout_s) -> SyncFactory {
+    return [rs_timeout_s] {
+      return std::make_unique<sync::BspSync>(
+          runtime::SyncTimeouts{.rs_timeout_s = rs_timeout_s});
+    };
+  };
+  const auto osp = [](double rs_timeout_s) -> SyncFactory {
+    return [rs_timeout_s] {
+      core::OspOptions opt;
+      opt.fixed_budget_fraction = 0.5;
+      return std::make_unique<core::OspSync>(
+          opt, runtime::SyncTimeouts{.rs_timeout_s = rs_timeout_s});
+    };
+  };
+  runtime::EngineConfig paused = golden_config();
+  paused.faults.pause_worker(1.2, 0, 0.001);
+  for (const runtime::EngineConfig& cfg : {golden_config(), paused}) {
+    const RunOutput plain = run(bsp(0.3), cfg, false);
+    const RunOutput checkpointed = run(bsp(0.3), cfg, true);
+    EXPECT_EQ(checkpointed.result.total_time_s, plain.result.total_time_s);
+    EXPECT_EQ(checkpointed.params, plain.params);
+  }
+  const double osp_cost =
+      run(osp(0.3), golden_config(), true).result.total_time_s -
+      run(osp(0.3), golden_config(), false).result.total_time_s;
+  const double osp_cost_without_deadline =
+      run(osp(0.0), golden_config(), true).result.total_time_s -
+      run(osp(0.0), golden_config(), false).result.total_time_s;
+  EXPECT_GT(osp_cost_without_deadline, 0.0);
+  EXPECT_NEAR(osp_cost, osp_cost_without_deadline, 1e-9);
+}
+
 // ---- serde round-trip across randomized configs (property test) ----
 
 TEST(CheckpointProperty, ByteStableAcrossRandomizedConfigs) {

@@ -18,6 +18,7 @@
 #include "sync/async.hpp"
 #include "sync/bsp.hpp"
 #include "sync/casp.hpp"
+#include "sync/kv_bsp.hpp"
 #include "sync/r2sp.hpp"
 #include "util/check.hpp"
 
@@ -476,6 +477,72 @@ TEST(CrashSurvival, CaspCrashRestartRejoinsItsGroup) {
   }
 }
 
+// ---- KV-core BSP: each shard closes on a RoundBarrier, so a crashed
+// worker stops gating it like BSP's and OSP's ----
+
+/// Every KV-core BSP profile: plain KvBSP, sharded over both PS hosts,
+/// Top-K with error feedback and Q8.
+std::vector<sync::KvBspOptions> kv_core_profiles() {
+  return {sync::KvBspOptions{}, sync::sharded_bsp(),
+          sync::compressed_bsp(kv::CompressionMode::TopK, 0.25, /*seed=*/99,
+                               /*error_feedback=*/true),
+          sync::quantized_bsp()};
+}
+
+runtime::EngineConfig kv_core_config() {
+  runtime::EngineConfig cfg = golden_config();
+  cfg.cluster.num_ps = 2;
+  cfg.max_virtual_time_s = 60.0;
+  return cfg;
+}
+
+TEST(KvBspSurvival, PermanentCrashUnderDeadlineRunsToPlan) {
+  for (const sync::KvBspOptions& opt : kv_core_profiles()) {
+    runtime::EngineConfig cfg = kv_core_config();
+    cfg.faults.crash_worker(0.05, 1);
+    sync::KvBspSync sync(opt);
+    sync.set_timeouts({.rs_timeout_s = 0.1, .ics_timeout_s = 0.0});
+    const PlannedRun run = run_to_plan(sync, cfg);
+    const runtime::RunResult& r = run.result;
+    EXPECT_EQ(r.faults.worker_crashes, 1u) << sync.name();
+    // The three survivors' 3 × 384 samples, plus what the crashed worker
+    // computed before it died.
+    EXPECT_GE(r.total_samples, 3 * 384.0) << sync.name();
+    EXPECT_LT(r.total_samples, 1536.0) << sync.name();
+    EXPECT_TRUE(std::isfinite(r.final_loss)) << sync.name();
+    EXPECT_TRUE(sync.drained()) << sync.name();
+  }
+}
+
+// A crash at any instant of a round, pushes landed or not, answers in
+// flight or not: the worker restarts 10 ms later and every worker still
+// completes its plan. A crash after a landed push must not leave a round
+// waiting for a count it can no longer reach, and a restart between two
+// shards' closes of one round must not leave the last round waiting on
+// finished workers.
+TEST(KvBspSurvival, CrashRestartSweepRunsToPlan) {
+  for (const sync::KvBspOptions& opt : kv_core_profiles()) {
+    std::size_t short_runs = 0;
+    std::string name;
+    for (int i = 1; i <= 300; ++i) {
+      runtime::EngineConfig cfg = kv_core_config();
+      cfg.faults.crash_worker(0.002 * i, 1, /*restart_after=*/0.01);
+      sync::KvBspSync sync(opt);
+      name = sync.name();
+      const runtime::WorkloadSpec spec = models::tiny_mlp();
+      runtime::Engine engine(spec, cfg, sync);
+      const runtime::RunResult r = engine.run();
+      const std::size_t planned = cfg.max_epochs * engine.batches_per_epoch();
+      bool short_run = r.faults.worker_restarts != 1;
+      for (std::size_t w = 0; w < cfg.num_workers; ++w) {
+        short_run = short_run || engine.worker_iteration(w) != planned;
+      }
+      short_runs += short_run ? 1 : 0;
+    }
+    EXPECT_EQ(short_runs, 0u) << name;
+  }
+}
+
 // ---- link faults during ICS ----
 
 TEST(LinkFaults, FlapDuringIcsConverges) {
@@ -563,10 +630,10 @@ TEST(CheckpointRecovery, CrashRestoresFromCheckpointDeterministically) {
   EXPECT_EQ(restore.faults.worker_crashes, 1u);
   EXPECT_EQ(restore.faults.worker_restarts, 1u);
   EXPECT_EQ(restore.faults.checkpoint_restores, 1u);
-  // Three snapshots land before the crash; afterwards the restored worker
-  // trails the pack, so one boundary deadlocks (the straggler's round needs
-  // the parked workers) and is skipped, leaving one more post-crash.
-  EXPECT_EQ(restore.checkpoints_taken, 4u);
+  // Three snapshots land before the crash and two after it. The restored
+  // worker trails the pack, but its rounds close without the parked
+  // workers, so it reaches every cut too.
+  EXPECT_EQ(restore.checkpoints_taken, 5u);
   // No lost rounds: every worker finishes every epoch (the iteration in
   // flight at the crash is recomputed, so up to one extra batch counts),
   // and no barrier round had to be closed by a deadline.

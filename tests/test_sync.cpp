@@ -539,8 +539,9 @@ std::vector<GoldenCase> golden_cases() {
                    ps_chaos_cfg});
   // Worker faults under an RS deadline: worker 1 crashes and restarts,
   // worker 3 crashes for good, and a drop window loses pushes and answers.
-  // Pins the deadline close, the renormalized partial aggregate, the
-  // late-push and watchdog catch-up pulls of BSP's barrier and OSP's RS.
+  // Pins the deadline close, the partial aggregate, the late-push and
+  // watchdog catch-up pulls of all three round-barrier owners: BSP, OSP's
+  // RS and KV-core BSP (one shard, and one shard per PS).
   runtime::EngineConfig worker_chaos_cfg = golden_cfg();
   worker_chaos_cfg.faults.set_seed(17)
       .crash_worker(0.3, /*worker=*/1, /*restart_after=*/0.2)
@@ -561,6 +562,23 @@ std::vector<GoldenCase> golden_cases() {
                                                     .ics_timeout_s = 0.15});
                    },
                    worker_chaos_cfg});
+  cases.push_back({"kvbsp_worker_chaos",
+                   [] {
+                     auto s = std::make_unique<sync::KvBspSync>();
+                     s->set_timeouts({.rs_timeout_s = 0.15});
+                     return s;
+                   },
+                   worker_chaos_cfg});
+  runtime::EngineConfig worker_chaos_2ps_cfg = worker_chaos_cfg;
+  worker_chaos_2ps_cfg.cluster.num_ps = 2;
+  cases.push_back({"sharded_bsp_worker_chaos",
+                   [] {
+                     auto s =
+                         std::make_unique<sync::KvBspSync>(sync::sharded_bsp());
+                     s->set_timeouts({.rs_timeout_s = 0.15});
+                     return s;
+                   },
+                   worker_chaos_2ps_cfg});
   // Conv2d, MaxPool2d and ReLU-after-conv numerics, which the tiny MLP never
   // reaches: two epochs of the ResNet50/CIFAR10 proxy under BSP and OSP.
   runtime::EngineConfig conv_cfg = golden_cfg();
@@ -677,7 +695,7 @@ TEST(GoldenBitIdentity, WorkerChaosReachesDeadlineAndCatchUp) {
     EXPECT_EQ(r.faults.worker_crashes, 2u) << c.tag;
     EXPECT_GT(r.faults.messages_dropped, 0u) << c.tag;
   }
-  EXPECT_EQ(checked, 2u);
+  EXPECT_EQ(checked, 4u);
 }
 
 TEST(CrossModel, AllModelsReachSameSampleCount) {
