@@ -135,7 +135,7 @@ Gib OspSync::restrict_to_ps(const Gib& gib, std::size_t ps,
 }
 
 void OspSync::on_gradient_ready(std::size_t worker) {
-  rs_.push(worker, [&](std::uint64_t r) {
+  rs_.push(worker, rs_.collecting(), [&](std::uint64_t r) {
     for (std::size_t p = 0; p < num_ps_; ++p) push_rs_shard(worker, r, p);
   });
 }

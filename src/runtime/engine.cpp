@@ -334,8 +334,8 @@ RunResult Engine::run() {
     // done/crashed-forever) and no future fault event is left to trigger
     // the snapshot, so take it here and release the barrier. A worker
     // trailing the pack after a crash does not stall the cut: under faults
-    // a barrier round stops waiting on parked workers
-    // (sync/round_barrier.hpp).
+    // a barrier round, a CASP group and R²SP's token stop waiting on
+    // workers at the cut (worker_parked).
     OSP_CHECK(maybe_checkpoint_now(), "checkpoint drain stalled");
     if (halted_) break;
   }

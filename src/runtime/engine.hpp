@@ -205,10 +205,12 @@ class Engine {
   [[nodiscard]] bool worker_done(std::size_t w) const {
     return workers_.at(w).done;
   }
-  /// True while worker `w` is held at a checkpoint cut: it pushes again
-  /// only after the snapshot, which waits for every open round.
+  /// True while worker `w` has reached the pending checkpoint cut: it is
+  /// held there, or parks as soon as it computes again (one restarting
+  /// there), so it pushes again only after the snapshot, which waits for
+  /// every open round.
   [[nodiscard]] bool worker_parked(std::size_t w) const {
-    return workers_.at(w).parked;
+    return should_park(w);
   }
   /// Snapshots taken so far, a resumed run's included. A barrier fences
   /// the timer armed before a snapshot with it.

@@ -14,7 +14,7 @@ void BspSync::attach(runtime::Engine& eng) {
 
 void BspSync::on_gradient_ready(std::size_t worker) {
   runtime::Engine& e = eng();
-  barrier_.push(worker, [&](std::uint64_t r) {
+  barrier_.push(worker, barrier_.collecting(), [&](std::uint64_t r) {
     e.worker_transfer(worker, e.cluster().route_to_ps(worker), e.model_bytes(),
                       [this, r, worker] {
                         if (barrier_.late(r, worker)) return;

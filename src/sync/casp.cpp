@@ -55,8 +55,9 @@ void CaspSync::maybe_aggregate(std::size_t group) {
   for (std::size_t w : groups_[group]) {
     if (pushed_[w]) {
       contributors.push_back(w);
-    } else if (e.worker_alive(w) && !e.worker_done(w)) {
-      return;  // a member that will still push
+    } else if (e.worker_alive(w) && !e.worker_done(w) &&
+               !e.worker_parked(w)) {
+      return;  // a member that will push to this round
     }
   }
   if (contributors.empty()) return;
@@ -82,6 +83,10 @@ void CaspSync::maybe_aggregate(std::size_t group) {
                            util::copy(e2.global_params(),
                                       e2.worker_params(w));
                            e2.finish_sync(w);
+                           // A partner may have pushed the next round
+                           // while this answer was in flight, and w may
+                           // have stopped pushing (done, or at the cut).
+                           maybe_aggregate(group_of_[w]);
                          });
     }
   });

@@ -14,7 +14,9 @@
 // A group's barrier waits only for members that can still push. A crashed
 // member's landed push is withdrawn (it redoes the batch after a restart)
 // and the group closes without it; a member that finished its epochs is
-// not waited for either, so one a restart left a batch behind can finish.
+// not waited for either, so one a restart left a batch behind can finish,
+// and nor is one at a checkpoint cut, so such a member reaches the cut
+// too.
 #pragma once
 
 #include <cstddef>

@@ -176,9 +176,15 @@ void KvBspSync::attach(runtime::Engine& eng) {
 
 void KvBspSync::on_gradient_ready(std::size_t worker) {
   if (!per_ps()) encode_push(worker);
+  // The worker pushes to the earliest round a shard collects. A shard that
+  // closed that round without it (it crashed, or a deadline passed) is
+  // ahead: the push lands late there and is answered by a catch-up pull,
+  // so every shard counts the worker's next push in the same round.
+  auto round = shards_.front().barrier.collecting();
+  for (const auto& s : shards_) round = std::min(round, s.barrier.collecting());
   for (Shard& sh : shards_) {
-    sh.barrier.push(
-        worker, [&](std::uint64_t round) { push(worker, sh.index, round); });
+    sh.barrier.push(worker, round,
+                    [&](std::uint64_t r) { push(worker, sh.index, r); });
   }
 }
 
@@ -246,8 +252,8 @@ void KvBspSync::aggregate(std::size_t shard, std::uint64_t round,
   // Mean of the contributors' gradients over the shard's blocks (shards
   // own disjoint blocks, so they aggregate independently): 1/N on a full
   // round, 1/k over a partial round's k contributors.
-  const auto count = std::ranges::count(contributors, true);
-  const float scale = 1.0f / static_cast<float>(count);
+  const float scale =
+      1.0f / static_cast<float>(std::ranges::count(contributors, true));
   for (const kv::Key k : sh.keys) {
     const auto& info = e.blocks()[k];
     auto dst = std::span<float>(agg_).subspan(info.offset, info.numel);
@@ -289,22 +295,13 @@ void KvBspSync::aggregate(std::size_t shard, std::uint64_t round,
   session_.answer(
       shard, apply,
       [this, shard, round, bytes, contributors](std::size_t host) {
-        const Shard& s = shards_[shard];
-        kv::KvMessage resp;
-        resp.begin(kv::Op::kPullResponse, static_cast<std::uint32_t>(host),
-                   round, {});
-        resp.keys = s.keys;
-        session_.store().stamp_versions(resp);
-        resp.set_accounting(bytes);
         // The round's contributors that still await its answer.
+        const RoundBarrier& b = shards_[shard].barrier;
         for (std::size_t w = 0; w < contributors.size(); ++w) {
-          if (!contributors[w] || !s.barrier.awaiting(w) ||
-              s.barrier.awaiting_round(w) != round) {
-            continue;
+          if (contributors[w] && b.awaiting(w) &&
+              b.awaiting_round(w) == round) {
+            answer(shard, host, w, round, bytes);
           }
-          session_.respond(w, host, resp, [this, shard, w, round] {
-            deliver(shard, w, round);
-          });
         }
       });
 }
@@ -313,18 +310,23 @@ bool KvBspSync::catch_up(std::size_t shard, std::size_t worker,
                          std::uint64_t round) {
   const std::size_t host = session_.serving(shard);
   if (host == kv::ShardSession::npos) return false;
-  const Shard& sh = shards_[shard];
-  // The shard's keys at their current versions, at the dense push scale.
-  kv::KvMessage pull;
-  pull.begin(kv::Op::kPullResponse, static_cast<std::uint32_t>(host), round,
+  // At the dense push scale.
+  answer(shard, host, worker, round, shards_[shard].dense_bytes);
+  return true;
+}
+
+void KvBspSync::answer(std::size_t shard, std::size_t host,
+                       std::size_t worker, std::uint64_t round,
+                       double bytes) {
+  kv::KvMessage resp;
+  resp.begin(kv::Op::kPullResponse, static_cast<std::uint32_t>(host), round,
              {});
-  pull.keys = sh.keys;
-  session_.store().stamp_versions(pull);
-  pull.set_accounting(sh.dense_bytes);
-  session_.respond(worker, host, pull, [this, shard, worker, round] {
+  resp.keys = shards_[shard].keys;
+  session_.store().stamp_versions(resp);
+  resp.set_accounting(bytes);
+  session_.respond(worker, host, resp, [this, shard, worker, round] {
     deliver(shard, worker, round);
   });
-  return true;
 }
 
 void KvBspSync::deliver(std::size_t shard, std::size_t worker,
@@ -340,15 +342,10 @@ void KvBspSync::deliver(std::size_t shard, std::size_t worker,
     util::copy(e.global_params().subspan(info.offset, info.numel),
                e.worker_params(worker).subspan(info.offset, info.numel));
   }
-  const auto awaiting = [&](const Shard& x) {
-    return x.barrier.awaiting(worker);
-  };
-  if (std::any_of(shards_.begin(), shards_.end(), awaiting)) return;
-  e.finish_sync(worker);
-  // A worker that finished or parked stops gating, which a shard that
-  // another worker is a round ahead on may be waiting for (see header).
-  if (e.worker_done(worker) || e.worker_parked(worker)) {
-    for (Shard& s : shards_) s.barrier.recheck();
+  if (std::none_of(shards_.begin(), shards_.end(), [&](const Shard& x) {
+        return x.barrier.awaiting(worker);
+      })) {
+    e.finish_sync(worker);
   }
 }
 

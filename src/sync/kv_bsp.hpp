@@ -15,12 +15,11 @@
 // still awaiting it. A worker resumes when every shard has answered it; a
 // worker the shard closed without (a late push, a lost answer) gets a
 // catch-up pull of the shard's keys from its serving host instead.
-// Shards close independently, so a worker that restarts after one shard
-// closed its round without it, but before another did, pushes one round
-// ahead on the first shard: its gradient joins that shard's next round,
-// one round stale. Such a round can end up waiting only on workers that
-// finished or parked at a checkpoint cut, so a worker's last answer
-// re-checks every shard's close when it finishes or parks. The key space
+// Shards close independently, so one can close a round without a worker
+// (it crashed, or a deadline passed) while another still collects it. The
+// worker's next push goes to the earliest round a shard collects: on a
+// shard that is ahead it lands late and is answered by a catch-up pull,
+// so the shards count the worker in the same round again. The key space
 // runs in one of two layouts:
 //  * one logical shard holding every key (primary host 0, ring-successor
 //    backup): pushes are the worker's full gradient, encoded in place
@@ -122,12 +121,16 @@ class KvBspSync : public runtime::SyncModel {
   [[nodiscard]] bool drained() const override;
 
   /// Introspection for tests: the last round's summed push wire bytes
-  /// (what telemetry records) and the host serving shard `shard`.
+  /// (what telemetry records), the host serving shard `shard` and the
+  /// rounds it has closed.
   [[nodiscard]] double last_round_push_bytes() const {
     return last_round_push_bytes_;
   }
   [[nodiscard]] std::size_t serving_host(std::size_t shard = 0) const {
     return session_.serving(shard);
+  }
+  [[nodiscard]] std::uint64_t rounds_closed(std::size_t shard) const {
+    return shards_[shard].barrier.rounds_closed();
   }
 
  private:
@@ -169,6 +172,10 @@ class KvBspSync : public runtime::SyncModel {
   /// Send worker w a pull of the shard's keys answering `round`; false
   /// while the shard's whole chain is down.
   bool catch_up(std::size_t shard, std::size_t worker, std::uint64_t round);
+  /// Send worker w the shard's keys at their current versions from `host`,
+  /// answering `round`, charged at `bytes`.
+  void answer(std::size_t shard, std::size_t host, std::size_t worker,
+              std::uint64_t round, double bytes);
   /// Shard `shard`'s answer of `round` (response or pull) reached w.
   void deliver(std::size_t shard, std::size_t worker, std::uint64_t round);
   /// Recompute the GIB keep mask from per-block mean |agg| under the

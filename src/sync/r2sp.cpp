@@ -23,10 +23,12 @@ void R2spSync::on_gradient_ready(std::size_t worker) {
 
 void R2spSync::try_serve() {
   if (serving_) return;
-  // A worker that finished its epochs never pushes again; pass its turn
-  // on. Only a restarted worker, which redid a batch, can still be behind.
+  // A worker that finished its epochs never pushes again, and one at a
+  // checkpoint cut pushes only after the snapshot: pass its turn on. Only
+  // a restarted worker, which redid a batch, can still be behind.
   runtime::Engine& e = eng();
-  for (std::size_t i = 0; i < ready_.size() && e.worker_done(token_); ++i) {
+  for (std::size_t i = 0; i < ready_.size(); ++i) {
+    if (!e.worker_done(token_) && !e.worker_parked(token_)) break;
     token_ = (token_ + 1) % ready_.size();
   }
   if (!ready_[token_]) return;

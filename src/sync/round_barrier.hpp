@@ -18,10 +18,11 @@
 //    (catch-up).
 //  * A crashed worker stops gating the round; a contribution that already
 //    landed is kept. While faults or a deadline are in play, a worker that
-//    finished its epochs stops gating it too, and so does one parked at a
-//    checkpoint cut (it pushes only after the snapshot, which waits for
-//    this round), and so does a stuck worker (one awaiting the answer of an
-//    older round, e.g. a dropped broadcast): none of them will push to it.
+//    finished its epochs stops gating it too, and so does one at a
+//    checkpoint cut (Engine::worker_parked: it pushes only after the
+//    snapshot, which waits for this round), and so does a stuck worker (one
+//    awaiting the answer of an older round, e.g. a dropped broadcast): none
+//    of them will push to it.
 //  * With rs_timeout_s > 0 a deadline timer is armed at the round's first
 //    push; on expiry the round closes with the N−k contributions it has.
 //    An expiry with nothing landed and nobody stuck is quiescent, not a
@@ -110,11 +111,12 @@ class RoundBarrier {
   const std::vector<float>& aggregate_round();
   [[nodiscard]] const std::vector<float>& aggregate() const { return agg_; }
 
-  /// Worker w pushes to the collecting round: it awaits an answer,
+  /// Worker w pushes to `round`, the collecting one (or one already closed
+  /// without w, a KV shard ahead of w's other shards, whose push lands
+  /// late() and is answered by a catch-up pull): it awaits an answer,
   /// `send(round)` issues the push, and the deadline timer is armed.
   template <class Send>
-  void push(std::size_t w, Send&& send) {
-    const std::uint64_t round = collecting();
+  void push(std::size_t w, std::uint64_t round, Send&& send) {
     awaiting_[w] = true;
     awaiting_round_[w] = round;
     send(round);
@@ -131,9 +133,6 @@ class RoundBarrier {
   /// W crashed: its flows are gone, nothing is owed to it, and the round
   /// may close without it.
   void crashed(std::size_t w);
-  /// A worker stopped gating between pushes (it finished its epochs or
-  /// parked at a checkpoint cut): the round may close without it.
-  void recheck() { maybe_close(); }
   /// An answer of round `round` reached w: true for the first one (w alive
   /// and awaiting, the answer not older than w's last push), which w
   /// consumes; false for a duplicate or a stale answer, e.g. a catch-up

@@ -543,6 +543,55 @@ TEST(KvBspSurvival, CrashRestartSweepRunsToPlan) {
   }
 }
 
+// Sharded BSP over 2 PS hosts: a shard can close a round while a worker
+// is down and the other still collects it. At t = 0.018 worker 1 crashes
+// after pushing round 1. Shard 1 closes round 1 while it is down; shard 0
+// has not when it is back, and waits for its redone push. That push finds
+// the shards apart and goes to round 1 on both: it joins shard 0's round 1
+// and lands late on shard 1, which answers with a catch-up pull, instead
+// of joining shard 1's round 2 with a gradient of round 1. From then on
+// every push finds both shards on the same round. The sweep moves the
+// crash across the run.
+class ShardRoundProbe : public sync::KvBspSync {
+ public:
+  ShardRoundProbe() : sync::KvBspSync(sync::sharded_bsp()) {}
+  std::size_t apart = 0;         // pushes that found the shards apart
+  std::size_t apart_stale = 0;   // ... other than a restart's first push
+  void on_worker_restarted(std::size_t w) override {
+    restarted_.resize(4, false);
+    restarted_[w] = true;
+  }
+  void on_gradient_ready(std::size_t w) override {
+    restarted_.resize(4, false);
+    if (rounds_closed(0) != rounds_closed(1)) {
+      ++apart;
+      if (!restarted_[w]) ++apart_stale;
+    }
+    restarted_[w] = false;
+    sync::KvBspSync::on_gradient_ready(w);
+  }
+
+ private:
+  std::vector<bool> restarted_;
+};
+
+TEST(KvBspSurvival, RestartRealignsShardRounds) {
+  const auto run = [](double at) {
+    runtime::EngineConfig cfg = kv_core_config();
+    cfg.faults.crash_worker(at, 1, /*restart_after=*/0.01);
+    auto probe = std::make_unique<ShardRoundProbe>();
+    const PlannedRun r = run_to_plan(*probe, cfg);
+    EXPECT_EQ(r.result.faults.worker_restarts, 1u) << at;
+    EXPECT_EQ(probe->apart_stale, 0u) << at;
+    return probe;
+  };
+  const auto traced = run(0.018);
+  EXPECT_EQ(traced->apart, 1u);
+  std::size_t apart = 0;
+  for (int i = 1; i <= 300; ++i) apart += run(0.002 * i)->apart;
+  EXPECT_GT(apart, 0u);
+}
+
 // ---- link faults during ICS ----
 
 TEST(LinkFaults, FlapDuringIcsConverges) {
@@ -658,6 +707,96 @@ TEST(CheckpointRecovery, CrashRestoresFromCheckpointDeterministically) {
   EXPECT_EQ(pull.faults.worker_restarts, 1u);
   EXPECT_EQ(pull.faults.checkpoint_restores, 0u);
   EXPECT_GE(pull.total_samples, 1536.0);
+}
+
+// CASP and R²SP are not on the round barrier, but they keep its parked
+// rule: a worker held at a checkpoint cut stops gating its group's barrier
+// and passes on R²SP's token. A crash-restart leaves the worker behind the
+// pack (a batch behind after a pull, a restored replica behind the cut);
+// once the pack parks, its rounds must not wait on a parked partner or
+// for the token held at one, or the drain starves.
+TEST(CheckpointRecovery, CrashRestartBehindTheCutRunsToPlan) {
+  const auto make = [](int model) -> std::unique_ptr<runtime::SyncModel> {
+    if (model == 0) return std::make_unique<sync::CaspSync>();
+    return std::make_unique<sync::R2spSync>(/*overlap_pull=*/model == 1);
+  };
+  const char* const names[] = {"CASP", "R2SP duplex", "R2SP serial"};
+  for (int model = 0; model < 3; ++model) {
+    for (const bool restore : {false, true}) {
+      for (int i = 1; i <= 24; ++i) {
+        runtime::EngineConfig cfg = golden_config();
+        cfg.max_virtual_time_s = 60.0;
+        cfg.cluster.speed_factors = {1.0, 1.0, 0.5, 0.5};
+        cfg.checkpoint.every_iters = 4;
+        cfg.checkpoint.restore_crashed_from_checkpoint = restore;
+        const double at = 0.05 * i;
+        cfg.faults.crash_worker(at, 1, /*restart_after=*/0.1);
+        const auto sync = make(model);
+        const std::string where = std::string(names[model]) +
+                                  (restore ? " restore" : " pull") + " at " +
+                                  std::to_string(at);
+        PlannedRun run;
+        EXPECT_NO_THROW(run = run_to_plan(*sync, cfg)) << where;
+        EXPECT_EQ(run.result.faults.worker_restarts, 1u) << where;
+        EXPECT_TRUE(sync->drained()) << where;
+      }
+    }
+  }
+}
+
+// Two workers crash 31 ms apart and restart 5 ms later, with a checkpoint
+// every 2 or 5 iterations and 2 PS hosts. A worker that crashed at the
+// cut restarts there and parks as soon as it computes again: while its
+// restart pull or replica read is in flight it must not gate a trailing
+// worker's round (every barrier owner and CASP), and a CASP member whose
+// answer lands while its partner already pushed the next round re-checks
+// the group when it parks.
+TEST(CheckpointRecovery, SecondCrashAtTheCutRunsToPlan) {
+  const auto make = [](int model) -> std::unique_ptr<runtime::SyncModel> {
+    switch (model) {
+      case 0:
+        return std::make_unique<sync::BspSync>();
+      case 1: {
+        core::OspOptions opt;
+        opt.fixed_budget_fraction = 0.5;
+        return std::make_unique<core::OspSync>(opt);
+      }
+      case 2:
+        return std::make_unique<sync::KvBspSync>();
+      case 3:
+        return std::make_unique<sync::KvBspSync>(sync::sharded_bsp());
+      default:
+        return std::make_unique<sync::CaspSync>();
+    }
+  };
+  const char* const names[] = {"BSP", "OSP", "KvBSP", "sharded", "CASP"};
+  struct Case {
+    int model;
+    double at;  // first crash; the second hits the next worker 31 ms later
+    std::size_t worker;
+    std::size_t every;
+    bool restore;
+  };
+  for (const Case& c : {Case{0, 0.621, 0, 2, false}, Case{0, 1.380, 0, 2, false},
+                        Case{1, 0.207, 0, 2, false}, Case{1, 0.414, 0, 2, false},
+                        Case{2, 0.690, 0, 2, false}, Case{2, 0.690, 1, 2, false},
+                        Case{3, 0.207, 0, 2, false}, Case{3, 0.414, 0, 2, false},
+                        Case{4, 0.345, 0, 2, false}, Case{4, 0.828, 1, 5, true}}) {
+    runtime::EngineConfig cfg = golden_config();
+    cfg.max_virtual_time_s = 60.0;
+    cfg.cluster.num_ps = 2;
+    if (c.model == 4) cfg.cluster.speed_factors = {1.0, 1.0, 0.5, 0.5};
+    cfg.checkpoint.every_iters = c.every;
+    cfg.checkpoint.restore_crashed_from_checkpoint = c.restore;
+    cfg.faults.crash_worker(c.at, c.worker, /*restart_after=*/0.005)
+        .crash_worker(c.at + 0.031, c.worker + 1, /*restart_after=*/0.005);
+    const auto sync = make(c.model);
+    const std::string where =
+        std::string(names[c.model]) + " at " + std::to_string(c.at);
+    PlannedRun run;
+    EXPECT_NO_THROW(run = run_to_plan(*sync, cfg)) << where;
+    EXPECT_EQ(run.result.faults.worker_restarts, 2u) << where;
+  }
 }
 
 TEST(CheckpointRecovery, FallsBackToPullBeforeFirstCheckpoint) {

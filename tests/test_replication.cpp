@@ -331,7 +331,7 @@ struct BarrierHarness : sync::RoundBarrier::Owner {
   void others_run_a_round(std::uint64_t answered) {
     for (std::size_t w = 1; w < 4; ++w) {
       EXPECT_TRUE(barrier.settle(w, answered));
-      barrier.push(w, [](std::uint64_t) {});
+      barrier.push(w, barrier.collecting(), [](std::uint64_t) {});
     }
     for (std::size_t w = 1; w < 4; ++w) barrier.contribute(w);
   }
@@ -341,7 +341,7 @@ TEST(RoundBarrier, StaleCatchUpDoesNotResumeAPusher) {
   BarrierHarness h;
   ASSERT_EQ(h.engine.num_workers(), 4u);
   for (std::size_t w = 0; w < 4; ++w) {
-    h.barrier.push(w, [](std::uint64_t) {});
+    h.barrier.push(w, h.barrier.collecting(), [](std::uint64_t) {});
     h.barrier.contribute(w);
   }
   ASSERT_EQ(h.barrier.rounds_closed(), 1u);
@@ -354,7 +354,7 @@ TEST(RoundBarrier, StaleCatchUpDoesNotResumeAPusher) {
   ASSERT_EQ(h.pulls, (Pulls{{0, 2}, {0, 3}}));
   // The first pull lands: worker 0 resumes and pushes to round 4.
   EXPECT_TRUE(h.barrier.settle(0, 2));
-  h.barrier.push(0, [](std::uint64_t) {});
+  h.barrier.push(0, h.barrier.collecting(), [](std::uint64_t) {});
   EXPECT_EQ(h.barrier.awaiting_round(0), 4u);
   // The second pull predates that push; it must not resume worker 0 while
   // the push is in flight.
