@@ -322,7 +322,10 @@ void OspSync::step_round(std::uint64_t this_round,
 void OspSync::deliver_rs(std::size_t w, std::size_t p, std::uint64_t round,
                          const Gib& round_gib, double lr) {
   runtime::Engine& e = eng();
-  if (!e.worker_alive(w) || rs_pending_[w] == 0) return;
+  // A shard's answer to a round older than the one w awaits (held back past
+  // a deadline close that w's catch-up then answered) is stale: it must not
+  // count against rs_pending_, which belongs to w's current round.
+  if (rs_pending_[w] == 0 || !rs_.awaits(w, round)) return;
   // Install this shard's important blocks (the restricted view encodes the
   // selection as its important set).
   copy_important_blocks(e.worker_params(w), e.global_params(), e.blocks(),

@@ -1,7 +1,5 @@
 #include "nn/conv2d.hpp"
 
-#include <limits>
-
 #include "tensor/conv.hpp"
 #include "tensor/init.hpp"
 #include "util/check.hpp"
@@ -38,7 +36,7 @@ Tensor Conv2d::forward(const Tensor& input, bool train) {
   return out;
 }
 
-Tensor Conv2d::backward(const Tensor& grad_out) {
+void Conv2d::backward_params(const Tensor& grad_out) {
   OSP_CHECK(input_.rank() == 4, "Conv2d backward before a training forward");
   const std::size_t batch = input_.dim(0);
   OSP_CHECK(grad_out.rank() == 4 && grad_out.dim(0) == batch &&
@@ -49,9 +47,13 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   tensor::conv2d_backward_weight(grad_out.raw(), input_.raw(), geom_,
                                  out_channels_, batch, wgrad_.raw(),
                                  bgrad_.raw());
+}
+
+Tensor Conv2d::backward(const Tensor& grad_out) {
+  backward_params(grad_out);
   Tensor dx(input_.shape());
   tensor::conv2d_backward_data(grad_out.raw(), weight_.raw(), geom_,
-                               out_channels_, batch, dx.raw());
+                               out_channels_, input_.dim(0), dx.raw());
   return dx;
 }
 
@@ -81,35 +83,10 @@ Tensor MaxPool2d::forward(const Tensor& input, bool /*train*/) {
   const std::size_t batch = input.dim(0);
   in_shape_ = input.shape();
   Tensor out({batch, channels_, out_h_, out_w_});
-  argmax_.assign(out.numel(), 0);
-  const float* pi = input.raw();
-  float* po = out.raw();
-  std::size_t oi = 0;
-  for (std::size_t b = 0; b < batch; ++b) {
-    for (std::size_t c = 0; c < channels_; ++c) {
-      const float* chan = pi + (b * channels_ + c) * in_h_ * in_w_;
-      const std::size_t chan_base = (b * channels_ + c) * in_h_ * in_w_;
-      for (std::size_t oy = 0; oy < out_h_; ++oy) {
-        for (std::size_t ox = 0; ox < out_w_; ++ox, ++oi) {
-          float best = -std::numeric_limits<float>::infinity();
-          std::size_t best_idx = 0;
-          for (std::size_t ky = 0; ky < kernel_; ++ky) {
-            for (std::size_t kx = 0; kx < kernel_; ++kx) {
-              const std::size_t iy = oy * stride_ + ky;
-              const std::size_t ix = ox * stride_ + kx;
-              const float v = chan[iy * in_w_ + ix];
-              if (v > best) {
-                best = v;
-                best_idx = chan_base + iy * in_w_ + ix;
-              }
-            }
-          }
-          po[oi] = best;
-          argmax_[oi] = best_idx;
-        }
-      }
-    }
-  }
+  argmax_.resize(out.numel());
+  tensor::max_pool2d_forward(input.raw(),
+                             {channels_, in_h_, in_w_, kernel_, stride_, 0},
+                             batch * channels_, out.raw(), argmax_.data());
   return out;
 }
 

@@ -16,6 +16,7 @@ class Conv2d : public Layer {
 
   tensor::Tensor forward(const tensor::Tensor& input, bool train) override;
   tensor::Tensor backward(const tensor::Tensor& grad_out) override;
+  void backward_params(const tensor::Tensor& grad_out) override;
   std::vector<ParamRef> params() override;
 
   [[nodiscard]] const tensor::Conv2dGeom& geometry() const { return geom_; }

@@ -41,6 +41,11 @@ Tensor Embedding::forward(const Tensor& input, bool /*train*/) {
 }
 
 Tensor Embedding::backward(const Tensor& grad_out) {
+  backward_params(grad_out);
+  return Tensor(in_shape_);
+}
+
+void Embedding::backward_params(const Tensor& grad_out) {
   OSP_CHECK(grad_out.rank() == 3 && grad_out.dim(2) == dim_,
             "Embedding grad mismatch");
   OSP_CHECK(grad_out.dim(0) * grad_out.dim(1) == last_ids_.size(),
@@ -52,7 +57,6 @@ Tensor Embedding::backward(const Tensor& grad_out) {
     const float* src = pg + i * dim_;
     for (std::size_t d = 0; d < dim_; ++d) dst[d] += src[d];
   }
-  return Tensor(in_shape_);
 }
 
 std::vector<ParamRef> Embedding::params() {

@@ -43,6 +43,13 @@ class Layer {
   /// accumulates (+=) parameter gradients. Must follow a forward() call.
   virtual tensor::Tensor backward(const tensor::Tensor& grad_out) = 0;
 
+  /// backward() without dL/d(input): accumulates the same parameter
+  /// gradients, bit for bit. Layers whose input gradient costs work of its
+  /// own skip it; the rest run backward() and drop its result.
+  virtual void backward_params(const tensor::Tensor& grad_out) {
+    (void)backward(grad_out);
+  }
+
   /// Trainable parameters; empty for stateless layers.
   virtual std::vector<ParamRef> params() { return {}; }
 

@@ -32,13 +32,17 @@ Tensor Linear::forward(const Tensor& input, bool /*train*/) {
   return out;
 }
 
-Tensor Linear::backward(const Tensor& grad_out) {
+void Linear::backward_params(const Tensor& grad_out) {
   OSP_CHECK(grad_out.rank() == 2 && grad_out.dim(1) == out_,
             "Linear grad shape mismatch");
   OSP_CHECK(grad_out.dim(0) == input_.dim(0), "batch mismatch in backward");
   // dW += gᵀ·x : [out,B]·[B,in] = [out,in]
   tensor::matmul_tn(grad_out, input_, wgrad_, /*accumulate=*/true);
   if (has_bias_) tensor::sum_rows(grad_out, bgrad_.data());
+}
+
+Tensor Linear::backward(const Tensor& grad_out) {
+  backward_params(grad_out);
   // dx = g·W : [B,out]·[out,in] = [B,in]
   Tensor dx({grad_out.dim(0), in_});
   tensor::matmul(grad_out, weight_, dx);

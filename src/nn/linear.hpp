@@ -12,6 +12,7 @@ class Linear : public Layer {
 
   tensor::Tensor forward(const tensor::Tensor& input, bool train) override;
   tensor::Tensor backward(const tensor::Tensor& grad_out) override;
+  void backward_params(const tensor::Tensor& grad_out) override;
   std::vector<ParamRef> params() override;
 
   [[nodiscard]] std::size_t in_features() const { return in_; }

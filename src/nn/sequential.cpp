@@ -6,6 +6,9 @@ namespace osp::nn {
 
 Sequential& Sequential::add(LayerPtr layer) {
   OSP_CHECK(layer != nullptr, "null layer");
+  if (first_trainable_ == SIZE_MAX && !layer->params().empty()) {
+    first_trainable_ = layers_.size();
+  }
   layers_.push_back(std::move(layer));
   return *this;
 }
@@ -24,6 +27,16 @@ tensor::Tensor Sequential::backward(const tensor::Tensor& grad_out) {
     g = (*it)->backward(g);
   }
   return g;
+}
+
+void Sequential::backward_params(const tensor::Tensor& grad_out) {
+  OSP_CHECK(!layers_.empty(), "empty model");
+  if (first_trainable_ == SIZE_MAX) return;
+  tensor::Tensor g = grad_out;
+  for (std::size_t i = layers_.size() - 1; i > first_trainable_; --i) {
+    g = layers_[i]->backward(g);
+  }
+  layers_[first_trainable_]->backward_params(g);
 }
 
 std::vector<ParamRef> Sequential::params() {

@@ -2,6 +2,7 @@
 // backward chaining and parameter enumeration.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -38,6 +39,12 @@ class Sequential {
   /// Backward through all layers in reverse; accumulates parameter grads.
   tensor::Tensor backward(const tensor::Tensor& grad_out);
 
+  /// backward() for training, which discards the model's input gradient:
+  /// the same parameter gradients, bit for bit, but the layers in front of
+  /// the first layer with parameters do not run, and that layer forms no
+  /// input gradient (Layer::backward_params).
+  void backward_params(const tensor::Tensor& grad_out);
+
   /// All trainable parameters in layer order.
   [[nodiscard]] std::vector<ParamRef> params();
 
@@ -48,6 +55,7 @@ class Sequential {
 
  private:
   std::vector<LayerPtr> layers_;
+  std::size_t first_trainable_ = SIZE_MAX;  // first layer with parameters
 };
 
 }  // namespace osp::nn

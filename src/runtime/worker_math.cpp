@@ -79,7 +79,7 @@ void ReplicaPool::execute(MathJob& job) {
   const nn::LossResult loss =
       job.is_qa ? nn::span_cross_entropy(logits, batch.starts, batch.ends)
                 : nn::softmax_cross_entropy(logits, batch.labels);
-  r->model.backward(loss.grad_logits);
+  r->model.backward_params(loss.grad_logits);
   job.grad.resize(r->flat->total_params());
   r->flat->gather_grads(job.grad);
   job.loss = loss.loss;

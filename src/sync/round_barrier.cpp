@@ -76,9 +76,12 @@ void RoundBarrier::crashed(std::size_t w) {
   maybe_close();
 }
 
+bool RoundBarrier::awaits(std::size_t w, std::uint64_t round) const {
+  return eng_->worker_alive(w) && awaiting_[w] && round >= awaiting_round_[w];
+}
+
 bool RoundBarrier::settle(std::size_t w, std::uint64_t round) {
-  if (!eng_->worker_alive(w) || !awaiting_[w]) return false;
-  if (round < awaiting_round_[w]) return false;
+  if (!awaits(w, round)) return false;
   awaiting_[w] = false;
   return true;
 }

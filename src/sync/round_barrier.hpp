@@ -138,6 +138,10 @@ class RoundBarrier {
   /// consumes; false for a duplicate or a stale answer, e.g. a catch-up
   /// pull issued before w's push to the collecting round.
   bool settle(std::size_t w, std::uint64_t round);
+  /// Whether settle(w, round) would be true, without consuming the answer:
+  /// for an answer that arrives in pieces, one per shard, and settles on
+  /// the last.
+  [[nodiscard]] bool awaits(std::size_t w, std::uint64_t round) const;
 
   /// Only the round id survives a snapshot: the rest is empty whenever
   /// drained() holds, which is when the engine takes one, and the timer is

@@ -9,12 +9,15 @@
 //   db:       bgrad[oc] += G[b, oc, p]         ascending (b, p) per channel
 //
 // No patch matrix is kept for the batch, and no padded copy of a sample is
-// made. Forward packs X̂_b as ow-wide spans read straight from the sample's
-// NCHW rows, dW packs X̂_bᵀ as k-wide spans the same way, one sample at a
-// time; a lane mask zeroes the lanes that fall in the padding. dX reads
-// D_b in col2im's order: each dx row is one register accumulator per span
-// that starts at +0, adds its taps (ky descending, then kx descending,
-// which is ascending (oy, ox) for every pixel) and is stored once.
+// made. For stride 1 and pad (k−1)/2, each row of X̂_b is the sample's plane
+// shifted by one tap offset: forward packs it with full-width register
+// loads, and dX reads D_b back the same way. Other geometries pack X̂_b as
+// ow-wide spans read straight from the sample's NCHW rows; dW packs X̂_bᵀ
+// as k-wide spans the same way in every geometry, one sample at a time. A
+// lane mask zeroes the lanes that fall in the padding. dX reads D_b in
+// col2im's order: each register of dx is one accumulator that starts at
+// +0, adds its taps (ky descending, then kx descending, which is
+// ascending (oy, ox) for every pixel) and is stored once.
 //
 // Each per-sample product is one call of the panel GEMM (gemm.hpp), so
 // every output element is one accumulator that starts at 0 and adds its
@@ -51,5 +54,14 @@ void conv2d_backward_data(const float* grad_out, const float* weight,
 void conv2d_backward_weight(const float* grad_out, const float* x,
                             const Conv2dGeom& g, std::size_t out_c,
                             std::size_t batch, float* wgrad, float* bgrad);
+
+/// out[planes, oh, ow] = the max of each k×k window of x[planes, h, w]
+/// (g.in_h × g.in_w planes, stride g.stride, g.pad 0), and argmax[i] = the
+/// flat index into x of the element out[i] came from: the first in (ky, kx)
+/// order that is greater than every element before it, starting from −inf.
+/// Ties thus go to the earliest tap and NaN is never picked; a window with
+/// nothing above −inf reports −inf from its first element.
+void max_pool2d_forward(const float* x, const Conv2dGeom& g,
+                        std::size_t planes, float* out, std::size_t* argmax);
 
 }  // namespace osp::tensor

@@ -850,6 +850,33 @@ TEST(CheckpointRecovery, OspCrashRestoreCompletesIcs) {
   EXPECT_LE(r.total_samples, 1536.0 + 32.0);
 }
 
+TEST(CheckpointRecovery, OspStaleRsAnswerDoesNotReleaseEarly) {
+  // A 50 ms window delays every message by 0.2 s around worker 0's crash:
+  // RS answers of an older round land on workers that a deadline close and
+  // a catch-up already moved on. Counted against the current round, they
+  // released the workers early and the watchdog's catch-up again, so the
+  // workers ran 25 of 24 iterations.
+  for (const double at : {1.165, 1.170, 1.250, 1.260}) {
+    runtime::EngineConfig cfg = golden_config();
+    cfg.max_virtual_time_s = 60.0;
+    cfg.cluster.num_ps = 2;
+    cfg.checkpoint.every_iters = 5;
+    cfg.faults.crash_worker(1.173, 0, /*restart_after=*/0.05)
+        .delay_messages(at, 0.05, /*delay_s=*/0.2);
+    core::OspOptions opt;
+    opt.fixed_budget_fraction = 0.5;
+    core::OspSync sync(opt, {.rs_timeout_s = 0.1, .ics_timeout_s = 0.1});
+    const runtime::WorkloadSpec spec = models::tiny_mlp();
+    runtime::Engine engine(spec, cfg, sync);
+    EXPECT_NO_THROW(engine.run()) << "delay window at " << at;
+    const std::size_t planned = cfg.max_epochs * engine.batches_per_epoch();
+    for (std::size_t w = 0; w < cfg.num_workers; ++w) {
+      EXPECT_EQ(engine.worker_iteration(w), planned)
+          << "delay window at " << at << ": worker " << w;
+    }
+  }
+}
+
 // ---- pauses ----
 
 TEST(Pauses, PauseStretchesRoundButLosesNothing) {

@@ -3,6 +3,8 @@
 // the GIB's packing relies on), and working datasets.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "models/zoo.hpp"
 #include "nn/registry.hpp"
 
@@ -77,6 +79,53 @@ TEST_P(PaperWorkloads, ModelConsumesItsDataset) {
   } else {
     EXPECT_EQ(batch.labels.size(), 4u);
   }
+}
+
+/// Parameter gradients of one training step on `spec`'s model, through
+/// Sequential::backward or, with `skip_input_grad`, backward_params.
+std::vector<std::vector<float>> step_grads(const runtime::WorkloadSpec& spec,
+                                           bool skip_input_grad) {
+  nn::Sequential model = spec.build_model(11);
+  const std::vector<std::size_t> idx = {0, 1, 2, 3, 4};
+  const data::Batch batch = spec.train->make_batch(idx);
+  const tensor::Tensor out = model.forward(batch.inputs, true);
+  tensor::Tensor grad(out.shape());
+  util::Rng rng(12);
+  for (std::size_t i = 0; i < grad.numel(); ++i) {
+    grad[i] = static_cast<float>(rng.normal());
+  }
+  model.zero_grad();
+  if (skip_input_grad) {
+    model.backward_params(grad);
+  } else {
+    (void)model.backward(grad);
+  }
+  std::vector<std::vector<float>> grads;
+  for (const nn::ParamRef& p : model.params()) {
+    grads.emplace_back(p.grad->data().begin(), p.grad->data().end());
+  }
+  return grads;
+}
+
+void expect_same_param_grads(const runtime::WorkloadSpec& spec) {
+  const auto full = step_grads(spec, false);
+  const auto skipped = step_grads(spec, true);
+  ASSERT_EQ(full.size(), skipped.size());
+  for (std::size_t i = 0; i < full.size(); ++i) {
+    ASSERT_EQ(full[i].size(), skipped[i].size());
+    EXPECT_EQ(std::memcmp(full[i].data(), skipped[i].data(),
+                          full[i].size() * sizeof(float)),
+              0)
+        << spec.model_name << ": parameter " << i;
+  }
+}
+
+TEST_P(PaperWorkloads, SkippingTheInputGradientKeepsParamGrads) {
+  expect_same_param_grads(GetParam());
+}
+
+TEST(Zoo, TinyMlpSkippingTheInputGradientKeepsParamGrads) {
+  expect_same_param_grads(models::tiny_mlp());
 }
 
 INSTANTIATE_TEST_SUITE_P(

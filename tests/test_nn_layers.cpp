@@ -337,6 +337,29 @@ TEST(MaxPoolLayer, BackwardRoutesToArgmax) {
   EXPECT_FLOAT_EQ(din.at(0, 0, 0, 0), 0.0f);
 }
 
+TEST(MaxPoolLayer, WindowWithoutAMaxRoutesToItsFirstElement) {
+  // Window 0 peaks at (1, 1); window 1 holds only NaN and −inf, so nothing
+  // in it beats −inf. Its gradient goes to its own first element (0, 2),
+  // never to element 0 of the batch.
+  MaxPool2d layer("pool", 1, 2, 4, 2, 2);
+  Tensor in({1, 1, 2, 4});
+  in.at(0, 0, 1, 1) = 5.0f;
+  in.at(0, 0, 0, 2) = std::numeric_limits<float>::quiet_NaN();
+  in.at(0, 0, 0, 3) = -std::numeric_limits<float>::infinity();
+  in.at(0, 0, 1, 2) = std::numeric_limits<float>::quiet_NaN();
+  in.at(0, 0, 1, 3) = std::numeric_limits<float>::quiet_NaN();
+  const Tensor out = layer.forward(in, true);
+  EXPECT_EQ(out[0], 5.0f);
+  EXPECT_EQ(out[1], -std::numeric_limits<float>::infinity());
+  Tensor g({1, 1, 1, 2});
+  g[0] = 1.5f;
+  g[1] = 2.5f;
+  const Tensor din = layer.backward(g);
+  EXPECT_EQ(din.at(0, 0, 1, 1), 1.5f);
+  EXPECT_EQ(din.at(0, 0, 0, 2), 2.5f);
+  EXPECT_EQ(din.at(0, 0, 0, 0), 0.0f);
+}
+
 TEST(MaxPoolLayer, GradientsViaFiniteDifference) {
   util::Rng rng(10);
   MaxPool2d layer("pool", 2, 4, 4, 2, 2);

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "tensor/conv.hpp"
+#include "tensor/gemm.hpp"
 #include "tensor/init.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
@@ -258,6 +259,74 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::ValuesIn(std::vector<std::size_t>{0, 1, 24}),
         ::testing::ValuesIn(
             std::vector<std::size_t>{1, 15, 16, 17, 24, 31, 32, 33})));
+
+// ---- the panel GEMM's register tiles ----
+
+/// One panel call checked bit for bit against the straight triple loop:
+/// A read through strides (row-major with padded rows, or transposed), B
+/// and C with padded rows, every epilogue. C's padding must stay as it was.
+void expect_panel_exact(std::size_t m, std::size_t n, std::size_t k,
+                        bool a_transposed, util::Rng& rng,
+                        const std::string& at) {
+  const std::size_t a_rs = a_transposed ? 1 : k + 2;
+  const std::size_t a_cs = a_transposed ? m + 3 : 1;
+  const std::size_t ldb = n + 5, ldc = n + 7;
+  std::vector<float> a(std::max(m * a_rs + k * a_cs, std::size_t{1}));
+  std::vector<float> b(k * ldb + 1), bias(m), c0(m * ldc);
+  for (auto* v : {&a, &b, &bias, &c0}) {
+    for (float& x : *v) x = static_cast<float>(rng.normal());
+  }
+  for (const Epilogue epi :
+       {Epilogue::kStore, Epilogue::kAddBias, Epilogue::kAccumulate}) {
+    std::vector<float> want = c0;
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        float acc = 0.0f;
+        for (std::size_t p = 0; p < k; ++p) {
+          acc += a[i * a_rs + p * a_cs] * b[p * ldb + j];
+        }
+        float& w = want[i * ldc + j];
+        w = epi == Epilogue::kStore     ? acc
+            : epi == Epilogue::kAddBias ? acc + bias[i]
+                                        : w + acc;
+      }
+    }
+    const Panel pn{m,   n,        k,   a.data(),    a_rs, a_cs,
+                   b.data(), ldb, nullptr, ldc, bias.data(), epi};
+    for (const bool split : {false, true}) {
+      std::vector<float> got = c0;
+      Panel run = pn;
+      run.c = got.data();
+      split ? parallel_gemm(run) : gemm(run);
+      EXPECT_TRUE(same_bits_up_to_nan(got, want))
+          << m << "x" << n << "x" << k << (a_transposed ? " Aᵀ" : " A")
+          << ", epilogue " << int(epi) << (split ? ", split, " : ", ")
+          << at;
+    }
+  }
+}
+
+// Tiles are R rows × V vectors, V ≤ 4 and R up to 12, the last vector
+// masked. Every m ≤ 12 against every n ≤ 64 reaches each (R, V) tile and
+// tail mask of the 8- and 16-lane tiers; random shapes up to 40 × 80 add
+// multi-tile rows and multi-group columns (up to 10 vectors of 8).
+TEST(PanelGemm, RandomizedSweepMatchesReference) {
+  util::Rng rng(4242);
+  for_each_tier_and_pool([&](const std::string& at) {
+    for (std::size_t m = 1; m <= 12; ++m) {
+      for (std::size_t n = 1; n <= 64; ++n) {
+        const auto k = static_cast<std::size_t>(rng.uniform(0.0, 41.0));
+        expect_panel_exact(m, n, k, (m + n) % 2 == 0, rng, at);
+      }
+    }
+    for (int i = 0; i < 300; ++i) {
+      const auto m = 1 + static_cast<std::size_t>(rng.uniform(0.0, 40.0));
+      const auto n = 1 + static_cast<std::size_t>(rng.uniform(0.0, 80.0));
+      const auto k = static_cast<std::size_t>(rng.uniform(0.0, 41.0));
+      expect_panel_exact(m, n, k, i % 2 == 0, rng, at);
+    }
+  });
+}
 
 TEST(Ops, MatmulSpecialValuesMatchReference) {
   // Row 0 of every operand is -0 (sums of ±0 products must come out +0, as
@@ -627,7 +696,10 @@ TEST_P(ConvKernels, BitIdenticalToIm2colReference) {
 // partial 8- and 16-lane strips; out_c of 3..19 covers full and short row
 // tiles. The Width* cases put the image and output rows (the spans of
 // forward and dX) one lane short of, at and one lane past one and two
-// 8-lane spans, with and without padding.
+// 8-lane spans, with and without padding. Stride 1 with pad (k−1)/2 runs
+// the shifted-image forward and dX gathers: the Same* cases put 2 (w = 8)
+// and 4 (w = 4) image rows in one 16-lane register, widths 6 and 12 split
+// rows across registers, k = 5 reaches two pixels past each edge.
 INSTANTIATE_TEST_SUITE_P(
     Geometries, ConvKernels,
     ::testing::Values(ConvCase{"Proxy3x3Same", {3, 8, 8, 3, 1, 1}, 10, 4},
@@ -648,7 +720,13 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvCase{"Width16Pad0", {2, 4, 16, 3, 1, 0}, 5, 2},
                       ConvCase{"Width16Pad1", {2, 4, 16, 3, 1, 1}, 5, 2},
                       ConvCase{"Width17Pad0", {2, 4, 17, 3, 1, 0}, 5, 2},
-                      ConvCase{"Width17Pad1", {2, 4, 17, 3, 1, 1}, 5, 2}),
+                      ConvCase{"Width17Pad1", {2, 4, 17, 3, 1, 1}, 5, 2},
+                      ConvCase{"SameWidth4", {3, 4, 4, 3, 1, 1}, 7, 3},
+                      ConvCase{"SameWidth8", {3, 8, 8, 3, 1, 1}, 5, 2},
+                      ConvCase{"SameWidth6", {2, 6, 6, 3, 1, 1}, 5, 2},
+                      ConvCase{"SameWidth12", {2, 5, 12, 3, 1, 1}, 5, 2},
+                      ConvCase{"SameK5Pad2", {2, 8, 8, 5, 1, 2}, 6, 2},
+                      ConvCase{"SameBatch1Width8", {4, 8, 8, 3, 1, 1}, 9, 1}),
     [](const ::testing::TestParamInfo<ConvCase>& info) {
       return std::string(info.param.name);
     });
@@ -697,6 +775,85 @@ TEST(ConvSpecialValues, MatchIm2colReference) {
           << c.name << " weight gradient, " << at;
       EXPECT_TRUE(same_bits_up_to_nan(got.bgrad, want.bgrad))
           << c.name << " bias gradient, " << at;
+    });
+  }
+}
+
+// ---- max pooling ----
+
+/// The scalar pooling loop: the first tap in (ky, kx) order greater than
+/// every earlier one, from −inf; a window with nothing above −inf reports
+/// its first element.
+void ref_max_pool(const std::vector<float>& x, const Conv2dGeom& g,
+                  std::size_t planes, std::vector<float>& out,
+                  std::vector<std::size_t>& argmax) {
+  const std::size_t oh = g.out_h(), ow = g.out_w(), plane = g.in_h * g.in_w;
+  out.assign(planes * oh * ow, 0.0f);
+  argmax.assign(out.size(), 0);
+  for (std::size_t c = 0, o = 0; c < planes; ++c) {
+    for (std::size_t oy = 0; oy < oh; ++oy) {
+      for (std::size_t ox = 0; ox < ow; ++ox, ++o) {
+        float best = -std::numeric_limits<float>::infinity();
+        std::size_t best_idx =
+            c * plane + oy * g.stride * g.in_w + ox * g.stride;
+        for (std::size_t ky = 0; ky < g.kernel; ++ky) {
+          for (std::size_t kx = 0; kx < g.kernel; ++kx) {
+            const std::size_t i = c * plane +
+                                  (oy * g.stride + ky) * g.in_w +
+                                  ox * g.stride + kx;
+            if (x[i] > best) {
+              best = x[i];
+              best_idx = i;
+            }
+          }
+        }
+        out[o] = best;
+        argmax[o] = best_idx;
+      }
+    }
+  }
+}
+
+TEST(MaxPool, MatchesScalarLoopInEveryTier) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  util::Rng rng(99);
+  // {in_channels, in_h, in_w, kernel, stride, pad}: the proxies' 2×2/2
+  // pools, overlapping windows, rows longer than one register, and
+  // outputs off the lane width.
+  for (const Conv2dGeom& g :
+       {Conv2dGeom{3, 8, 8, 2, 2, 0}, Conv2dGeom{2, 4, 4, 2, 2, 0},
+        Conv2dGeom{2, 7, 9, 3, 2, 0}, Conv2dGeom{1, 6, 6, 3, 1, 0},
+        Conv2dGeom{2, 5, 21, 2, 1, 0}, Conv2dGeom{1, 9, 9, 3, 3, 0}}) {
+    const std::size_t planes = 3 * g.in_channels;
+    std::vector<float> x(planes * g.in_h * g.in_w);
+    // Few distinct values, so windows tie, plus ±0, ±inf and NaN.
+    for (float& v : x) {
+      const double u = rng.uniform();
+      v = u < 0.05   ? nan
+          : u < 0.1  ? -inf
+          : u < 0.12 ? inf
+          : u < 0.2  ? (u < 0.16 ? -0.0f : 0.0f)
+                     : static_cast<float>(std::floor(rng.uniform(-3.0, 3.0)));
+    }
+    // The first window of plane 0 is all NaN, of plane 1 all −inf.
+    for (std::size_t ky = 0; ky < g.kernel; ++ky) {
+      for (std::size_t kx = 0; kx < g.kernel; ++kx) {
+        x[ky * g.in_w + kx] = nan;
+        x[g.in_h * g.in_w + ky * g.in_w + kx] = -inf;
+      }
+    }
+    std::vector<float> want;
+    std::vector<std::size_t> want_idx;
+    ref_max_pool(x, g, planes, want, want_idx);
+    EXPECT_EQ(want_idx[0], 0u);
+    EXPECT_EQ(want_idx[g.out_h() * g.out_w()], g.in_h * g.in_w);
+    for_each_tier_and_pool([&](const std::string& at) {
+      std::vector<float> out(want.size(), 7.0f);
+      std::vector<std::size_t> idx(want.size(), 7);
+      max_pool2d_forward(x.data(), g, planes, out.data(), idx.data());
+      EXPECT_TRUE(same_bits(out, want)) << at;
+      EXPECT_EQ(idx, want_idx) << at;
     });
   }
 }
