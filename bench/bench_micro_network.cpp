@@ -250,8 +250,9 @@ BENCHMARK(BM_IncastRound);
 void BM_BroadcastBurst(benchmark::State& state) {
   // One broadcast at wide-osp's scale: 256 workers pull their slice from
   // each of 4 PS shards, every pull started in one event (as a sync round
-  // releases them), then the network drains. The burst is one rate solve;
-  // the drain is one per completion event.
+  // releases them), then the network drains. The burst is one rate solve
+  // and the drain none: every pull finishes at one instant, so each
+  // completion finds the next pull with 0 bytes left (a zero-time cascade).
   constexpr std::size_t kWorkers = 256;
   constexpr std::size_t kShards = 4;
   std::uint64_t solves = 0;

@@ -29,12 +29,15 @@ void join_quietly(util::TaskHandle& handle) {
 /// step. glibc serves blocks that size with mmap until its dynamic
 /// threshold catches up, and trims freed heap tops back to the kernel, so
 /// the next step faults the same pages in again. Fixed thresholds above
-/// those sizes keep freed buffers in the heap for reuse (DESIGN.md,
+/// those sizes keep freed buffers in the heap for reuse, and a 16 MiB top
+/// pad grows the heap in steps large enough that tearing one engine down
+/// and building the next does not trim and refault its top (DESIGN.md,
 /// "Allocator"). Every Engine sets the same values.
 void keep_freed_buffers_in_heap() {
 #ifdef __GLIBC__
   mallopt(M_MMAP_THRESHOLD, 1 << 20);
   mallopt(M_TRIM_THRESHOLD, 4 << 20);
+  mallopt(M_TOP_PAD, 16 << 20);
 #endif
 }
 

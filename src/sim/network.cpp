@@ -25,6 +25,7 @@ LinkId Network::add_link(double bandwidth_bytes_per_s, double latency_s,
   residual_.push_back(0.0);
   crossing_.push_back(0);
   link_mark_.push_back(0);
+  link_load_.push_back(0);
   return links_.size() - 1;
 }
 
@@ -67,9 +68,22 @@ inline void Network::set_rate(std::uint32_t slot, double rate) {
   }
 }
 
+void Network::add_load(const Flow& f) {
+  for (const LinkId l : f.route) {
+    if (link_load_[l]++ == 0) ++loaded_links_;
+  }
+}
+
+void Network::drop_load(const Flow& f) {
+  for (const LinkId l : f.route) {
+    if (--link_load_[l] == 0) --loaded_links_;
+  }
+}
+
 void Network::remove_flow(std::uint32_t slot) {
   Flow& f = slots_[slot];
   set_rate(slot, 0.0);
+  if (f.down_links == 0) drop_load(f);
   pending_links_.insert(pending_links_.end(), f.route.begin(), f.route.end());
   by_id_pos_[slot] = kNpos;
   for (std::size_t i = 0; i < f.route.size(); ++i) {
@@ -159,6 +173,7 @@ FlowId Network::start_flow(std::vector<LinkId> route, double bytes,
     link_flows_[l].push_back({slot, static_cast<std::uint32_t>(i)});
     if (!link_state_[l].up) ++f.down_links;
   }
+  if (f.down_links == 0) add_load(f);
   id_to_slot_[id] = slot;
   ++num_flows_;
   payload_in_flight_ += bytes;
@@ -170,6 +185,7 @@ FlowId Network::start_flow(std::vector<LinkId> route, double bytes,
 
 double Network::flow_rate(FlowId id) {
   settle();
+  solve_deferred_rates();
   const auto it = id_to_slot_.find(id);
   return it == id_to_slot_.end() ? 0.0 : slots_[it->second].rate;
 }
@@ -193,14 +209,15 @@ void Network::set_link_up(LinkId id, bool up) {
   link_state_[id].up = up;
   // Maintain the per-flow down-hop counters on the edge itself so the
   // solver never rescans routes: one increment/decrement per occurrence of
-  // this link on a crossing flow's route.
+  // this link on a crossing flow's route. A flow that starts or stops
+  // moving adds or drops its load on every route link.
   for (const LinkFlowRef& ref : link_flows_[id]) {
     Flow& f = slots_[ref.slot];
     if (up) {
       OSP_CHECK(f.down_links > 0, "down-link counter underflow");
-      --f.down_links;
-    } else {
-      ++f.down_links;
+      if (--f.down_links == 0) add_load(f);
+    } else if (f.down_links++ == 0) {
+      drop_load(f);
     }
     pending_flows_.push_back(ref.slot);
   }
@@ -263,11 +280,19 @@ void Network::advance_to_now() {
   const double dt = now - last_advance_;
   last_advance_ = now;
   if (dt <= 0.0) return;
-  // Zero-rate flows do not move, so only the active list is touched.
+  OSP_CHECK(!rates_stale_, "simulated time passed with rates unsolved");
+  // Zero-rate flows do not move, so only the active list is touched. A
+  // flow drained to 0 completes at this instant: record it.
+  const std::size_t recorded = zero_bytes_.size();
   for (const std::uint32_t slot : active_) {
     Flow& f = slots_[slot];
     f.wire_bytes_remaining =
         std::max(0.0, f.wire_bytes_remaining - f.rate * dt);
+    if (f.wire_bytes_remaining == 0.0) zero_bytes_.push_back({f.id, slot});
+  }
+  if (zero_bytes_.size() != recorded && zero_bytes_.size() > 1) {
+    std::sort(zero_bytes_.begin(), zero_bytes_.end(),
+              [](const ZeroBytes& a, const ZeroBytes& b) { return a.id > b.id; });
   }
 }
 
@@ -275,17 +300,61 @@ void Network::defer_solve() {
   ++epoch_;
   // No flow left: nothing to solve, no completion to place.
   solve_pending_ = num_flows_ > 0;
-  if (solve_pending_) pending_seq_ = sim_->reserve_seq();
+  if (solve_pending_) {
+    pending_seq_ = sim_->reserve_seq();
+  } else {
+    pending_flows_.clear();
+    pending_links_.clear();
+    rates_stale_ = false;
+  }
+}
+
+std::uint32_t Network::zero_time_completion() {
+  // The back holds the lowest id; a stalled entry stays, since its flow
+  // completes at once when its link comes back.
+  auto live = [this](const ZeroBytes& z) {
+    return slots_[z.slot].in_use && slots_[z.slot].id == z.id;
+  };
+  while (!zero_bytes_.empty() && !live(zero_bytes_.back())) {
+    zero_bytes_.pop_back();
+  }
+  for (std::size_t i = zero_bytes_.size(); i-- > 0;) {
+    if (!live(zero_bytes_[i])) {
+      zero_bytes_.erase(zero_bytes_.begin() + static_cast<std::ptrdiff_t>(i));
+    } else if (slots_[zero_bytes_[i].slot].down_links == 0) {
+      return zero_bytes_[i].slot;
+    }
+  }
+  return kNpos;
 }
 
 void Network::settle() {
-  if (solve_pending_) {
-    solve_pending_ = false;
-    recompute_incremental();
+  if (!solve_pending_) return;
+  solve_pending_ = false;
+  if (check_reference_) verify_counts();
+  // A moving flow with no bytes left completes now at any positive rate,
+  // the lowest id first, so a solve would place it here; simulated time
+  // cannot pass before it fires, so the solve waits.
+  const std::uint32_t zero = zero_time_completion();
+  if (zero == kNpos) {
+    solve_rates();
     schedule_next_completion();
+    return;
   }
+  rates_stale_ = true;
+  if (check_reference_) verify_zero_time_pick(zero);
+  schedule_completion(0.0, zero);
+}
+
+void Network::solve_deferred_rates() {
+  if (rates_stale_) solve_rates();
+}
+
+void Network::solve_rates() {
+  recompute_incremental();
   pending_flows_.clear();
   pending_links_.clear();
+  rates_stale_ = false;
 }
 
 void Network::recompute_incremental() {
@@ -304,21 +373,20 @@ void Network::recompute_incremental() {
   ++mark_stamp_;
   affected_.clear();
   touched_links_.clear();
-  auto mark_link = [this](LinkId l) {
+  // Loaded links the closure has reached. Once it has reached them all,
+  // every moving flow crosses one of them, so the closure is every moving
+  // flow: the full solve's problem.
+  std::size_t loaded_touched = 0;
+  auto mark_link = [&](LinkId l) {
     if (link_mark_[l] != mark_stamp_) {
       link_mark_[l] = mark_stamp_;
-      crossing_[l] = 0;
       touched_links_.push_back(l);
+      if (link_load_[l] != 0) ++loaded_touched;
     }
   };
-  // A flow joins the closure with its route links; one that is not
-  // stalled is counted on each of them for water-filling.
   auto add_flow = [&](std::uint32_t slot, const Flow& f) {
     affected_.push_back(slot);
-    for (const LinkId l : f.route) {
-      mark_link(l);
-      if (f.down_links == 0) ++crossing_[l];
-    }
+    for (const LinkId l : f.route) mark_link(l);
   };
   for (const std::uint32_t slot : pending_flows_) {
     if (!slots_[slot].in_use || flow_mark_[slot] == mark_stamp_) continue;
@@ -326,10 +394,8 @@ void Network::recompute_incremental() {
     add_flow(slot, slots_[slot]);
   }
   for (const LinkId l : pending_links_) mark_link(l);
-  // Once the closure holds every flow the BFS can add none, and every
-  // route link is already marked: touched_links_ is final.
-  for (std::size_t i = 0;
-       i < touched_links_.size() && affected_.size() < num_flows_; ++i) {
+  auto handed_over = [&] { return loaded_touched == loaded_links_; };
+  for (std::size_t i = 0; i < touched_links_.size() && !handed_over(); ++i) {
     for (const LinkFlowRef& ref : link_flows_[touched_links_[i]]) {
       if (flow_mark_[ref.slot] == mark_stamp_) continue;
       flow_mark_[ref.slot] = mark_stamp_;
@@ -338,21 +404,23 @@ void Network::recompute_incremental() {
       add_flow(ref.slot, f);
     }
   }
-  const bool full = affected_.size() == num_flows_;
+  // A complete closure holds every moving flow on its links, so the
+  // maintained loads are its crossing counts.
+  const bool full = handed_over();
+  for (const LinkId l : touched_links_) crossing_[l] = link_load_[l];
   if (full) ++stats_.full_solves;
-  solve_over(affected_, touched_links_, full);
+  solve_over(touched_links_, full);
   fused_pick_ = full;
   if (check_reference_) verify_against_reference();
 }
 
-void Network::solve_over(const std::vector<std::uint32_t>& flow_set,
-                         const std::vector<LinkId>& links, bool full) {
+void Network::solve_over(const std::vector<LinkId>& links, bool full) {
   // Progressive water-filling restricted to the affected sub-problem. The
   // arithmetic mirrors solve_reference() exactly: because the sub-problem
   // is closed (no outside flow crosses a touched link), every residual,
   // crossing count, and min-share below takes the same values the full
   // solve would produce for these flows — rates stay bit-identical.
-  stats_.flow_visits += flow_set.size();
+  stats_.flow_visits += full ? num_flows_ : affected_.size();
   // Deterministic order: ascending flow id. Flows routed through a down
   // link stall: rate 0, kept out of water-filling so they don't claim
   // shares on healthy links. Every other flow's rate is written once, when
@@ -375,7 +443,7 @@ void Network::solve_over(const std::vector<std::uint32_t>& flow_set,
   } else {
     // Read off bits set at by_id_ places, no sort.
     id_bits_.assign((by_id_.size() + 63) / 64, 0);
-    for (const std::uint32_t slot : flow_set) {
+    for (const std::uint32_t slot : affected_) {
       const std::uint32_t pos = by_id_pos_[slot];
       id_bits_[pos / 64] |= std::uint64_t{1} << (pos % 64);
     }
@@ -468,7 +536,7 @@ void Network::solve_reference() {
   ++stats_.full_solves;
   // The general path (id bits, then a scan of active_): the check stays
   // independent of the full-closure shortcuts.
-  solve_over(affected_, touched_links_, /*full=*/false);
+  solve_over(touched_links_, /*full=*/false);
 }
 
 void Network::verify_against_reference() {
@@ -485,6 +553,45 @@ void Network::verify_against_reference() {
     OSP_CHECK(slots_[slot].rate == rate,
               "incremental rate solver diverged from reference");
   }
+}
+
+void Network::verify_zero_time_pick(std::uint32_t zero) {
+  // The reference rates are the ones the deferred solve will set, so
+  // setting them early changes nothing; the counters stay as they were.
+  const SolveStats saved = stats_;
+  solve_reference();
+  stats_ = saved;
+  Completion scan;
+  for (const std::uint32_t slot : active_) {
+    const Flow& flow = slots_[slot];
+    scan.offer(flow.wire_bytes_remaining / flow.rate, flow.id, slot);
+  }
+  OSP_CHECK(scan.slot == zero && scan.dt == 0.0,
+            "zero-time completion diverged from a solve's pick");
+}
+
+void Network::verify_counts() const {
+  std::vector<std::uint32_t> load(links_.size(), 0);
+  for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
+    const Flow& f = slots_[slot];
+    if (!f.in_use) continue;
+    if (f.down_links == 0) {
+      for (const LinkId l : f.route) ++load[l];
+    }
+    if (f.wire_bytes_remaining == 0.0) {
+      OSP_CHECK(std::any_of(zero_bytes_.begin(), zero_bytes_.end(),
+                            [&](const ZeroBytes& z) {
+                              return z.slot == slot && z.id == f.id;
+                            }),
+                "zero-byte flow missing from its record");
+    }
+  }
+  std::size_t loaded = 0;
+  for (LinkId l = 0; l < links_.size(); ++l) {
+    OSP_CHECK(link_load_[l] == load[l], "maintained link load diverged");
+    if (load[l] != 0) ++loaded;
+  }
+  OSP_CHECK(loaded == loaded_links_, "maintained loaded-link count diverged");
 }
 
 void Network::schedule_next_completion() {
@@ -512,8 +619,12 @@ void Network::schedule_next_completion() {
     }
     return;
   }
-  sim_->schedule_reserved(sim_->now() + next.dt, pending_seq_,
-                          [this, epoch = epoch_, slot = next.slot] {
+  schedule_completion(next.dt, next.slot);
+}
+
+void Network::schedule_completion(double dt, std::uint32_t slot) {
+  sim_->schedule_reserved(sim_->now() + dt, pending_seq_,
+                          [this, epoch = epoch_, slot] {
                             if (epoch != epoch_) return;  // rates changed
                             complete_flow(slot);
                           });

@@ -17,6 +17,15 @@
 // set, and every component that changed holds a seed. The completion keeps
 // its per-change (time, seq) place (see sim/simulator.hpp).
 //
+// Zero-time cascades: a moving flow with exactly 0 wire bytes left
+// completes at this instant whatever the rates are (dt = 0 at any
+// positive rate, ties to the lowest id). While one exists, settle()
+// schedules the lowest-id one in the place and with the callback a solve
+// would give it, and keeps the seeds; the solve runs once, when no such
+// flow is left or a rate is read. advance_to_now() records the flows it
+// drains to 0, so finding one scans no flow list. Rates are therefore
+// current whenever simulated time can pass.
+//
 // Scalability: the solver is *incremental*. A link→flows adjacency index
 // lets each solve re-run water-filling only over the connected components
 // reachable from the seeds — disjoint components share no links, so their
@@ -24,22 +33,25 @@
 // Flows live in a slot-indexed table (stable indices, free-list reuse), on
 // an id-ordered list that orders water-filling without a sort (a new id is
 // the largest), and on an active-flow list so advancing in-flight bytes and
-// rescheduling completions touch only flows whose rate is nonzero. A
-// from-scratch reference solver is kept behind set_use_reference_solver()
-// / set_check_against_reference() and asserted bitwise-equal in tests.
+// rescheduling completions touch only flows whose rate is nonzero. Each
+// link's count of non-stalled crossing flows is kept current at flow
+// start, removal and stall edges, so no solve recounts it. A from-scratch
+// reference solver is kept behind set_use_reference_solver() /
+// set_check_against_reference() and asserted bitwise-equal in tests.
 //
 // Full closure: when every worker talks to every PS shard (wide-osp), each
-// solve's closure is every in-flight flow. The BFS stops once it holds
-// them all (no flow is left to add, and every route link is marked), and
-// counts each link's crossing flows as it adds them. Water-filling then
-// walks by_id_ itself instead of setting and reading id bits: the same
-// flows in the same ascending-id order. Every solve zeroes only stalled
-// flows and writes each other rate once, when it is fixed, so active_
-// changes only when a flow starts or stops moving. A full solve fixes
-// every moving flow, so it picks the next completion, the least
-// (remaining / rate, id), as it fixes them, and the scan of active_ runs
-// only after a partial solve; the least of a strict order does not depend
-// on the visiting order. The reference solve keeps the general path (id
+// solve's closure is every in-flight flow. The closure BFS hands over to a
+// full solve once it has reached every loaded link (one a moving flow
+// crosses, counted at flow start, removal and stall edges): every moving
+// flow crosses such a link, so the closure is every moving flow whether
+// or not the BFS has visited it. The full solve walks by_id_ itself
+// instead of setting and reading id bits: the same flows in the same
+// ascending-id order. Every solve zeroes only stalled flows and writes
+// each other rate once, when it is fixed, so active_ changes only when a
+// flow starts or stops moving. A full solve fixes every moving flow, so
+// it picks the next completion, the least (remaining / rate, id), as it
+// fixes them, and the scan of active_ runs only after a partial solve;
+// the least of a strict order does not depend on the visiting order. The reference solve keeps the general path (id
 // bits, active_ scan), so the check stays independent.
 //
 // Fault injection (see sim/faults.hpp): links carry dynamic state — an
@@ -167,6 +179,7 @@ class Network {
   [[nodiscard]] std::size_t active_flows() const { return num_flows_; }
 
   /// Current fair-share rate of a flow (bytes/s); 0 if unknown/finished.
+  /// Runs a solve that a zero-time completion left pending.
   [[nodiscard]] double flow_rate(FlowId id);
 
   /// Total bytes delivered since construction (post-loss-inflation wire
@@ -203,8 +216,11 @@ class Network {
     std::uint64_t solves = 0;       ///< rate recomputations executed
     std::uint64_t full_solves = 0;  ///< recomputations that spanned all flows
     /// Flow entries examined across all solves: one per flow in the setup
-    /// pass plus one per (flow, water-filling round). The incremental
-    /// solver's headline win is reducing this count.
+    /// pass plus one per (flow, water-filling round). A solve whose closure
+    /// BFS handed over to the full path counts every in-flight flow in its
+    /// setup pass, stalled ones included; the BFS's own visits are not
+    /// counted. The incremental solver's headline win is reducing this
+    /// count.
     std::uint64_t flow_visits = 0;
   };
   [[nodiscard]] const SolveStats& solve_stats() const { return stats_; }
@@ -214,13 +230,21 @@ class Network {
   void set_use_reference_solver(bool on) { use_reference_solver_ = on; }
 
   /// Debug: after every incremental solve, re-run the reference solver and
-  /// assert every flow's rate is bitwise identical (slow; for tests).
+  /// assert every flow's rate is bitwise identical, and that the link
+  /// loads and zero-byte records equal a recount; where a zero-time
+  /// completion stands in for a solve, assert a reference solve picks the
+  /// same flow (slow; for tests).
   void set_check_against_reference(bool on) { check_reference_ = on; }
 
-  /// settle() runs a pending solve and schedules the next completion; the
+  /// settle() runs a pending solve and schedules the next completion (or
+  /// schedules a zero-time completion and leaves the solve for later); the
   /// simulator calls it after every event.
   [[nodiscard]] bool solve_pending() const { return solve_pending_; }
   void settle();
+  /// Run the solve a zero-time completion left for later, scheduling
+  /// nothing: Simulator::clear() calls it after settle(), since the
+  /// completion it drops is what kept simulated time from passing.
+  void solve_deferred_rates();
 
   // ---- checkpointing ----
 
@@ -287,11 +311,25 @@ class Network {
     double drop_prob = 0.0;
   };
 
+  /// Zero-byte flows, as advance_to_now() records them: an entry is live
+  /// while its slot still holds that flow id.
+  struct ZeroBytes {
+    FlowId id;
+    std::uint32_t slot;
+  };
+
   void advance_to_now();
   /// After a change has added its seeds: stale the scheduled completion
   /// and reserve the sequence number of its replacement.
   void defer_solve();
+  /// The lowest-id moving flow with 0 wire bytes left, or kNpos.
+  std::uint32_t zero_time_completion();
+  /// Solve the rates and drop the seeds the solve covered.
+  void solve_rates();
   void schedule_next_completion();
+  /// Schedule `slot`'s completion `dt` from now in the place the last
+  /// change reserved, stale once the epoch moves on.
+  void schedule_completion(double dt, std::uint32_t slot);
   void complete_flow(std::uint32_t slot);
 
   std::uint32_t alloc_slot();
@@ -300,23 +338,30 @@ class Network {
   void remove_flow(std::uint32_t slot);
   /// Set a flow's rate, maintaining the active list.
   inline void set_rate(std::uint32_t slot, double rate);
+  /// Count a flow that starts or stops moving on each link of its route,
+  /// maintaining the loaded-link count.
+  void add_load(const Flow& f);
+  void drop_load(const Flow& f);
 
   /// Recompute rates over the connected component(s) reachable from the
   /// pending seed flows (freed slots skipped) and links. Falls through to
   /// the reference solver when requested.
   void recompute_incremental();
-  /// Progressive water-filling restricted to `flow_set` / `links` (the
-  /// closed sub-problem collected by recompute_incremental), with
-  /// crossing_ already holding each link's count of the set's non-stalled
-  /// flows. `full` says
-  /// the set is every in-flight flow: walk by_id_ and pick the next
-  /// completion into next_.
-  void solve_over(const std::vector<std::uint32_t>& flow_set,
-                  const std::vector<LinkId>& links, bool full);
+  /// Progressive water-filling over `links`, with crossing_ already
+  /// holding each link's count of non-stalled flows. `full` says the flow
+  /// set is every in-flight flow: walk by_id_ and pick the next completion
+  /// into next_. Otherwise it is affected_, the closed sub-problem
+  /// collected by recompute_incremental.
+  void solve_over(const std::vector<LinkId>& links, bool full);
   /// From-scratch water-filling over every flow and link.
   void solve_reference();
   /// Assert the reference solver reproduces the current rates bitwise.
   void verify_against_reference();
+  /// Assert a reference solve picks `zero` to complete at dt = 0.
+  void verify_zero_time_pick(std::uint32_t zero);
+  /// Assert the maintained link loads and zero-byte records equal a
+  /// recount.
+  void verify_counts() const;
 
   Simulator* sim_;
   std::vector<LinkSpec> links_;
@@ -330,6 +375,13 @@ class Network {
   std::unordered_map<FlowId, std::uint32_t> id_to_slot_;
   std::vector<std::vector<LinkFlowRef>> link_flows_;  ///< parallel to links_
   std::vector<std::uint32_t> active_;  ///< slots with rate > 0
+  /// Per link: route occurrences of non-stalled flows; and the number of
+  /// links where it is nonzero.
+  std::vector<std::uint32_t> link_load_;
+  std::size_t loaded_links_ = 0;
+  /// Every in-flight flow with 0 wire bytes left, and dead entries;
+  /// descending id, so the lowest is at the back.
+  std::vector<ZeroBytes> zero_bytes_;
   // In-use slots in ascending flow id; an entry is live while by_id_pos_
   // points at it. start_flow compacts the dead ones once most are dead.
   std::vector<std::uint32_t> by_id_;
@@ -337,9 +389,12 @@ class Network {
   std::size_t num_flows_ = 0;
 
   // Deferred solve: seeds since the last one, latest reserved sequence.
+  // rates_stale_: a zero-time completion is scheduled and the seeds wait
+  // for the solve.
   std::vector<std::uint32_t> pending_flows_;
   std::vector<LinkId> pending_links_;
   bool solve_pending_ = false;
+  bool rates_stale_ = false;
   std::uint64_t pending_seq_ = 0;
 
   // Solver scratch (persistent to avoid per-solve allocation). residual_/

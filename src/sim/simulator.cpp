@@ -98,6 +98,9 @@ std::size_t Simulator::run_until(SimTime deadline) {
 
 void Simulator::clear() {
   settle();
+  // Time may pass once the queue is gone: no rate may wait for a
+  // zero-time completion that is about to be dropped.
+  if (net_ != nullptr) net_->solve_deferred_rates();
   heap_.clear();
 }
 

@@ -68,7 +68,7 @@ class Simulator {
   std::size_t run_until(SimTime deadline);
 
   /// Drop all pending events, a pending solve's completion included (used
-  /// between experiment repetitions).
+  /// between experiment repetitions). The rates are solved first.
   void clear();
 
   /// Queued events, plus one for a pending rate solve.

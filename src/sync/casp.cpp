@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <utility>
 
 #include "runtime/engine.hpp"
 #include "util/check.hpp"
@@ -29,6 +30,7 @@ void CaspSync::attach(runtime::Engine& eng) {
     groups_.push_back(std::move(members));
   }
   pushed_.assign(eng.num_workers(), false);
+  crashes_.assign(eng.num_workers(), 0);
   agg_.assign(eng.global_params().size(), 0.0f);
   tel_rounds_ = 0;
 }
@@ -45,30 +47,32 @@ void CaspSync::on_gradient_ready(std::size_t worker) {
 void CaspSync::on_worker_crashed(std::size_t worker) {
   // The worker redoes its batch after a restart, so a push it already
   // landed is withdrawn, and its group stops waiting for it.
+  ++crashes_[worker];
   pushed_[worker] = false;
   maybe_aggregate(group_of_[worker]);
 }
 
 void CaspSync::maybe_aggregate(std::size_t group) {
   runtime::Engine& e = eng();
-  std::vector<std::size_t> contributors;
+  // Each contributor with its crash count at aggregation.
+  std::vector<std::pair<std::size_t, std::uint64_t>> contributors;
   for (std::size_t w : groups_[group]) {
     if (pushed_[w]) {
-      contributors.push_back(w);
+      contributors.emplace_back(w, crashes_[w]);
     } else if (e.worker_alive(w) && !e.worker_done(w) &&
                !e.worker_parked(w)) {
       return;  // a member that will push to this round
     }
   }
   if (contributors.empty()) return;
-  for (std::size_t w : contributors) pushed_[w] = false;
+  for (const auto& [w, crashes] : contributors) pushed_[w] = false;
   // Mean over the contributors' gradients, applied ASP-style with their
   // share of the cluster so per-sample step sizes stay calibrated. Only a
   // crashed member or one a restart left an iteration behind makes the
   // contributors fewer than the group.
   agg_.assign(e.global_params().size(), 0.0f);
   const float scale = 1.0f / static_cast<float>(contributors.size());
-  for (std::size_t w : contributors) {
+  for (const auto& [w, crashes] : contributors) {
     util::axpy(scale, e.worker_gradient(w), agg_);
   }
   e.apply_global_step(agg_, static_cast<double>(contributors.size()) /
@@ -76,7 +80,8 @@ void CaspSync::maybe_aggregate(std::size_t group) {
   record_full_round(++tel_rounds_, contributors.size());
   e.ps_submit(e.ps_apply_delay(e.model_bytes(), 3.0), [this, contributors] {
     runtime::Engine& en = eng();
-    for (std::size_t w : contributors) {
+    for (const auto& [w, crashes] : contributors) {
+      if (crashes_[w] != crashes) continue;  // crashed while queued
       en.worker_transfer(w, en.cluster().route_from_ps(w), en.model_bytes(),
                          [this, w] {
                            runtime::Engine& e2 = eng();

@@ -48,6 +48,10 @@ class CaspSync : public runtime::SyncModel {
   std::vector<std::vector<std::size_t>> groups_;  // group -> workers
   std::vector<std::size_t> group_of_;             // worker -> group
   std::vector<bool> pushed_;  // per worker: push landed this group round
+  // Per worker: crashes so far. A queued PS apply answers only the
+  // contributors that have not crashed since it aggregated them; one that
+  // restarted in between pulls the model in its new life.
+  std::vector<std::uint64_t> crashes_;
   std::vector<float> agg_;
   std::uint64_t tel_rounds_ = 0;  // group barriers closed (telemetry)
 };

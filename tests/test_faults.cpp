@@ -750,7 +750,9 @@ TEST(CheckpointRecovery, CrashRestartBehindTheCutRunsToPlan) {
 // restart pull or replica read is in flight it must not gate a trailing
 // worker's round (every barrier owner and CASP), and a CASP member whose
 // answer lands while its partner already pushed the next round re-checks
-// the group when it parks.
+// the group when it parks. A CASP contributor that crashes and restarts
+// while its group's PS apply is queued gets no answer from it in its new
+// life (the case at 0.2018 s).
 TEST(CheckpointRecovery, SecondCrashAtTheCutRunsToPlan) {
   const auto make = [](int model) -> std::unique_ptr<runtime::SyncModel> {
     switch (model) {
@@ -781,7 +783,8 @@ TEST(CheckpointRecovery, SecondCrashAtTheCutRunsToPlan) {
                         Case{1, 0.207, 0, 2, false}, Case{1, 0.414, 0, 2, false},
                         Case{2, 0.690, 0, 2, false}, Case{2, 0.690, 1, 2, false},
                         Case{3, 0.207, 0, 2, false}, Case{3, 0.414, 0, 2, false},
-                        Case{4, 0.345, 0, 2, false}, Case{4, 0.828, 1, 5, true}}) {
+                        Case{4, 0.345, 0, 2, false}, Case{4, 0.828, 1, 5, true},
+                        Case{4, 0.2018, 1, 2, false}}) {
     runtime::EngineConfig cfg = golden_config();
     cfg.max_virtual_time_s = 60.0;
     cfg.cluster.num_ps = 2;

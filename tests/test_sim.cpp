@@ -850,7 +850,9 @@ TEST(NetworkIncremental, SameCallbackBurstsSolveOnceBitIdentical) {
 /// at random, slice sizes are random per worker and phase, and each phase
 /// cancels one worker's transfers mid-flight (a crash). With `outage`,
 /// worker 0's uplink is down for part of the first push phase, stalling
-/// its flows. Returns the completion times in completion order.
+/// its flows, and each half of the workers talks to its own two shards:
+/// two components, so a solve in one half reaches none of the other
+/// half's links. Returns the completion times in completion order.
 std::vector<double> run_coupled_shards(Simulator& sim, Network& net,
                                        std::uint64_t seed, bool outage) {
   constexpr std::size_t kWorkers = 16;
@@ -874,15 +876,20 @@ std::vector<double> run_coupled_shards(Simulator& sim, Network& net,
   auto settle_one = [&](int phase) {
     if (--owed == 0 && phase + 1 < kPhases) start_phase(phase + 1);
   };
+  // Shards [first, first + reach) of worker w.
+  const std::size_t reach = outage ? kShards / 2 : kShards;
+  auto first = [&](std::size_t w) {
+    return outage && w >= kWorkers / 2 ? kShards / 2 : 0;
+  };
   start_phase = [&](int phase) {
     current = phase;
-    owed = kWorkers * kShards;
+    owed = kWorkers * reach;
     const bool push = phase % 2 == 0;
     for (std::size_t w = 0; w < kWorkers; ++w) {
       flows[w].clear();
       const double bytes = rng.uniform(200.0, 2000.0);
       sim.schedule(rng.uniform(0.0, 0.3), [&, w, bytes, push, phase] {
-        for (std::size_t s = 0; s < kShards; ++s) {
+        for (std::size_t s = first(w); s < first(w) + reach; ++s) {
           std::vector<LinkId> route{up[w], ps_in[s]};
           if (!push) route = {ps_out[s], down[w]};
           flows[w].push_back(
@@ -931,10 +938,10 @@ TEST(NetworkIncremental, CoupledShardsTakeTheFullPath) {
   }
 }
 
-// A down uplink stalls one worker's flows. A solve that does not seed them
-// leaves them out of the closure, so the BFS runs to the end and the
-// partial path (id bits, active-list scan) water-fills; the run still
-// matches the reference solver bit for bit.
+// A down uplink stalls one worker's flows, and the workers form two
+// components. A solve in one of them does not reach every loaded link, so
+// the BFS runs to the end and the partial path (id bits, active-list scan)
+// water-fills; the run still matches the reference solver bit for bit.
 TEST(NetworkIncremental, StalledFlowsTakeThePartialPath) {
   for (std::uint64_t seed = 41; seed <= 44; ++seed) {
     Simulator sim_inc;
@@ -1017,6 +1024,219 @@ TEST(NetworkIncremental, ShardedComponentsReduceVisits) {
   const std::uint64_t ref = run_sharded(true);
   EXPECT_GE(static_cast<double>(ref), 5.0 * static_cast<double>(inc))
       << "ref=" << ref << " inc=" << inc;
+}
+
+// ---- zero-time completion cascades and the BFS handover ------------------
+
+/// Workers pull equal slices from two shards in one event. Each shard's
+/// egress link is the pulls' bottleneck, so a shard's pulls share one
+/// rate and finish at one instant: when the first completes the rest have
+/// exactly 0 wire bytes left, a zero-time cascade. Links have no latency,
+/// so each completion callback runs before the next completion, in the
+/// middle of the cascade; `hook` acts there.
+struct Cascade {
+  Simulator sim;
+  Network net{sim};
+  std::vector<LinkId> shard_out;
+  std::vector<LinkId> worker_in;
+  std::vector<FlowId> order;  ///< completed flows, in completion order
+  std::vector<double> at;     ///< their completion times
+  std::function<void(FlowId)> hook;
+  /// The reference run: the from-scratch solver, and a rate read in every
+  /// callback, which solves after every completion.
+  const bool per_change;
+
+  explicit Cascade(bool reference) : per_change(reference) {
+    net.set_use_reference_solver(reference);
+    net.set_check_against_reference(!reference);
+    for (int s = 0; s < 2; ++s) shard_out.push_back(net.add_link(1000.0));
+    for (int w = 0; w < 4; ++w) worker_in.push_back(net.add_link(1000.0));
+  }
+
+  FlowId start(std::vector<LinkId> route, double bytes) {
+    const FlowId id = net.next_flow_id();
+    net.start_flow(std::move(route), bytes, [this, id] {
+      order.push_back(id);
+      at.push_back(sim.now());
+      if (per_change) {
+        EXPECT_EQ(net.flow_rate(id), 0.0);
+      }
+      if (hook) hook(id);
+    });
+    return id;
+  }
+
+  /// Every worker pulls `bytes` from each shard, in one event at t = 0:
+  /// flow ids 1, 2 are worker 0's, 3, 4 worker 1's, and so on.
+  void pull_all(double bytes) {
+    sim.schedule(0.0, [this, bytes] {
+      for (const LinkId w : worker_in) {
+        for (const LinkId s : shard_out) start({s, w}, bytes);
+      }
+    });
+  }
+};
+
+// Eight tied pulls (250 B/s each, 500 bytes) finish at t = 2 in id order,
+// with one solve for the whole cascade. Rates are solved only when time can
+// pass, and the run matches one that solves after every change bit for bit.
+TEST(NetworkCascade, TiedCompletionsMatchPerChangeSolves) {
+  auto run = [](bool reference) {
+    auto c = std::make_unique<Cascade>(reference);
+    c->pull_all(500.0);
+    // A long pull makes shard 0's pulls 200 B/s: they tie at t = 2.5, and
+    // the long one finishes alone at t = 4.
+    c->sim.schedule(0.0, [&c = *c] {
+      c.start({c.shard_out[0], c.worker_in[0]}, 2000.0);
+    });
+    c->sim.run();
+    return c;
+  };
+  const auto fast = run(false);
+  const auto ref = run(true);
+  EXPECT_EQ(fast->order, ref->order);
+  EXPECT_EQ(fast->at, ref->at);  // bitwise
+  EXPECT_EQ(fast->order, (std::vector<FlowId>{2, 4, 6, 8, 1, 3, 5, 7, 9}));
+  EXPECT_EQ(fast->at, (std::vector<double>{2.0, 2.0, 2.0, 2.0, 2.5, 2.5, 2.5,
+                                           2.5, 4.0}));
+  EXPECT_EQ(fast->sim.events_processed(), ref->sim.events_processed());
+  // One solve per start event and one after each cascade; the last flow
+  // leaves none. Solving after every change takes one per completion.
+  EXPECT_EQ(fast->net.solve_stats().solves, 4u);
+  EXPECT_EQ(ref->net.solve_stats().solves, 10u);
+}
+
+// A rate read in the middle of a cascade solves at once, and the cascade's
+// next completion stays the only one queued.
+TEST(NetworkCascade, RateReadSolvesAndKeepsOneCompletion) {
+  Cascade c(false);
+  c.pull_all(500.0);
+  bool read = false;
+  c.hook = [&](FlowId id) {
+    if (id != 1) return;
+    const std::uint64_t solves = c.net.solve_stats().solves;
+    EXPECT_EQ(c.net.flow_rate(2), 250.0);  // the rates before the cascade
+    EXPECT_EQ(c.net.solve_stats().solves, solves + 1);
+    EXPECT_FALSE(c.net.solve_pending());
+    EXPECT_EQ(c.sim.pending(), 1u);  // flow 2's completion, nothing else
+    read = true;
+  };
+  c.sim.run();
+  EXPECT_TRUE(read);
+  EXPECT_EQ(c.order, (std::vector<FlowId>{1, 2, 3, 4, 5, 6, 7, 8}));
+  EXPECT_EQ(c.at, std::vector<double>(8, 2.0));
+  EXPECT_EQ(c.net.active_flows(), 0u);
+}
+
+// A link that goes down in the middle of a cascade stalls the zero-byte
+// flows crossing it: they are not picked, and complete on the up edge.
+TEST(NetworkCascade, LinkDownMidCascadeStallsItsZeroByteFlows) {
+  auto run = [](bool reference) {
+    auto c = std::make_unique<Cascade>(reference);
+    c->pull_all(500.0);
+    c->hook = [&c = *c](FlowId id) {
+      if (id != 1) return;
+      c.net.set_link_up(c.worker_in[3], false);  // flows 7 and 8
+      c.sim.schedule_at(3.0, [&c] { c.net.set_link_up(c.worker_in[3], true); });
+    };
+    c->sim.run();
+    return c;
+  };
+  const auto fast = run(false);
+  const auto ref = run(true);
+  EXPECT_EQ(fast->order, (std::vector<FlowId>{1, 2, 3, 4, 5, 6, 7, 8}));
+  EXPECT_EQ(fast->at, (std::vector<double>{2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 3.0,
+                                           3.0}));
+  EXPECT_EQ(fast->at, ref->at);
+  // The start, and the solve that leaves flows 7 and 8 stalled.
+  EXPECT_EQ(fast->net.solve_stats().solves, 2u);
+}
+
+// Cancelling the flow that would complete next: the cascade goes on with
+// the one after it.
+TEST(NetworkCascade, CancellingTheNextFlowSkipsIt) {
+  auto run = [](bool reference) {
+    auto c = std::make_unique<Cascade>(reference);
+    c->pull_all(500.0);
+    c->hook = [&c = *c](FlowId id) {
+      if (id == 1) {
+        EXPECT_TRUE(c.net.cancel_flow(2));
+      }
+    };
+    c->sim.run();
+    return c;
+  };
+  const auto fast = run(false);
+  const auto ref = run(true);
+  EXPECT_EQ(fast->order, (std::vector<FlowId>{1, 3, 4, 5, 6, 7, 8}));
+  EXPECT_EQ(fast->at, std::vector<double>(7, 2.0));
+  EXPECT_EQ(fast->at, ref->at);
+  EXPECT_EQ(fast->net.flows_cancelled(), 1u);
+  EXPECT_EQ(fast->net.solve_stats().solves, 1u);
+}
+
+// A flow started in the middle of a cascade waits for it, then takes the
+// freed links.
+TEST(NetworkCascade, StartMidCascadeRunsAfterIt) {
+  auto run = [](bool reference) {
+    auto c = std::make_unique<Cascade>(reference);
+    c->pull_all(500.0);
+    c->hook = [&c = *c](FlowId id) {
+      if (id == 1) c.start({c.shard_out[0], c.worker_in[0]}, 1000.0);
+    };
+    c->sim.run();
+    return c;
+  };
+  const auto fast = run(false);
+  const auto ref = run(true);
+  EXPECT_EQ(fast->order, (std::vector<FlowId>{1, 2, 3, 4, 5, 6, 7, 8, 9}));
+  EXPECT_EQ(fast->at, ref->at);  // bitwise
+  EXPECT_EQ(fast->at.back(), 3.0);
+  EXPECT_EQ(fast->net.solve_stats().solves, 2u);
+}
+
+// The closure BFS hands over to the full solve once it has reached every
+// loaded link (one a moving flow crosses): every moving flow is then in the
+// closure, even where the BFS has not visited it, and a stalled flow
+// outside it only needs its zero rate. The full solve's setup pass visits
+// every in-flight flow.
+TEST(NetworkIncremental, BfsHandsOverOnceEveryLoadedLinkIsReached) {
+  Simulator sim;
+  Network net(sim);
+  net.set_check_against_reference(true);
+  const LinkId a = net.add_link(300.0);
+  const LinkId b = net.add_link(100.0);
+  const LinkId c = net.add_link(100.0);
+  net.set_link_up(c, false);
+  sim.schedule(0.0, [&] {
+    for (int i = 0; i < 3; ++i) net.start_flow({a}, 3000.0, nullptr);
+    net.start_flow({b}, 1000.0, nullptr);
+    net.start_flow({c}, 100.0, nullptr);  // stalled
+  });
+  sim.run_until(0.5);
+  EXPECT_EQ(net.solve_stats().solves, 1u);
+  EXPECT_EQ(net.solve_stats().full_solves, 1u);
+
+  // Link b's component reaches b but not a: the partial path.
+  sim.schedule_at(1.0, [&] { net.start_flow({b}, 100.0, nullptr); });
+  sim.run_until(1.5);
+  EXPECT_EQ(net.solve_stats().solves, 2u);
+  EXPECT_EQ(net.solve_stats().full_solves, 1u);
+
+  // A flow over a and b reaches both loaded links as it is seeded: the
+  // full solve, without expanding a link. Setup visits all 7 flows (the
+  // stalled one on c included); round one fixes b's three at 100/3 B/s
+  // (6 visits), round two a's other three (3 visits).
+  const std::uint64_t visits = net.solve_stats().flow_visits;
+  sim.schedule_at(2.0, [&] { net.start_flow({a, b}, 3000.0, nullptr); });
+  sim.run_until(2.5);
+  EXPECT_EQ(net.solve_stats().solves, 3u);
+  EXPECT_EQ(net.solve_stats().full_solves, 2u);
+  EXPECT_EQ(net.solve_stats().flow_visits - visits, 16u);
+
+  sim.schedule_at(5.0, [&] { net.set_link_up(c, true); });
+  sim.run();
+  EXPECT_EQ(net.active_flows(), 0u);
 }
 
 }  // namespace
