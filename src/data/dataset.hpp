@@ -3,8 +3,9 @@
 // Datasets are *generative*: examples are synthesized deterministically from
 // (seed, index), so every worker sees identical examples. A dataset may keep
 // examples it has generated, up to a fixed byte cap, filled lazily and
-// safely under concurrent make_batch calls (SyntheticImageDataset does);
-// above the cap it regenerates an example on every visit. A Batch carries
+// safely under concurrent make_batch calls (SyntheticImageDataset keeps the
+// first examples that fit in the cap); an example it does not keep is
+// regenerated on every visit. A Batch carries
 // the model input tensor plus whichever supervision the task uses (class
 // labels or QA spans).
 #pragma once

@@ -39,20 +39,20 @@ Batch SyntheticImageDataset::make_batch(
     std::span<const std::size_t> indices) const {
   OSP_CHECK(!indices.empty(), "empty batch request");
   const std::size_t px = pixels();
-  // The memo is allocated on first use, so building a dataset stays cheap,
-  // and only for sets whose pixels fit in kMemoBytes.
+  // The memo is allocated on first use, so building a dataset stays cheap.
+  // It holds the examples below `kept`, as many as fit in kMemoBytes.
+  const std::size_t kept =
+      std::min(config_.num_examples, kMemoBytes / sizeof(float) / px);
   float* memo = nullptr;
-  if (config_.num_examples <= kMemoBytes / sizeof(float) / px) {
+  if (kept > 0) {
     std::call_once(memo_once_, [&] {
-      memo_ = std::make_unique_for_overwrite<float[]>(config_.num_examples *
-                                                      px);
-      memo_state_ = std::make_unique<std::atomic<std::uint8_t>[]>(
-          config_.num_examples);
+      memo_ = std::make_unique_for_overwrite<float[]>(kept * px);
+      memo_state_ = std::make_unique<std::atomic<std::uint8_t>[]>(kept);
     });
     memo = memo_.get();
   }
   Batch batch;
-  batch.inputs = tensor::Tensor(
+  batch.inputs = tensor::Tensor::uninitialized(
       {indices.size(), config_.channels, config_.height, config_.width});
   batch.labels.reserve(indices.size());
   util::Rng master(config_.noise_seed != 0 ? config_.noise_seed
@@ -63,7 +63,7 @@ Batch SyntheticImageDataset::make_batch(
     const std::int32_t label = label_of(idx);
     batch.labels.push_back(label);
     float* dst = out + b * px;
-    float* row = memo != nullptr ? memo + idx * px : nullptr;
+    float* row = idx < kept ? memo + idx * px : nullptr;
     if (row != nullptr &&
         memo_state_[idx].load(std::memory_order_acquire) == kReady) {
       std::copy_n(row, px, dst);

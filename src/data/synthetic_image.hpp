@@ -8,11 +8,12 @@
 // paper's accuracy experiments rely on. Generation is stateless: example i
 // is produced from rng.fork(i), so shards and epochs are reproducible.
 //
-// Because an example depends only on (config, index), a set of up to
-// kMemoBytes of pixels keeps each example after its first visit and copies
-// it out on later visits. The memo is allocated on the first make_batch and
-// is safe to fill from concurrent make_batch calls; a larger set
-// regenerates every example on every visit.
+// Because an example depends only on (config, index), the dataset keeps
+// each example with index below kMemoBytes / (4 · pixels) after its first
+// visit and copies it out on later visits: all of a set of up to kMemoBytes
+// of pixels, and the first kMemoBytes of a larger one, whose other examples
+// are regenerated on every visit. The memo is allocated on the first
+// make_batch and is safe to fill from concurrent make_batch calls.
 #pragma once
 
 #include <atomic>
@@ -58,14 +59,16 @@ class SyntheticImageDataset : public Dataset {
   /// every shard is class-balanced).
   [[nodiscard]] std::int32_t label_of(std::size_t index) const;
 
-  /// The largest set, in bytes of pixels, whose examples are memoized.
+  /// The memo's size in bytes of pixels: examples with index below
+  /// kMemoBytes / (4 · pixels()) are memoized.
   static constexpr std::size_t kMemoBytes = std::size_t{1} << 20;
 
  private:
   ImageDatasetConfig config_;
   std::vector<float> prototypes_;  // [classes, pixels]
-  // The example memo ([examples, pixels]) and one empty/filling/ready state
-  // per example, both allocated under memo_once_ by the first make_batch.
+  // The example memo ([kept examples, pixels]) and one empty/filling/ready
+  // state per kept example, both allocated under memo_once_ by the first
+  // make_batch.
   mutable std::once_flag memo_once_;
   mutable std::unique_ptr<float[]> memo_;
   mutable std::unique_ptr<std::atomic<std::uint8_t>[]> memo_state_;

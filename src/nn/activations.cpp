@@ -9,26 +9,26 @@ namespace osp::nn {
 
 using tensor::Tensor;
 
-Tensor ReLU::forward(const Tensor& input, bool /*train*/) {
-  input_ = input;
-  Tensor out(input.shape());
+Tensor ReLU::forward(Tensor&& input, bool train) {
+  Tensor out = Tensor::uninitialized(input.shape());
   util::simd::kernels().relu(input.raw(), out.raw(), out.numel());
+  if (train) input_ = std::move(input);
   return out;
 }
 
 Tensor ReLU::backward(const Tensor& grad_out) {
-  OSP_CHECK(grad_out.numel() == input_.numel(), "ReLU grad size mismatch");
-  Tensor dx(grad_out.shape());
-  util::simd::kernels().relu_grad(input_.raw(), grad_out.raw(), dx.raw(),
+  const Tensor input = std::move(input_);
+  OSP_CHECK(grad_out.numel() == input.numel(), "ReLU grad size mismatch");
+  Tensor dx = Tensor::uninitialized(grad_out.shape());
+  util::simd::kernels().relu_grad(input.raw(), grad_out.raw(), dx.raw(),
                                   dx.numel());
   return dx;
 }
 
-Tensor Tanh::forward(const Tensor& input, bool /*train*/) {
-  Tensor out = input;
-  for (float& v : out.data()) v = std::tanh(v);
-  output_ = out;
-  return out;
+Tensor Tanh::forward(Tensor&& input, bool /*train*/) {
+  for (float& v : input.data()) v = std::tanh(v);
+  output_ = input;
+  return std::move(input);
 }
 
 Tensor Tanh::backward(const Tensor& grad_out) {
@@ -60,11 +60,10 @@ float gelu_grad_scalar(float x) {
 }
 }  // namespace
 
-Tensor Gelu::forward(const Tensor& input, bool /*train*/) {
+Tensor Gelu::forward(Tensor&& input, bool /*train*/) {
   input_ = input;
-  Tensor out = input;
-  for (float& v : out.data()) v = gelu_scalar(v);
-  return out;
+  for (float& v : input.data()) v = gelu_scalar(v);
+  return std::move(input);
 }
 
 Tensor Gelu::backward(const Tensor& grad_out) {

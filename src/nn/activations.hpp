@@ -8,17 +8,19 @@ namespace osp::nn {
 class ReLU : public Layer {
  public:
   explicit ReLU(std::string name) : Layer(std::move(name)) {}
-  tensor::Tensor forward(const tensor::Tensor& input, bool train) override;
+  using Layer::forward;
+  tensor::Tensor forward(tensor::Tensor&& input, bool train) override;
   tensor::Tensor backward(const tensor::Tensor& grad_out) override;
 
  private:
-  tensor::Tensor input_;
+  tensor::Tensor input_;  // last training-forward input, until backward
 };
 
 class Tanh : public Layer {
  public:
   explicit Tanh(std::string name) : Layer(std::move(name)) {}
-  tensor::Tensor forward(const tensor::Tensor& input, bool train) override;
+  using Layer::forward;
+  tensor::Tensor forward(tensor::Tensor&& input, bool train) override;
   tensor::Tensor backward(const tensor::Tensor& grad_out) override;
 
  private:
@@ -28,7 +30,8 @@ class Tanh : public Layer {
 class Gelu : public Layer {
  public:
   explicit Gelu(std::string name) : Layer(std::move(name)) {}
-  tensor::Tensor forward(const tensor::Tensor& input, bool train) override;
+  using Layer::forward;
+  tensor::Tensor forward(tensor::Tensor&& input, bool train) override;
   tensor::Tensor backward(const tensor::Tensor& grad_out) override;
 
  private:

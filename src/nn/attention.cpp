@@ -35,11 +35,11 @@ namespace {
 /// Gives `t` the shape `shape`, reallocating only when it changes. The
 /// contents are left for the caller to overwrite.
 void fit(Tensor& t, tensor::Shape shape) {
-  if (t.shape() != shape) t = Tensor(std::move(shape));
+  if (t.shape() != shape) t = Tensor::uninitialized(std::move(shape));
 }
 }  // namespace
 
-Tensor SelfAttention::forward(const Tensor& input, bool /*train*/) {
+Tensor SelfAttention::forward(Tensor&& input, bool /*train*/) {
   OSP_CHECK(input.rank() == 3 && input.dim(2) == dim_,
             "SelfAttention expects [B, L, D]");
   batch_ = input.dim(0);
@@ -71,8 +71,7 @@ Tensor SelfAttention::forward(const Tensor& input, bool /*train*/) {
   }
 
   // Y = X + H·Woᵀ: the residual is the accumulate epilogue's C.
-  Tensor y = input;
-  y.reshape({n, D});
+  Tensor y = std::move(input).reshaped({n, D});
   tensor::matmul_nt(h_, wo_, y, /*accumulate=*/true);
   y.reshape({batch_, seq_, D});
   return y;

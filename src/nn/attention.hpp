@@ -19,7 +19,8 @@ class SelfAttention : public Layer {
  public:
   SelfAttention(std::string name, std::size_t dim, util::Rng& rng);
 
-  tensor::Tensor forward(const tensor::Tensor& input, bool train) override;
+  using Layer::forward;
+  tensor::Tensor forward(tensor::Tensor&& input, bool train) override;
   tensor::Tensor backward(const tensor::Tensor& grad_out) override;
   std::vector<ParamRef> params() override;
 

@@ -23,37 +23,41 @@ Conv2d::Conv2d(std::string name, std::size_t in_channels,
   tensor::he_normal(weight_, geom_.patch_len(), rng);
 }
 
-Tensor Conv2d::forward(const Tensor& input, bool train) {
+Tensor Conv2d::forward(Tensor&& input, bool train) {
   OSP_CHECK(input.rank() == 4, "Conv2d expects NCHW input");
   OSP_CHECK(input.dim(1) == geom_.in_channels && input.dim(2) == geom_.in_h &&
                 input.dim(3) == geom_.in_w,
             "Conv2d input geometry mismatch");
   const std::size_t batch = input.dim(0);
-  Tensor out({batch, out_channels_, geom_.out_h(), geom_.out_w()});
+  Tensor out = Tensor::uninitialized(
+      {batch, out_channels_, geom_.out_h(), geom_.out_w()});
   tensor::conv2d_forward(input.raw(), weight_.raw(), bias_.raw(), geom_,
                          out_channels_, batch, out.raw());
-  if (train) input_ = input;
+  if (train) input_ = std::move(input);
   return out;
 }
 
 void Conv2d::backward_params(const Tensor& grad_out) {
-  OSP_CHECK(input_.rank() == 4, "Conv2d backward before a training forward");
-  const std::size_t batch = input_.dim(0);
+  const Tensor input = std::move(input_);
+  OSP_CHECK(input.rank() == 4, "Conv2d backward before a training forward");
+  const std::size_t batch = input.dim(0);
   OSP_CHECK(grad_out.rank() == 4 && grad_out.dim(0) == batch &&
                 grad_out.dim(1) == out_channels_ &&
                 grad_out.dim(2) == geom_.out_h() &&
                 grad_out.dim(3) == geom_.out_w(),
             "Conv2d grad shape mismatch");
-  tensor::conv2d_backward_weight(grad_out.raw(), input_.raw(), geom_,
+  tensor::conv2d_backward_weight(grad_out.raw(), input.raw(), geom_,
                                  out_channels_, batch, wgrad_.raw(),
                                  bgrad_.raw());
 }
 
 Tensor Conv2d::backward(const Tensor& grad_out) {
   backward_params(grad_out);
-  Tensor dx(input_.shape());
+  const std::size_t batch = grad_out.dim(0);
+  Tensor dx = Tensor::uninitialized(
+      {batch, geom_.in_channels, geom_.in_h, geom_.in_w});
   tensor::conv2d_backward_data(grad_out.raw(), weight_.raw(), geom_,
-                               out_channels_, input_.dim(0), dx.raw());
+                               out_channels_, batch, dx.raw());
   return dx;
 }
 
@@ -76,13 +80,13 @@ MaxPool2d::MaxPool2d(std::string name, std::size_t channels, std::size_t in_h,
   OSP_CHECK(in_h >= kernel && in_w >= kernel, "pool kernel larger than input");
 }
 
-Tensor MaxPool2d::forward(const Tensor& input, bool /*train*/) {
+Tensor MaxPool2d::forward(Tensor&& input, bool /*train*/) {
   OSP_CHECK(input.rank() == 4 && input.dim(1) == channels_ &&
                 input.dim(2) == in_h_ && input.dim(3) == in_w_,
             "MaxPool2d input mismatch");
   const std::size_t batch = input.dim(0);
   in_shape_ = input.shape();
-  Tensor out({batch, channels_, out_h_, out_w_});
+  Tensor out = Tensor::uninitialized({batch, channels_, out_h_, out_w_});
   argmax_.resize(out.numel());
   tensor::max_pool2d_forward(input.raw(),
                              {channels_, in_h_, in_w_, kernel_, stride_, 0},
@@ -101,11 +105,12 @@ Tensor MaxPool2d::backward(const Tensor& grad_out) {
   return dx;
 }
 
-Tensor Flatten::forward(const Tensor& input, bool /*train*/) {
+Tensor Flatten::forward(Tensor&& input, bool /*train*/) {
   OSP_CHECK(input.rank() >= 2, "Flatten expects batched input");
   in_shape_ = input.shape();
   const std::size_t batch = input.dim(0);
-  return input.reshaped({batch, input.numel() / batch});
+  const std::size_t features = input.numel() / batch;
+  return std::move(input).reshaped({batch, features});
 }
 
 Tensor Flatten::backward(const Tensor& grad_out) {

@@ -14,7 +14,8 @@ class Conv2d : public Layer {
          std::size_t in_h, std::size_t in_w, std::size_t kernel,
          std::size_t stride, std::size_t pad, util::Rng& rng);
 
-  tensor::Tensor forward(const tensor::Tensor& input, bool train) override;
+  using Layer::forward;
+  tensor::Tensor forward(tensor::Tensor&& input, bool train) override;
   tensor::Tensor backward(const tensor::Tensor& grad_out) override;
   void backward_params(const tensor::Tensor& grad_out) override;
   std::vector<ParamRef> params() override;
@@ -29,7 +30,7 @@ class Conv2d : public Layer {
   tensor::Tensor bias_;    // [out_c]
   tensor::Tensor wgrad_;
   tensor::Tensor bgrad_;
-  tensor::Tensor input_;  // last training-forward input, for dW
+  tensor::Tensor input_;  // last training-forward input, until backward
 };
 
 class MaxPool2d : public Layer {
@@ -37,7 +38,8 @@ class MaxPool2d : public Layer {
   MaxPool2d(std::string name, std::size_t channels, std::size_t in_h,
             std::size_t in_w, std::size_t kernel, std::size_t stride);
 
-  tensor::Tensor forward(const tensor::Tensor& input, bool train) override;
+  using Layer::forward;
+  tensor::Tensor forward(tensor::Tensor&& input, bool train) override;
   tensor::Tensor backward(const tensor::Tensor& grad_out) override;
 
  private:
@@ -51,7 +53,8 @@ class MaxPool2d : public Layer {
 class Flatten : public Layer {
  public:
   explicit Flatten(std::string name) : Layer(std::move(name)) {}
-  tensor::Tensor forward(const tensor::Tensor& input, bool train) override;
+  using Layer::forward;
+  tensor::Tensor forward(tensor::Tensor&& input, bool train) override;
   tensor::Tensor backward(const tensor::Tensor& grad_out) override;
 
  private:

@@ -20,7 +20,7 @@ Embedding::Embedding(std::string name, std::size_t vocab, std::size_t dim,
   tensor::normal_init(table_, 0.0f, 0.02f, rng);
 }
 
-Tensor Embedding::forward(const Tensor& input, bool /*train*/) {
+Tensor Embedding::forward(Tensor&& input, bool /*train*/) {
   OSP_CHECK(input.rank() == 2, "Embedding expects [batch, seq] ids");
   const std::size_t batch = input.dim(0), seq = input.dim(1);
   in_shape_ = input.shape();

@@ -15,7 +15,8 @@ class Embedding : public Layer {
   Embedding(std::string name, std::size_t vocab, std::size_t dim,
             util::Rng& rng);
 
-  tensor::Tensor forward(const tensor::Tensor& input, bool train) override;
+  using Layer::forward;
+  tensor::Tensor forward(tensor::Tensor&& input, bool train) override;
   tensor::Tensor backward(const tensor::Tensor& grad_out) override;
   void backward_params(const tensor::Tensor& grad_out) override;
   std::vector<ParamRef> params() override;

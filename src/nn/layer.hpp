@@ -35,12 +35,23 @@ class Layer {
 
   [[nodiscard]] const std::string& name() const { return name_; }
 
-  /// Forward pass. `train` toggles train-time behaviour (dropout).
-  /// Layers may cache activations needed by backward().
-  virtual tensor::Tensor forward(const tensor::Tensor& input, bool train) = 0;
+  /// Forward pass. `train` toggles train-time behaviour (dropout). The
+  /// layer owns `input`: one that needs its input for backward() keeps this
+  /// tensor rather than a copy. Callers done with an activation move it in
+  /// (Sequential moves each output into the next layer). Layers override
+  /// this overload and bring the other into scope (`using Layer::forward`).
+  virtual tensor::Tensor forward(tensor::Tensor&& input, bool train);
+
+  /// forward() of an input the caller keeps: the default runs the overload
+  /// above on a copy. A decorator that only hands its input on to another
+  /// layer may override this one instead, since the default above calls
+  /// it; a layer overrides at least one of the two.
+  virtual tensor::Tensor forward(const tensor::Tensor& input, bool train);
 
   /// Backward pass: takes dL/d(output), returns dL/d(input), and
-  /// accumulates (+=) parameter gradients. Must follow a forward() call.
+  /// accumulates (+=) parameter gradients. Runs once per training forward()
+  /// (train = true) and after it: a layer may free what that forward kept
+  /// for it, as autograd frees its saved tensors.
   virtual tensor::Tensor backward(const tensor::Tensor& grad_out) = 0;
 
   /// backward() without dL/d(input): accumulates the same parameter

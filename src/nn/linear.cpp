@@ -22,29 +22,31 @@ Linear::Linear(std::string name, std::size_t in_features,
   tensor::xavier_uniform(weight_, in_, out_, rng);
 }
 
-Tensor Linear::forward(const Tensor& input, bool /*train*/) {
+Tensor Linear::forward(Tensor&& input, bool train) {
   OSP_CHECK(input.rank() == 2 && input.dim(1) == in_,
             "Linear input shape mismatch");
-  input_ = input;
-  Tensor out({input.dim(0), out_});
+  Tensor out = Tensor::uninitialized({input.dim(0), out_});
   tensor::matmul_nt(input, weight_, out);  // [B,in]·[out,in]ᵀ = [B,out]
   if (has_bias_) tensor::add_bias_rows(out, bias_.data());
+  if (train) input_ = std::move(input);
   return out;
 }
 
 void Linear::backward_params(const Tensor& grad_out) {
+  const Tensor input = std::move(input_);
   OSP_CHECK(grad_out.rank() == 2 && grad_out.dim(1) == out_,
             "Linear grad shape mismatch");
-  OSP_CHECK(grad_out.dim(0) == input_.dim(0), "batch mismatch in backward");
+  OSP_CHECK(input.rank() == 2 && grad_out.dim(0) == input.dim(0),
+            "batch mismatch in backward");
   // dW += gᵀ·x : [out,B]·[B,in] = [out,in]
-  tensor::matmul_tn(grad_out, input_, wgrad_, /*accumulate=*/true);
+  tensor::matmul_tn(grad_out, input, wgrad_, /*accumulate=*/true);
   if (has_bias_) tensor::sum_rows(grad_out, bgrad_.data());
 }
 
 Tensor Linear::backward(const Tensor& grad_out) {
   backward_params(grad_out);
   // dx = g·W : [B,out]·[out,in] = [B,in]
-  Tensor dx({grad_out.dim(0), in_});
+  Tensor dx = Tensor::uninitialized({grad_out.dim(0), in_});
   tensor::matmul(grad_out, weight_, dx);
   return dx;
 }

@@ -10,7 +10,8 @@ class Linear : public Layer {
   Linear(std::string name, std::size_t in_features, std::size_t out_features,
          util::Rng& rng, bool bias = true);
 
-  tensor::Tensor forward(const tensor::Tensor& input, bool train) override;
+  using Layer::forward;
+  tensor::Tensor forward(tensor::Tensor&& input, bool train) override;
   tensor::Tensor backward(const tensor::Tensor& grad_out) override;
   void backward_params(const tensor::Tensor& grad_out) override;
   std::vector<ParamRef> params() override;
@@ -26,7 +27,7 @@ class Linear : public Layer {
   tensor::Tensor bias_;     // [out]
   tensor::Tensor wgrad_;
   tensor::Tensor bgrad_;
-  tensor::Tensor input_;    // cached for backward
+  tensor::Tensor input_;    // last training-forward input, until backward
 };
 
 }  // namespace osp::nn

@@ -19,12 +19,12 @@ LayerNorm::LayerNorm(std::string name, std::size_t features, float eps)
   OSP_CHECK(features > 0, "LayerNorm needs positive feature count");
 }
 
-Tensor LayerNorm::forward(const Tensor& input, bool /*train*/) {
+Tensor LayerNorm::forward(Tensor&& input, bool train) {
   OSP_CHECK(input.rank() == 2 && input.dim(1) == features_,
             "LayerNorm input mismatch");
   const std::size_t rows = input.dim(0);
-  Tensor out({rows, features_});
-  normed_ = Tensor({rows, features_});
+  Tensor out = Tensor::uninitialized({rows, features_});
+  Tensor normed = Tensor::uninitialized({rows, features_});
   inv_std_.assign(rows, 0.0f);
   for (std::size_t r = 0; r < rows; ++r) {
     auto in = input.row(r);
@@ -36,26 +36,29 @@ Tensor LayerNorm::forward(const Tensor& input, bool /*train*/) {
     var /= static_cast<double>(features_);
     const float istd = 1.0f / std::sqrt(static_cast<float>(var) + eps_);
     inv_std_[r] = istd;
-    auto nr = normed_.row(r);
+    auto nr = normed.row(r);
     auto orow = out.row(r);
     for (std::size_t c = 0; c < features_; ++c) {
       nr[c] = (in[c] - static_cast<float>(mean)) * istd;
       orow[c] = nr[c] * gamma_[c] + beta_[c];
     }
   }
+  if (train) normed_ = std::move(normed);
   return out;
 }
 
 Tensor LayerNorm::backward(const Tensor& grad_out) {
-  const std::size_t rows = normed_.dim(0);
+  const Tensor normed = std::move(normed_);
+  OSP_CHECK(normed.rank() == 2, "LayerNorm backward before a training forward");
+  const std::size_t rows = normed.dim(0);
   OSP_CHECK(grad_out.rank() == 2 && grad_out.dim(0) == rows &&
                 grad_out.dim(1) == features_,
             "LayerNorm grad mismatch");
-  Tensor dx({rows, features_});
+  Tensor dx = Tensor::uninitialized({rows, features_});
   const auto n = static_cast<float>(features_);
   for (std::size_t r = 0; r < rows; ++r) {
     auto g = grad_out.row(r);
-    auto xn = normed_.row(r);
+    auto xn = normed.row(r);
     auto d = dx.row(r);
     // Accumulate parameter gradients.
     float sum_gn = 0.0f;   // Σ g_c*gamma_c*xn_c
@@ -86,11 +89,11 @@ Dropout::Dropout(std::string name, float rate, util::Rng rng)
   OSP_CHECK(rate >= 0.0f && rate < 1.0f, "dropout rate must be in [0, 1)");
 }
 
-Tensor Dropout::forward(const Tensor& input, bool train) {
+Tensor Dropout::forward(Tensor&& input, bool train) {
   train_mode_ = train;
-  if (!train || rate_ == 0.0f) return input;
-  Tensor out = input;
-  mask_.assign(input.numel(), 0.0f);
+  if (!train || rate_ == 0.0f) return std::move(input);
+  Tensor out = std::move(input);
+  mask_.assign(out.numel(), 0.0f);
   const float keep_scale = 1.0f / (1.0f - rate_);
   auto data = out.data();
   for (std::size_t i = 0; i < data.size(); ++i) {

@@ -12,7 +12,8 @@ class LayerNorm : public Layer {
  public:
   LayerNorm(std::string name, std::size_t features, float eps = 1e-5f);
 
-  tensor::Tensor forward(const tensor::Tensor& input, bool train) override;
+  using Layer::forward;
+  tensor::Tensor forward(tensor::Tensor&& input, bool train) override;
   tensor::Tensor backward(const tensor::Tensor& grad_out) override;
   std::vector<ParamRef> params() override;
 
@@ -21,7 +22,7 @@ class LayerNorm : public Layer {
   float eps_;
   tensor::Tensor gamma_, beta_;
   tensor::Tensor ggrad_, bgrad_;
-  tensor::Tensor normed_;    // cached normalized activations
+  tensor::Tensor normed_;    // training forward's normalized input, until backward
   std::vector<float> inv_std_;  // per-row 1/sqrt(var+eps)
 };
 
@@ -30,7 +31,8 @@ class Dropout : public Layer {
   /// `rate` is the drop probability; scaling uses inverted dropout.
   Dropout(std::string name, float rate, util::Rng rng);
 
-  tensor::Tensor forward(const tensor::Tensor& input, bool train) override;
+  using Layer::forward;
+  tensor::Tensor forward(tensor::Tensor&& input, bool train) override;
   tensor::Tensor backward(const tensor::Tensor& grad_out) override;
 
  private:

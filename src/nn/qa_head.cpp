@@ -18,10 +18,9 @@ SpanHead::SpanHead(std::string name, std::size_t dim, util::Rng& rng)
   tensor::xavier_uniform(weight_, dim, 2, rng);
 }
 
-Tensor SpanHead::forward(const Tensor& input, bool /*train*/) {
+Tensor SpanHead::forward(Tensor&& input, bool train) {
   OSP_CHECK(input.rank() == 3 && input.dim(2) == dim_,
             "SpanHead expects [B, L, D]");
-  input_ = input;
   const std::size_t batch = input.dim(0), seq = input.dim(1);
   Tensor out({batch, 2 * seq});
   const float* pi = input.raw();
@@ -40,16 +39,19 @@ Tensor SpanHead::forward(const Tensor& input, bool /*train*/) {
       po[b * 2 * seq + seq + t] = ev;
     }
   }
+  if (train) input_ = std::move(input);
   return out;
 }
 
 Tensor SpanHead::backward(const Tensor& grad_out) {
-  const std::size_t batch = input_.dim(0), seq = input_.dim(1);
+  const Tensor input = std::move(input_);
+  OSP_CHECK(input.rank() == 3, "SpanHead backward before a training forward");
+  const std::size_t batch = input.dim(0), seq = input.dim(1);
   OSP_CHECK(grad_out.rank() == 2 && grad_out.dim(0) == batch &&
                 grad_out.dim(1) == 2 * seq,
             "SpanHead grad mismatch");
   Tensor dx({batch, seq, dim_});
-  const float* pi = input_.raw();
+  const float* pi = input.raw();
   const float* pg = grad_out.raw();
   float* pdx = dx.raw();
   const float* ws = weight_.raw();

@@ -13,7 +13,8 @@ class SpanHead : public Layer {
  public:
   SpanHead(std::string name, std::size_t dim, util::Rng& rng);
 
-  tensor::Tensor forward(const tensor::Tensor& input, bool train) override;
+  using Layer::forward;
+  tensor::Tensor forward(tensor::Tensor&& input, bool train) override;
   tensor::Tensor backward(const tensor::Tensor& grad_out) override;
   std::vector<ParamRef> params() override;
 
@@ -23,7 +24,7 @@ class SpanHead : public Layer {
   tensor::Tensor bias_;    // [2]
   tensor::Tensor wgrad_;
   tensor::Tensor bgrad_;
-  tensor::Tensor input_;   // cached [B, L, D]
+  tensor::Tensor input_;   // training forward's [B, L, D], until backward
 };
 
 }  // namespace osp::nn

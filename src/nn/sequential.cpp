@@ -13,11 +13,10 @@ Sequential& Sequential::add(LayerPtr layer) {
   return *this;
 }
 
-tensor::Tensor Sequential::forward(const tensor::Tensor& input, bool train) {
+tensor::Tensor Sequential::forward(tensor::Tensor input, bool train) {
   OSP_CHECK(!layers_.empty(), "empty model");
-  tensor::Tensor x = input;
-  for (auto& layer : layers_) x = layer->forward(x, train);
-  return x;
+  for (auto& layer : layers_) input = layer->forward(std::move(input), train);
+  return input;
 }
 
 tensor::Tensor Sequential::backward(const tensor::Tensor& grad_out) {

@@ -32,9 +32,9 @@ class Sequential {
     return *layers_.at(i);
   }
 
-  /// Forward through all layers.
-  [[nodiscard]] tensor::Tensor forward(const tensor::Tensor& input,
-                                       bool train);
+  /// Forward through all layers, each output moved into the next layer.
+  /// A caller done with `input` moves it in, and it is not copied.
+  [[nodiscard]] tensor::Tensor forward(tensor::Tensor input, bool train);
 
   /// Backward through all layers in reverse; accumulates parameter grads.
   tensor::Tensor backward(const tensor::Tensor& grad_out);

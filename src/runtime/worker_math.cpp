@@ -18,8 +18,8 @@ void evaluate_batches(nn::Sequential& model, nn::FlatModel& flat,
   std::vector<std::size_t> idx(job.batch_size);
   for (std::size_t i = begin; i < end; ++i) {
     std::iota(idx.begin(), idx.end(), i * job.batch_size);
-    const data::Batch batch = job.dataset->make_batch(idx);
-    const tensor::Tensor logits = model.forward(batch.inputs, false);
+    data::Batch batch = job.dataset->make_batch(idx);
+    const tensor::Tensor logits = model.forward(std::move(batch.inputs), false);
     if (job.is_qa) {
       job.metric[i] = nn::batch_span_f1(logits, batch.starts, batch.ends);
       job.loss[i] =
@@ -72,10 +72,12 @@ void ReplicaPool::execute(MathJob& job) {
   OSP_CHECK(job.loader != nullptr, "math job has no loader");
   std::unique_ptr<Replica> r = acquire();
 
-  const data::Batch batch = job.loader->batch(job.epoch, job.batch_index);
+  data::Batch batch = job.loader->batch(job.epoch, job.batch_index);
   r->flat->scatter_params(job.params);
   r->model.zero_grad();
-  const tensor::Tensor logits = r->model.forward(batch.inputs, true);
+  job.samples = batch.size();
+  const tensor::Tensor logits =
+      r->model.forward(std::move(batch.inputs), true);
   const nn::LossResult loss =
       job.is_qa ? nn::span_cross_entropy(logits, batch.starts, batch.ends)
                 : nn::softmax_cross_entropy(logits, batch.labels);
@@ -83,7 +85,6 @@ void ReplicaPool::execute(MathJob& job) {
   job.grad.resize(r->flat->total_params());
   r->flat->gather_grads(job.grad);
   job.loss = loss.loss;
-  job.samples = batch.size();
 
   release(std::move(r));
 }

@@ -64,11 +64,21 @@ struct Dims {
   }
 };
 
+/// What the shifted-image gathers precompute once per kernel call; empty
+/// for the span gathers. See shift_plan().
+struct ShiftPlan {
+  Index groups = 0;               // lane groups per plane
+  std::vector<LaneMask> masks;    // [k·k, groups]: live lanes per tap
+  Index columns = 0;              // dW: X̂_bᵀ columns, padded to registers
+  std::vector<Index> column_src;  // [columns]: offset of its shifted plane
+  std::vector<LaneMask> column_masks;  // [groups, columns]: its live lanes
+};
+
 /// X̂_b [C·k·k, oh·ow] of one sample: row (ch, ky, kx) holds, per patch, the
 /// pixel under that tap, as one ow-wide span per output row.
 template <class S>
 OSP_INLINE inline void gather_patches(const float* x, const Conv2dGeom& g,
-                                      std::size_t channels, const LaneMask*,
+                                      std::size_t channels, const ShiftPlan&,
                                       float* xhat) {
   const Dims d(g);
   constexpr Index kWidth = S::kWidth;
@@ -94,10 +104,11 @@ OSP_INLINE inline void gather_patches(const float* x, const Conv2dGeom& g,
 
 /// X̂_bᵀ [oh·ow, C·k·k] of one sample: row p holds patch p's taps in
 /// (ch, ky, kx) order, im2col's row layout, each (ch, ky) one k-wide span.
+/// Same convolutions use shift_patches_t instead.
 template <class S>
 OSP_INLINE inline void gather_patches_t(const float* x, const Conv2dGeom& g,
-                                        std::size_t channels, const LaneMask*,
-                                        float* xt) {
+                                        std::size_t channels,
+                                        const ShiftPlan&, float* xt) {
   const Dims d(g);
   const Index taps = d.k * d.k, cols = Index(channels) * taps;
   constexpr Index kWidth = S::kWidth;
@@ -134,7 +145,7 @@ OSP_INLINE inline void gather_patches_t(const float* x, const Conv2dGeom& g,
 /// holds a −0 for +0 to flip.
 template <class S>
 OSP_INLINE inline void gather_taps(const float* dmat, const Conv2dGeom& g,
-                                   std::size_t channels, const LaneMask*,
+                                   std::size_t channels, const ShiftPlan&,
                                    float* dx) {
   const Dims d(g);
   const Index patches = d.oh * d.ow;
@@ -174,39 +185,57 @@ OSP_INLINE inline void gather_taps(const float* dmat, const Conv2dGeom& g,
 // ox + kx − pad) is off the image. A register of L's lanes thus covers
 // whole image rows (16 lanes: 2 rows at w = 8, 4 at w = 4), and its live
 // lanes depend on (ky, kx) and the lane group only: the masks are built
-// once per call, one per (ky, kx, group).
+// once per call, one per (ky, kx, group), in a ShiftPlan.
 // ---------------------------------------------------------------------------
 
 bool same_geometry(const Conv2dGeom& g) {
   return g.stride == 1 && 2 * g.pad + 1 == g.kernel;
 }
 
-/// Forward's live lanes per (ky, kx, lane group of `width` patches); none
-/// for width 0 (the span gathers).
-std::vector<LaneMask> shift_masks(const Conv2dGeom& g, Index width) {
-  if (width == 0) return {};
+/// The plan for lane groups of `width` patches (none for width 0, the span
+/// gathers): each tap's live lanes per group, and for dW, whose X̂_bᵀ has
+/// one column (ch, ky, kx) per tap of each of `channels` channels, each
+/// column's plane offset and live lanes, with dead columns up to a whole
+/// register so that a square of columns needs no bounds test.
+ShiftPlan shift_plan(const Conv2dGeom& g, Index width, std::size_t channels) {
+  ShiftPlan plan;
+  if (width == 0) return plan;
   const Dims d(g);
-  const Index plane = d.h * d.w, groups = (plane + width - 1) / width;
-  std::vector<LaneMask> masks(std::size_t(d.k * d.k * groups), 0);
-  for (Index t = 0; t < d.k * d.k; ++t) {
+  const Index plane = d.h * d.w, taps = d.k * d.k;
+  const Index groups = plan.groups = (plane + width - 1) / width;
+  plan.masks.assign(std::size_t(taps * groups), 0);
+  for (Index t = 0; t < taps; ++t) {
     const Index dy = t / d.k - d.pad, dx = t % d.k - d.pad;
     for (Index p = 0; p < plane; ++p) {
       const Index y = p / d.w + dy, x = p % d.w + dx;
       if (y < 0 || y >= d.h || x < 0 || x >= d.w) continue;
-      masks[std::size_t(t * groups + p / width)] |= LaneMask(1) << (p % width);
+      plan.masks[std::size_t(t * groups + p / width)] |= LaneMask(1)
+                                                         << (p % width);
     }
   }
-  return masks;
+  const Index cols = Index(channels) * taps;
+  const Index padded = plan.columns = (cols + width - 1) / width * width;
+  plan.column_src.assign(std::size_t(padded), 0);
+  plan.column_masks.assign(std::size_t(groups * padded), 0);
+  for (Index j = 0; j < cols; ++j) {
+    const Index ch = j / taps, t = j % taps;
+    plan.column_src[j] = ch * plane + (t / d.k - d.pad) * d.w + t % d.k - d.pad;
+    for (Index q = 0; q < groups; ++q) {
+      plan.column_masks[q * padded + j] = plan.masks[t * groups + q];
+    }
+  }
+  return plan;
 }
 
 /// X̂_b [C·k·k, h·w] of one sample, each row one shifted copy of a plane.
 template <class L>
 OSP_INLINE inline void shift_patches(const float* x, const Conv2dGeom& g,
                                      std::size_t channels,
-                                     const LaneMask* masks, float* xhat) {
+                                     const ShiftPlan& plan, float* xhat) {
   const Dims d(g);
   constexpr Index kWidth = L::kWidth;
-  const Index plane = d.h * d.w, groups = (plane + kWidth - 1) / kWidth;
+  const Index plane = d.h * d.w, groups = plan.groups;
+  const LaneMask* masks = plan.masks.data();
   const LaneMask full = window(0, kWidth, kWidth);
   const LaneMask tail = window(0, plane - (groups - 1) * kWidth, kWidth);
   for (Index ch = 0; ch < Index(channels); ++ch) {
@@ -226,6 +255,44 @@ OSP_INLINE inline void shift_patches(const float* x, const Conv2dGeom& g,
   }
 }
 
+/// X̂_bᵀ [h·w, C·k·k] of one sample, kWidth columns by kWidth patches at a
+/// time: the registers of shift_patches for columns j0 … j0 + kWidth − 1
+/// (column (ch, ky, kx) is the plane of ch shifted by tap (ky, kx)) are
+/// transposed in registers, and each then stores one patch's kWidth
+/// columns. Registers of the plan's dead columns load +0 and are not
+/// stored, nor are rows past the last patch.
+template <class L>
+OSP_INLINE inline void shift_patches_t(const float* x, const Conv2dGeom& g,
+                                       std::size_t channels,
+                                       const ShiftPlan& plan, float* xt) {
+  const Dims d(g);
+  constexpr Index kWidth = L::kWidth;
+  const Index plane = d.h * d.w, cols = Index(channels) * d.k * d.k;
+  const Index groups = plan.groups, padded = plan.columns;
+  const Index* column_src = plan.column_src.data();
+  const LaneMask* column_masks = plan.column_masks.data();
+  for (Index j0 = 0; j0 < cols; j0 += kWidth) {
+    const Index* src = column_src + j0;
+    const LaneMask stored = window(0, cols - j0, kWidth);
+    for (Index q = 0; q < groups; ++q) {
+      const Index p = q * kWidth;
+      const LaneMask* live = column_masks + q * padded + j0;
+      typename L::F r[kWidth];
+#pragma GCC unroll 16
+      for (Index j = 0; j < kWidth; ++j) {
+        r[j] = L::load(lane0(x, src[j] + p), live[j]);
+      }
+      L::transpose(r);
+      const Index rows = std::min(kWidth, plane - p);
+      float* dst = xt + p * cols + j0;
+#pragma GCC unroll 16
+      for (Index i = 0; i < kWidth; ++i) {
+        if (i < rows) L::store(dst + i * cols, r[i], stored);
+      }
+    }
+  }
+}
+
 /// dx_b = col2im(D_b) for D_b [C·k·k, h·w]: pixel q takes tap (ky, kx)
 /// from D_b row (ch, ky, kx) at patch q − shift, so each lane group of a
 /// plane is one accumulator that starts at +0, adds one masked load per tap
@@ -234,12 +301,13 @@ OSP_INLINE inline void shift_patches(const float* x, const Conv2dGeom& g,
 /// forward's lanes of the mirrored tap (k−1−ky, k−1−kx).
 template <class L>
 OSP_INLINE inline void shift_taps(const float* dmat, const Conv2dGeom& g,
-                                  std::size_t channels, const LaneMask* masks,
+                                  std::size_t channels, const ShiftPlan& plan,
                                   float* dx) {
   const Dims d(g);
   constexpr Index kWidth = L::kWidth;
-  const Index plane = d.h * d.w, groups = (plane + kWidth - 1) / kWidth;
+  const Index plane = d.h * d.w, groups = plan.groups;
   const Index taps = d.k * d.k;
+  const LaneMask* masks = plan.masks.data();
   const LaneMask full = window(0, kWidth, kWidth);
   const LaneMask tail = window(0, plane - (groups - 1) * kWidth, kWidth);
   for (Index ch = 0; ch < Index(channels); ++ch) {
@@ -260,14 +328,14 @@ OSP_INLINE inline void shift_taps(const float* dmat, const Conv2dGeom& g,
   }
 }
 
-/// A gather over the first `channels` channels; `masks` is shift_masks()'s
-/// table for the shifted-image gathers, unused by the span gathers.
+/// A gather over the first `channels` channels; `plan` is shift_plan()'s
+/// tables for the shifted-image gathers, unused by the span gathers.
 using GatherFn = void (*)(const float* src, const Conv2dGeom& g,
-                          std::size_t channels, const LaneMask* masks,
+                          std::size_t channels, const ShiftPlan& plan,
                           float* dst);
 
 /// Forward's X̂_b, dW's X̂_bᵀ and dX's col2im gathers of one tier and
-/// geometry, and the lane width of their masks (0: spans, no masks).
+/// geometry, and the lane width of their plan (0: spans, no plan).
 struct Gathers {
   GatherFn patches, patches_t, taps;
   Index shift_width;
@@ -277,15 +345,14 @@ template <class S>
 constexpr Gathers kSpans{on<S, gather_patches<S>>, on<S, gather_patches_t<S>>,
                          on<S, gather_taps<S>>, 0};
 
-/// Shifted-image forward and dX gathers of L's full width; dW's spans S.
-template <class L, class S>
-constexpr Gathers kShifted{on<L, shift_patches<L>>,
-                           on<S, gather_patches_t<S>>, on<L, shift_taps<L>>,
-                           Index(L::kWidth)};
+/// Shifted-image gathers of L's full width.
+template <class L>
+constexpr Gathers kShifted{on<L, shift_patches<L>>, on<L, shift_patches_t<L>>,
+                           on<L, shift_taps<L>>, Index(L::kWidth)};
 
-/// The active util::simd tier's gathers: shifted-image forward and dX for
-/// same convolutions, spans of up to 8 lanes for other stride-1
-/// convolutions, one-lane spans for stride > 1.
+/// The active util::simd tier's gathers: shifted images for same
+/// convolutions, spans of up to 8 lanes for other stride-1 convolutions,
+/// one-lane spans for stride > 1.
 const Gathers& active_gathers(const Conv2dGeom& g) {
   const bool same = same_geometry(g);
 #ifdef OSP_LANES_X86
@@ -294,14 +361,14 @@ const Gathers& active_gathers(const Conv2dGeom& g) {
   using util::lanes::Avx512x8;
   const util::simd::Tier tier = util::simd::active_tier();
   if (g.stride == 1 && tier == util::simd::Tier::kAvx512) {
-    return same ? kShifted<Avx512, Avx512x8> : kSpans<Avx512x8>;
+    return same ? kShifted<Avx512> : kSpans<Avx512x8>;
   }
   if (g.stride == 1 && tier == util::simd::Tier::kAvx2) {
-    return same ? kShifted<Avx2, Avx2> : kSpans<Avx2>;
+    return same ? kShifted<Avx2> : kSpans<Avx2>;
   }
 #endif
   using util::lanes::Scalar;
-  return same ? kShifted<Scalar, Scalar> : kSpans<Scalar>;
+  return same ? kShifted<Scalar> : kSpans<Scalar>;
 }
 
 // ---------------------------------------------------------------------------
@@ -401,14 +468,14 @@ void conv2d_forward(const float* x, const float* weight, const float* bias,
   const std::size_t patches = g.patches(), plen = g.patch_len();
   const std::size_t img = g.in_channels * g.in_h * g.in_w;
   const Gathers& k = active_gathers(g);
-  const std::vector<LaneMask> masks = shift_masks(g, k.shift_width);
+  const ShiftPlan plan = shift_plan(g, k.shift_width, 0);
   util::ThreadPool::global().parallel_for(
       batch,
       [&](std::size_t b0, std::size_t b1) {
         thread_local std::vector<float> xhat;
         xhat.resize(plen * patches);
         for (std::size_t b = b0; b < b1; ++b) {
-          k.patches(x + b * img, g, g.in_channels, masks.data(), xhat.data());
+          k.patches(x + b * img, g, g.in_channels, plan, xhat.data());
           gemm({out_c, patches, plen, weight, plen, 1, xhat.data(), patches,
                 out + b * out_c * patches, patches, bias,
                 Epilogue::kAddBias});
@@ -423,7 +490,7 @@ void conv2d_backward_data(const float* grad_out, const float* weight,
   const std::size_t patches = g.patches(), plen = g.patch_len();
   const std::size_t img = g.in_channels * g.in_h * g.in_w;
   const Gathers& k = active_gathers(g);
-  const std::vector<LaneMask> masks = shift_masks(g, k.shift_width);
+  const ShiftPlan plan = shift_plan(g, k.shift_width, 0);
   util::ThreadPool::global().parallel_for(
       batch,
       [&](std::size_t b0, std::size_t b1) {
@@ -435,7 +502,7 @@ void conv2d_backward_data(const float* grad_out, const float* weight,
           gemm({plen, patches, out_c, weight, 1, plen,
                 grad_out + b * out_c * patches, patches, d.data(), patches,
                 nullptr, Epilogue::kStore});
-          k.taps(d.data(), g, g.in_channels, masks.data(), dx + b * img);
+          k.taps(d.data(), g, g.in_channels, plan, dx + b * img);
         }
       },
       1);
@@ -448,13 +515,17 @@ void conv2d_backward_weight(const float* grad_out, const float* x,
   const std::size_t plane = g.in_h * g.in_w, img = g.in_channels * plane;
   const std::size_t taps = g.kernel * g.kernel;
   const Gathers& k = active_gathers(g);
+  const ShiftPlan plan = shift_plan(g, k.shift_width, g.in_channels);
 
-  // db: one running sum per channel over (b, p) ascending.
-  for (std::size_t b = 0; b < batch; ++b) {
-    const float* gb = grad_out + b * out_c * patches;
-    for (std::size_t p = 0; p < patches; ++p) {
-      for (std::size_t o = 0; o < out_c; ++o) bgrad[o] += gb[o * patches + p];
+  // db: one running sum per channel over (b, p) ascending, reading each of
+  // the channel's rows of grad_out in turn.
+  for (std::size_t o = 0; o < out_c; ++o) {
+    float sum = bgrad[o];
+    for (std::size_t b = 0; b < batch; ++b) {
+      const float* row = grad_out + (b * out_c + o) * patches;
+      for (std::size_t p = 0; p < patches; ++p) sum += row[p];
     }
+    bgrad[o] = sum;
   }
 
   // dW, split by input channel: a block owns its wgrad columns outright and
@@ -466,8 +537,7 @@ void conv2d_backward_weight(const float* grad_out, const float* x,
         thread_local std::vector<float> xt;
         xt.resize(patches * cols);
         for (std::size_t b = 0; b < batch; ++b) {
-          k.patches_t(x + b * img + c0 * plane, g, c1 - c0, nullptr,
-                      xt.data());
+          k.patches_t(x + b * img + c0 * plane, g, c1 - c0, plan, xt.data());
           gemm({out_c, cols, patches, grad_out + b * out_c * patches,
                 patches, 1, xt.data(), cols, wgrad + c0 * taps, plen, nullptr,
                 Epilogue::kAccumulate});

@@ -11,10 +11,11 @@
 // No patch matrix is kept for the batch, and no padded copy of a sample is
 // made. For stride 1 and pad (k−1)/2, each row of X̂_b is the sample's plane
 // shifted by one tap offset: forward packs it with full-width register
-// loads, and dX reads D_b back the same way. Other geometries pack X̂_b as
-// ow-wide spans read straight from the sample's NCHW rows; dW packs X̂_bᵀ
-// as k-wide spans the same way in every geometry, one sample at a time. A
-// lane mask zeroes the lanes that fall in the padding. dX reads D_b in
+// loads, dX reads D_b back the same way, and dW packs X̂_bᵀ from the same
+// loads, transposed in registers a square of columns × patches at a time.
+// Other geometries pack X̂_b as ow-wide spans and X̂_bᵀ as k-wide spans read
+// straight from the sample's NCHW rows, one sample at a time. A lane mask
+// zeroes the lanes that fall in the padding. dX reads D_b in
 // col2im's order: each register of dx is one accumulator that starts at
 // +0, adds its taps (ky descending, then kx descending, which is
 // ascending (oy, ox) for every pixel) and is stored once.

@@ -1,9 +1,19 @@
 #include "tensor/tensor.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 
 #include "util/check.hpp"
+
+// Builds with AddressSanitizer, in GCC's and Clang's spelling.
+#if defined(__SANITIZE_ADDRESS__)
+#define OSP_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define OSP_ASAN 1
+#endif
+#endif
 
 namespace osp::tensor {
 
@@ -30,10 +40,20 @@ Tensor::Tensor(Shape shape)
 Tensor::Tensor(Shape shape, float value)
     : shape_(std::move(shape)), data_(shape_numel(shape_), value) {}
 
-Tensor::Tensor(Shape shape, std::vector<float> data)
-    : shape_(std::move(shape)), data_(std::move(data)) {
+Tensor::Tensor(Shape shape, const std::vector<float>& data)
+    : shape_(std::move(shape)), data_(data.begin(), data.end()) {
   OSP_CHECK(data_.size() == shape_numel(shape_),
             "data size does not match shape");
+}
+
+Tensor Tensor::uninitialized(Shape shape) {
+  Tensor t;
+  t.shape_ = std::move(shape);
+  t.data_.resize(shape_numel(t.shape_));
+#ifdef OSP_ASAN
+  t.fill(std::numeric_limits<float>::quiet_NaN());
+#endif
+  return t;
 }
 
 Tensor Tensor::from(std::initializer_list<float> values) {
@@ -74,10 +94,15 @@ void Tensor::reshape(Shape new_shape) {
   shape_ = std::move(new_shape);
 }
 
-Tensor Tensor::reshaped(Shape new_shape) const {
+Tensor Tensor::reshaped(Shape new_shape) const& {
   Tensor out = *this;
   out.reshape(std::move(new_shape));
   return out;
+}
+
+Tensor Tensor::reshaped(Shape new_shape) && {
+  reshape(std::move(new_shape));
+  return std::move(*this);
 }
 
 void Tensor::fill(float value) {

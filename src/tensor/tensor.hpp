@@ -9,8 +9,11 @@
 
 #include <cstddef>
 #include <initializer_list>
+#include <memory>
+#include <new>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace osp::tensor {
@@ -22,6 +25,29 @@ using Shape = std::vector<std::size_t>;
 
 /// Human-readable form, e.g. "[2, 3, 4]".
 [[nodiscard]] std::string shape_to_string(const Shape& shape);
+
+/// std::allocator whose value-initialization is default-initialization:
+/// resize(n) leaves the new floats unwritten, while copies and fills still
+/// write every element.
+template <class T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <class U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  DefaultInitAllocator() = default;
+  template <class U>
+  explicit DefaultInitAllocator(const DefaultInitAllocator<U>&) {}
+
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    if constexpr (sizeof...(Args) == 0) {
+      ::new (static_cast<void*>(p)) U;
+    } else {
+      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+  }
+};
 
 class Tensor {
  public:
@@ -36,10 +62,18 @@ class Tensor {
   Tensor(Shape shape, float value);
 
   /// Tensor with explicit contents; `data.size()` must equal numel(shape).
-  Tensor(Shape shape, std::vector<float> data);
+  /// Copies `data`: the storage's allocator differs from std::vector's, so
+  /// a vector moved in is copied too.
+  Tensor(Shape shape, const std::vector<float>& data);
 
   [[nodiscard]] static Tensor zeros(Shape shape) { return Tensor(std::move(shape)); }
   [[nodiscard]] static Tensor full(Shape shape, float v) { return {std::move(shape), v}; }
+  /// Tensor of the given shape whose elements are left unwritten, for an
+  /// output that a kernel stores in full: no zero fill the kernel would
+  /// overwrite. Reading an element before it is written is a bug; builds
+  /// with AddressSanitizer fill the storage with NaN, so such a read shows
+  /// up in the results.
+  [[nodiscard]] static Tensor uninitialized(Shape shape);
   /// 1-D tensor from a braced list.
   [[nodiscard]] static Tensor from(std::initializer_list<float> values);
 
@@ -74,8 +108,9 @@ class Tensor {
   /// In-place reshape; total element count must be preserved.
   void reshape(Shape new_shape);
 
-  /// Returns a reshaped deep copy.
-  [[nodiscard]] Tensor reshaped(Shape new_shape) const;
+  /// Returns a reshaped deep copy; an rvalue moves its storage instead.
+  [[nodiscard]] Tensor reshaped(Shape new_shape) const&;
+  [[nodiscard]] Tensor reshaped(Shape new_shape) &&;
 
   void fill(float value);
   void zero() { fill(0.0f); }
@@ -86,7 +121,7 @@ class Tensor {
 
  private:
   Shape shape_;
-  std::vector<float> data_;
+  std::vector<float, DefaultInitAllocator<float>> data_;
 };
 
 }  // namespace osp::tensor

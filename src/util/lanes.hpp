@@ -91,6 +91,9 @@ struct Scalar {
   static F keep(M m, F a) { return m ? a : 0.0f; }
   /// Lanes whose byte is nonzero.
   static M nonzero(const std::uint8_t* p) { return *p != 0; }
+  /// Transposes the kWidth × kWidth matrix whose row i is r[i]: afterwards
+  /// lane j of r[i] holds what lane i of r[j] held.
+  static void transpose(F (&)[kWidth]) {}
 
   /// |p[0..8)| widened to 8 doubles (exact).
   static D widen_abs(const float* p) {
@@ -172,6 +175,30 @@ struct Avx2 {
     return _mm256_castsi256_ps(
         _mm256_cmpgt_epi32(_mm256_cvtepu8_epi32(b), _mm256_setzero_si256()));
   }
+  /// 8 × 8 transpose: pairs of rows interleaved, then 2-lane and 4-lane
+  /// blocks exchanged.
+  OSP_AVX2 static void transpose(F (&r)[kWidth]) {
+    F t[kWidth];
+#pragma GCC unroll 8
+    for (int i = 0; i < 8; i += 2) {
+      t[i] = _mm256_unpacklo_ps(r[i], r[i + 1]);
+      t[i + 1] = _mm256_unpackhi_ps(r[i], r[i + 1]);
+    }
+#pragma GCC unroll 8
+    for (int i = 0; i < 8; i += 4) {
+      r[i] = _mm256_shuffle_ps(t[i], t[i + 2], 0x44);
+      r[i + 1] = _mm256_shuffle_ps(t[i], t[i + 2], 0xee);
+      r[i + 2] = _mm256_shuffle_ps(t[i + 1], t[i + 3], 0x44);
+      r[i + 3] = _mm256_shuffle_ps(t[i + 1], t[i + 3], 0xee);
+    }
+#pragma GCC unroll 8
+    for (int i = 0; i < 4; ++i) {
+      t[i] = _mm256_permute2f128_ps(r[i], r[i + 4], 0x20);
+      t[i + 4] = _mm256_permute2f128_ps(r[i], r[i + 4], 0x31);
+    }
+#pragma GCC unroll 8
+    for (int i = 0; i < 8; ++i) r[i] = t[i];
+  }
 
   OSP_AVX2 static D widen_abs(const float* p) {
     const __m256d sign = _mm256_set1_pd(-0.0);
@@ -249,6 +276,34 @@ struct Avx512 {
   OSP_AVX512 static M nonzero(const std::uint8_t* p) {
     const __m128i bytes = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
     return _mm_test_epi8_mask(bytes, bytes);
+  }
+  /// 16 × 16 transpose: pairs of rows interleaved, then 2-lane, 4-lane and
+  /// 8-lane blocks exchanged (zero-masking forms, as for min above).
+  OSP_AVX512 static void transpose(F (&r)[kWidth]) {
+    F t[kWidth];
+#pragma GCC unroll 8
+    for (int i = 0; i < 16; i += 2) {
+      t[i] = _mm512_maskz_unpacklo_ps(kAll, r[i], r[i + 1]);
+      t[i + 1] = _mm512_maskz_unpackhi_ps(kAll, r[i], r[i + 1]);
+    }
+#pragma GCC unroll 4
+    for (int i = 0; i < 16; i += 4) {
+      r[i] = _mm512_maskz_shuffle_ps(kAll, t[i], t[i + 2], 0x44);
+      r[i + 1] = _mm512_maskz_shuffle_ps(kAll, t[i], t[i + 2], 0xee);
+      r[i + 2] = _mm512_maskz_shuffle_ps(kAll, t[i + 1], t[i + 3], 0x44);
+      r[i + 3] = _mm512_maskz_shuffle_ps(kAll, t[i + 1], t[i + 3], 0xee);
+    }
+#pragma GCC unroll 8
+    for (int j = 0; j < 8; ++j) {
+      const int i = j + (j & 4);  // 0-3, 8-11
+      t[i] = _mm512_maskz_shuffle_f32x4(kAll, r[i], r[i + 4], 0x88);
+      t[i + 4] = _mm512_maskz_shuffle_f32x4(kAll, r[i], r[i + 4], 0xdd);
+    }
+#pragma GCC unroll 8
+    for (int j = 0; j < 8; ++j) {
+      r[j] = _mm512_maskz_shuffle_f32x4(kAll, t[j], t[j + 8], 0x88);
+      r[j + 8] = _mm512_maskz_shuffle_f32x4(kAll, t[j], t[j + 8], 0xdd);
+    }
   }
 
   OSP_AVX512 static D widen_abs(const float* p) {

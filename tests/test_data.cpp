@@ -121,7 +121,9 @@ void expect_same_bits(const Batch& got, const Batch& want) {
 }
 
 // The memo's configurations: both noise-seed paths, a set exactly at the
-// memo cap and one over it (regenerated on every visit).
+// memo cap, one a single example over it and one half again as large (as
+// image-osp's train set is); the memo keeps the examples below the cap and
+// regenerates the rest on every visit.
 std::vector<ImageDatasetConfig> memo_configs() {
   ImageDatasetConfig derived = small_image_config();  // noise_seed 0
   ImageDatasetConfig own = small_image_config();
@@ -134,7 +136,22 @@ std::vector<ImageDatasetConfig> memo_configs() {
       SyntheticImageDataset::kMemoBytes / (256 * sizeof(float));
   ImageDatasetConfig over_cap = at_cap;
   over_cap.num_examples += 1;
-  return {derived, own, at_cap, over_cap};
+  ImageDatasetConfig half_over = at_cap;
+  half_over.num_examples += at_cap.num_examples / 2;
+  return {derived, own, at_cap, over_cap, half_over};
+}
+
+/// The last memoized example and the first regenerated one, where the set
+/// has them.
+std::vector<std::size_t> around_cap(const ImageDatasetConfig& cfg) {
+  const std::size_t px = cfg.channels * cfg.height * cfg.width;
+  const std::size_t kept = SyntheticImageDataset::kMemoBytes /
+                           (px * sizeof(float));
+  std::vector<std::size_t> out;
+  for (std::size_t i : {kept - 1, kept}) {
+    if (i < cfg.num_examples) out.push_back(i);
+  }
+  return out;
 }
 
 std::string describe(const ImageDatasetConfig& cfg) {
@@ -146,7 +163,8 @@ TEST(SyntheticImageMemo, RepeatVisitsMatchFreshGeneration) {
   for (const ImageDatasetConfig& cfg : memo_configs()) {
     SCOPED_TRACE(describe(cfg));
     const std::size_t last = cfg.num_examples - 1;
-    const std::vector<std::size_t> idx = {0, 5, last, 17, 1};
+    std::vector<std::size_t> idx = {0, 5, last, 17, 1};
+    for (std::size_t i : around_cap(cfg)) idx.push_back(i);
     const Batch want = fresh_rows(cfg, idx);
     SyntheticImageDataset ds(cfg);
     for (int visit = 0; visit < 3; ++visit) {
@@ -161,8 +179,9 @@ TEST(SyntheticImageMemo, MixedAndDuplicatedIndicesInOneBatch) {
     SCOPED_TRACE(describe(cfg));
     const std::size_t last = cfg.num_examples - 1;
     // Cold and warm rows in one batch, each duplicated, the last example
-    // first and again at the end.
-    const std::vector<std::size_t> idx = {last, 3, 3, 10, last, 0, 10, 2};
+    // first and again at the end, and the rows either side of the cap twice.
+    std::vector<std::size_t> idx = {last, 3, 3, 10, last, 0, 10, 2};
+    for (std::size_t i : around_cap(cfg)) idx.insert(idx.end(), {i, i});
     const Batch want = fresh_rows(cfg, idx);
     SyntheticImageDataset ds(cfg);
     expect_same_bits(ds.make_batch(std::vector<std::size_t>{10, 0}),
@@ -188,13 +207,16 @@ TEST(SyntheticImageMemo, ZeroNoiseSeedDerivesFromSeed) {
 TEST(SyntheticImageMemo, ConcurrentColdFillsMatchSerial) {
   for (const ImageDatasetConfig& cfg : memo_configs()) {
     SCOPED_TRACE(describe(cfg));
-    // Four overlapping index sets, each visited three times.
+    // Four overlapping index sets, each visited three times, each with
+    // the rows either side of the cap and one of the last four examples.
     constexpr std::size_t kThreads = 4;
     std::vector<std::vector<std::size_t>> idx(kThreads);
     for (std::size_t t = 0; t < kThreads; ++t) {
       for (std::size_t i = 0; i < 24; ++i) {
         idx[t].push_back((t * 5 + i * 3) % cfg.num_examples);
       }
+      for (std::size_t i : around_cap(cfg)) idx[t].push_back(i);
+      idx[t].push_back(cfg.num_examples - 1 - t);
     }
     SyntheticImageDataset serial(cfg);
     std::vector<Batch> want;

@@ -3,10 +3,13 @@
 // parameter gradients. A weighted-sum readout makes the scalar loss.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <new>
 
 #include "nn/activations.hpp"
 #include "nn/attention.hpp"
@@ -19,6 +22,27 @@
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 #include "util/thread_pool.hpp"
+
+// This binary replaces the global operator new so that a test can fill
+// every allocation with one byte before the code under test sees it (see
+// UninitializedOutputs below); outside such a test it is plain malloc.
+namespace {
+std::atomic<int> g_new_fill{-1};  // byte that fills new allocations; -1: none
+}  // namespace
+
+void* operator new(std::size_t n) {
+  void* p = std::malloc(n == 0 ? 1 : n);
+  if (p == nullptr) throw std::bad_alloc();
+  const int fill = g_new_fill.load(std::memory_order_relaxed);
+  if (fill >= 0) std::memset(p, fill, n);
+  return p;
+}
+// GCC checks free() against the new expression it sees inlined here.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace osp::nn {
 namespace {
@@ -608,6 +632,138 @@ TEST(Sequential, WholeModelGradientCheck) {
           << p.name << "[" << i << "]";
     }
   }
+}
+
+// ---- Outputs written into uninitialized storage ----------------------------
+//
+// Layers allocate the outputs their kernels store in full with
+// Tensor::uninitialized. Each such layer must give the same bits when every
+// allocation starts as NaN (0xff bytes) as when it starts zeroed: a kernel
+// that left an element unwritten, or read one before writing it, would
+// show the fill. Sanitizer builds NaN-fill uninitialized tensors anyway.
+
+/// One training forward and backward of `layer`, then an eval forward: the
+/// outputs, the input gradient and the parameter gradients, with every
+/// allocation made meanwhile filled with `byte`.
+std::vector<Tensor> run_filled(Layer& layer, const Tensor& x, const Tensor& g,
+                               int byte) {
+  layer.zero_grad();
+  g_new_fill.store(byte);
+  std::vector<Tensor> out;
+  out.push_back(layer.forward(x, true));
+  out.push_back(layer.backward(g));
+  out.push_back(layer.forward(x, false));
+  g_new_fill.store(-1);
+  for (const ParamRef& p : layer.params()) out.push_back(*p.grad);
+  return out;
+}
+
+void expect_fill_independent(Layer& layer, const Tensor& x) {
+  util::Rng rng(17);
+  const Tensor y = layer.forward(x, false);
+  const Tensor g = random_input(y.shape(), rng);
+  const std::vector<Tensor> zeroed = run_filled(layer, x, g, 0x00);
+  const std::vector<Tensor> nan = run_filled(layer, x, g, 0xff);
+  ASSERT_EQ(zeroed.size(), nan.size());
+  for (std::size_t i = 0; i < zeroed.size(); ++i) {
+    SCOPED_TRACE(i);
+    ASSERT_EQ(zeroed[i].shape(), nan[i].shape());
+    EXPECT_EQ(std::memcmp(zeroed[i].raw(), nan[i].raw(),
+                          zeroed[i].numel() * sizeof(float)),
+              0);
+    for (float v : nan[i].data()) ASSERT_FALSE(std::isnan(v));
+  }
+}
+
+TEST(UninitializedOutputs, SameBitsOverNanAndZeroFilledStorage) {
+  // Every tier the CPU has, at 1 and 3 threads: the conv kernels split
+  // samples and dW's channel blocks across the pool.
+  using util::simd::Tier;
+  for (Tier t : {Tier::kScalar, Tier::kAvx2, Tier::kAvx512}) {
+    if (t > util::simd::hardware_tier()) continue;
+    util::simd::ScopedTier forced(t);
+    for (std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+      util::ThreadPool pool(threads);
+      util::ThreadPool::ScopedGlobal guard(pool);
+      SCOPED_TRACE(std::string(util::simd::tier_name(t)) + ", " +
+                   std::to_string(threads) + " threads");
+      util::Rng rng(23);
+      {
+        SCOPED_TRACE("Conv2d, same padding (shifted-image gathers)");
+        Conv2d layer("conv", 18, 7, 4, 4, 3, 1, 1, rng);
+        expect_fill_independent(layer, random_input({3, 18, 4, 4}, rng));
+      }
+      {
+        SCOPED_TRACE("Conv2d, stride 2 (span gathers)");
+        Conv2d layer("conv", 3, 5, 7, 9, 3, 2, 1, rng);
+        expect_fill_independent(layer, random_input({2, 3, 7, 9}, rng));
+      }
+      {
+        SCOPED_TRACE("MaxPool2d");
+        MaxPool2d layer("pool", 5, 6, 6, 2, 2);
+        expect_fill_independent(layer, random_input({3, 5, 6, 6}, rng));
+      }
+      {
+        SCOPED_TRACE("ReLU");
+        ReLU layer("relu");
+        expect_fill_independent(layer, random_input({3, 37}, rng));
+      }
+      {
+        SCOPED_TRACE("Linear");
+        Linear layer("fc", 19, 13, rng);
+        expect_fill_independent(layer, random_input({5, 19}, rng));
+      }
+      {
+        SCOPED_TRACE("LayerNorm");
+        LayerNorm layer("ln", 21);
+        expect_fill_independent(layer, random_input({4, 21}, rng));
+      }
+      {
+        SCOPED_TRACE("Flatten");
+        Flatten layer("flat");
+        expect_fill_independent(layer, random_input({2, 3, 4, 4}, rng));
+      }
+    }
+  }
+}
+
+TEST(UninitializedOutputs, BackwardConsumesTheTrainingForwardsInput) {
+  // A layer keeps its input only for a training forward, and backward
+  // frees it: a second backward, or one after an eval forward, has nothing
+  // to run on.
+  util::Rng rng(29);
+  Linear fc("fc", 4, 3, rng);
+  ReLU relu("relu");
+  const Tensor x = random_input({2, 4}, rng);
+  const Tensor g = random_input({2, 3}, rng);
+  (void)fc.forward(x, true);
+  (void)fc.backward(g);
+  EXPECT_THROW((void)fc.backward(g), util::CheckError);
+  (void)fc.forward(x, false);
+  EXPECT_THROW((void)fc.backward(g), util::CheckError);
+  (void)relu.forward(g, true);
+  (void)relu.backward(g);
+  EXPECT_THROW((void)relu.backward(g), util::CheckError);
+}
+
+TEST(SequentialForward, MovedInputMatchesKeptInput) {
+  // forward() of a moved-in activation and of one the caller keeps run the
+  // same layers on the same values.
+  util::Rng rng(31);
+  Sequential m;
+  m.emplace<Conv2d>("conv", 3, 4, 6, 6, 3, 1, 1, rng);
+  m.emplace<ReLU>("relu");
+  m.emplace<MaxPool2d>("pool", 4, 6, 6, 2, 2);
+  m.emplace<Flatten>("flat");
+  m.emplace<Linear>("fc", 36, 5, rng);
+  const Tensor x = random_input({2, 3, 6, 6}, rng);
+  const Tensor kept = m.forward(x, true);
+  Tensor copy = x;
+  const Tensor moved = m.forward(std::move(copy), true);
+  EXPECT_TRUE(copy.empty());  // taken, not copied
+  ASSERT_EQ(kept.shape(), moved.shape());
+  EXPECT_EQ(
+      std::memcmp(kept.raw(), moved.raw(), kept.numel() * sizeof(float)), 0);
 }
 
 }  // namespace

@@ -84,6 +84,33 @@ TEST(Tensor, ReshapedCopyLeavesOriginal) {
   EXPECT_EQ(r.rank(), 1u);
 }
 
+TEST(Tensor, ReshapedRvalueMovesItsStorage) {
+  Tensor t({2, 3}, 1.5f);
+  const float* storage = t.raw();
+  const Tensor r = std::move(t).reshaped({6});
+  EXPECT_EQ(r.shape(), (Shape{6}));
+  EXPECT_EQ(r.raw(), storage);
+  EXPECT_EQ(r[5], 1.5f);
+}
+
+TEST(Tensor, UninitializedHasShapeAndWritableStorage) {
+  Tensor t = Tensor::uninitialized({3, 5});
+  EXPECT_EQ(t.shape(), (Shape{3, 5}));
+  ASSERT_EQ(t.numel(), 15u);
+  t.fill(2.0f);
+  EXPECT_EQ(t.at(2, 4), 2.0f);
+  // Copies write every element, whatever the source's storage started as.
+  const Tensor c = t;
+  EXPECT_EQ(std::memcmp(c.raw(), t.raw(), 15 * sizeof(float)), 0);
+  EXPECT_TRUE(Tensor::uninitialized({0, 4}).empty());
+#if defined(__SANITIZE_ADDRESS__)
+  // Sanitizer builds fill it with NaN, so an element a kernel leaves
+  // unwritten shows up in its results.
+  const Tensor fresh = Tensor::uninitialized({7});
+  for (float v : fresh.data()) EXPECT_TRUE(std::isnan(v));
+#endif
+}
+
 TEST(Tensor, RowSpanWritesThrough) {
   Tensor t({2, 3});
   auto row = t.row(1);
@@ -697,9 +724,16 @@ TEST_P(ConvKernels, BitIdenticalToIm2colReference) {
 // tiles. The Width* cases put the image and output rows (the spans of
 // forward and dX) one lane short of, at and one lane past one and two
 // 8-lane spans, with and without padding. Stride 1 with pad (k−1)/2 runs
-// the shifted-image forward and dX gathers: the Same* cases put 2 (w = 8)
-// and 4 (w = 4) image rows in one 16-lane register, widths 6 and 12 split
-// rows across registers, k = 5 reaches two pixels past each edge.
+// the shifted-image gathers: the Same* cases put 2 (w = 8) and 4 (w = 4)
+// image rows in one 16-lane register, widths 6 and 12 split rows across
+// registers, k = 5 reaches two pixels past each edge. dW packs X̂_bᵀ from
+// shifted planes in squares of register-width columns: Proxy3x3Same and
+// ImageOspConv* are image-osp's four convs (27, 90, 126 and 162 columns;
+// 64 and 16 patches; out_c 10, 14, 18). At 3 threads the
+// SameChannelBlocks* cases split dW into 8-channel blocks of 72 columns
+// and a short last block of 9 or 45 columns, the last case over a
+// 25-patch plane whose final lane group holds 9 patches. The other
+// geometries keep the span gathers.
 INSTANTIATE_TEST_SUITE_P(
     Geometries, ConvKernels,
     ::testing::Values(ConvCase{"Proxy3x3Same", {3, 8, 8, 3, 1, 1}, 10, 4},
@@ -726,7 +760,16 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvCase{"SameWidth6", {2, 6, 6, 3, 1, 1}, 5, 2},
                       ConvCase{"SameWidth12", {2, 5, 12, 3, 1, 1}, 5, 2},
                       ConvCase{"SameK5Pad2", {2, 8, 8, 5, 1, 2}, 6, 2},
-                      ConvCase{"SameBatch1Width8", {4, 8, 8, 3, 1, 1}, 9, 1}),
+                      ConvCase{"SameBatch1Width8", {4, 8, 8, 3, 1, 1}, 9, 1},
+                      ConvCase{"ImageOspConv1", {10, 8, 8, 3, 1, 1}, 14, 3},
+                      ConvCase{"ImageOspConv2", {14, 4, 4, 3, 1, 1}, 18, 3},
+                      ConvCase{"ImageOspConv3", {18, 4, 4, 3, 1, 1}, 18, 2},
+                      ConvCase{"SameChannelBlocks4x4", {25, 4, 4, 3, 1, 1}, 6,
+                               2},
+                      ConvCase{"SameChannelBlocks8x8", {17, 8, 8, 3, 1, 1}, 5,
+                               2},
+                      ConvCase{"SameChannelBlocksWidth5",
+                               {21, 5, 5, 3, 1, 1}, 4, 2}),
     [](const ::testing::TestParamInfo<ConvCase>& info) {
       return std::string(info.param.name);
     });
