@@ -15,16 +15,6 @@ namespace osp::runtime {
 
 namespace {
 
-/// Teardown join: wait for the task and drop anything it threw. Nothing
-/// reads a torn-down task's outputs, and a failure the run could report
-/// has already been rethrown by run()'s own joins.
-void join_quietly(util::TaskHandle& handle) {
-  try {
-    handle.join();
-  } catch (...) {
-  }
-}
-
 /// Every layer allocates and frees activation tensors of ~0.1–0.3 MB per
 /// step. glibc serves blocks that size with mmap until its dynamic
 /// threshold catches up, and trims freed heap tops back to the kernel, so
@@ -76,6 +66,11 @@ Engine::Engine(const WorkloadSpec& spec, const EngineConfig& config,
   // only add handoff latency between the event loop and the one worker.
   // Results are identical either way, so quietly take the serial path.
   if (pool_->size() <= 1) async_math_ = false;
+  // Pool − 1 runners plus the event loop, which runs jobs in its joins:
+  // one executor per pool thread (DESIGN.md, "Worker math scheduling").
+  if (async_math_) {
+    tasks_ = std::make_unique<util::TaskQueue>(*pool_, pool_->size() - 1);
+  }
   const double total = static_cast<double>(flat_->total_params());
   block_bytes_.reserve(flat_->num_blocks());
   for (const nn::LayerBlockInfo& b : flat_->blocks()) {
@@ -120,22 +115,11 @@ Engine::Engine(const WorkloadSpec& spec, const EngineConfig& config,
 }
 
 Engine::~Engine() {
-  // Join every job the run left in flight (crash-abandoned math jobs,
-  // pending compute cut short by a virtual-time cap or a checkpoint halt,
-  // an eval whose run threw) before the replicas and loaders they
-  // reference are destroyed. Joining steals still-queued jobs, and
-  // cancelled ones no-op, so this is cheap.
-  for (WorkerState& ws : workers_) {
-    if (ws.job == nullptr) continue;
-    ws.job->cancelled.store(true, std::memory_order_relaxed);
-    join_quietly(ws.job->handle);
-  }
-  for (const std::shared_ptr<MathJob>& job : abandoned_jobs_) {
-    join_quietly(job->handle);
-  }
-  if (eval_job_ != nullptr) {
-    for (util::TaskHandle& h : eval_job_->handles) join_quietly(h);
-  }
+  // Drop every job the run left queued (pending compute cut short by a
+  // virtual-time cap or a checkpoint halt, the rest of an eval whose run
+  // threw) and wait for the running ones, crash-cancelled jobs included,
+  // before the replicas and loaders they reference are destroyed.
+  tasks_.reset();
 }
 
 const std::vector<nn::LayerBlockInfo>& Engine::blocks() const {
@@ -456,9 +440,9 @@ void Engine::begin_compute(std::size_t w) {
   // the param snapshot (gradients are computed against the params as of
   // compute start — sync traffic such as OSP's ICS correction may update
   // ws.params mid-flight without affecting this gradient), the epoch, and
-  // the batch index. Package them into a job and, on the async path, start
-  // it on the thread pool immediately so it overlaps other workers' math
-  // and the event loop; the completion event joins it in on_compute_done.
+  // the batch index. Package them into a job and, on the async path, queue
+  // it immediately so it overlaps other workers' math and the event loop;
+  // the completion event joins it in on_compute_done.
   OSP_CHECK(ws.job == nullptr, "worker started computing twice");
   auto job = std::make_shared<MathJob>();
   job->worker = w;
@@ -469,7 +453,7 @@ void Engine::begin_compute(std::size_t w) {
   job->loader = ws.loader.get();
   ws.job = job;
   if (async_math_) {
-    job->handle = pool_->submit_task([this, job] { replicas_->execute(*job); });
+    job->ticket = tasks_->push([this, job] { replicas_->execute(*job); });
   }
   ws.compute_begin_time = sim_.now();
   const double t = compute_model_.batch_time(ws.batch_size,
@@ -502,15 +486,15 @@ void Engine::on_compute_done(std::size_t w, double charged_time) {
   }
 
   // Join the real math for this iteration. Async path: the job has been
-  // running on the pool since begin_compute — if it is still queued the
-  // join steals and runs it right here, so the wait is never longer than
-  // one job. Serial path: execute it now, exactly where the seed did. All
-  // side effects below stay on the event loop, in event order, so the two
-  // paths (and any thread count) produce bit-identical results.
+  // queued since begin_compute. If it is still queued the loop runs it
+  // right here; if a runner has it, the loop runs other queued jobs until
+  // it is done. Serial path: execute it now, exactly where the seed did.
+  // All side effects below stay on the event loop, in event order, so the
+  // two paths (and any thread count) produce bit-identical results.
   OSP_CHECK(ws.job != nullptr, "compute completion without a math job");
   const std::shared_ptr<MathJob> job = std::move(ws.job);
   if (async_math_) {
-    job->handle.join();
+    tasks_->join(job->ticket);
   } else {
     replicas_->execute(*job);
   }
@@ -578,15 +562,9 @@ std::size_t Engine::num_alive() const { return alive_count_; }
 void Engine::cancel_math_job(std::size_t w) {
   WorkerState& ws = workers_[w];
   if (ws.job == nullptr) return;
-  ws.job->cancelled.store(true, std::memory_order_relaxed);
-  if (async_math_ && !ws.job->handle.ready()) {
-    // Still owed a join before teardown; drop finished strays first so the
-    // list stays bounded by pool concurrency, not crash count.
-    std::erase_if(abandoned_jobs_, [](const std::shared_ptr<MathJob>& j) {
-      return j->handle.ready();
-    });
-    abandoned_jobs_.push_back(ws.job);
-  }
+  // A job already running finishes into buffers nobody reads; teardown
+  // waits for it.
+  if (async_math_) tasks_->cancel(ws.job->ticket);
   ws.job.reset();
 }
 
@@ -1160,24 +1138,23 @@ void Engine::evaluate_now() {
     return;
   }
   // Async path: nothing reads the result before the next join point, so
-  // evaluate a snapshot on the replicas, one contiguous batch range per
-  // pool thread.
+  // evaluate a snapshot on the replicas in the background, one task per
+  // batch. Runners take a batch only when no math job is queued, so
+  // evaluation yields to training.
   job->params = global_params_;
-  const std::size_t ranges = std::min(batches, pool_->size());
-  job->handles.reserve(ranges);
-  for (std::size_t r = 0; r < ranges; ++r) {
-    const std::size_t begin = r * batches / ranges;
-    const std::size_t end = (r + 1) * batches / ranges;
-    job->handles.push_back(pool_->submit_task(
-        [this, job, begin, end] { replicas_->evaluate(*job, begin, end); }));
+  job->tickets.reserve(batches);
+  for (std::size_t i = 0; i < batches; ++i) {
+    job->tickets.push_back(
+        tasks_->push([this, job, i] { replicas_->evaluate(*job, i); },
+                     util::TaskQueue::Lane::kBackground));
   }
 }
 
 void Engine::join_evals() {
   if (eval_job_ == nullptr) return;
-  // Join every range before letting go of the job: if one threw, ~Engine
-  // still finds the rest and joins them before the replicas die.
-  for (util::TaskHandle& h : eval_job_->handles) h.join();
+  // Batches still queued run right here. If one threw, the rest stay
+  // queued and ~Engine drops them.
+  for (const util::TaskTicket& t : eval_job_->tickets) tasks_->join(t);
   const std::shared_ptr<EvalJob> job = std::move(eval_job_);
   // Sum in batch order: the float order of a serial loop over the batches,
   // whichever threads computed the slots.

@@ -274,8 +274,8 @@ class Engine {
   /// (the config flag, off on a 1-thread pool); the serial path otherwise.
   [[nodiscard]] bool async_math() const { return async_math_; }
   /// Model replicas the pool has materialized for worker math and, on the
-  /// async path, evaluation ranges (1 on the serial path; up to
-  /// pool-threads + 1 under fan-out). Observability/tests.
+  /// async path, eval batches (1 on the serial path; up to the pool's
+  /// thread count under fan-out). Observability/tests.
   [[nodiscard]] std::size_t math_replicas() const {
     return replicas_->replicas_built();
   }
@@ -327,15 +327,15 @@ class Engine {
   /// over it would be orphaned.
   void begin_compute(std::size_t w);
   void on_compute_done(std::size_t w, double charged_time);
-  /// Abandon worker w's in-flight math job (crash / teardown): flags it
-  /// cancelled and parks the handle so teardown can join it before the
-  /// replicas and loaders it references die.
+  /// Abandon worker w's in-flight math job (crash): a queued job never
+  /// runs; a running one finishes into buffers nobody reads.
   void cancel_math_job(std::size_t w);
   void schedule_compute_completion(std::size_t w, double end_time);
   void maybe_evaluate(bool force);
   /// Evaluate the global parameters as of now. Async path: snapshot them
-  /// into an EvalJob split across the pool by batch ranges, recorded at the
-  /// next join_evals(). Serial path: evaluate in place and record at once.
+  /// into an EvalJob queued in the background one task per batch, recorded
+  /// at the next join_evals(). Serial path: evaluate in place and record at
+  /// once.
   void evaluate_now();
   /// Join the in-flight evaluation, if any, and record its curve point.
   void join_evals();
@@ -379,15 +379,15 @@ class Engine {
   // it in place. Worker math and async evals run on replicas_ instead.
   nn::Sequential scratch_model_;
   std::unique_ptr<nn::FlatModel> flat_;
-  // Replica pool + pool handle for the async worker-math pipeline. The
-  // pool pointer is pinned at construction so a mid-run ScopedGlobal swap
-  // cannot split submissions and joins across pools.
+  // Replica pool, thread pool and task queue of the async worker-math
+  // pipeline. The pool pointer is pinned at construction so a mid-run
+  // ScopedGlobal swap cannot split submissions and joins across pools.
   std::unique_ptr<ReplicaPool> replicas_;
   util::ThreadPool* pool_ = nullptr;
   bool async_math_ = true;
-  // Crash-abandoned jobs still owed a join before teardown (pruned of
-  // already-finished handles opportunistically).
-  std::vector<std::shared_ptr<MathJob>> abandoned_jobs_;
+  // Math jobs (foreground) and eval batches (background); async path only.
+  // Reset first in ~Engine: its teardown waits for running jobs.
+  std::unique_ptr<util::TaskQueue> tasks_;
   // The evaluation in flight on the pool (async path; at most one).
   std::shared_ptr<EvalJob> eval_job_;
   std::vector<double> block_bytes_;

@@ -68,7 +68,6 @@ std::size_t ReplicaPool::replicas_built() const {
 }
 
 void ReplicaPool::execute(MathJob& job) {
-  if (job.cancelled.load(std::memory_order_relaxed)) return;
   OSP_CHECK(job.loader != nullptr, "math job has no loader");
   std::unique_ptr<Replica> r = acquire();
 
@@ -89,10 +88,9 @@ void ReplicaPool::execute(MathJob& job) {
   release(std::move(r));
 }
 
-void ReplicaPool::evaluate(EvalJob& job, std::size_t begin,
-                           std::size_t end) {
+void ReplicaPool::evaluate(EvalJob& job, std::size_t batch) {
   std::unique_ptr<Replica> r = acquire();
-  evaluate_batches(r->model, *r->flat, job.params, job, begin, end);
+  evaluate_batches(r->model, *r->flat, job.params, job, batch, batch + 1);
   release(std::move(r));
 }
 

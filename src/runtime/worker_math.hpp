@@ -4,31 +4,32 @@
 // At begin_compute(w) every input of worker w's real math is already
 // determined — the parameter snapshot (gradients are computed against the
 // params as of compute start, §4.2), the epoch, and the batch index — so
-// the engine packages them into a MathJob and enqueues it on the thread
-// pool immediately. The job is *pure*: it reads only its own input copies
-// plus immutable shared state (the dataset is generative and const, the
-// loader's order cache is internally locked), and writes only its own
-// output fields. Multiple workers' math therefore overlaps in wall-clock
-// while the engine's virtual-time event loop stays single-threaded: the
-// compute-completion event joins the job and applies every side effect
-// (metrics, samples_processed_, eval triggers, sync callbacks, trace
-// spans) in exact event order. RunResult is bit-identical to the serial
-// path at any OSP_NUM_THREADS because the tensor kernels are bit-identical
-// across thread counts and nothing observable happens off the event loop.
+// the engine packages them into a MathJob and pushes it on its task queue
+// (util::TaskQueue) immediately. The job is *pure*: it reads only its own
+// input copies plus immutable shared state (the dataset is generative and
+// const, the loader's order cache is internally locked), and writes only
+// its own output fields. Multiple workers' math therefore overlaps in
+// wall-clock while the engine's virtual-time event loop stays
+// single-threaded: the compute-completion event joins the job and applies
+// every side effect (metrics, samples_processed_, eval triggers, sync
+// callbacks, trace spans) in exact event order. RunResult is bit-identical
+// to the serial path at any OSP_NUM_THREADS because the tensor kernels are
+// bit-identical across thread counts and nothing observable happens off
+// the event loop. DESIGN.md, "Worker math scheduling", covers who runs
+// which job.
 //
-// Cancellation contract: a crash (or engine teardown) flips `cancelled`
-// and abandons the job — if it has not started, the claim CAS makes it a
-// no-op; if it is mid-flight it finishes writing its own buffers, which
-// nobody reads. The engine joins abandoned jobs before destroying the
-// replicas and loaders they reference.
+// Cancellation contract: a crash cancels the job's queue entry. If it has
+// not started, it never runs; if it is mid-flight it finishes writing its
+// own buffers, which nobody reads. Tearing the queue down waits for every
+// running job before the engine destroys the replicas and loaders they
+// reference.
 //
 // Evaluation of the global model is a pure job too (EvalJob): no sync
 // model reads an eval result, so the engine evaluates a snapshot of the
-// global parameters on the replicas, split by batch ranges, and records
-// the point when it joins the job (see Engine::evaluate_now).
+// global parameters on the replicas, one background task per eval batch,
+// and records the point when it joins the job (see Engine::evaluate_now).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -46,7 +47,7 @@ namespace osp::runtime {
 
 /// One worker iteration's real FP+BP. Inputs are frozen at submission;
 /// outputs are written by whichever thread executes the job and read by
-/// the engine strictly after joining `handle`.
+/// the engine strictly after joining `ticket`.
 struct MathJob {
   // ---- inputs (immutable once submitted) ----
   std::size_t worker = 0;
@@ -58,23 +59,20 @@ struct MathJob {
   /// The owning worker's loader (outlives the job; thread-safe batch()).
   const data::ShardLoader* loader = nullptr;
 
-  // ---- outputs (valid after handle.join()) ----
+  // ---- outputs (valid after the ticket is joined) ----
   std::vector<float> grad;
   double loss = 0.0;
   std::size_t samples = 0;
 
-  // ---- control ----
-  /// Set by the engine on crash/teardown; an unstarted job then skips its
-  /// math entirely (samples stays 0).
-  std::atomic<bool> cancelled{false};
-  util::TaskHandle handle;
+  // ---- control (async path only) ----
+  util::TaskTicket ticket;
 };
 
 /// One evaluation of the global model over eval batches [0, n): batch i is
 /// examples [i·batch_size, (i+1)·batch_size) of the eval set. Inputs are
 /// frozen at the trigger; each batch's result goes into its own slot, so
-/// ranges of batches can run on different threads, and the engine sums the
-/// slots in batch order after joining every handle.
+/// batches can run on different threads, and the engine sums the slots in
+/// batch order after joining every ticket.
 struct EvalJob {
   // ---- inputs (immutable once submitted) ----
   const data::Dataset* dataset = nullptr;
@@ -88,12 +86,12 @@ struct EvalJob {
   double time_s = 0.0;
   double samples = 0.0;
 
-  // ---- outputs: one slot per batch (valid after every handle joined) ----
+  // ---- outputs: one slot per batch (valid after every ticket joined) ----
   std::vector<double> metric;
   std::vector<double> loss;
 
-  // ---- control: one handle per batch range (none on the serial path) ----
-  std::vector<util::TaskHandle> handles;
+  // ---- control: one ticket per batch (none on the serial path) ----
+  std::vector<util::TaskTicket> tickets;
 };
 
 /// Evaluate batches [begin, end) of `job` on `model` (flat view `flat`)
@@ -105,10 +103,10 @@ void evaluate_batches(nn::Sequential& model, nn::FlatModel& flat,
 
 /// A pool of (Sequential, FlatModel) replicas for concurrent FP+BP.
 /// Replicas are built lazily on first demand, so a serial run pays for
-/// exactly one and an N-thread run for at most N+1 (the +1 covers a
-/// stolen join executing on the event-loop thread while every pool worker
-/// holds one). All replicas come from the same deterministic builder, so
-/// which replica executes a job never affects its outputs.
+/// exactly one and an N-thread run for at most N: the engine's queue has
+/// N − 1 runners, and the event loop runs jobs in its joins. All replicas
+/// come from the same deterministic builder, so which replica executes a
+/// job never affects its outputs.
 class ReplicaPool {
  public:
   ReplicaPool(std::function<nn::Sequential(std::uint64_t)> build,
@@ -119,16 +117,15 @@ class ReplicaPool {
   ReplicaPool& operator=(const ReplicaPool&) = delete;
 
   /// Execute `job`'s FP+BP on a free replica: materialize the batch,
-  /// scatter the snapshot, forward/backward, gather the gradient. Honors
-  /// job.cancelled (checked once, up front).
+  /// scatter the snapshot, forward/backward, gather the gradient.
   void execute(MathJob& job);
 
-  /// Evaluate batches [begin, end) of `job` against its parameter snapshot
-  /// on a free replica.
-  void evaluate(EvalJob& job, std::size_t begin, std::size_t end);
+  /// Evaluate batch `batch` of `job` against its parameter snapshot on a
+  /// free replica.
+  void evaluate(EvalJob& job, std::size_t batch);
 
   /// Replicas built so far (observability: 1 on the serial path, up to
-  /// pool-threads + 1 under full fan-out).
+  /// the pool's thread count under full fan-out).
   [[nodiscard]] std::size_t replicas_built() const;
 
  private:

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <deque>
+#include <exception>
 
 #include "util/check.hpp"
 
@@ -19,61 +21,177 @@ std::size_t default_pool_size() {
   return std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }
 
-thread_local bool t_in_tracked_task = false;
+// True while this thread executes a TaskQueue task.
+thread_local bool t_in_queue_task = false;
 
 }  // namespace
 
 namespace detail {
 
-void TaskState::run() {
-  int expected = kQueued;
-  if (!status.compare_exchange_strong(expected, kRunning,
-                                      std::memory_order_acq_rel)) {
-    return;  // someone else claimed it (worker vs. stealing joiner)
+/// One TaskQueue entry. `status` moves queued → running → done, or queued
+/// → done when a cancel or the queue's teardown drops it; every field is
+/// guarded by the owning queue's mutex.
+struct QueuedTask {
+  enum : int { kQueued = 0, kRunning = 1, kDone = 2 };
+
+  std::function<void()> fn;
+  int status = kQueued;
+  std::exception_ptr error;  // what fn threw
+};
+
+struct TaskQueueState {
+  std::mutex mu;
+  // Signalled when a task finishes, and on a foreground push while a join
+  // waits.
+  std::condition_variable cv;
+  // Queued tickets in push order. A join or cancel that takes a task out of
+  // turn only changes its status; the lanes skip such entries when popped.
+  std::deque<TaskTicket> foreground;
+  std::deque<TaskTicket> background;
+  std::size_t max_runners = 0;
+  std::size_t runners = 0;   // runner tasks submitted and not yet exited
+  std::size_t running = 0;   // tasks executing right now
+  std::size_t waiting = 0;   // joins blocked on cv
+  bool closed = false;       // the queue's owner is tearing it down
+};
+
+namespace {
+
+/// The oldest still-queued ticket of `lane`, or null.
+TaskTicket pop_queued(std::deque<TaskTicket>& lane) {
+  while (!lane.empty()) {
+    TaskTicket t = std::move(lane.front());
+    lane.pop_front();
+    if (t->status == QueuedTask::kQueued) return t;
   }
-  const bool was_in_task = t_in_tracked_task;
-  t_in_tracked_task = true;
-  // A throwing task must still finish: escaping a pool worker would
-  // terminate the process, and escaping a stolen join would leave the task
-  // running forever (joiners hang, the in-flight count never drops). The
-  // exception is handed to every join instead.
+  return nullptr;
+}
+
+/// Run the queued `task` with `lock` (on s.mu) held on entry and exit.
+/// Never throws: what the task throws is kept for its joins. The callable
+/// is dropped before `done` is published, so its captures never outlive
+/// the run (the engine's jobs hold their own tickets).
+void run_locked(TaskQueueState& s, std::unique_lock<std::mutex>& lock,
+                const TaskTicket& task) {
+  task->status = QueuedTask::kRunning;
+  ++s.running;
+  std::function<void()> fn = std::move(task->fn);
+  lock.unlock();
+  std::exception_ptr error;
+  const bool was_in_task = t_in_queue_task;
+  t_in_queue_task = true;
   try {
     fn();
   } catch (...) {
     error = std::current_exception();
   }
-  // Drop the captures before joiners can see `done`: a callable that owns
-  // the object holding this task's handle (the engine's math jobs do) would
-  // otherwise keep that object, and this state, alive forever.
+  t_in_queue_task = was_in_task;
   fn = nullptr;
-  t_in_tracked_task = was_in_task;
-  if (tracked != nullptr) {
-    tracked->fetch_sub(1, std::memory_order_relaxed);
-  }
-  status.store(kDone, std::memory_order_release);
-  {
-    std::scoped_lock lock(mu);
-    done = true;
-  }
-  done_cv.notify_all();
+  lock.lock();
+  task->error = std::move(error);
+  task->status = QueuedTask::kDone;
+  --s.running;
+  s.cv.notify_all();
 }
+
+/// A runner: serve the queue until it holds no task, foreground first.
+void serve(const std::shared_ptr<TaskQueueState>& s) {
+  std::unique_lock lock(s->mu);
+  for (;;) {
+    TaskTicket next = pop_queued(s->foreground);
+    if (next == nullptr) next = pop_queued(s->background);
+    if (next == nullptr) break;
+    run_locked(*s, lock, next);
+  }
+  --s->runners;
+}
+
+}  // namespace
 
 }  // namespace detail
 
-bool TaskHandle::ready() const {
-  return state_ != nullptr &&
-         state_->status.load(std::memory_order_acquire) ==
-             detail::TaskState::kDone;
+TaskQueue::TaskQueue(ThreadPool& pool, std::size_t max_runners)
+    : pool_(&pool), state_(std::make_shared<detail::TaskQueueState>()) {
+  state_->max_runners = max_runners;
 }
 
-void TaskHandle::join() {
-  if (state_ == nullptr) return;
-  // Steal: if the task is still queued, claim and run it here. The pool's
-  // queued wrapper later finds the claim CAS failing and does nothing.
-  state_->run();
+TaskQueue::~TaskQueue() {
+  // Runners that start after this point find both lanes empty and exit
+  // without touching anything but the shared state they hold.
+  std::vector<std::function<void()>> dropped;
   std::unique_lock lock(state_->mu);
-  state_->done_cv.wait(lock, [&] { return state_->done; });
-  if (state_->error) std::rethrow_exception(state_->error);
+  state_->closed = true;
+  for (auto* lane : {&state_->foreground, &state_->background}) {
+    for (const TaskTicket& t : *lane) {
+      if (t->status != detail::QueuedTask::kQueued) continue;
+      t->status = detail::QueuedTask::kDone;
+      dropped.push_back(std::move(t->fn));
+    }
+    lane->clear();
+  }
+  state_->cv.wait(lock, [this] { return state_->running == 0; });
+  lock.unlock();
+  dropped.clear();  // release the captures outside the lock
+}
+
+TaskTicket TaskQueue::push(std::function<void()> fn, Lane lane) {
+  OSP_CHECK(fn != nullptr, "null task");
+  auto task = std::make_shared<detail::QueuedTask>();
+  task->fn = std::move(fn);
+  detail::TaskQueueState& s = *state_;
+  bool spawn = false;
+  {
+    std::scoped_lock lock(s.mu);
+    OSP_CHECK(!s.closed, "push to a closed task queue");
+    std::deque<TaskTicket>& q =
+        lane == Lane::kForeground ? s.foreground : s.background;
+    // Shed entries that joins and cancels took out of turn, so a queue no
+    // runner drains does not grow with them.
+    while (!q.empty() && q.front()->status != detail::QueuedTask::kQueued) {
+      q.pop_front();
+    }
+    q.push_back(task);
+    if (lane == Lane::kForeground && s.waiting > 0) s.cv.notify_all();
+    if (s.runners < s.max_runners) {
+      ++s.runners;
+      spawn = true;
+    }
+  }
+  if (spawn) pool_->submit([state = state_] { detail::serve(state); });
+  return task;
+}
+
+void TaskQueue::join(const TaskTicket& task) {
+  if (task == nullptr) return;
+  detail::TaskQueueState& s = *state_;
+  std::unique_lock lock(s.mu);
+  while (task->status != detail::QueuedTask::kDone) {
+    if (task->status == detail::QueuedTask::kQueued) {
+      detail::run_locked(s, lock, task);  // its lane entry is now skipped
+    } else if (TaskTicket other = detail::pop_queued(s.foreground)) {
+      detail::run_locked(s, lock, other);
+    } else {
+      ++s.waiting;
+      s.cv.wait(lock);
+      --s.waiting;
+    }
+  }
+  if (task->error) std::rethrow_exception(task->error);
+}
+
+bool TaskQueue::cancel(const TaskTicket& task) {
+  if (task == nullptr) return false;
+  std::function<void()> dropped;
+  std::scoped_lock lock(state_->mu);
+  if (task->status != detail::QueuedTask::kQueued) return false;
+  task->status = detail::QueuedTask::kDone;
+  dropped = std::move(task->fn);
+  return true;
+}
+
+bool TaskQueue::done(const TaskTicket& task) const {
+  std::scoped_lock lock(state_->mu);
+  return task->status == detail::QueuedTask::kDone;
 }
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
@@ -104,17 +222,7 @@ void ThreadPool::submit(std::function<void()> task) {
   task_available_.notify_one();
 }
 
-TaskHandle ThreadPool::submit_task(std::function<void()> task) {
-  OSP_CHECK(task != nullptr, "null task");
-  auto state = std::make_shared<detail::TaskState>();
-  state->fn = std::move(task);
-  state->tracked = &tracked_in_flight_;
-  tracked_in_flight_.fetch_add(1, std::memory_order_relaxed);
-  submit([state] { state->run(); });
-  return TaskHandle(std::move(state));
-}
-
-bool ThreadPool::in_task() { return t_in_tracked_task; }
+bool ThreadPool::in_task() { return t_in_queue_task; }
 
 void ThreadPool::wait_idle() {
   std::unique_lock lock(mu_);

@@ -1,5 +1,6 @@
-// A fixed-size worker pool with an OpenMP-style parallel_for and a
-// joinable task-submission API.
+// A fixed-size worker pool with an OpenMP-style parallel_for, plus
+// TaskQueue: a producer-owned queue of coarse tasks served by a capped
+// number of pool threads and by the producer's own joins.
 //
 // The tensor kernels (matmul, conv, the rank-2 helpers) and the vec_math
 // aggregation kernels decompose their iteration space into chunks that the
@@ -10,27 +11,26 @@
 // The pool is created once and reused; tasks never allocate threads on the
 // hot path.
 //
-// submit_task() is the coarse-grained sibling: it enqueues one independent
-// unit of work (the engine's per-worker FP+BP jobs) and hands back a
-// TaskHandle the producer joins later. Joining a task that has not started
-// yet *steals* it — the joining thread claims and runs it inline instead
-// of blocking on a busy queue, so a consumer is never stuck behind
-// unrelated work.
+// TaskQueue is the coarse-grained sibling (the engine's per-worker FP+BP
+// jobs and eval batches). Each queue is served by at most `max_runners`
+// pool tasks that pull from it until it is empty, and a join never just
+// blocks while the queue holds work: it runs its own task if that is still
+// queued, and otherwise the queue's other foreground tasks until its task
+// is done. A join touches only its own queue, so two producers sharing a
+// pool stay independent and no join can run a task that waits on its
+// caller.
 //
-// Saturation heuristic: when a tracked task itself calls parallel_for
-// while enough tracked tasks are in flight to occupy every pool worker,
-// the loop runs inline on the calling thread. Outer task-level parallelism
-// already owns all the cores at that point; fanning the inner kernel out
-// would only queue helper chunks behind other tasks and pay scheduling
-// overhead for zero extra concurrency. Kernel results are bit-identical
-// either way (see parallel_for's determinism contract), so the heuristic
-// affects wall-clock only.
+// Kernels inside a queued task run inline: a parallel_for called while the
+// thread executes a TaskQueue task is one fn(0, n) call. Task-level
+// parallelism already owns the cores there; fanning the kernel out would
+// only queue helper chunks behind other tasks. Kernel results are
+// bit-identical at any split (see parallel_for's determinism contract), so
+// this affects wall-clock only.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -67,53 +67,52 @@ struct ParallelForJob {
   std::size_t completed = 0;  // guarded by mu
 };
 
-/// State shared between a submitted task, the pool worker that may run it,
-/// and the TaskHandle that joins it. `status` moves queued → running →
-/// done; the queued → running transition is a CAS so exactly one thread
-/// (a pool worker or a stealing joiner) executes the callable.
-struct TaskState {
-  enum : int { kQueued = 0, kRunning = 1, kDone = 2 };
-
-  std::function<void()> fn;
-  std::atomic<std::size_t>* tracked = nullptr;  // pool's in-flight counter
-  std::atomic<int> status{kQueued};
-  std::exception_ptr error;  // what fn threw; published by `done`
-
-  std::mutex mu;
-  std::condition_variable done_cv;
-  bool done = false;  // guarded by mu
-
-  /// Claim and execute (at most once); marks done and notifies joiners.
-  /// Never throws: an exception from fn is stored in `error`.
-  void run();
-};
+struct QueuedTask;
+struct TaskQueueState;
 
 }  // namespace detail
 
-/// Join handle for one submit_task() call. Default-constructed handles are
-/// empty; joining one is a no-op.
-class TaskHandle {
+/// A pushed task, as its producer holds it: join or cancel it through the
+/// queue it was pushed to. An empty ticket joins as a no-op.
+using TaskTicket = std::shared_ptr<detail::QueuedTask>;
+
+class ThreadPool;
+
+/// A producer-owned queue of coarse tasks. Tasks run on at most
+/// `max_runners` pool tasks at once, plus the threads that join them.
+/// Runners take foreground tasks first and a background task only when no
+/// foreground task is queued. Destroying the queue drops every task still
+/// queued and waits for the running ones; the pool must outlive it.
+class TaskQueue {
  public:
-  TaskHandle() = default;
+  enum class Lane { kForeground, kBackground };
 
-  [[nodiscard]] bool valid() const { return state_ != nullptr; }
+  TaskQueue(ThreadPool& pool, std::size_t max_runners);
+  ~TaskQueue();
 
-  /// True once the task has finished executing (never true for a handle
-  /// that was default-constructed).
-  [[nodiscard]] bool ready() const;
+  TaskQueue(const TaskQueue&) = delete;
+  TaskQueue& operator=(const TaskQueue&) = delete;
 
-  /// Block until the task has run. If it is still sitting in the queue the
-  /// calling thread claims and runs it inline (work stealing) — the join
-  /// latency is then the task's own runtime, not the queue depth. If the
-  /// task threw, every join rethrows its exception.
-  void join();
+  /// Queue `fn` and return its ticket; starts a runner if fewer than
+  /// max_runners serve the queue.
+  TaskTicket push(std::function<void()> fn, Lane lane = Lane::kForeground);
+
+  /// Return once `task` has run. If it is still queued the calling thread
+  /// runs it; if another thread runs it, the caller runs this queue's other
+  /// queued foreground tasks meanwhile and blocks only when there are none.
+  /// Rethrows what the task threw, on every join.
+  void join(const TaskTicket& task);
+
+  /// Drop `task` if it is still queued: it will never run. Returns false if
+  /// it has already started (it then finishes; nobody needs to join it).
+  bool cancel(const TaskTicket& task);
+
+  /// True once `task` has run or been dropped.
+  [[nodiscard]] bool done(const TaskTicket& task) const;
 
  private:
-  friend class ThreadPool;
-  explicit TaskHandle(std::shared_ptr<detail::TaskState> state)
-      : state_(std::move(state)) {}
-
-  std::shared_ptr<detail::TaskState> state_;
+  ThreadPool* pool_;
+  std::shared_ptr<detail::TaskQueueState> state_;
 };
 
 class ThreadPool {
@@ -131,19 +130,8 @@ class ThreadPool {
   /// Enqueue a task; returns immediately. Use wait_idle() to join.
   void submit(std::function<void()> task);
 
-  /// Enqueue a *tracked* task and return a handle the producer can join.
-  /// Tracked tasks count toward tasks_in_flight() (the saturation
-  /// heuristic's input) and set the in_task() flag while running.
-  [[nodiscard]] TaskHandle submit_task(std::function<void()> task);
-
-  /// Tracked tasks submitted but not yet finished (approximate — callers
-  /// use it only as a load heuristic).
-  [[nodiscard]] std::size_t tasks_in_flight() const {
-    return tracked_in_flight_.load(std::memory_order_relaxed);
-  }
-
-  /// True while the calling thread is executing a tracked task (including
-  /// a task stolen by TaskHandle::join).
+  /// True while the calling thread executes a TaskQueue task (on a runner
+  /// or in a join); parallel_for runs inline there.
   [[nodiscard]] static bool in_task();
 
   /// Block until every submitted task has finished.
@@ -162,13 +150,7 @@ class ThreadPool {
     using F = std::remove_reference_t<Fn>;
     if (n == 0) return;
     grain = std::max<std::size_t>(grain, 1);
-    if (n <= grain || size() <= 1) {
-      fn(0, n);
-      return;
-    }
-    // Saturation heuristic: a tracked task fanning out while every worker
-    // already has (or is queued) a tracked task would gain no concurrency.
-    if (in_task() && tasks_in_flight() >= size()) {
+    if (n <= grain || size() <= 1 || in_task()) {
       fn(0, n);
       return;
     }
@@ -215,7 +197,6 @@ class ThreadPool {
   std::condition_variable all_done_;
   std::size_t in_flight_ = 0;
   bool stopping_ = false;
-  std::atomic<std::size_t> tracked_in_flight_{0};
 };
 
 }  // namespace osp::util

@@ -10,16 +10,22 @@
 //     execute under *different* thread counts.
 // A stress scenario combines checkpoint parking and crash/restart cycles
 // so jobs are abandoned mid-flight while the drain barrier is active.
-// Evaluation runs on the pool too (batch ranges over a parameter snapshot,
-// recorded at the next join point), so the curve is held to the same
-// contract with evals overlapping in-flight math and checkpoints.
+// Evaluation runs on the pool too (one background task per batch over a
+// parameter snapshot, recorded at the next join point), so the curve is
+// held to the same contract with evals overlapping in-flight math and
+// checkpoints. The scheduling tests pin who runs the math: at most
+// pool − 1 pool threads per engine, never another engine's event loop,
+// and never a crash-cancelled job.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <functional>
 #include <memory>
 #include <span>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -30,6 +36,7 @@
 #include "sync/bsp.hpp"
 #include "sync/kv_bsp.hpp"
 #include "util/check.hpp"
+#include "util/parallel.hpp"
 #include "util/thread_pool.hpp"
 
 namespace osp {
@@ -303,8 +310,9 @@ TEST(AsyncMathPipeline, SerialFallbackOnSingleThreadPool) {
 }
 
 TEST(AsyncMathPipeline, ReplicaPoolBoundedByThreads) {
-  // Eval ranges share the replicas with the math jobs; the bound holds
-  // with both in flight.
+  // Pool − 1 runners plus the event loop run jobs, so a pool of N threads
+  // needs at most N replicas. Eval batches share them with the math jobs;
+  // the bound holds with both in flight.
   util::ThreadPool pool(4);
   util::ThreadPool::ScopedGlobal guard(pool);
   const runtime::WorkloadSpec spec = models::tiny_mlp();
@@ -315,7 +323,7 @@ TEST(AsyncMathPipeline, ReplicaPoolBoundedByThreads) {
   EXPECT_TRUE(engine.async_math());
   (void)engine.run();
   EXPECT_GE(engine.math_replicas(), 1u);
-  EXPECT_LE(engine.math_replicas(), pool.size() + 1);
+  EXPECT_LE(engine.math_replicas(), pool.size());
 }
 
 TEST(AsyncMathPipeline, ConfigFlagDisablesOverlap) {
@@ -367,6 +375,183 @@ TEST(AsyncMathPipeline, EvalFailureThrowsFromRun) {
     runtime::Engine engine(spec, cfg, sync);
     EXPECT_THROW((void)engine.run(), util::CheckError);
   }
+}
+
+// ---- scheduling: who runs the math ----
+
+/// The engine whose event loop this thread is running (-1: none).
+thread_local int t_loop_of = -1;
+
+/// What a WatchedSet saw.
+struct Watch {
+  int engine = 0;                     // the engine the data belongs to
+  std::chrono::microseconds hold{0};  // time spent inside each call
+  std::atomic<int> calls{0};
+  std::atomic<int> off_loop{0};       // inside now, off the engine's loop
+  std::atomic<int> peak_off_loop{0};
+  std::atomic<int> foreign{0};        // calls on another engine's loop
+};
+
+/// Dataset decorator that watches who materializes batches. Every math job
+/// and every eval batch starts with one make_batch, so the threads inside
+/// it at once bound the threads running the engine's math.
+class WatchedSet : public data::Dataset {
+ public:
+  WatchedSet(std::shared_ptr<const data::Dataset> inner,
+             std::shared_ptr<Watch> watch)
+      : inner_(std::move(inner)), watch_(std::move(watch)) {}
+
+  [[nodiscard]] std::size_t size() const override { return inner_->size(); }
+
+  [[nodiscard]] data::Batch make_batch(
+      std::span<const std::size_t> indices) const override {
+    Watch& w = *watch_;
+    w.calls.fetch_add(1);
+    if (t_loop_of >= 0 && t_loop_of != w.engine) w.foreign.fetch_add(1);
+    const bool off = t_loop_of != w.engine;
+    if (off) {
+      const int now = w.off_loop.fetch_add(1) + 1;
+      int seen = w.peak_off_loop.load();
+      while (now > seen && !w.peak_off_loop.compare_exchange_weak(seen, now)) {
+      }
+    }
+    std::this_thread::sleep_for(w.hold);
+    if (off) w.off_loop.fetch_sub(1);
+    return inner_->make_batch(indices);
+  }
+
+ private:
+  std::shared_ptr<const data::Dataset> inner_;
+  std::shared_ptr<Watch> watch_;
+};
+
+/// tiny_mlp with both datasets watched by `watch`.
+runtime::WorkloadSpec watched_tiny_mlp(const std::shared_ptr<Watch>& watch) {
+  runtime::WorkloadSpec spec = models::tiny_mlp();
+  spec.train = std::make_shared<WatchedSet>(spec.train, watch);
+  spec.eval = std::make_shared<WatchedSet>(spec.eval, watch);
+  return spec;
+}
+
+/// One run of `spec` on the current global pool, as engine `id`'s loop.
+RunOutput run_as_engine(int id, const runtime::WorkloadSpec& spec,
+                        const SyncFactory& make,
+                        const runtime::EngineConfig& cfg) {
+  auto sync = make();
+  runtime::Engine engine(spec, cfg, *sync);
+  t_loop_of = id;
+  RunOutput out;
+  out.result = engine.run();
+  t_loop_of = -1;
+  const auto params = engine.global_params();
+  out.params.assign(params.begin(), params.end());
+  return out;
+}
+
+TEST(AsyncMathScheduling, MathRunsOnAtMostPoolMinusOneThreads) {
+  // Eight workers' jobs and frequent eval batches on a 4-thread pool: at
+  // most 3 pool threads run the engine's math at once; the event loop is
+  // the fourth executor.
+  runtime::EngineConfig cfg = eval_config();
+  cfg.num_workers = 8;
+  cfg.max_epochs = 2;
+  const RunOutput ref = run_with_threads(bsp_factory(), cfg, 1);
+  util::ThreadPool pool(4);
+  util::ThreadPool::ScopedGlobal guard(pool);
+  auto watch = std::make_shared<Watch>();
+  watch->hold = std::chrono::microseconds(200);
+  const runtime::WorkloadSpec spec = watched_tiny_mlp(watch);
+  const RunOutput got = run_as_engine(0, spec, bsp_factory(), cfg);
+  expect_same_result(ref.result, got.result);
+  EXPECT_EQ(ref.params, got.params);
+  EXPECT_GE(watch->peak_off_loop.load(), 1);  // runners did run math
+  EXPECT_LE(watch->peak_off_loop.load(), static_cast<int>(pool.size()) - 1);
+}
+
+TEST(AsyncMathScheduling, TwoEnginesOnOnePoolStayIndependent) {
+  // Two engines share one pool through parallel_map, as the bench harness
+  // runs repetitions. Each matches its serial run, and neither engine's
+  // joins run the other's jobs.
+  const std::vector<SyncFactory> makes = {bsp_factory(), osp_factory()};
+  const std::vector<runtime::EngineConfig> cfgs = {golden_config(),
+                                                   eval_config()};
+  std::vector<RunOutput> refs;
+  for (std::size_t i = 0; i < 2; ++i) {
+    refs.push_back(run_with_threads(makes[i], cfgs[i], 1));
+  }
+  util::ThreadPool pool(4);
+  util::ThreadPool::ScopedGlobal guard(pool);
+  std::vector<std::shared_ptr<Watch>> watches;
+  for (int i = 0; i < 2; ++i) {
+    watches.push_back(std::make_shared<Watch>());
+    watches.back()->engine = i;
+  }
+  const std::vector<RunOutput> got =
+      util::parallel_map(pool, 2, [&](std::size_t i) {
+        const runtime::WorkloadSpec spec = watched_tiny_mlp(watches[i]);
+        return run_as_engine(static_cast<int>(i), spec, makes[i], cfgs[i]);
+      });
+  for (std::size_t i = 0; i < 2; ++i) {
+    SCOPED_TRACE("engine " + std::to_string(i));
+    expect_same_result(refs[i].result, got[i].result);
+    EXPECT_EQ(refs[i].params, got[i].params);
+    EXPECT_GT(watches[i]->calls.load(), 0);
+    EXPECT_EQ(watches[i]->foreign.load(), 0);
+  }
+}
+
+/// BSP that, when a worker crashes, frees the pool threads a test held
+/// busy and gives the engine's runner time to drain the queue.
+class CrashReleasingBsp : public sync::BspSync {
+ public:
+  explicit CrashReleasingBsp(std::atomic<bool>& release) : release_(release) {}
+
+  void on_worker_crashed(std::size_t worker) override {
+    release_.store(true);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    sync::BspSync::on_worker_crashed(worker);
+  }
+
+ private:
+  std::atomic<bool>& release_;
+};
+
+TEST(AsyncMathScheduling, CancelledQueuedJobRunsNoMath) {
+  // Both pool threads are held busy until the crash, so the runner cannot
+  // start and every job is still queued when worker 1 crashes mid-compute
+  // (the event loop runs jobs only in its joins). The crash cancels worker
+  // 1's job, then frees the pool: the runner drains the queue and must not
+  // run the cancelled job. Every job the run materializes a batch for is
+  // then one the serial path computes too.
+  const runtime::EngineConfig cfg = faulted_config();
+  runtime::EngineConfig serial_cfg = cfg;
+  serial_cfg.async_worker_math = false;
+  util::ThreadPool pool(2);
+  util::ThreadPool::ScopedGlobal guard(pool);
+  // The engine keeps a pointer to its spec: each spec outlives its run.
+  auto serial_watch = std::make_shared<Watch>();
+  const runtime::WorkloadSpec serial_spec = watched_tiny_mlp(serial_watch);
+  std::atomic<bool> unused{false};
+  CrashReleasingBsp serial_sync(unused);
+  runtime::Engine serial(serial_spec, serial_cfg, serial_sync);
+  const runtime::RunResult serial_result = serial.run();
+
+  std::atomic<bool> release{false};
+  for (std::size_t t = 0; t < pool.size(); ++t) {
+    pool.submit([&release] {
+      while (!release.load()) std::this_thread::yield();
+    });
+  }
+  auto watch = std::make_shared<Watch>();
+  const runtime::WorkloadSpec spec = watched_tiny_mlp(watch);
+  CrashReleasingBsp sync(release);
+  runtime::Engine engine(spec, cfg, sync);
+  ASSERT_TRUE(engine.async_math());
+  const runtime::RunResult result = engine.run();
+  EXPECT_TRUE(release.load());
+  expect_same_result(serial_result, result);
+  EXPECT_EQ(result.faults.worker_crashes, 1u);
+  EXPECT_EQ(watch->calls.load(), serial_watch->calls.load());
 }
 
 }  // namespace
